@@ -8,7 +8,9 @@ cone and enumerate its fundamental parallelepiped (`cone_engine`,
 them to trees (`tree_transforms`), cycles (`cycle_families`), conjecture
 checks (`conjecture_lab`), and Ehrhart/reflexivity computations
 (`ehrhart_reflexive`).  Everything is exact: arbitrary-precision integers
-and fractions throughout.
+throughout, with one fraction-free (Bareiss) core giving each minor's
+determinant and scaled inverse.  The only rationals are the fractional
+coordinates `interior_point` returns for even n.
 """
 
 from .cone_engine import (
@@ -69,11 +71,9 @@ from .ehrhart_reflexive import (
 )
 from .exact_linalg import (
     IntegerMatrix,
-    RationalMatrix,
     SingularMatrixError,
     adjugate_pair,
     determinant,
-    inverse,
 )
 from .graph_core import (
     MAX_VERTICES,
@@ -116,8 +116,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # linear algebra
-    "IntegerMatrix", "RationalMatrix", "SingularMatrixError",
-    "determinant", "inverse", "adjugate_pair",
+    "IntegerMatrix", "SingularMatrixError", "determinant", "adjugate_pair",
     # graphs
     "MAX_VERTICES", "Graph", "GraphError", "LaplacianMinor", "build_family",
     "family_from_string", "path_graph", "cycle_graph", "leafed_cycle_graph",

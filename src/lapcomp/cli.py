@@ -177,6 +177,10 @@ def _minor_vertex(args, g) -> int:
     return args.minor if args.minor is not None else g.vertex_count - 1
 
 
+def _minor_cone(args, g):
+    return cone_from_constraints(laplacian_minor(g, _minor_vertex(args, g)).matrix)
+
+
 def _emit(args, text: str, payload: dict) -> None:
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -186,9 +190,7 @@ def _emit(args, text: str, payload: dict) -> None:
 
 def _cmd_gf(args) -> int:
     g = _load_graph(args)
-    minor = laplacian_minor(g, _minor_vertex(args, g))
-    cone = cone_from_constraints(minor.matrix)
-    ipt = integer_point_transform(cone, budget=_effective_budget(args))
+    ipt = integer_point_transform(_minor_cone(args, g), budget=_effective_budget(args))
     if args.spec is None:
         _emit(args, str(ipt), ipt.to_json_dict())
     else:
@@ -208,9 +210,9 @@ def _cmd_series(args) -> int:
         )
     else:
         g = family_from_string(args.family)
-        minor = laplacian_minor(g, _minor_vertex(args, g))
-        cone = cone_from_constraints(minor.matrix)
-        ipt = integer_point_transform(cone, budget=_effective_budget(args))
+        ipt = integer_point_transform(
+            _minor_cone(args, g), budget=_effective_budget(args)
+        )
         gf = specialize(ipt, _SPEC_MODES[args.spec])
     coeffs = series_expand(gf, args.order)
     text = "[" + ", ".join(str(c) for c in coeffs) + "]"
@@ -332,11 +334,10 @@ def _cmd_ehrhart(args) -> int:
     budget = _effective_budget(args)
     simplex = build_slice_simplex(args.n)
     data = h_star(simplex, budget=budget)
-    half = reflexivity_by_halfspaces(args.n)
     by_counts = reflexivity_by_interior_counts(
         simplex, max(1, args.n - 1), budget=budget
     )
-    if half.reflexive != by_counts:
+    if data.reflexive_certificate != by_counts:
         raise _TheoremViolation(
             f"reflexivity tests disagree for n={args.n}"
         )
@@ -351,7 +352,7 @@ def _cmd_ehrhart(args) -> int:
         f"dilate counts: {list(data.dilate_counts)}",
         f"h*: {list(data.h_star)}",
         f"palindromic={data.palindromic} unimodal={data.unimodal} "
-        f"reflexive={half.reflexive}",
+        f"reflexive={data.reflexive_certificate}",
     ]
     if normal_up_to is not None:
         lines.append(f"normal up to dilate {normal_up_to}")
@@ -362,7 +363,7 @@ def _cmd_ehrhart(args) -> int:
         "dilate_counts": [str(e) for e in data.dilate_counts],
         "palindromic": data.palindromic,
         "unimodal": data.unimodal,
-        "reflexive": half.reflexive,
+        "reflexive": data.reflexive_certificate,
         "normal_up_to": None if normal_up_to is None else str(normal_up_to),
     })
     return 0
@@ -370,9 +371,7 @@ def _cmd_ehrhart(args) -> int:
 
 def _cmd_fpp(args) -> int:
     g = _load_graph(args)
-    minor = laplacian_minor(g, _minor_vertex(args, g))
-    cone = cone_from_constraints(minor.matrix)
-    points = fpp_points(cone, budget=_effective_budget(args))
+    points = fpp_points(_minor_cone(args, g), budget=_effective_budget(args))
     lines = [f"determinant {points.d}, {len(points.points)} lattice points"]
     lines += [f"digits {list(c)} -> point {list(lam)}"
               for c, lam in points.points]

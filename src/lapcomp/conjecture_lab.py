@@ -15,9 +15,7 @@ import math
 from typing import NamedTuple, Optional, Sequence
 
 from .cone_engine import series_expand
-from .cycle_families import leafed_gf, phi_histogram_dp
-from .exact_linalg import adjugate_pair
-from .graph_core import laplacian_minor, leafed_cycle_graph
+from .cycle_families import _family_minor_pair, leafed_gf, phi_histogram_dp
 
 __all__ = [
     "compositions",
@@ -112,15 +110,14 @@ def integral_shift_profile(n: int, m: int) -> list[ShiftProfileEntry]:
     """
     if n < 3:
         raise ValueError("shift profile needs n >= 3")
-    minor = laplacian_minor(leafed_cycle_graph(n), n)
-    d, r = adjugate_pair(minor.matrix)
+    _, r = _family_minor_pair(n, leafed=True)
     rows = [r.row(i) for i in range(r.rows)]
     profile = []
     for cls in cyclic_classes(m, n):
         hits = 0
         for c in cls.rotations():
             if all(
-                sum(a * b for a, b in zip(row, c)) % d == 0 for row in rows
+                sum(a * b for a, b in zip(row, c)) % n == 0 for row in rows
             ):
                 hits += 1
         profile.append(ShiftProfileEntry(cls, hits))

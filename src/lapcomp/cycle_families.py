@@ -11,7 +11,6 @@ programming over digit positions without materializing the solution set.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Iterator, Optional
 
 from .cone_engine import (
@@ -20,7 +19,7 @@ from .cone_engine import (
     IntegerPointTransform,
     UnivariateRationalGF,
 )
-from .exact_linalg import RationalMatrix, adjugate_pair
+from .exact_linalg import IntegerMatrix, adjugate_pair
 from .graph_core import cycle_graph, laplacian_minor, leafed_cycle_graph
 
 __all__ = [
@@ -72,36 +71,40 @@ def leafed_system(n: int) -> CongruenceSystem:
     return CongruenceSystem(n, (0,) + tuple(n - j for j in range(1, n)))
 
 
-def cycle_inverse_closed(n: int) -> RationalMatrix:
-    """Inverse of the n-cycle Laplacian minor via the closed form
-    b[i][j] = i*(n-j)/n for i <= j (symmetric), with 1-based indices."""
+def cycle_inverse_closed(n: int) -> IntegerMatrix:
+    """n * L^-1 for the n-cycle Laplacian minor via the closed form
+    i*(n-j) for i <= j (symmetric), with 1-based indices."""
     if n < 3:
         raise ValueError("cycle inverse needs n >= 3")
-    m = [
-        [
-            Fraction((a + 1) * (n - (b + 1)), n)
-            if a <= b
-            else Fraction((b + 1) * (n - (a + 1)), n)
-            for b in range(n - 1)
-        ]
-        for a in range(n - 1)
-    ]
-    return RationalMatrix(m)
+    return IntegerMatrix(
+        [min(a, b) * (n - max(a, b)) for b in range(1, n)] for a in range(1, n)
+    )
 
 
-def leafed_inverse_closed(n: int) -> RationalMatrix:
-    """Inverse of the leafed n-cycle minor: the cycle closed form plus one,
-    with 0-based indices, so the top row and column are all ones."""
+def leafed_inverse_closed(n: int) -> IntegerMatrix:
+    """n * L^-1 for the leafed n-cycle minor: the cycle closed form plus n,
+    with 0-based indices, so the top row and column are all n."""
     if n < 3:
         raise ValueError("leafed inverse needs n >= 3")
-    m = [
-        [
-            Fraction(a * (n - b), n) + 1 if a <= b else Fraction(b * (n - a), n) + 1
-            for b in range(n)
-        ]
-        for a in range(n)
-    ]
-    return RationalMatrix(m)
+    return IntegerMatrix(
+        [min(a, b) * (n - max(a, b)) + n for b in range(n)] for a in range(n)
+    )
+
+
+def _family_minor_pair(n: int, leafed: bool) -> tuple[IntegerMatrix, IntegerMatrix]:
+    """Minor matrix L and scaled inverse R = n * L^-1 of the leafed n-cycle
+    (minored at its leaf) or of the plain n-cycle (minored at n-1).
+
+    Both minors have determinant n; any other value raises.
+    """
+    if leafed:
+        minor = laplacian_minor(leafed_cycle_graph(n), n)
+    else:
+        minor = laplacian_minor(cycle_graph(n), n - 1)
+    d, r = adjugate_pair(minor.matrix)
+    if d != n:
+        raise ArithmeticError(f"expected determinant {n}, got {d}")
+    return minor.matrix, r
 
 
 class ModStructureReport:
@@ -133,15 +136,8 @@ def mod_structure(n: int, leafed: bool = True) -> ModStructureReport:
     """
     if n < 3:
         raise ValueError("mod structure needs n >= 3")
-    if leafed:
-        minor = laplacian_minor(leafed_cycle_graph(n), n)
-        family = "leafed_cycle"
-    else:
-        minor = laplacian_minor(cycle_graph(n), n - 1)
-        family = "cycle"
-    d, r = adjugate_pair(minor.matrix)
-    if d != n:
-        raise ArithmeticError(f"expected determinant {n}, got {d}")
+    family = "leafed_cycle" if leafed else "cycle"
+    _, r = _family_minor_pair(n, leafed)
     reduced = tuple(
         tuple(x % n for x in r.row(i)) for i in range(r.rows)
     )
@@ -258,10 +254,7 @@ def cycle_multivariate_gf(n: int,
     congruence solutions instead of parallelepiped enumeration."""
     if n < 3:
         raise ValueError("cycle transform needs n >= 3")
-    minor = laplacian_minor(cycle_graph(n), n - 1)
-    d, r = adjugate_pair(minor.matrix)
-    if d != n:
-        raise ArithmeticError(f"expected determinant {n}, got {d}")
+    _, r = _family_minor_pair(n, leafed=False)
     rows = [r.row(i) for i in range(r.rows)]
     numerator = []
     for c in solve_Sn(cycle_system(n), budget):

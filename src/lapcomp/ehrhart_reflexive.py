@@ -22,9 +22,12 @@ from itertools import product
 from typing import NamedTuple, Optional, Sequence
 
 from .cone_engine import DEFAULT_BUDGET, BudgetExceededError
-from .cycle_families import phi_histogram_dp, phi_zero_histogram_dp
+from .cycle_families import (
+    _family_minor_pair,
+    phi_histogram_dp,
+    phi_zero_histogram_dp,
+)
 from .exact_linalg import IntegerMatrix, adjugate_pair, determinant
-from .graph_core import laplacian_minor, leafed_cycle_graph
 
 __all__ = [
     "LatticeSimplex",
@@ -109,17 +112,6 @@ class LatticeSimplex:
         return f"LatticeSimplex(dim={self._dimension}, vertices={self._vertices}{tag})"
 
 
-def _leafed_minor_pair(n: int):
-    """Minor matrix L and scaled inverse R = n * L^-1 of the leafed n-cycle."""
-    if n < 3:
-        raise ValueError("leafed cycles need n >= 3")
-    minor = laplacian_minor(leafed_cycle_graph(n), n)
-    d, r = adjugate_pair(minor.matrix)
-    if d != n:
-        raise ArithmeticError(f"leafed {n}-cycle minor determinant {d} != {n}")
-    return minor.matrix, r
-
-
 def build_slice_simplex(n: int) -> LatticeSimplex:
     """The slice of the leafed n-cycle cone at first coordinate n.
 
@@ -127,7 +119,9 @@ def build_slice_simplex(n: int) -> LatticeSimplex:
     the minor determinant is n; every column has first coordinate n, so
     that coordinate is dropped.
     """
-    _, r = _leafed_minor_pair(n)
+    if n < 3:
+        raise ValueError("leafed cycles need n >= 3")
+    _, r = _family_minor_pair(n, leafed=True)
     if any(r[0, j] != n for j in range(n)):
         raise ArithmeticError("top row of the scaled inverse is not constant n")
     vertices = tuple(tuple(r[i, j] for i in range(1, n)) for j in range(n))
@@ -141,7 +135,9 @@ def interior_point(n: int):
     n is odd; for even n the fractional entries are returned as-is, and
     the halfspace reflexivity test reports a refutation.
     """
-    _, r = _leafed_minor_pair(n)
+    if n < 3:
+        raise ValueError("leafed cycles need n >= 3")
+    _, r = _family_minor_pair(n, leafed=True)
     sums = [Fraction(sum(r.row(i)), n) for i in range(n)]
     if all(f.denominator == 1 for f in sums):
         return tuple(int(f) for f in sums)
@@ -189,8 +185,8 @@ def reflexivity_by_halfspaces(n: int) -> HalfspaceReport:
     coordinate 0.  A non-integral translation point is a refutation, as is
     any facet row not supported at exactly -1.
     """
-    l, _ = _leafed_minor_pair(n)
     u = interior_point(n)
+    l, _ = _family_minor_pair(n, leafed=True)
     if any(not isinstance(e, int) for e in u):
         return HalfspaceReport(
             n, False, "canonical interior point is not integral",

@@ -1,22 +1,21 @@
-"""Exact dense linear algebra over the integers and rationals.
+"""Exact dense linear algebra over the integers.
 
-Determinants are computed with fraction-free (Bareiss) elimination, so every
-intermediate value is an integer and no precision is ever lost; inverses use
-Gauss-Jordan elimination over `fractions.Fraction`.  Nothing in this module
-(or anywhere else in the package) touches floating point.
+Both routines use fraction-free (Bareiss) elimination: `determinant` runs
+the forward pass only, and `adjugate_pair` runs the Gauss-Jordan pass over
+`[A | I]`, which leaves d * A^-1 in the right block.  Every intermediate
+value is an integer minor of the input, so no precision is ever lost and
+no rational arithmetic is needed.  Nothing in this module (or anywhere else
+in the package) touches floating point.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 __all__ = [
     "IntegerMatrix",
-    "RationalMatrix",
     "SingularMatrixError",
     "determinant",
-    "inverse",
     "adjugate_pair",
 ]
 
@@ -25,35 +24,38 @@ class SingularMatrixError(ValueError):
     """Raised when an operation needs an invertible matrix and det = 0."""
 
 
-def _freeze(rows, convert):
-    data = []
-    width = None
-    for row in rows:
-        r = tuple(convert(x) for x in row)
-        if width is None:
-            width = len(r)
-        elif len(r) != width:
-            raise ValueError("matrix rows have unequal lengths")
-        data.append(r)
-    if not data or width == 0:
-        raise ValueError("matrix must have at least one row and one column")
-    return tuple(data)
-
-
 def _check_int(x):
     if isinstance(x, int):
         return x
     raise TypeError(f"integer matrix entry {x!r} is not an int")
 
 
-def _check_fraction(x):
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    raise TypeError(f"rational matrix entry {x!r} is not an int or Fraction")
+class IntegerMatrix:
+    """Immutable dense matrix with arbitrary-precision integer entries."""
 
-
-class _MatrixBase:
     __slots__ = ("_data",)
+
+    def __init__(self, rows: Iterable[Sequence[int]]):
+        data = []
+        width = None
+        for row in rows:
+            r = tuple(_check_int(x) for x in row)
+            if width is None:
+                width = len(r)
+            elif len(r) != width:
+                raise ValueError("matrix rows have unequal lengths")
+            data.append(r)
+        if not data or width == 0:
+            raise ValueError("matrix must have at least one row and one column")
+        self._data = tuple(data)
+
+    @classmethod
+    def identity(cls, n: int) -> "IntegerMatrix":
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
+
+    @classmethod
+    def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
+        return cls([[0] * cols for _ in range(rows)])
 
     @property
     def rows(self) -> int:
@@ -86,7 +88,7 @@ class _MatrixBase:
         return iter(self._data)
 
     def __eq__(self, other):
-        if isinstance(other, _MatrixBase):
+        if isinstance(other, IntegerMatrix):
             return self._data == other._data
         return NotImplemented
 
@@ -109,66 +111,18 @@ class _MatrixBase:
         )
 
     def __matmul__(self, other):
-        if not isinstance(other, _MatrixBase):
+        if not isinstance(other, IntegerMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("matrix dimensions do not match for product")
         cols = [other.column(j) for j in range(other.cols)]
-        product = [
+        return IntegerMatrix(
             [sum(a * b for a, b in zip(row, col)) for col in cols]
             for row in self._data
-        ]
-        if isinstance(self, RationalMatrix) or isinstance(other, RationalMatrix):
-            return RationalMatrix(product)
-        return IntegerMatrix(product)
-
-
-class IntegerMatrix(_MatrixBase):
-    """Immutable dense matrix with arbitrary-precision integer entries."""
-
-    __slots__ = ()
-
-    def __init__(self, rows: Iterable[Sequence[int]]):
-        self._data = _freeze(rows, _check_int)
-
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls([[0] * cols for _ in range(rows)])
+        )
 
     def scale(self, k: int) -> "IntegerMatrix":
         return IntegerMatrix([[k * x for x in row] for row in self._data])
-
-
-class RationalMatrix(_MatrixBase):
-    """Immutable dense matrix of exact rationals (`fractions.Fraction`)."""
-
-    __slots__ = ()
-
-    def __init__(self, rows: Iterable[Sequence[Union[int, Fraction]]]):
-        self._data = _freeze(rows, _check_fraction)
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_integer(cls, m: IntegerMatrix) -> "RationalMatrix":
-        return cls(m.to_lists())
-
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self._data for x in row)
-
-    def to_integer_matrix(self) -> IntegerMatrix:
-        if not self.is_integral():
-            raise ValueError("matrix has non-integer entries")
-        return IntegerMatrix([[int(x) for x in row] for row in self._data])
-
-    def scale(self, k: Union[int, Fraction]) -> "RationalMatrix":
-        return RationalMatrix([[k * x for x in row] for row in self._data])
 
 
 def determinant(m: IntegerMatrix) -> int:
@@ -201,44 +155,38 @@ def determinant(m: IntegerMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def inverse(m: IntegerMatrix) -> RationalMatrix:
-    """Exact inverse of a square integer (or rational) matrix."""
-    if not m.is_square:
-        raise ValueError("inverse of a non-square matrix")
-    n = m.rows
-    aug = [
-        [Fraction(x) for x in m.row(i)]
-        + [Fraction(int(i == j)) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        pivot_row = next(
-            (i for i in range(col, n) if aug[i][col] != 0), None
-        )
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [x / pivot for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[col])]
-    return RationalMatrix([row[n:] for row in aug])
-
-
 def adjugate_pair(m: IntegerMatrix) -> tuple[int, IntegerMatrix]:
     """Return (d, R) with d = |det m| > 0 and R = d * m^{-1} integral.
 
     R satisfies m @ R = d * I exactly; its columns generate the ray lattice
-    used throughout the cone machinery.
+    used throughout the cone machinery.  One Bareiss Gauss-Jordan pass over
+    [m | I] clears each pivot column above and below the pivot; the row
+    swaps act on both blocks, so the pass ends at [D * I | D * m^{-1}] with
+    D = +-det m the last pivot.  Each step drops its finished pivot column,
+    so a row ends as its n right-block entries.
     """
-    d = abs(determinant(m))
-    if d == 0:
-        raise SingularMatrixError("matrix is singular")
-    inv = inverse(m)
-    scaled = inv.scale(d)
-    if not scaled.is_integral():
-        # Cannot happen: d * m^{-1} is the (signed) adjugate, always integral.
-        raise ArithmeticError("scaled inverse failed to be integral")
-    return d, scaled.to_integer_matrix()
+    if not m.is_square:
+        raise ValueError("adjugate of a non-square matrix")
+    n = m.rows
+    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][0]), None)
+        if p is None:
+            raise SingularMatrixError("matrix is singular")
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot, *tail = rows[k]
+        for i, row in enumerate(rows):
+            if i == k:
+                rows[i] = tail
+                continue
+            f = row[0]
+            qr = [divmod(pivot * x - f * y, prev) for x, y in zip(row[1:], tail)]
+            if any(r for _, r in qr):
+                # Cannot happen: Sylvester's identity makes each division exact.
+                raise ArithmeticError("Bareiss division left a remainder")
+            rows[i] = [q for q, _ in qr]
+        prev = pivot
+    if prev < 0:
+        rows = [[-x for x in row] for row in rows]
+    return abs(prev), IntegerMatrix(rows)

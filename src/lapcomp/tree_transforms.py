@@ -15,7 +15,7 @@ from collections import Counter, deque
 from typing import NamedTuple, Sequence
 
 from .cone_engine import UnivariateRationalGF
-from .exact_linalg import IntegerMatrix, determinant, inverse
+from .exact_linalg import IntegerMatrix, adjugate_pair, determinant
 from .graph_core import Graph, GraphError, incidence_subminor, laplacian_minor
 
 __all__ = [
@@ -291,7 +291,7 @@ def verify_tree_identities(t: Graph, leaf: int) -> list[str]:
     if determinant(minor.matrix) != 1:
         failures.append(f"minor determinant at leaf {leaf} is not 1")
     comb = tree_inverse_combinatorial(t, leaf).matrix
-    if comb != inverse(minor.matrix):
+    if (1, comb) != adjugate_pair(minor.matrix):
         failures.append("distance formula disagrees with the algebraic inverse")
     g = incidence_inverse(t, leaf)
     if g @ incidence_subminor(t, leaf) != IntegerMatrix.identity(t.vertex_count - 1):
@@ -303,7 +303,7 @@ def verify_tree_identities(t: Graph, leaf: int) -> list[str]:
             direct = laplacian_minor(t, v)
             if determinant(direct.matrix) != 1:
                 failures.append(f"minor determinant at vertex {v} is not 1")
-            if block_reduction_inverse(t, v) != inverse(direct.matrix):
+            if (1, block_reduction_inverse(t, v)) != adjugate_pair(direct.matrix):
                 failures.append(
                     f"block assembly at vertex {v} disagrees with the "
                     "direct inverse"

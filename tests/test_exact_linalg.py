@@ -1,19 +1,10 @@
-"""Tests for the exact integer/rational matrix layer."""
-
-from fractions import Fraction
+"""Tests for the exact integer matrix layer."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lapcomp import (
-    IntegerMatrix,
-    RationalMatrix,
-    SingularMatrixError,
-    adjugate_pair,
-    determinant,
-    inverse,
-)
+from lapcomp import IntegerMatrix, SingularMatrixError, adjugate_pair, determinant
 
 
 def cofactor_det(rows):
@@ -56,14 +47,6 @@ class TestConstruction:
         with pytest.raises(TypeError):
             IntegerMatrix([["3"]])
 
-    def test_rational_accepts_ints_and_fractions(self):
-        m = RationalMatrix([[1, Fraction(1, 2)]])
-        assert m.row(0) == (Fraction(1), Fraction(1, 2))
-
-    def test_rational_rejects_floats(self):
-        with pytest.raises(TypeError):
-            RationalMatrix([[0.5]])
-
 
 class TestAccessors:
     def setup_method(self):
@@ -87,8 +70,8 @@ class TestAccessors:
     def test_iteration_matches_rows(self):
         assert list(self.m) == [(1, 2, 3), (4, 5, 6)]
 
-    def test_equality_across_types(self):
-        assert RationalMatrix([[1, 2], [3, 4]]) == IntegerMatrix([[1, 2], [3, 4]])
+    def test_equality(self):
+        assert IntegerMatrix([[1, 2], [3, 4]]) == IntegerMatrix([[1, 2], [3, 4]])
         assert IntegerMatrix([[1]]) != IntegerMatrix([[2]])
 
     def test_hashable(self):
@@ -113,28 +96,8 @@ class TestProducts:
         with pytest.raises(ValueError):
             IntegerMatrix([[1, 2]]) @ IntegerMatrix([[1, 2]])
 
-    def test_mixed_product_is_rational(self):
-        a = IntegerMatrix([[2]])
-        b = RationalMatrix([[Fraction(1, 2)]])
-        assert a @ b == RationalMatrix([[1]])
-
     def test_scale(self):
         assert IntegerMatrix([[1, -2]]).scale(3) == IntegerMatrix([[3, -6]])
-        assert RationalMatrix([[Fraction(1, 2)]]).scale(2) == RationalMatrix([[1]])
-
-
-class TestRationalConversions:
-    def test_is_integral(self):
-        assert RationalMatrix([[2, 4]]).is_integral()
-        assert not RationalMatrix([[Fraction(1, 2)]]).is_integral()
-
-    def test_to_integer_matrix(self):
-        m = RationalMatrix.from_integer(IntegerMatrix([[7]]))
-        assert m.to_integer_matrix() == IntegerMatrix([[7]])
-
-    def test_to_integer_matrix_rejects_fractions(self):
-        with pytest.raises(ValueError):
-            RationalMatrix([[Fraction(1, 3)]]).to_integer_matrix()
 
 
 class TestDeterminant:
@@ -167,18 +130,44 @@ class TestDeterminant:
         assert determinant(a @ b) == determinant(a) * determinant(b)
 
 
+def cofactor_adjugate(rows):
+    """Reference adjugate, the transposed cofactor matrix (test oracle only)."""
+    n = len(rows)
+    if n == 1:
+        return [[1]]
+    return [
+        [
+            (-1) ** (i + j)
+            * cofactor_det([r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def cofactor_pair(rows):
+    """(|det|, sign(det) * adjugate) by cofactor expansion."""
+    det = cofactor_det(rows)
+    sign = 1 if det > 0 else -1
+    adj = [[sign * x for x in row] for row in cofactor_adjugate(rows)]
+    return abs(det), IntegerMatrix(adj)
+
+
 class TestInverse:
+    """adjugate_pair as the scaled inverse d * m^-1."""
+
     def test_example(self):
-        m = IntegerMatrix([[2, 1], [1, 1]])
-        assert inverse(m) == RationalMatrix([[1, -1], [-1, 2]])
+        assert adjugate_pair(IntegerMatrix([[2, 1], [1, 1]])) == (
+            1, IntegerMatrix([[1, -1], [-1, 2]])
+        )
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
-            inverse(IntegerMatrix([[1, 1], [1, 1]]))
+            adjugate_pair(IntegerMatrix([[1, 1], [1, 1]]))
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            inverse(IntegerMatrix([[1, 2]]))
+            adjugate_pair(IntegerMatrix([[1, 2]]))
 
     @settings(max_examples=100, deadline=None)
     @given(square())
@@ -186,11 +175,12 @@ class TestInverse:
         m = IntegerMatrix(rows)
         if determinant(m) == 0:
             with pytest.raises(SingularMatrixError):
-                inverse(m)
+                adjugate_pair(m)
         else:
-            n = m.rows
-            assert m @ inverse(m) == RationalMatrix.identity(n)
-            assert inverse(m) @ m == RationalMatrix.identity(n)
+            d, r = adjugate_pair(m)
+            scaled_identity = IntegerMatrix.identity(m.rows).scale(d)
+            assert m @ r == scaled_identity
+            assert r @ m == scaled_identity
 
 
 class TestAdjugatePair:
@@ -208,6 +198,16 @@ class TestAdjugatePair:
         with pytest.raises(SingularMatrixError):
             adjugate_pair(IntegerMatrix([[0, 0], [0, 0]]))
 
+    # Zero leading pivots (the first three) and negative determinants (all).
+    @pytest.mark.parametrize("rows", [
+        [[0, 2], [3, 1]],
+        [[0, 1, 2], [1, 0, 3], [4, -3, 8]],
+        [[0, 0, 1, 2], [0, 3, 0, 1], [2, 1, 1, 0], [1, 0, 2, 5]],
+        [[1, 2, 3], [4, 5, 6], [7, 8, 10]],
+    ])
+    def test_matches_cofactor_adjugate(self, rows):
+        assert adjugate_pair(IntegerMatrix(rows)) == cofactor_pair(rows)
+
     @settings(max_examples=100, deadline=None)
     @given(square())
     def test_defining_identity(self, rows):
@@ -218,3 +218,25 @@ class TestAdjugatePair:
         d, r = adjugate_pair(m)
         assert d == abs(det)
         assert m @ r == IntegerMatrix.identity(m.rows).scale(d)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=5).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                    min_size=n - 1,
+                    max_size=n - 1,
+                ),
+                st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1),
+                st.integers(0, n - 1),
+            )
+        )
+    )
+    def test_every_singular_matrix_raises(self, data):
+        # One row is an integer combination of the others, so det = 0.
+        rows, coeffs, position = data
+        dependent = [sum(c * x for c, x in zip(coeffs, col)) for col in zip(*rows)]
+        rows.insert(position, dependent)
+        with pytest.raises(SingularMatrixError):
+            adjugate_pair(IntegerMatrix(rows))
