@@ -26,6 +26,7 @@ from .cone_engine import (
     integer_point_transform,
     series_expand,
     specialize,
+    specialized_gf,
 )
 from .conjecture_lab import (
     CyclicCheckReport,
@@ -127,7 +128,7 @@ __all__ = [
     "SimplicialCone", "FppPointSet", "IntegerPointTransform",
     "UnivariateRationalGF", "BudgetExceededError", "DEFAULT_BUDGET",
     "cone_from_constraints", "fpp_points", "integer_point_transform",
-    "specialize", "series_expand", "brute_force_count",
+    "specialize", "specialized_gf", "series_expand", "brute_force_count",
     # trees
     "TreeInverse", "BlockProblem", "tree_inverse_combinatorial",
     "incidence_inverse", "block_reduction", "block_reduction_inverse",

@@ -36,7 +36,7 @@ from .cone_engine import (
     fpp_points,
     integer_point_transform,
     series_expand,
-    specialize,
+    specialized_gf,
 )
 from .conjecture_lab import check_conjecture_cyclic, check_near_symmetry
 from .ehrhart_reflexive import (
@@ -189,12 +189,12 @@ def _emit(args, text: str, payload: dict) -> None:
 
 
 def _cmd_gf(args) -> int:
-    g = _load_graph(args)
-    ipt = integer_point_transform(_minor_cone(args, g), budget=_effective_budget(args))
+    cone = _minor_cone(args, _load_graph(args))
     if args.spec is None:
+        ipt = integer_point_transform(cone, budget=_effective_budget(args))
         _emit(args, str(ipt), ipt.to_json_dict())
     else:
-        gf = specialize(ipt, _SPEC_MODES[args.spec])
+        gf = specialized_gf(cone, _SPEC_MODES[args.spec], budget=_effective_budget(args))
         _emit(args, str(gf), gf.to_json_dict())
     return 0
 
@@ -209,11 +209,8 @@ def _cmd_series(args) -> int:
             json.loads(Path(args.file).read_text())
         )
     else:
-        g = family_from_string(args.family)
-        ipt = integer_point_transform(
-            _minor_cone(args, g), budget=_effective_budget(args)
-        )
-        gf = specialize(ipt, _SPEC_MODES[args.spec])
+        gf = specialized_gf(_minor_cone(args, family_from_string(args.family)),
+                            _SPEC_MODES[args.spec], budget=_effective_budget(args))
     coeffs = series_expand(gf, args.order)
     text = "[" + ", ".join(str(c) for c in coeffs) + "]"
     _emit(args, text, {

@@ -11,13 +11,18 @@ of the integer point transform
 
 which can be specialized to a univariate rational generating function by
 sending every variable to q ("total") or only the first one ("first
-coordinate").
+coordinate").  Both specializations are linear in the parallelepiped
+digits, so `specialized_gf` streams the univariate function through the
+walk, one histogram bin per point, without building points, the transform
+or a sort; prefer it to `specialize(integer_point_transform(...))` unless
+the points or the multivariate transform are needed too.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Literal, Optional, Sequence
+from operator import mul
+from typing import Callable, Iterable, Literal, Optional, Sequence
 
 from .exact_linalg import IntegerMatrix, adjugate_pair
 
@@ -32,6 +37,7 @@ __all__ = [
     "fpp_points",
     "integer_point_transform",
     "specialize",
+    "specialized_gf",
     "series_expand",
     "brute_force_count",
 ]
@@ -271,21 +277,27 @@ def _column_hermite(A: IntegerMatrix) -> list[list[int]]:
     return [[cols[c][r] for c in range(n)] for r in range(n)]
 
 
-def fpp_points(cone: SimplicialCone, budget: Optional[int] = None) -> FppPointSet:
-    """Enumerate the lattice points of the half-open parallelepiped.
+def _walk_parallelepiped(cone: SimplicialCone, budget: Optional[int], start,
+                         fold: Callable, leaf: Callable) -> None:
+    """The set-up and odometer shared by `fpp_points` and `specialized_gf`.
 
     A point lam is in the parallelepiped iff c = A*lam has every coordinate
     in {0..d-1}; the set of valid c vectors is exactly the column lattice of
     A reduced mod d, which a triangular lattice basis lets us walk in
-    d**(n-1) steps instead of d**n.
+    d**(n-1) steps instead of d**n.  Row i of the offsets is final once
+    level i is chosen, so the walk carries acc = fold(acc, i, c_i) down the
+    levels from `start` and calls leaf(acc, c_last) once per point.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
     n = cone.dimension
     d = cone.d
     if d == 1:
-        zero = (0,) * n
-        return FppPointSet([(zero, zero)], 1)
+        acc = start
+        for i in range(n - 1):
+            acc = fold(acc, i, 0)
+        leaf(acc, 0)
+        return
     required = d ** (n - 1)
     if required > budget:
         raise BudgetExceededError(
@@ -298,45 +310,79 @@ def fpp_points(cone: SimplicialCone, budget: Optional[int] = None) -> FppPointSe
         if d % h[i][i] != 0:
             raise ArithmeticError("triangular basis does not divide d")
         ranges.append(d // h[i][i])
+    # R*h_j = 0 (mod d) for every basis column certifies that R*c/d is
+    # integral for every walked c, which is a combination of them mod d.
     rrows = [cone.R.row(i) for i in range(n)]
-    points = []
+    for j in range(n):
+        col = [h[r][j] for r in range(n)]
+        if any(sum(map(mul, row, col)) % d for row in rrows):
+            raise ArithmeticError("triangular basis column is not a valid digit vector")
+    steps = [[(r, h[r][i]) for r in range(i, n) if h[r][i]] for i in range(n)]
     offsets = [0] * n
+    last = n - 1
 
-    def walk(i: int):
-        if i == n:
-            c = tuple(v % d for v in offsets)
-            lam = []
-            for row in rrows:
-                num = sum(a * b for a, b in zip(row, c))
-                q, rem = divmod(num, d)
-                if rem:
-                    raise ArithmeticError("parallelepiped point not integral")
-                lam.append(q)
-            points.append((c, tuple(lam)))
-            return
-        col = [h[r][i] for r in range(i, n)]
+    def walk(i: int, acc):
         for x in range(ranges[i]):
-            if x > 0:
-                for k, r in enumerate(range(i, n)):
-                    offsets[r] += col[k]
-            walk(i + 1)
-        for k, r in enumerate(range(i, n)):
-            offsets[r] -= col[k] * (ranges[i] - 1)
+            if x:
+                for r, v in steps[i]:
+                    offsets[r] += v
+            if i == last:
+                leaf(acc, offsets[i] % d)
+            else:
+                walk(i + 1, fold(acc, i, offsets[i] % d))
+        for r, v in steps[i]:
+            offsets[r] -= v * (ranges[i] - 1)
 
-    walk(0)
+    walk(0, start)
+
+
+def fpp_points(cone: SimplicialCone, budget: Optional[int] = None) -> FppPointSet:
+    """Enumerate the lattice points of the half-open parallelepiped, sorted."""
+    d = cone.d
+    rrows = [cone.R.row(i) for i in range(cone.dimension)]
+    points = []
+
+    def leaf(c: tuple[int, ...], c_last: int):
+        c += (c_last,)
+        lam = []
+        for row in rrows:
+            q, rem = divmod(sum(map(mul, row, c)), d)
+            if rem:
+                raise ArithmeticError("parallelepiped point not integral")
+            lam.append(q)
+        points.append((c, tuple(lam)))
+
+    _walk_parallelepiped(cone, budget, (), lambda c, i, c_i: c + (c_i,), leaf)
     points.sort()
     return FppPointSet(points, d)
 
 
 def integer_point_transform(cone: SimplicialCone,
                             budget: Optional[int] = None) -> IntegerPointTransform:
-    """The transform of the cone; unimodular cones skip enumeration."""
-    n = cone.dimension
-    if cone.d == 1:
-        numerator = [(0,) * n]
-    else:
-        numerator = fpp_points(cone, budget).lattice_points()
-    return IntegerPointTransform(numerator, cone.rays())
+    """The transform of the cone: parallelepiped points over the rays."""
+    return IntegerPointTransform(fpp_points(cone, budget).lattice_points(), cone.rays())
+
+
+def _mode_weights(mode: str, n: int) -> tuple[int, ...]:
+    """The linear form w that gives a vector v the exponent w.v."""
+    if mode == "total":
+        return (1,) * n
+    if mode == "first_coordinate":
+        return (1,) + (0,) * (n - 1)
+    raise ValueError(f"unknown specialization mode {mode!r}")
+
+
+def _univariate(exponents: dict[int, int],
+                ray_exponents: Sequence[int]) -> UnivariateRationalGF:
+    """The gf with numerator sum of exponents[e]*q^e over prod (1 - q^e)."""
+    if min(exponents) < 0:
+        raise ValueError("specialization produced a negative numerator exponent")
+    coeffs = [0] * (max(exponents) + 1)
+    for e, count in exponents.items():
+        coeffs[e] = count
+    if any(e <= 0 for e in ray_exponents):
+        raise ValueError("specialization sends a ray to a non-positive exponent")
+    return UnivariateRationalGF(coeffs, [(e, 1) for e in ray_exponents])
 
 
 def specialize(ipt: IntegerPointTransform,
@@ -346,28 +392,35 @@ def specialize(ipt: IntegerPointTransform,
     "total" sends every variable to q (exponent = coordinate sum);
     "first_coordinate" sends the first variable to q and the rest to 1.
     """
-    if mode == "total":
-        weight = sum
-    elif mode == "first_coordinate":
-        def weight(v):
-            return v[0]
-    else:
-        raise ValueError(f"unknown specialization mode {mode!r}")
-    exps = [weight(v) for v in ipt.numerator]
-    if min(exps) < 0:
-        raise ValueError("specialization produced a negative numerator exponent")
-    coeffs = [0] * (max(exps) + 1)
-    for e in exps:
-        coeffs[e] += 1
-    den = []
-    for ray in ipt.denominator:
-        e = weight(ray)
-        if e <= 0:
-            raise ValueError(
-                "specialization sends a ray to a non-positive exponent"
-            )
-        den.append((e, 1))
-    return UnivariateRationalGF(coeffs, den)
+    w = _mode_weights(mode, len(ipt.denominator[0]))
+    return _univariate(Counter(sum(map(mul, w, v)) for v in ipt.numerator),
+                       [sum(map(mul, w, ray)) for ray in ipt.denominator])
+
+
+def specialized_gf(cone: SimplicialCone, mode: Literal["total", "first_coordinate"],
+                   budget: Optional[int] = None) -> UnivariateRationalGF:
+    """`specialize(integer_point_transform(cone, budget), mode)`, streamed.
+
+    Both specializations are linear: with s = w^T R for the mode's form w,
+    the point lam = R*c/d gets exponent s.c/d and the ray in column j gets
+    s_j.  The parallelepiped walk carries the partial sum of s_i*c_i down
+    its levels and bins each point's exponent, so no point, transform or
+    sort is built and memory is one histogram instead of d**(n-1) points.
+    """
+    w = _mode_weights(mode, cone.dimension)
+    s = [sum(map(mul, w, col)) for col in cone.rays()]
+    d = cone.d
+    s_last = s[-1]
+    exponents = {}
+
+    def leaf(acc: int, c_last: int):
+        q, rem = divmod(acc + s_last * c_last, d)
+        if rem:
+            raise ArithmeticError("parallelepiped point not integral")
+        exponents[q] = exponents.get(q, 0) + 1
+
+    _walk_parallelepiped(cone, budget, 0, lambda acc, i, c_i: acc + s[i] * c_i, leaf)
+    return _univariate(exponents, s)
 
 
 def series_expand(gf: UnivariateRationalGF, order: int) -> list[int]:

@@ -119,9 +119,16 @@ def build_slice_simplex(n: int) -> LatticeSimplex:
     the minor determinant is n; every column has first coordinate n, so
     that coordinate is dropped.
     """
+    return _slice_simplex(n, _leafed_pair(n)[1])
+
+
+def _leafed_pair(n: int) -> tuple[IntegerMatrix, IntegerMatrix]:
     if n < 3:
         raise ValueError("leafed cycles need n >= 3")
-    _, r = _family_minor_pair(n, leafed=True)
+    return _family_minor_pair(n, leafed=True)
+
+
+def _slice_simplex(n: int, r: IntegerMatrix) -> LatticeSimplex:
     if any(r[0, j] != n for j in range(n)):
         raise ArithmeticError("top row of the scaled inverse is not constant n")
     vertices = tuple(tuple(r[i, j] for i in range(1, n)) for j in range(n))
@@ -135,9 +142,10 @@ def interior_point(n: int):
     n is odd; for even n the fractional entries are returned as-is, and
     the halfspace reflexivity test reports a refutation.
     """
-    if n < 3:
-        raise ValueError("leafed cycles need n >= 3")
-    _, r = _family_minor_pair(n, leafed=True)
+    return _interior_point(n, _leafed_pair(n)[1])
+
+
+def _interior_point(n: int, r: IntegerMatrix):
     sums = [Fraction(sum(r.row(i)), n) for i in range(n)]
     if all(f.denominator == 1 for f in sums):
         return tuple(int(f) for f in sums)
@@ -185,8 +193,8 @@ def reflexivity_by_halfspaces(n: int) -> HalfspaceReport:
     coordinate 0.  A non-integral translation point is a refutation, as is
     any facet row not supported at exactly -1.
     """
-    u = interior_point(n)
-    l, _ = _family_minor_pair(n, leafed=True)
+    l, r = _leafed_pair(n)
+    u = _interior_point(n, r)
     if any(not isinstance(e, int) for e in u):
         return HalfspaceReport(
             n, False, "canonical interior point is not integral",
@@ -196,9 +204,8 @@ def reflexivity_by_halfspaces(n: int) -> HalfspaceReport:
     if any(e != 1 for e in ones):
         raise ArithmeticError("minor times its inverse row sums is not all-ones")
     drop = u[1:]
-    simplex = build_slice_simplex(n)
     translated = tuple(
-        tuple(a - b for a, b in zip(v, drop)) for v in simplex.vertices
+        tuple(a - b for a, b in zip(v, drop)) for v in _slice_simplex(n, r).vertices
     )
     reduced = IntegerMatrix([[l[i, j] for j in range(1, n)] for i in range(n)])
     values = [reduced.apply(z) for z in translated]

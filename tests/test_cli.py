@@ -8,8 +8,17 @@ import json
 
 import pytest
 
-from lapcomp import UnivariateRationalGF, series_expand
+from lapcomp import (
+    UnivariateRationalGF,
+    cone_from_constraints,
+    integer_point_transform,
+    laplacian_minor,
+    parse_graph,
+    series_expand,
+    specialize,
+)
 from lapcomp.cli import main
+from lapcomp.graph_core import family_from_string
 
 
 def run(capsys, *argv):
@@ -284,6 +293,79 @@ class TestTreeInverse:
             capsys, "tree-inverse", "--family", "path:4", "--minor", "1"
         )
         assert code == 2
+
+
+def materialized_gf(g, mode):
+    cone = cone_from_constraints(laplacian_minor(g, g.vertex_count - 1).matrix)
+    return specialize(integer_point_transform(cone), mode)
+
+
+def expected_stdout(text, payload, as_json):
+    return (json.dumps(payload, indent=2) if as_json else text) + "\n"
+
+
+# A 5-cycle with the chord 1-3: d = 11, minored at vertex 4.
+CHORDED_CYCLE = "5\n0 1\n1 2\n2 3\n3 4\n4 0\n1 3\n"
+STREAMED_FAMILIES = ["cycle:5", "leafed_cycle:4", "complete:4", "kary:2,2"]
+SPECS = [("total", "total"), ("first", "first_coordinate")]
+BUDGET_ERROR = (
+    "error: budget exhausted: parallelepiped has 2821109907456 lattice "
+    "points; budget is 100000000\n"
+)
+
+
+class TestStreamedSpecialization:
+    """`gf --spec` and `series --family` stream the walk; their stdout must
+    be byte-identical to the materialized `specialize(integer_point_transform(...))`."""
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    @pytest.mark.parametrize("spec,mode", SPECS)
+    @pytest.mark.parametrize("family", STREAMED_FAMILIES)
+    def test_gf_family(self, capsys, family, spec, mode, as_json):
+        gf = materialized_gf(family_from_string(family), mode)
+        argv = ["gf", "--family", family, "--spec", spec] + ["--json"] * as_json
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == expected_stdout(str(gf), gf.to_json_dict(), as_json)
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    @pytest.mark.parametrize("spec,mode", SPECS)
+    def test_gf_file(self, capsys, tmp_path, spec, mode, as_json):
+        f = tmp_path / "chorded.txt"
+        f.write_text(CHORDED_CYCLE)
+        gf = materialized_gf(parse_graph(CHORDED_CYCLE), mode)
+        assert gf.denominator and sum(gf.numerator) == 11 ** 3
+        argv = ["gf", "--file", str(f), "--spec", spec] + ["--json"] * as_json
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == expected_stdout(str(gf), gf.to_json_dict(), as_json)
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    @pytest.mark.parametrize("spec,mode", SPECS)
+    @pytest.mark.parametrize("family", STREAMED_FAMILIES)
+    def test_series_family(self, capsys, family, spec, mode, as_json):
+        coeffs = series_expand(materialized_gf(family_from_string(family), mode), 12)
+        text = "[" + ", ".join(str(c) for c in coeffs) + "]"
+        payload = {"order": "12", "coefficients": [str(c) for c in coeffs]}
+        argv = ["series", "--family", family, "--spec", spec, "--order", "12"]
+        code, out, _ = run(capsys, *argv + ["--json"] * as_json)
+        assert code == 0
+        assert out == expected_stdout(text, payload, as_json)
+
+    def test_tree_output_unchanged(self, capsys):
+        code, out, _ = run(capsys, "gf", "--family", "path:5", "--spec", "total")
+        assert code == 0
+        assert out == "1/(1 - q^4)(1 - q^7)(1 - q^9)(1 - q^10)\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["gf", "--family", "complete:6", "--spec", "total"],
+        ["series", "--family", "complete:6", "--order", "3"],
+        ["fpp", "--family", "complete:6"],
+    ])
+    def test_oversized_instance_refused_like_fpp(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("LAPCOMP_BUDGET", raising=False)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", BUDGET_ERROR)
 
 
 class TestBudgetsAndThreads:

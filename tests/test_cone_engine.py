@@ -3,7 +3,10 @@
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conftest import random_connected_graph
 from lapcomp import (
     BudgetExceededError,
     IntegerMatrix,
@@ -13,12 +16,15 @@ from lapcomp import (
     brute_force_count,
     build_family,
     cone_from_constraints,
+    determinant,
     fpp_points,
     integer_point_transform,
     laplacian_minor,
     series_expand,
     specialize,
+    specialized_gf,
 )
+from lapcomp import cone_engine
 from lapcomp.cone_engine import polynomial_string
 
 
@@ -180,6 +186,93 @@ class TestSpecialize:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             specialize(self.IPT3, "diagonal")
+
+
+def outcome(route):
+    """A route's gf, or the type, message and size of what it raised."""
+    try:
+        return route()
+    except (ValueError, BudgetExceededError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "required", None)
+
+
+def assert_routes_agree(cone, mode, budget=None):
+    streamed = outcome(lambda: specialized_gf(cone, mode, budget=budget))
+    materialized = outcome(
+        lambda: specialize(integer_point_transform(cone, budget=budget), mode)
+    )
+    assert streamed == materialized, (cone.A, mode)
+    return streamed
+
+
+MODES = st.sampled_from(["total", "first_coordinate"])
+
+
+class TestSpecializedGf:
+    """The streamed walk against `specialize(integer_point_transform(...))`."""
+
+    def test_leafed_three(self):
+        gf = specialized_gf(LEAFED3, "first_coordinate")
+        assert gf == specialize(TestSpecialize.IPT3, "first_coordinate")
+        assert str(gf) == "(1 + q + 2q^2 + q^3 + 2q^4 + q^5 + q^6)/(1 - q^3)^3"
+
+    def test_unimodular_shortcut(self):
+        tree = minor_cone("path", 5)
+        assert tree.d == 1
+        gf = specialized_gf(tree, "total")
+        assert gf == specialize(integer_point_transform(tree), "total")
+        assert str(gf) == "1/(1 - q^4)(1 - q^7)(1 - q^9)(1 - q^10)"
+
+    @pytest.mark.parametrize("rows,mode,message", [
+        ([[3, 1], [1, -2]], "total", "negative numerator exponent"),
+        ([[2, 1], [1, -1]], "total", "non-positive exponent"),
+        ([[1, 0], [1, 2]], "first_coordinate", "non-positive exponent"),
+    ])
+    def test_same_value_errors(self, rows, mode, message):
+        cone = cone_from_constraints(IntegerMatrix(rows))
+        name, text, _ = assert_routes_agree(cone, mode)
+        assert name == "ValueError" and message in text
+
+    def test_budget_refusal_comes_before_ray_check(self):
+        cone = cone_from_constraints(IntegerMatrix([[2, 1], [1, -1]]))
+        refusal = assert_routes_agree(cone, "total", budget=2)
+        assert refusal[0] == "BudgetExceededError" and refusal[2] == 3
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown specialization mode"):
+            specialized_gf(LEAFED3, "diagonal")
+
+    def test_basis_certificate(self, monkeypatch):
+        # A triangular basis that divides d = 3 but leaves the lattice of
+        # valid digit vectors: (1, 0) is not one for the 3-cycle minor.
+        monkeypatch.setattr(cone_engine, "_column_hermite",
+                            lambda A: [[1, 0], [0, 3]])
+        with pytest.raises(ArithmeticError, match="not a valid digit vector"):
+            fpp_points(CYCLE3)
+        with pytest.raises(ArithmeticError, match="not a valid digit vector"):
+            specialized_gf(CYCLE3, "total")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_graphs(self, data):
+        g = random_connected_graph(data)
+        vertex = data.draw(st.integers(0, g.vertex_count - 1))
+        cone = cone_from_constraints(laplacian_minor(g, vertex).matrix)
+        # Cones with more than 20000 parallelepiped points are refused by
+        # both routes alike, before any walking.
+        assert_routes_agree(cone, data.draw(MODES), budget=20000)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_cones(self, data):
+        n = data.draw(st.integers(1, 3))
+        rows = data.draw(st.lists(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+            min_size=n, max_size=n,
+        ))
+        A = IntegerMatrix(rows)
+        assume(determinant(A) != 0)
+        assert_routes_agree(cone_from_constraints(A), data.draw(MODES))
 
 
 class TestSeriesExpand:

@@ -17,6 +17,7 @@ from lapcomp import (
     reflexivity_by_halfspaces,
     reflexivity_by_interior_counts,
 )
+from lapcomp import ehrhart_reflexive
 from lapcomp.ehrhart_reflexive import _is_unimodal
 
 # hull of (-1,-1), (1,0), (0,1): the origin is its only interior point
@@ -104,6 +105,19 @@ class TestHalfspaceReflexivity:
         assert not rep.reflexive
         assert rep.reason == "canonical interior point is not integral"
         assert rep.reduced_matrix is None
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_builds_the_minor_pair_once(self, n, monkeypatch):
+        calls = []
+        real = ehrhart_reflexive._family_minor_pair
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ehrhart_reflexive, "_family_minor_pair", counted)
+        reflexivity_by_halfspaces(n)
+        assert len(calls) == 1
 
     def test_json_round_trip_types(self):
         data = reflexivity_by_halfspaces(3).to_json_dict()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_connected_graph
 from lapcomp import (
     Graph,
     GraphError,
@@ -25,23 +26,6 @@ from lapcomp import (
     path_graph,
     spanning_tree_count,
 )
-
-
-def random_connected_graph(data, max_vertices=6):
-    """Draw a connected graph: a random spanning tree plus extra edges."""
-    n = data.draw(st.integers(2, max_vertices))
-    edges = set()
-    for v in range(1, n):
-        u = data.draw(st.integers(0, v - 1))
-        edges.add((u, v))
-    non_tree = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if (u, v) not in edges
-    ]
-    extra = data.draw(st.lists(st.sampled_from(non_tree), unique=True)) if non_tree else []
-    return Graph(n, sorted(edges | set(extra)))
 
 
 def brute_spanning_trees(g):
