@@ -5,8 +5,9 @@ The pipeline: build a graph and one of its Laplacian minors
 (`graph_core`), treat the minor as the constraint matrix of a simplicial
 cone and enumerate its fundamental parallelepiped (`cone_engine`,
 `exact_linalg`), read off rational generating functions, and specialize
-them to trees (`tree_transforms`), cycles (`cycle_families`), conjecture
-checks (`conjecture_lab`), and Ehrhart/reflexivity computations
+them to trees (`tree_transforms`), cycles (`cycle_families`, whose
+digit-sum DP stands in for the walk at large n), conjecture checks
+(`conjecture_lab`), and Ehrhart/reflexivity computations
 (`ehrhart_reflexive`).  Everything is exact: arbitrary-precision integers
 throughout, with one fraction-free (Bareiss) core giving each minor's
 determinant and scaled inverse.  The only rationals are the fractional
@@ -42,18 +43,12 @@ from .conjecture_lab import (
     profile_entry_for,
 )
 from .cycle_families import (
-    CongruenceSystem,
     ModStructureReport,
     cycle_inverse_closed,
-    cycle_multivariate_gf,
-    cycle_system,
     leafed_gf,
     leafed_inverse_closed,
-    leafed_system,
     mod_structure,
     phi_histogram_dp,
-    phi_zero_histogram_dp,
-    solve_Sn,
 )
 from .ehrhart_reflexive import (
     HalfspaceReport,
@@ -135,10 +130,8 @@ __all__ = [
     "tree_gf_exponents", "tree_gf", "q_integer", "kary_exponent", "kary_gf",
     "tree_from_pruefer", "random_tree", "verify_tree_identities",
     # cycles
-    "CongruenceSystem", "ModStructureReport", "cycle_system",
-    "leafed_system", "cycle_inverse_closed", "leafed_inverse_closed",
-    "mod_structure", "solve_Sn", "phi_histogram_dp",
-    "phi_zero_histogram_dp", "leafed_gf", "cycle_multivariate_gf",
+    "ModStructureReport", "cycle_inverse_closed", "leafed_inverse_closed",
+    "mod_structure", "phi_histogram_dp", "leafed_gf",
     # conjectures
     "CyclicClass", "ShiftProfileEntry", "CyclicCheckReport",
     "NearSymmetryReport", "compositions", "cyclic_classes",

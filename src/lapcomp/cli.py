@@ -153,7 +153,12 @@ def _effective_budget(args) -> int:
         return args.budget
     env = os.environ.get("LAPCOMP_BUDGET")
     if env is not None:
-        value = int(env)
+        try:
+            value = int(env)
+        except ValueError:
+            raise ValueError(
+                f"LAPCOMP_BUDGET must be an integer, got {env!r}"
+            ) from None
         if value < 1:
             raise ValueError("LAPCOMP_BUDGET must be positive")
         return value

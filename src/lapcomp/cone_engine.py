@@ -152,6 +152,14 @@ class IntegerPointTransform:
         return cls(numerator, denominator)
 
 
+def _poly_trim(p: Iterable[int]) -> list[int]:
+    """Coefficient list with trailing zeros dropped, keeping at least one."""
+    out = list(p)
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
 class UnivariateRationalGF:
     """Rational generating function num(q) / prod (1 - q^e)^m.
 
@@ -164,9 +172,7 @@ class UnivariateRationalGF:
 
     def __init__(self, numerator: Iterable[int],
                  denominator: Iterable[tuple[int, int]]):
-        coeffs = list(numerator)
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
+        coeffs = _poly_trim(numerator)
         if not coeffs:
             raise ValueError("empty numerator")
         merged: Counter = Counter()
@@ -320,16 +326,25 @@ def _walk_parallelepiped(cone: SimplicialCone, budget: Optional[int], start,
     steps = [[(r, h[r][i]) for r in range(i, n) if h[r][i]] for i in range(n)]
     offsets = [0] * n
     last = n - 1
+    # The diagonal of h multiplies to d, so at most one level has range 1.
+    # That level takes no step and resets nothing, so it is folded in place
+    # rather than walked; top is the last level that does step.
+    top = max((i for i in range(n) if ranges[i] > 1), default=last)
 
     def walk(i: int, acc):
+        if i < top and ranges[i] == 1:
+            acc = fold(acc, i, offsets[i] % d)
+            i += 1
         for x in range(ranges[i]):
             if x:
                 for r, v in steps[i]:
                     offsets[r] += v
-            if i == last:
+            if i < top:
+                walk(i + 1, fold(acc, i, offsets[i] % d))
+            elif i == last:
                 leaf(acc, offsets[i] % d)
             else:
-                walk(i + 1, fold(acc, i, offsets[i] % d))
+                leaf(fold(acc, i, offsets[i] % d), offsets[last] % d)
         for r, v in steps[i]:
             offsets[r] -= v * (ranges[i] - 1)
 

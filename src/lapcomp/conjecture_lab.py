@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional, Sequence
 
-from .cone_engine import series_expand
+from .cone_engine import _poly_trim, series_expand
 from .cycle_families import _family_minor_pair, leafed_gf, phi_histogram_dp
 
 __all__ = [
@@ -187,13 +187,6 @@ def _poly_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
         if a:
             for j, b in enumerate(q):
                 out[i + j] += a * b
-    return out
-
-
-def _poly_trim(p: Sequence[int]) -> list[int]:
-    out = list(p)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
     return out
 
 

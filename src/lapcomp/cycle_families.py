@@ -1,74 +1,31 @@
-"""Closed forms and congruence solvers for cycle and leafed-cycle minors.
+"""Closed forms and the digit-sum DP for cycle and leafed-cycle minors.
 
 Both families have determinant n, and reducing the scaled inverse mod n
 reveals a rank-one structure: every column is a multiple of a single vector
-v1.  As a consequence the lattice points of the fundamental parallelepiped
-are parametrized by digit vectors c in {0..n-1}^k satisfying one linear
-congruence mod n, and the univariate numerator can be computed by dynamic
-programming over digit positions without materializing the solution set.
+v1 (`mod_structure`).  As a consequence the digit vectors of the
+fundamental parallelepiped, which `cone_engine.fpp_points` lists for any
+cone, are here the vectors c in {0..n-1}^k satisfying one linear
+congruence mod n; for the leafed n-cycle that set S_n has weights
+(0, n-1, ..., 1).  The univariate numerator is then a dynamic program over
+digit positions, which runs for n far beyond where the n**(n-1) points
+could be walked.  The closed-form inverses and `mod_structure` stay as
+test oracles for the general engine.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterator, Optional
-
-from .cone_engine import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    IntegerPointTransform,
-    UnivariateRationalGF,
-)
+from .cone_engine import UnivariateRationalGF
 from .exact_linalg import IntegerMatrix, adjugate_pair
 from .graph_core import cycle_graph, laplacian_minor, leafed_cycle_graph
 
 __all__ = [
-    "CongruenceSystem",
-    "cycle_system",
-    "leafed_system",
     "ModStructureReport",
     "cycle_inverse_closed",
     "leafed_inverse_closed",
     "mod_structure",
-    "solve_Sn",
     "phi_histogram_dp",
-    "phi_zero_histogram_dp",
     "leafed_gf",
-    "cycle_multivariate_gf",
 ]
-
-
-class CongruenceSystem:
-    """Digit vectors c in {0..n-1}^k with sum_j weights[j]*c[j] = 0 mod n."""
-
-    __slots__ = ("modulus", "weights")
-
-    def __init__(self, modulus: int, weights: tuple[int, ...]):
-        if modulus < 2:
-            raise ValueError("modulus must be at least 2")
-        self.modulus = modulus
-        self.weights = tuple(w % modulus for w in weights)
-
-    @property
-    def digits(self) -> int:
-        return len(self.weights)
-
-    def __repr__(self):
-        return f"CongruenceSystem(mod={self.modulus}, weights={self.weights})"
-
-
-def cycle_system(n: int) -> CongruenceSystem:
-    """Congruence for the plain n-cycle: weights (n-1, n-2, ..., 1)."""
-    if n < 2:
-        raise ValueError("cycle congruence needs n >= 2")
-    return CongruenceSystem(n, tuple(n - j for j in range(1, n)))
-
-
-def leafed_system(n: int) -> CongruenceSystem:
-    """Congruence for the leafed n-cycle: weights (0, n-1, n-2, ..., 1)."""
-    if n < 2:
-        raise ValueError("leafed congruence needs n >= 2")
-    return CongruenceSystem(n, (0,) + tuple(n - j for j in range(1, n)))
 
 
 def cycle_inverse_closed(n: int) -> IntegerMatrix:
@@ -154,57 +111,13 @@ def mod_structure(n: int, leafed: bool = True) -> ModStructureReport:
     return ModStructureReport(family, n, v1, reduced, True)
 
 
-def solve_Sn(system: CongruenceSystem,
-             budget: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """Iterate the digit vectors solving the system, deterministically.
-
-    The last invertible weight's digit is forced by the others, cutting the
-    work from n^k to n^(k-1); both built-in families end with weight 1, so
-    their solutions come out in lexicographic order.
-    """
-    if budget is None:
-        budget = DEFAULT_BUDGET
-    n = system.modulus
-    weights = system.weights
-    k = system.digits
-    pivot = None
-    for idx in range(k - 1, -1, -1):
-        try:
-            inv = pow(weights[idx], -1, n)
-        except ValueError:
-            continue
-        pivot = (idx, inv)
-        break
-    required = n**k if pivot is None else n ** (k - 1)
-    if required > budget:
-        raise BudgetExceededError(
-            f"congruence solve needs {required} candidates", required
-        )
-
-    def filtered() -> Iterator[tuple[int, ...]]:
-        for c in itertools.product(range(n), repeat=k):
-            if sum(w * x for w, x in zip(weights, c)) % n == 0:
-                yield c
-
-    def pivoted() -> Iterator[tuple[int, ...]]:
-        idx, inv = pivot
-        free_positions = [p for p in range(k) if p != idx]
-        for free in itertools.product(range(n), repeat=k - 1):
-            acc = sum(weights[p] * x for p, x in zip(free_positions, free))
-            c = list(free)
-            c.insert(idx, (-acc * inv) % n)
-            yield tuple(c)
-
-    return filtered() if pivot is None else pivoted()
-
-
 def phi_histogram_dp(n: int) -> list[int]:
     """Coefficient list of sum_{c in S_n} q^{phi(c)} for the leafed family,
     phi(c) = digit sum; computed by DP over positions, states (residue,
     running digit sum).  Length n*(n-1)+1; total mass n**(n-1)."""
     if n < 2:
         raise ValueError("histogram needs n >= 2")
-    weights = leafed_system(n).weights
+    weights = (0,) + tuple(range(n - 1, 0, -1))
     max_phi = n * (n - 1)
     table = [[0] * (max_phi + 1) for _ in range(n)]
     table[0][0] = 1
@@ -220,51 +133,7 @@ def phi_histogram_dp(n: int) -> list[int]:
     return table[0]
 
 
-def phi_zero_histogram_dp(n: int) -> dict[tuple[int, int], int]:
-    """Joint histogram over S_n of (digit sum, number of zero digits).
-
-    Used for counting interior points of dilated slices, where the rays
-    whose digit is zero must appear with a strictly positive coefficient.
-    """
-    if n < 2:
-        raise ValueError("histogram needs n >= 2")
-    weights = leafed_system(n).weights
-    table: dict[tuple[int, int, int], int] = {(0, 0, 0): 1}
-    for w in weights:
-        new: dict[tuple[int, int, int], int] = {}
-        for (r, s, z), count in table.items():
-            for c in range(n):
-                key = ((r + w * c) % n, s + c, z + (c == 0))
-                new[key] = new.get(key, 0) + count
-        table = new
-    return {
-        (s, z): count for (r, s, z), count in table.items() if r == 0
-    }
-
-
 def leafed_gf(n: int) -> UnivariateRationalGF:
     """Generating function of the leafed n-cycle cone by first coordinate:
     (sum_{c in S_n} q^{phi(c)}) / (1 - q^n)^n."""
     return UnivariateRationalGF(phi_histogram_dp(n), [(n, n)])
-
-
-def cycle_multivariate_gf(n: int,
-                          budget: Optional[int] = None) -> IntegerPointTransform:
-    """Integer point transform of the plain n-cycle cone, built from the
-    congruence solutions instead of parallelepiped enumeration."""
-    if n < 3:
-        raise ValueError("cycle transform needs n >= 3")
-    _, r = _family_minor_pair(n, leafed=False)
-    rows = [r.row(i) for i in range(r.rows)]
-    numerator = []
-    for c in solve_Sn(cycle_system(n), budget):
-        lam = []
-        for row in rows:
-            num = sum(a * b for a, b in zip(row, c))
-            q, rem = divmod(num, n)
-            if rem:
-                raise ArithmeticError("congruence solution is not a lattice point")
-            lam.append(q)
-        numerator.append(tuple(lam))
-    rays = [r.column(j) for j in range(r.cols)]
-    return IntegerPointTransform(numerator, rays)

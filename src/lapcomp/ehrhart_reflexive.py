@@ -8,10 +8,11 @@ tests reflexivity two independent ways: a halfspace certificate at one
 fixed translation, and the interior-count identity L_interior(t+1) =
 L(t).  A small sumset probe for normality rounds it out.
 
-Counting goes through the digit-vector statistics of the cone whenever
-the simplex remembers which n it came from; a plain box scan with exact
-barycentric membership covers arbitrary simplices and doubles as an
-independent cross-check.
+Counting goes through the digit-sum histogram of the cone whenever the
+simplex remembers which n it came from, interior points included, by
+Ehrhart-Macdonald reciprocity; a plain box scan with exact barycentric
+membership covers arbitrary simplices and doubles as an independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -22,11 +23,7 @@ from itertools import product
 from typing import NamedTuple, Optional, Sequence
 
 from .cone_engine import DEFAULT_BUDGET, BudgetExceededError
-from .cycle_families import (
-    _family_minor_pair,
-    phi_histogram_dp,
-    phi_zero_histogram_dp,
-)
+from .cycle_families import _family_minor_pair, phi_histogram_dp
 from .exact_linalg import IntegerMatrix, adjugate_pair, determinant
 
 __all__ = [
@@ -269,6 +266,13 @@ def dilate_points(s: LatticeSimplex, t: int, budget: Optional[int] = None
     return points
 
 
+def _height_strata(n: int) -> list[tuple[int, int]]:
+    """(phi/n, count) for the digit-sum strata of S_n with n | phi: the
+    parallelepiped points that lie on a slice dilate, at height phi/n."""
+    return [(phi // n, count) for phi, count in enumerate(phi_histogram_dp(n))
+            if count and phi % n == 0]
+
+
 def dilate_count(s: LatticeSimplex, t: int, budget: Optional[int] = None) -> int:
     """|Z^D intersect t*s|, exactly.
 
@@ -284,23 +288,21 @@ def dilate_count(s: LatticeSimplex, t: int, budget: Optional[int] = None) -> int
     n = s.source_n
     if n is None:
         return len(dilate_points(s, t, budget=budget))
-    total = 0
-    for phi, count in enumerate(phi_histogram_dp(n)):
-        if count and phi % n == 0:
-            top = t - phi // n + n - 1
-            if top >= n - 1:
-                total += count * math.comb(top, n - 1)
-    return total
+    return sum(count * math.comb(t - k + n - 1, n - 1)
+               for k, count in _height_strata(n))
 
 
 def interior_count(s: LatticeSimplex, t: int, budget: Optional[int] = None) -> int:
     """Number of lattice points strictly inside t*s.
 
-    For leafed slices: a cone point is interior iff every constraint
-    value is positive, which forces a strictly positive ray coefficient
-    wherever the parallelepiped point's digit is zero.  Each (phi, z)
-    stratum with n | phi therefore contributes C(t - phi/n - z + n - 1,
-    n - 1) points at height n*t.
+    Leafed slices are counted by Ehrhart-Macdonald reciprocity,
+    L_interior(t) = (-1)^D L(-t) with D = n-1: the stratum phi/n = k of
+    `dilate_count` turns C(t - k + n - 1, n - 1) into C(t + k - 1, n - 1).
+    On digit vectors this is the map c -> (n - c) mod n, which S_n is
+    closed under: it sends the half-open parallelepiped's digits onto the
+    open one's, in {1..n}, and a digit sum phi to n^2 - phi, so each point
+    inside t*s is an open parallelepiped point plus a nonnegative ray
+    combination.
     """
     if t < 0:
         raise ValueError("dilation factor must be nonnegative")
@@ -316,13 +318,8 @@ def interior_count(s: LatticeSimplex, t: int, budget: Optional[int] = None) -> i
             if all(c > 0 for c in scaled) and sum(scaled) < t * d:
                 count += 1
         return count
-    total = 0
-    for (phi, zeros), count in phi_zero_histogram_dp(n).items():
-        if phi % n == 0:
-            top = t - phi // n - zeros + n - 1
-            if top >= n - 1:
-                total += count * math.comb(top, n - 1)
-    return total
+    return sum(count * math.comb(t + k - 1, n - 1)
+               for k, count in _height_strata(n))
 
 
 class HStarData(NamedTuple):

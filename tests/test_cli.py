@@ -393,6 +393,7 @@ class TestBudgetsAndThreads:
         monkeypatch.setenv("LAPCOMP_BUDGET", "banana")
         code, _, err = run(capsys, "fpp", "--family", "cycle:3", "--minor", "0")
         assert code == 2
+        assert err == "error: LAPCOMP_BUDGET must be an integer, got 'banana'\n"
 
     def test_nonpositive_budgets(self, capsys, monkeypatch):
         code, _, err = run(

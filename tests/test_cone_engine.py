@@ -1,5 +1,6 @@
 """Tests for the cone / parallelepiped / generating-function engine."""
 
+import itertools
 import json
 
 import pytest
@@ -98,6 +99,54 @@ class TestFppPoints:
         with pytest.raises(BudgetExceededError) as err:
             fpp_points(cone)
         assert err.value.required == 1296**4
+
+
+def spanning_tree_count_by_subsets(g):
+    """Spanning trees as the (V-1)-edge subsets that union-find shows are
+    acyclic: an oracle with no determinant in it."""
+    count = 0
+    for subset in itertools.combinations(g.edges, g.vertex_count - 1):
+        parent = list(range(g.vertex_count))
+
+        def find(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        for u, v in subset:
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                break
+            parent[ru] = rv
+        else:
+            count += 1
+    return count
+
+
+class TestFppRandomGraphs:
+    """`fpp_points` on arbitrary connected graphs, against independent facts:
+    d is the spanning-tree count, and the walk lists d**(n-1) distinct
+    digit vectors c in [0, d)^n, each with A*lam == c."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_digit_vectors(self, data):
+        g = random_connected_graph(data)
+        vertex = data.draw(st.integers(0, g.vertex_count - 1))
+        cone = cone_from_constraints(laplacian_minor(g, vertex).matrix)
+        d, n = cone.d, cone.dimension
+        assert d == spanning_tree_count_by_subsets(g)
+        if d ** (n - 1) > 20000:
+            with pytest.raises(BudgetExceededError) as err:
+                fpp_points(cone, budget=20000)
+            assert err.value.required == d ** (n - 1)
+            return
+        pts = fpp_points(cone, budget=20000)
+        assert len(pts) == d ** (n - 1)
+        assert len({c for c, _ in pts}) == len(pts)
+        for c, lam in pts:
+            assert all(0 <= x < d for x in c)
+            assert cone.A.apply(lam) == c
 
 
 class TestIntegerPointTransform:

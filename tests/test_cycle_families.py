@@ -1,4 +1,4 @@
-"""Tests for cycle and leafed-cycle closed forms and congruence solvers."""
+"""Tests for cycle and leafed-cycle closed forms and the digit-sum DP."""
 
 import itertools
 
@@ -6,55 +6,48 @@ import pytest
 
 from lapcomp import (
     BudgetExceededError,
-    CongruenceSystem,
+    IntegerPointTransform,
     adjugate_pair,
     cone_from_constraints,
     cycle_graph,
     cycle_inverse_closed,
-    cycle_multivariate_gf,
-    cycle_system,
     fpp_points,
     integer_point_transform,
     laplacian_minor,
     leafed_cycle_graph,
     leafed_gf,
     leafed_inverse_closed,
-    leafed_system,
     mod_structure,
     phi_histogram_dp,
-    phi_zero_histogram_dp,
     series_expand,
-    solve_Sn,
     specialize,
 )
 
 
-def brute_solutions(system):
-    n, k = system.modulus, system.digits
+def family_cone(n, leafed):
+    """The leafed n-cycle minored at its leaf, or the n-cycle at n-1."""
+    if leafed:
+        minor = laplacian_minor(leafed_cycle_graph(n), n)
+    else:
+        minor = laplacian_minor(cycle_graph(n), n - 1)
+    return cone_from_constraints(minor.matrix)
+
+
+def brute_solutions(n, leafed):
+    """S_n by filtering: digit vectors with sum_j w_j*c_j = 0 mod n for the
+    weights (0, n-1, ..., 1) (leafed) or (n-1, ..., 1) (plain cycle)."""
+    weights = tuple(range(n - 1, 0, -1))
+    if leafed:
+        weights = (0,) + weights
     return [
         c
-        for c in itertools.product(range(n), repeat=k)
-        if sum(w * x for w, x in zip(system.weights, c)) % n == 0
+        for c in itertools.product(range(n), repeat=len(weights))
+        if sum(w * x for w, x in zip(weights, c)) % n == 0
     ]
 
 
-class TestSystems:
-    def test_cycle_weights(self):
-        assert cycle_system(5).weights == (4, 3, 2, 1)
-        assert cycle_system(5).modulus == 5
-
-    def test_leafed_weights(self):
-        assert leafed_system(5).weights == (0, 4, 3, 2, 1)
-        assert leafed_system(3).weights == (0, 2, 1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CongruenceSystem(1, (0,))
-        with pytest.raises(ValueError):
-            cycle_system(1)
-
-    def test_weights_reduced_mod_n(self):
-        assert CongruenceSystem(3, (5, -1)).weights == (2, 2)
+def fpp_digits(n, leafed):
+    return [c for c, _ in fpp_points(family_cone(n, leafed))]
 
 
 class TestClosedInverses:
@@ -95,29 +88,28 @@ class TestModStructure:
 
 
 class TestSolveSn:
-    @pytest.mark.parametrize("n", range(2, 7))
+    """The parallelepiped engine lists exactly S_n as the family cones'
+    digit vectors."""
+
+    @pytest.mark.parametrize("n", range(3, 7))
     def test_leafed_solution_set(self, n):
-        sols = list(solve_Sn(leafed_system(n)))
-        assert sols == brute_solutions(leafed_system(n))
+        sols = fpp_digits(n, leafed=True)
+        assert sols == brute_solutions(n, leafed=True)
         assert len(sols) == n ** (n - 1)
 
     @pytest.mark.parametrize("n", range(3, 7))
     def test_cycle_solution_set(self, n):
-        sols = list(solve_Sn(cycle_system(n)))
-        assert sols == brute_solutions(cycle_system(n))
+        sols = fpp_digits(n, leafed=False)
+        assert sols == brute_solutions(n, leafed=False)
         assert len(sols) == n ** (n - 2)
 
     def test_lexicographic_order(self):
-        sols = list(solve_Sn(leafed_system(4)))
+        sols = fpp_digits(4, leafed=True)
         assert sols == sorted(sols)
-
-    def test_no_invertible_weight_falls_back_to_filtering(self):
-        system = CongruenceSystem(4, (2, 2))
-        assert list(solve_Sn(system)) == brute_solutions(system)
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError) as err:
-            list(solve_Sn(leafed_system(6), budget=100))
+            fpp_points(family_cone(6, leafed=True), budget=100)
         assert err.value.required == 6**5
 
 
@@ -126,26 +118,27 @@ class TestPhiHistograms:
     def test_histogram_matches_enumeration(self, n):
         hist = phi_histogram_dp(n)
         assert len(hist) == n * (n - 1) + 1
+        if n == 2:
+            # S_2 = {(0, 0), (1, 0)}; the leafed 2-cycle is not a simple graph
+            assert hist == [1, 1, 0]
+            return
         expected = [0] * (n * (n - 1) + 1)
-        for c in solve_Sn(leafed_system(n)):
+        for c in fpp_digits(n, leafed=True):
             expected[sum(c)] += 1
         assert hist == expected
         assert sum(hist) == n ** (n - 1)
 
     @pytest.mark.parametrize("n", range(3, 7))
     def test_zero_histogram_matches_enumeration(self, n):
-        joint = phi_zero_histogram_dp(n)
-        expected: dict = {}
-        for c in solve_Sn(leafed_system(n)):
-            key = (sum(c), c.count(0))
-            expected[key] = expected.get(key, 0) + 1
-        assert joint == expected
-        # marginal over zero counts reproduces the plain histogram
-        hist = phi_histogram_dp(n)
-        for phi in range(len(hist)):
-            assert hist[phi] == sum(
-                v for (s, _), v in joint.items() if s == phi
-            )
+        # c -> (n - c) mod n maps S_n onto itself, so counting each zero
+        # digit as n (the open parallelepiped's digits, in {1..n}) sends a
+        # digit sum phi to n^2 - phi: the reciprocity behind interior_count.
+        sols = fpp_digits(n, leafed=True)
+        assert {tuple(-x % n for x in c) for c in sols} == set(sols)
+        open_hist = [0] * (n * n + 1)
+        for c in sols:
+            open_hist[sum(x or n for x in c)] += 1
+        assert open_hist[::-1] == phi_histogram_dp(n) + [0] * n
 
     def test_leafed_three_histogram(self):
         # 9 solutions with digit sums {0,1,2,2,3,4,4,5,6}
@@ -165,10 +158,18 @@ class TestGeneratingFunctions:
 
     @pytest.mark.parametrize("n", range(3, 6))
     def test_cycle_transform_matches_parallelepiped_route(self, n):
-        minor = laplacian_minor(cycle_graph(n), n - 1)
-        cone = cone_from_constraints(minor.matrix)
-        assert cycle_multivariate_gf(n) == integer_point_transform(cone)
+        # Oracle: the closed-form rays applied to S_n found by filtering.
+        r = cycle_inverse_closed(n)
+        numerator = []
+        for c in brute_solutions(n, leafed=False):
+            scaled = r.apply(c)
+            assert all(x % n == 0 for x in scaled)
+            numerator.append([x // n for x in scaled])
+        rays = [r.column(j) for j in range(r.cols)]
+        expected = IntegerPointTransform(numerator, rays)
+        assert integer_point_transform(family_cone(n, leafed=False)) == expected
 
     def test_cycle_transform_budget(self):
-        with pytest.raises(BudgetExceededError):
-            cycle_multivariate_gf(7, budget=10)
+        with pytest.raises(BudgetExceededError) as err:
+            integer_point_transform(family_cone(7, leafed=False), budget=10)
+        assert err.value.required == 7**5

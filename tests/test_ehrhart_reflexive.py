@@ -132,7 +132,7 @@ class TestDilateCounting:
         assert [dilate_count(s, t) for t in range(5)] == [1, 4, 10, 19, 31]
         assert [interior_count(s, t) for t in range(5)] == [0, 1, 4, 10, 19]
 
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [3, 4, 5])
     def test_digit_formula_matches_box_scan(self, n):
         s = build_slice_simplex(n)
         generic = LatticeSimplex(s.dimension, s.vertices)  # no source tag
