@@ -15,11 +15,13 @@ coordinate").  Both specializations are linear in the parallelepiped
 digits, so `specialized_gf` streams the univariate function through the
 walk, one histogram bin per point, without building points, the transform
 or a sort; prefer it to `specialize(integer_point_transform(...))` unless
-the points or the multivariate transform are needed too.
+the points or the multivariate transform are needed too.  The one box
+scan, independent of the walk, backs `brute_force_count` and slice dilates.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from operator import mul
 from typing import Callable, Iterable, Literal, Optional, Sequence
@@ -158,6 +160,39 @@ def _poly_trim(p: Iterable[int]) -> list[int]:
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return out
+
+
+def _poly_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
+def _one_minus_q_power(e: int, m: int) -> list[int]:
+    """Coefficients of (1 - q^e)^m."""
+    out = [0] * (e * m + 1)
+    for i in range(m + 1):
+        out[e * i] = (-1) ** i * math.comb(m, i)
+    return out
+
+
+def _times_geometric(coeffs: list[int], e: int) -> None:
+    """Multiply a truncated power series by 1/(1 - q^e), in place."""
+    for i in range(e, len(coeffs)):
+        coeffs[i] += coeffs[i - e]
+
+
+def _divide_exact(p: Sequence[int], e: int) -> Optional[list[int]]:
+    """Quotient of p by (1 - q^e), or None if the division is inexact."""
+    running = list(p)
+    _times_geometric(running, e)
+    split = max(len(running) - e, 0)
+    if any(running[split:]):
+        return None
+    return _poly_trim(running[:split]) if split else [0]
 
 
 class UnivariateRationalGF:
@@ -446,8 +481,7 @@ def series_expand(gf: UnivariateRationalGF, order: int) -> list[int]:
     coeffs += [0] * (order + 1 - len(coeffs))
     for e, mult in gf.denominator:
         for _ in range(mult):
-            for i in range(e, order + 1):
-                coeffs[i] += coeffs[i - e]
+            _times_geometric(coeffs, e)
     return coeffs
 
 
@@ -470,16 +504,70 @@ def _first_coordinate_bounds(R: IntegerMatrix, value: int) -> list[int]:
     return bounds
 
 
+def _box_points(rows: Sequence[Sequence[int]], rhs: Sequence[int],
+                lows: Sequence[int], highs: Sequence[int],
+                budget: int) -> list[tuple[int, ...]]:
+    """Integer points x of the box lows <= x <= highs with row.x >= rhs for
+    every row, in lexicographic order.
+
+    The whole box is charged against the budget up front.  Each row keeps
+    the most that coordinates t+1.. can add to it over the box, so once
+    coordinates 0..t-1 are fixed every row bounds x_t to an interval; an
+    empty interval prunes the prefix, and the last level emits its
+    interval without scanning it.
+    """
+    size = math.prod(h - l + 1 for l, h in zip(lows, highs))
+    if size > budget:
+        raise BudgetExceededError(
+            f"box scan needs {size} candidates, budget is {budget}",
+            required=size,
+        )
+    n = len(lows)
+    columns = [[row[t] for row in rows] for t in range(n)]
+    # tails[t][r]: the most that coordinates t+1.. can add to row r.
+    tails = [[0] * len(rows)]
+    for t in range(n - 1, 0, -1):
+        tails.insert(0, [tail + max(a * lows[t], a * highs[t])
+                         for tail, a in zip(tails[0], columns[t])])
+    points = []
+
+    def scan(t: int, prefix: tuple[int, ...], needs: Sequence[int]):
+        lo, hi = lows[t], highs[t]
+        for a, need, tail in zip(columns[t], needs, tails[t]):
+            slack = need - tail
+            if a > 0:
+                bound = -(-slack // a)
+                if bound > lo:
+                    lo = bound
+            elif a < 0:
+                bound = slack // a
+                if bound < hi:
+                    hi = bound
+            elif slack > 0:
+                return
+        if t == n - 1:
+            points.extend(prefix + (x,) for x in range(lo, hi + 1))
+            return
+        for x in range(lo, hi + 1):
+            scan(t + 1, prefix + (x,),
+                 [need - a * x for need, a in zip(needs, columns[t])])
+
+    scan(0, (), rhs)
+    return points
+
+
 def brute_force_count(A: IntegerMatrix,
                       statistic: Literal["total", "first_coordinate"],
                       value: int,
                       budget: Optional[int] = None) -> int:
     """Count lattice points of {x : Ax >= 0} with the given statistic value
-    by explicit box enumeration.
+    by the box scan.
 
     This is an oracle deliberately independent of the parallelepiped
     machinery: it needs the cone to sit inside the nonnegative orthant,
-    which it checks by requiring the ray matrix to be entrywise >= 0.
+    which it checks by requiring the ray matrix to be entrywise >= 0, and
+    scans the box [0, bounds] with the statistic w.x = value written as
+    the two rows w.x >= value and -w.x >= -value.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
@@ -497,57 +585,7 @@ def brute_force_count(A: IntegerMatrix,
         bounds = _first_coordinate_bounds(R, value)
     else:
         raise ValueError(f"unknown statistic {statistic!r}")
-    cells = 1
-    for b in bounds:
-        cells *= b + 1
-        if cells > budget:
-            raise BudgetExceededError(
-                f"enumeration box exceeds budget {budget}", required=cells
-            )
-    rows = [A.row(i) for i in range(n)]
-    nrows = len(rows)
-    # max_tail[r][t] = largest possible remaining contribution to row r once
-    # coordinates 0..t-1 are fixed; used to prune infeasible prefixes.
-    max_tail = [
-        [sum(max(row[i], 0) * bounds[i] for i in range(t, n))
-         for t in range(n + 1)]
-        for row in rows
-    ]
-    # sum_tail[t] = largest achievable sum of the undecided coordinates.
-    sum_tail = [sum(bounds[t:]) for t in range(n + 1)]
-    count = 0
-    partial = [0] * nrows
-
-    def walk(t: int, total_left: int):
-        nonlocal count
-        for r in range(nrows):
-            if partial[r] + max_tail[r][t] < 0:
-                return
-        if statistic == "total" and total_left > sum_tail[t]:
-            return
-        if t == n:
-            if statistic == "total" and total_left != 0:
-                return
-            count += 1
-            return
-        if statistic == "first_coordinate" and t == 0:
-            lo, hi = value, value
-        elif statistic == "total":
-            if t == n - 1:
-                # last coordinate is forced by the remaining total
-                lo = hi = total_left
-                if lo > bounds[t]:
-                    return
-            else:
-                lo, hi = 0, min(bounds[t], total_left)
-        else:
-            lo, hi = 0, bounds[t]
-        for x in range(lo, hi + 1):
-            for r in range(nrows):
-                partial[r] += rows[r][t] * x
-            walk(t + 1, total_left - x)
-            for r in range(nrows):
-                partial[r] -= rows[r][t] * x
-
-    walk(0, value)
-    return count
+    w = _mode_weights(statistic, n)
+    rows = [A.row(i) for i in range(n)] + [w, [-a for a in w]]
+    rhs = [0] * n + [value, -value]
+    return len(_box_points(rows, rhs, [0] * n, bounds, budget))

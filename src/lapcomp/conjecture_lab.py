@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional, Sequence
 
-from .cone_engine import _poly_trim, series_expand
+from .cone_engine import (
+    _divide_exact, _one_minus_q_power, _poly_mul, _poly_trim, series_expand,
+)
 from .cycle_families import _family_minor_pair, leafed_gf, phi_histogram_dp
 
 __all__ = [
@@ -179,34 +181,6 @@ def check_conjecture_cyclic(n: int, m_max: int) -> CyclicCheckReport:
         rows.append({"m": m, "lhs": lhs, "rhs": rhs, "match": match})
     return CyclicCheckReport(n, m_max, rows, first_mismatch is None,
                              first_mismatch)
-
-
-def _poly_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
-def _one_minus_q_power(e: int, m: int) -> list[int]:
-    """Coefficients of (1 - q^e)^m."""
-    out = [0] * (e * m + 1)
-    for i in range(m + 1):
-        out[e * i] = (-1) ** i * math.comb(m, i)
-    return out
-
-
-def _divide_exact(p: Sequence[int], e: int) -> Optional[list[int]]:
-    """Quotient of p by (1 - q^e), or None if the division is inexact."""
-    running = list(p)
-    for i in range(e, len(running)):
-        running[i] += running[i - e]
-    split = max(len(running) - e, 0)
-    if any(running[split:]):
-        return None
-    return _poly_trim(running[:split]) if split else [0]
 
 
 class NearSymmetryReport(NamedTuple):

@@ -10,19 +10,20 @@ L(t).  A small sumset probe for normality rounds it out.
 
 Counting goes through the digit-sum histogram of the cone whenever the
 simplex remembers which n it came from, interior points included, by
-Ehrhart-Macdonald reciprocity; a plain box scan with exact barycentric
-membership covers arbitrary simplices and doubles as an independent
-cross-check.
+Ehrhart-Macdonald reciprocity; the histogram is computed once per
+simplex.  The box-scan oracle of `cone_engine`, fed the simplex's facet
+inequalities in integers, covers arbitrary simplices and doubles as an
+independent cross-check.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
-from .cone_engine import DEFAULT_BUDGET, BudgetExceededError
+from .cone_engine import DEFAULT_BUDGET, _box_points
 from .cycle_families import _family_minor_pair, phi_histogram_dp
 from .exact_linalg import IntegerMatrix, adjugate_pair, determinant
 
@@ -51,7 +52,8 @@ class LatticeSimplex:
     routines use that to switch to the digit-vector formulas.
     """
 
-    __slots__ = ("_dimension", "_vertices", "_source_n", "_slice_height")
+    __slots__ = ("_dimension", "_vertices", "_source_n", "_slice_height",
+                 "_strata")
 
     def __init__(self, dimension, vertices, source_n=None, slice_height=None):
         vertices = tuple(tuple(v) for v in vertices)
@@ -71,6 +73,7 @@ class LatticeSimplex:
         self._vertices = vertices
         self._source_n = source_n
         self._slice_height = slice_height
+        self._strata = None
         if determinant(self.edge_matrix()) == 0:
             raise ValueError("vertices are affinely dependent")
 
@@ -218,59 +221,49 @@ def reflexivity_by_halfspaces(n: int) -> HalfspaceReport:
     )
 
 
-def _barycentric_transform(s: LatticeSimplex):
-    """Integer data (d, rows of d * E^-1, v0) for membership tests.
+def _scan_dilate(s: LatticeSimplex, t: int, budget: Optional[int],
+                 strict: int) -> list[tuple[int, ...]]:
+    """Lattice points of t*s (strictly inside it when strict is 1), by the
+    box scan over the bounding box of t*s.
 
-    With y = x - t*v0 and s = (d * E^-1) y, the barycentric coordinates
-    of x are s/d together with t - sum(s)/d, so sign tests against 0 and
-    t*d settle membership without any rational arithmetic.
+    With M = d * E^-1 for the edge matrix E, the barycentric coordinates of
+    x are M(x - t*v0)/d together with t - (1^T M)(x - t*v0)/d, so x lies in
+    t*s iff M x >= t M v0 and -(1^T M) x >= -t d - t (1^T M) v0; the
+    interior adds 1 to every right-hand side.
     """
-    d, r = adjugate_pair(s.edge_matrix())
-    return d, [r.row(i) for i in range(r.rows)], s.vertices[0]
+    d, m = adjugate_pair(s.edge_matrix())
+    rows = [m.row(i) for i in range(m.rows)]
+    rows.append([-sum(col) for col in zip(*rows)])
+    v0 = s.vertices[0]
+    rhs = [t * sum(map(mul, row, v0)) + strict for row in rows]
+    rhs[-1] -= t * d
+    lows = [min(t * v[i] for v in s.vertices) for i in range(s.dimension)]
+    highs = [max(t * v[i] for v in s.vertices) for i in range(s.dimension)]
+    return _box_points(rows, rhs, lows, highs,
+                       DEFAULT_BUDGET if budget is None else budget)
 
 
 def dilate_points(s: LatticeSimplex, t: int, budget: Optional[int] = None
                   ) -> list[tuple[int, ...]]:
-    """All lattice points of t*s, by box scan with exact membership.
-
-    A point x lies in t*s iff the barycentric solve of x - t*v0 against
-    the edge matrix is componentwise >= 0 with coordinate sum <= t.
-    """
+    """All lattice points of t*s in lexicographic order, by the box scan
+    with the facet inequalities of t*s as its rows."""
     if t < 0:
         raise ValueError("dilation factor must be nonnegative")
     if t == 0:
         return [(0,) * s.dimension]
-    cap = DEFAULT_BUDGET if budget is None else budget
-    lows = [min(t * v[i] for v in s.vertices) for i in range(s.dimension)]
-    highs = [max(t * v[i] for v in s.vertices) for i in range(s.dimension)]
-    size = math.prod(h - l + 1 for l, h in zip(lows, highs))
-    if size > cap:
-        raise BudgetExceededError(
-            f"box scan needs {size} candidates, budget is {cap}",
-            required=size,
-        )
-    d, rows, v0 = _barycentric_transform(s)
-    cap_sum = t * d
-    points = []
-    for x in product(*(range(l, h + 1) for l, h in zip(lows, highs))):
-        y = tuple(a - t * b for a, b in zip(x, v0))
-        total = 0
-        for row in rows:
-            c = sum(a * b for a, b in zip(row, y))
-            if c < 0:
-                break
-            total += c
-        else:
-            if total <= cap_sum:
-                points.append(x)
-    return points
+    return _scan_dilate(s, t, budget, 0)
 
 
-def _height_strata(n: int) -> list[tuple[int, int]]:
+def _height_strata(s: LatticeSimplex) -> list[tuple[int, int]]:
     """(phi/n, count) for the digit-sum strata of S_n with n | phi: the
-    parallelepiped points that lie on a slice dilate, at height phi/n."""
-    return [(phi // n, count) for phi, count in enumerate(phi_histogram_dp(n))
-            if count and phi % n == 0]
+    parallelepiped points that lie on a slice dilate, at height phi/n.
+    Computed once per simplex."""
+    if s._strata is None:
+        n = s.source_n
+        s._strata = [(phi // n, count)
+                     for phi, count in enumerate(phi_histogram_dp(n))
+                     if count and phi % n == 0]
+    return s._strata
 
 
 def dilate_count(s: LatticeSimplex, t: int, budget: Optional[int] = None) -> int:
@@ -289,7 +282,7 @@ def dilate_count(s: LatticeSimplex, t: int, budget: Optional[int] = None) -> int
     if n is None:
         return len(dilate_points(s, t, budget=budget))
     return sum(count * math.comb(t - k + n - 1, n - 1)
-               for k, count in _height_strata(n))
+               for k, count in _height_strata(s))
 
 
 def interior_count(s: LatticeSimplex, t: int, budget: Optional[int] = None) -> int:
@@ -310,16 +303,9 @@ def interior_count(s: LatticeSimplex, t: int, budget: Optional[int] = None) -> i
         return 0
     n = s.source_n
     if n is None:
-        d, rows, v0 = _barycentric_transform(s)
-        count = 0
-        for x in dilate_points(s, t, budget=budget):
-            y = tuple(a - t * b for a, b in zip(x, v0))
-            scaled = [sum(a * b for a, b in zip(row, y)) for row in rows]
-            if all(c > 0 for c in scaled) and sum(scaled) < t * d:
-                count += 1
-        return count
+        return len(_scan_dilate(s, t, budget, 1))
     return sum(count * math.comb(t + k - 1, n - 1)
-               for k, count in _height_strata(n))
+               for k, count in _height_strata(s))
 
 
 class HStarData(NamedTuple):

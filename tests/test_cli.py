@@ -236,6 +236,27 @@ class TestEhrhart:
         code, _, err = run(capsys, "ehrhart", "2")
         assert code == 2 and err.startswith("error:")
 
+    def test_normality_six(self, capsys):
+        code, out, _ = run(capsys, "ehrhart", "6", "--normal-m", "2")
+        assert code == 0
+        assert out.splitlines() == [
+            "n=6, dimension 5",
+            "vertices: [(6, 6, 6, 6, 6), (11, 10, 9, 8, 7), (10, 14, 12, 10, 8), "
+            "(9, 12, 15, 12, 9), (8, 10, 12, 14, 10), (7, 8, 9, 10, 11)]",
+            "dilate counts: [1, 80, 1038, 5620, 19811, 54132]",
+            "h*: [1, 74, 573, 572, 76, 0]",
+            "palindromic=False unimodal=True reflexive=False",
+            "normal up to dilate 2",
+        ]
+
+    def test_normality_eight_refused(self, capsys):
+        code, out, err = run(capsys, "ehrhart", "8", "--normal-m", "2")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: budget exhausted: box scan needs 4459640625 candidates, "
+            "budget is 100000000\n"
+        )
+
 
 class TestFpp:
     def test_text(self, capsys):

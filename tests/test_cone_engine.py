@@ -370,11 +370,47 @@ class TestBruteForceCount:
             brute_force_count(CYCLE3.A, "total", -1)
 
     def test_box_budget(self):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as err:
             brute_force_count(LEAFED3.A, "first_coordinate", 50, budget=10)
+        # bounds [50, 84, 84]: x_i <= ceil(max_j R[i][j] / R[0][j] * 50)
+        assert err.value.required == 51 * 85 * 85
 
     def test_unbounded_slice_detected(self):
         # a cone whose ray matrix has a non-positive top entry
         A = IntegerMatrix([[1, 0], [0, -1]])
         with pytest.raises(ValueError):
             brute_force_count(A, "first_coordinate", 3)
+
+
+class TestBoxPoints:
+    """The box scan against a flat filter of the whole box."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_flat_filter(self, data):
+        n = data.draw(st.integers(1, 4))
+        ends = [sorted(data.draw(st.lists(st.integers(-4, 4), min_size=2,
+                                          max_size=2))) for _ in range(n)]
+        lows = [lo for lo, _ in ends]
+        highs = [hi for _, hi in ends]
+        k = data.draw(st.integers(1, 4))
+        rows = data.draw(st.lists(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+            min_size=k, max_size=k,
+        ))
+        rhs = data.draw(st.lists(st.integers(-10, 10), min_size=k, max_size=k))
+        box = list(itertools.product(
+            *(range(lo, hi + 1) for lo, hi in zip(lows, highs))
+        ))
+        expected = [
+            x for x in box
+            if all(sum(a * b for a, b in zip(row, x)) >= c
+                   for row, c in zip(rows, rhs))
+        ]
+        assert cone_engine._box_points(rows, rhs, lows, highs, len(box)) == expected
+        with pytest.raises(BudgetExceededError) as err:
+            cone_engine._box_points(rows, rhs, lows, highs, len(box) - 1)
+        assert err.value.required == len(box)
+        assert str(err.value) == (
+            f"box scan needs {len(box)} candidates, budget is {len(box) - 1}"
+        )

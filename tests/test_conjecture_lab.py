@@ -13,7 +13,7 @@ from lapcomp import (
     integral_shift_profile,
     profile_entry_for,
 )
-from lapcomp.conjecture_lab import _divide_exact, _one_minus_q_power, _poly_mul
+from lapcomp.cone_engine import _divide_exact, _one_minus_q_power, _poly_mul
 
 
 class TestCompositions:

@@ -18,6 +18,7 @@ from lapcomp import (
     reflexivity_by_interior_counts,
 )
 from lapcomp import ehrhart_reflexive
+from lapcomp.cli import main
 from lapcomp.ehrhart_reflexive import _is_unimodal
 
 # hull of (-1,-1), (1,0), (0,1): the origin is its only interior point
@@ -132,13 +133,28 @@ class TestDilateCounting:
         assert [dilate_count(s, t) for t in range(5)] == [1, 4, 10, 19, 31]
         assert [interior_count(s, t) for t in range(5)] == [0, 1, 4, 10, 19]
 
-    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_digit_formula_matches_box_scan(self, n):
         s = build_slice_simplex(n)
         generic = LatticeSimplex(s.dimension, s.vertices)  # no source tag
         for t in range(4):
             assert dilate_count(s, t) == dilate_count(generic, t)
             assert interior_count(s, t) == interior_count(generic, t)
+
+    @pytest.mark.parametrize("argv", [
+        ["ehrhart", "9", "--normal-m", "0"], ["check", "reflexive", "9"],
+    ])
+    def test_digit_dp_runs_once_per_slice(self, argv, monkeypatch, capsys):
+        calls = []
+        real = ehrhart_reflexive.phi_histogram_dp
+
+        def counted(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(ehrhart_reflexive, "phi_histogram_dp", counted)
+        assert main(argv) == 0
+        assert calls == [9]
 
     def test_unit_triangle_closed_forms(self):
         for t in range(6):
