@@ -42,14 +42,7 @@ from .conjecture_lab import (
     integral_shift_profile,
     profile_entry_for,
 )
-from .cycle_families import (
-    ModStructureReport,
-    cycle_inverse_closed,
-    leafed_gf,
-    leafed_inverse_closed,
-    mod_structure,
-    phi_histogram_dp,
-)
+from .cycle_families import leafed_gf, phi_histogram_dp
 from .ehrhart_reflexive import (
     HalfspaceReport,
     HStarData,
@@ -130,8 +123,7 @@ __all__ = [
     "tree_gf_exponents", "tree_gf", "q_integer", "kary_exponent", "kary_gf",
     "tree_from_pruefer", "random_tree", "verify_tree_identities",
     # cycles
-    "ModStructureReport", "cycle_inverse_closed", "leafed_inverse_closed",
-    "mod_structure", "phi_histogram_dp", "leafed_gf",
+    "phi_histogram_dp", "leafed_gf",
     # conjectures
     "CyclicClass", "ShiftProfileEntry", "CyclicCheckReport",
     "NearSymmetryReport", "compositions", "cyclic_classes",

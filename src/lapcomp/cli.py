@@ -40,10 +40,10 @@ from .cone_engine import (
 )
 from .conjecture_lab import check_conjecture_cyclic, check_near_symmetry
 from .ehrhart_reflexive import (
+    _halfspaces,
     build_slice_simplex,
     h_star,
     normality_probe,
-    reflexivity_by_halfspaces,
     reflexivity_by_interior_counts,
 )
 from .graph_core import family_from_string, laplacian_minor, parse_graph
@@ -266,8 +266,8 @@ def _check_near_symmetry(args) -> int:
 
 def _check_reflexive(args) -> int:
     (n,) = _params(args, 1, "N")
-    half = reflexivity_by_halfspaces(n)
     simplex = build_slice_simplex(n)
+    half = _halfspaces(simplex)
     by_counts = reflexivity_by_interior_counts(
         simplex, max(1, n - 1), budget=_effective_budget(args)
     )

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 from .cone_engine import (
     _divide_exact, _one_minus_q_power, _poly_mul, _poly_trim, series_expand,
 )
-from .cycle_families import _family_minor_pair, leafed_gf, phi_histogram_dp
+from .cycle_families import _leafed_minor_pair, leafed_gf
 
 __all__ = [
     "compositions",
@@ -112,7 +112,7 @@ def integral_shift_profile(n: int, m: int) -> list[ShiftProfileEntry]:
     """
     if n < 3:
         raise ValueError("shift profile needs n >= 3")
-    _, r = _family_minor_pair(n, leafed=True)
+    _, r = _leafed_minor_pair(n)
     rows = [r.row(i) for i in range(r.rows)]
     profile = []
     for cls in cyclic_classes(m, n):
@@ -230,7 +230,7 @@ def check_near_symmetry(k: int) -> NearSymmetryReport:
     if k < 2:
         raise ValueError("near-symmetry check needs k >= 2")
     n = 2**k
-    numerator = _poly_trim(phi_histogram_dp(n))
+    numerator = leafed_gf(n).numerator
     target_den = [1]
     target_den = _poly_mul(target_den, _one_minus_q_power(n, 1))
     for i in range(k):

@@ -8,6 +8,11 @@ tests reflexivity two independent ways: a halfspace certificate at one
 fixed translation, and the interior-count identity L_interior(t+1) =
 L(t).  A small sumset probe for normality rounds it out.
 
+The slice is the one carrier of the scaled inverse n * L^-1, computed
+once per slice: its vertices are the columns below a top row of n's, so
+the canonical interior point is read back from them, and the halfspace
+certificate rebuilds L itself from the graph, which needs no elimination.
+
 Counting goes through the digit-sum histogram of the cone whenever the
 simplex remembers which n it came from, interior points included, by
 Ehrhart-Macdonald reciprocity; the histogram is computed once per
@@ -24,8 +29,9 @@ from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .cone_engine import DEFAULT_BUDGET, _box_points
-from .cycle_families import _family_minor_pair, phi_histogram_dp
+from .cycle_families import _leafed_minor_pair, phi_histogram_dp
 from .exact_linalg import IntegerMatrix, adjugate_pair, determinant
+from .graph_core import laplacian_minor, leafed_cycle_graph
 
 __all__ = [
     "LatticeSimplex",
@@ -47,15 +53,14 @@ __all__ = [
 class LatticeSimplex:
     """A full-dimensional lattice simplex, given by its vertices.
 
-    `source_n` and `slice_height` record, when applicable, that the
-    simplex is the height-n slice of a leafed n-cycle cone; counting
-    routines use that to switch to the digit-vector formulas.
+    `source_n` records, when applicable, that the simplex is the height-n
+    slice of a leafed n-cycle cone; counting routines use that to switch
+    to the digit-vector formulas.
     """
 
-    __slots__ = ("_dimension", "_vertices", "_source_n", "_slice_height",
-                 "_strata")
+    __slots__ = ("_dimension", "_vertices", "_source_n", "_strata")
 
-    def __init__(self, dimension, vertices, source_n=None, slice_height=None):
+    def __init__(self, dimension, vertices, source_n=None):
         vertices = tuple(tuple(v) for v in vertices)
         if dimension < 1:
             raise ValueError("dimension must be at least 1")
@@ -72,7 +77,6 @@ class LatticeSimplex:
         self._dimension = dimension
         self._vertices = vertices
         self._source_n = source_n
-        self._slice_height = slice_height
         self._strata = None
         if determinant(self.edge_matrix()) == 0:
             raise ValueError("vertices are affinely dependent")
@@ -88,10 +92,6 @@ class LatticeSimplex:
     @property
     def source_n(self) -> Optional[int]:
         return self._source_n
-
-    @property
-    def slice_height(self) -> Optional[int]:
-        return self._slice_height
 
     def edge_matrix(self) -> IntegerMatrix:
         """Columns are the edge vectors from vertex 0 to the others."""
@@ -119,20 +119,13 @@ def build_slice_simplex(n: int) -> LatticeSimplex:
     the minor determinant is n; every column has first coordinate n, so
     that coordinate is dropped.
     """
-    return _slice_simplex(n, _leafed_pair(n)[1])
-
-
-def _leafed_pair(n: int) -> tuple[IntegerMatrix, IntegerMatrix]:
     if n < 3:
         raise ValueError("leafed cycles need n >= 3")
-    return _family_minor_pair(n, leafed=True)
-
-
-def _slice_simplex(n: int, r: IntegerMatrix) -> LatticeSimplex:
+    _, r = _leafed_minor_pair(n)
     if any(r[0, j] != n for j in range(n)):
         raise ArithmeticError("top row of the scaled inverse is not constant n")
     vertices = tuple(tuple(r[i, j] for i in range(1, n)) for j in range(n))
-    return LatticeSimplex(n - 1, vertices, source_n=n, slice_height=n)
+    return LatticeSimplex(n - 1, vertices, source_n=n)
 
 
 def interior_point(n: int):
@@ -142,11 +135,14 @@ def interior_point(n: int):
     n is odd; for even n the fractional entries are returned as-is, and
     the halfspace reflexivity test reports a refutation.
     """
-    return _interior_point(n, _leafed_pair(n)[1])
+    return _interior_point(build_slice_simplex(n))
 
 
-def _interior_point(n: int, r: IntegerMatrix):
-    sums = [Fraction(sum(r.row(i)), n) for i in range(n)]
+def _interior_point(s: LatticeSimplex):
+    """Row sums of L^-1 for a leafed slice: n, then the vertex sums over n,
+    since row i + 1 of n * L^-1 lists coordinate i of the vertices."""
+    n = s.source_n
+    sums = [Fraction(n)] + [Fraction(sum(c), n) for c in zip(*s.vertices)]
     if all(f.denominator == 1 for f in sums):
         return tuple(int(f) for f in sums)
     return tuple(sums)
@@ -187,26 +183,31 @@ class HalfspaceReport(NamedTuple):
 def reflexivity_by_halfspaces(n: int) -> HalfspaceReport:
     """Translate the slice simplex by its canonical interior point and test
     whether the facet description becomes {z : Bz >= -1} with integral B.
+    """
+    return _halfspaces(build_slice_simplex(n))
+
+
+def _halfspaces(s: LatticeSimplex) -> HalfspaceReport:
+    """The halfspace test on a leafed slice.
 
     B is the minor matrix with its first column dropped: for x in the
     slice, Lx >= 0 rewrites to L(x - u) >= -Lu = -1, and x - u has first
     coordinate 0.  A non-integral translation point is a refutation, as is
     any facet row not supported at exactly -1.
     """
-    l, r = _leafed_pair(n)
-    u = _interior_point(n, r)
+    n = s.source_n
+    u = _interior_point(s)
     if any(not isinstance(e, int) for e in u):
         return HalfspaceReport(
             n, False, "canonical interior point is not integral",
             None, None, None, None,
         )
+    l = laplacian_minor(leafed_cycle_graph(n), n).matrix
     ones = l.apply(u)
     if any(e != 1 for e in ones):
         raise ArithmeticError("minor times its inverse row sums is not all-ones")
     drop = u[1:]
-    translated = tuple(
-        tuple(a - b for a, b in zip(v, drop)) for v in _slice_simplex(n, r).vertices
-    )
+    translated = tuple(tuple(a - b for a, b in zip(v, drop)) for v in s.vertices)
     reduced = IntegerMatrix([[l[i, j] for j in range(1, n)] for i in range(n)])
     values = [reduced.apply(z) for z in translated]
     for i in range(n):
@@ -354,7 +355,7 @@ def h_star(s: LatticeSimplex, budget: Optional[int] = None) -> HStarData:
         raise ArithmeticError(f"inconsistent dilate counts: h* = {h}")
     cert = None
     if s.source_n is not None:
-        cert = reflexivity_by_halfspaces(s.source_n).reflexive
+        cert = _halfspaces(s).reflexive
     return HStarData(tuple(h), counts, h == h[::-1], _is_unimodal(h), cert)
 
 

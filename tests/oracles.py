@@ -1,0 +1,135 @@
+"""Closed forms for the cycle and leafed-cycle families, kept as oracles.
+
+Nothing in `lapcomp` computes these: each one reaches a family result by
+a route the library does not take, so the tests can hold the general
+engine and the digit-sum DP against them.
+"""
+
+import math
+
+from lapcomp import (
+    IntegerMatrix,
+    adjugate_pair,
+    cycle_graph,
+    laplacian_minor,
+    leafed_cycle_graph,
+)
+
+
+def family_minor(n, leafed):
+    """The leafed n-cycle's Laplacian minor at its leaf, or the n-cycle's
+    at vertex n-1; both have determinant n."""
+    if leafed:
+        return laplacian_minor(leafed_cycle_graph(n), n)
+    return laplacian_minor(cycle_graph(n), n - 1)
+
+
+def cycle_inverse_closed(n):
+    """n * L^-1 for the n-cycle Laplacian minor via the closed form
+    i*(n-j) for i <= j (symmetric), with 1-based indices."""
+    if n < 3:
+        raise ValueError("cycle inverse needs n >= 3")
+    return IntegerMatrix(
+        [min(a, b) * (n - max(a, b)) for b in range(1, n)] for a in range(1, n)
+    )
+
+
+def leafed_inverse_closed(n):
+    """n * L^-1 for the leafed n-cycle minor: the cycle closed form plus n,
+    with 0-based indices, so the top row and column are all n."""
+    if n < 3:
+        raise ValueError("leafed inverse needs n >= 3")
+    return IntegerMatrix(
+        [min(a, b) * (n - max(a, b)) + n for b in range(n)] for a in range(n)
+    )
+
+
+class ModStructureReport:
+    """Result of reducing the scaled inverse mod n: column k = k * v1."""
+
+    __slots__ = ("family", "n", "v1", "matrix", "verified")
+
+    def __init__(self, family, n, v1, matrix, verified):
+        self.family = family
+        self.n = n
+        self.v1 = v1
+        self.matrix = matrix
+        self.verified = verified
+
+    def __repr__(self):
+        return (
+            f"ModStructureReport({self.family}, n={self.n}, v1={self.v1}, "
+            f"verified={self.verified})"
+        )
+
+
+def mod_structure(n, leafed=True):
+    """Reduce the scaled minor inverse mod n and verify its rank-one shape.
+
+    For the leafed family column k must equal k*v1 (column 0 is zero); for
+    the plain cycle, whose columns correspond to vertices 1..n-1, column at
+    index k must equal (k+1)*v1.
+    """
+    if n < 3:
+        raise ValueError("mod structure needs n >= 3")
+    family = "leafed_cycle" if leafed else "cycle"
+    d, r = adjugate_pair(family_minor(n, leafed).matrix)
+    if d != n:
+        raise ArithmeticError(f"expected determinant {n}, got {d}")
+    reduced = tuple(
+        tuple(x % n for x in r.row(i)) for i in range(r.rows)
+    )
+    size = r.rows
+    v1 = tuple(reduced[i][1 if leafed else 0] for i in range(size))
+    for k in range(size):
+        mult = k if leafed else k + 1
+        expected = tuple(mult * x % n for x in v1)
+        actual = tuple(reduced[i][k] for i in range(size))
+        if actual != expected:
+            raise ArithmeticError(
+                f"column {k} of the reduced inverse is not {mult} * v1"
+            )
+    return ModStructureReport(family, n, v1, reduced, True)
+
+
+def _mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
+def _power(p, k):
+    out = [1]
+    for _ in range(k):
+        out = _mul(out, p)
+    return out
+
+
+def _totient(m):
+    return sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
+
+
+def necklace_histogram(n):
+    """Coefficients of (1/n) sum_{m | n} totient(m) (1 - q^n)^n / (1 - q^m)^(n/m).
+
+    By Burnside's lemma over the n rotations, sum_{m | n} totient(m) /
+    (1 - q^m)^(n/m) / n counts rotation classes of weak compositions into
+    n parts, which is the leafed n-cycle's generating function; times
+    (1 - q^n)^n it is the digit-sum histogram of S_n.  Each term is a
+    polynomial because (1 - q^n) / (1 - q^m) = 1 + q^m + ... + q^(n-m).
+    """
+    total = [0] * (n * (n - 1) + 1)
+    for m in range(1, n + 1):
+        if n % m:
+            continue
+        k = n // m
+        ratio = [1 if e % m == 0 else 0 for e in range(n - m + 1)]
+        term = _mul(_power([1] + [0] * (n - 1) + [-1], n - k), _power(ratio, k))
+        for e, c in enumerate(term):
+            total[e] += _totient(m) * c
+    if any(c % n for c in total):
+        raise ArithmeticError("Burnside sum not divisible by n")
+    return [c // n for c in total]

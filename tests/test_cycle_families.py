@@ -1,4 +1,5 @@
-"""Tests for cycle and leafed-cycle closed forms and the digit-sum DP."""
+"""Tests for the digit-sum DP of the leafed cycle, against the cycle and
+leafed-cycle closed forms of `oracles`."""
 
 import itertools
 
@@ -10,27 +11,28 @@ from lapcomp import (
     adjugate_pair,
     cone_from_constraints,
     cycle_graph,
-    cycle_inverse_closed,
     fpp_points,
     integer_point_transform,
     laplacian_minor,
     leafed_cycle_graph,
     leafed_gf,
-    leafed_inverse_closed,
-    mod_structure,
     phi_histogram_dp,
     series_expand,
     specialize,
 )
 
+from oracles import (
+    cycle_inverse_closed,
+    family_minor,
+    leafed_inverse_closed,
+    mod_structure,
+    necklace_histogram,
+)
+
 
 def family_cone(n, leafed):
     """The leafed n-cycle minored at its leaf, or the n-cycle at n-1."""
-    if leafed:
-        minor = laplacian_minor(leafed_cycle_graph(n), n)
-    else:
-        minor = laplacian_minor(cycle_graph(n), n - 1)
-    return cone_from_constraints(minor.matrix)
+    return cone_from_constraints(family_minor(n, leafed).matrix)
 
 
 def brute_solutions(n, leafed):
@@ -139,6 +141,10 @@ class TestPhiHistograms:
         for c in sols:
             open_hist[sum(x or n for x in c)] += 1
         assert open_hist[::-1] == phi_histogram_dp(n) + [0] * n
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_matches_necklace_oracle(self, n):
+        assert phi_histogram_dp(n) == necklace_histogram(n)
 
     def test_leafed_three_histogram(self):
         # 9 solutions with digit sums {0,1,2,2,3,4,4,5,6}

@@ -21,6 +21,20 @@ from lapcomp import ehrhart_reflexive
 from lapcomp.cli import main
 from lapcomp.ehrhart_reflexive import _is_unimodal
 
+
+def count_minor_pairs(monkeypatch):
+    """Record n for every leafed minor pair the slice code builds."""
+    calls = []
+    real = ehrhart_reflexive._leafed_minor_pair
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(ehrhart_reflexive, "_leafed_minor_pair", counted)
+    return calls
+
+
 # hull of (-1,-1), (1,0), (0,1): the origin is its only interior point
 REFLEXIVE_TRIANGLE = LatticeSimplex(2, [(-1, -1), (1, 0), (0, 1)])
 UNIT_TRIANGLE = LatticeSimplex(2, [(0, 0), (1, 0), (0, 1)])
@@ -49,7 +63,6 @@ class TestLatticeSimplex:
 
     def test_generic_simplex_has_no_source(self):
         assert UNIT_TRIANGLE.source_n is None
-        assert UNIT_TRIANGLE.slice_height is None
 
 
 class TestSliceSimplex:
@@ -57,7 +70,7 @@ class TestSliceSimplex:
         s = build_slice_simplex(3)
         assert s.dimension == 2
         assert s.vertices == ((3, 3), (5, 4), (4, 5))
-        assert s.source_n == 3 and s.slice_height == 3
+        assert s.source_n == 3
         assert s.normalized_volume() == 3
 
     @pytest.mark.parametrize("n", range(3, 8))
@@ -109,16 +122,21 @@ class TestHalfspaceReflexivity:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_builds_the_minor_pair_once(self, n, monkeypatch):
-        calls = []
-        real = ehrhart_reflexive._family_minor_pair
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(ehrhart_reflexive, "_family_minor_pair", counted)
+        calls = count_minor_pairs(monkeypatch)
         reflexivity_by_halfspaces(n)
-        assert len(calls) == 1
+        assert calls == [n]
+
+    @pytest.mark.parametrize("n", [3, 5, 9])
+    @pytest.mark.parametrize("command", [
+        "ehrhart {n}", "ehrhart {n} --normal-m 0", "check reflexive {n}",
+    ])
+    def test_each_command_builds_the_minor_pair_once(self, command, n,
+                                                     monkeypatch, capsys):
+        calls = count_minor_pairs(monkeypatch)
+        # the default normality probe of slice 9 is refused after its h* report
+        refused = command == "ehrhart {n}" and n == 9
+        assert main(command.format(n=n).split()) == (2 if refused else 0)
+        assert calls == [n]
 
     def test_json_round_trip_types(self):
         data = reflexivity_by_halfspaces(3).to_json_dict()
