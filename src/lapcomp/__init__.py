@@ -3,15 +3,15 @@ out by graph Laplacian minors.
 
 The pipeline: build a graph and one of its Laplacian minors
 (`graph_core`), treat the minor as the constraint matrix of a simplicial
-cone and enumerate its fundamental parallelepiped (`cone_engine`,
-`exact_linalg`), read off rational generating functions, and specialize
-them to trees (`tree_transforms`), cycles (`cycle_families`, whose
-digit-sum DP stands in for the walk at large n), conjecture checks
-(`conjecture_lab`), and Ehrhart/reflexivity computations
-(`ehrhart_reflexive`).  Everything is exact: arbitrary-precision integers
-throughout, with one fraction-free (Bareiss) core giving each minor's
-determinant and scaled inverse.  The only rationals are the fractional
-coordinates `interior_point` returns for even n.
+cone, walk its fundamental parallelepiped or count it by a DP over the
+critical group (`cone_engine`, `exact_linalg`), and specialize the
+rational generating functions to trees (`tree_transforms`), leafed cycles
+(`cycle_families`), conjecture checks (`conjecture_lab`), and
+Ehrhart/reflexivity computations (`ehrhart_reflexive`).  Everything is
+exact: arbitrary-precision integers throughout, with one fraction-free
+(Bareiss) core giving each minor's determinant and scaled inverse.  The
+only rationals are the fractional coordinates `interior_point` returns
+for even n.
 """
 
 from .cone_engine import (
@@ -42,7 +42,7 @@ from .conjecture_lab import (
     integral_shift_profile,
     profile_entry_for,
 )
-from .cycle_families import leafed_gf, phi_histogram_dp
+from .cycle_families import leafed_gf
 from .ehrhart_reflexive import (
     HalfspaceReport,
     HStarData,
@@ -123,7 +123,7 @@ __all__ = [
     "tree_gf_exponents", "tree_gf", "q_integer", "kary_exponent", "kary_gf",
     "tree_from_pruefer", "random_tree", "verify_tree_identities",
     # cycles
-    "phi_histogram_dp", "leafed_gf",
+    "leafed_gf",
     # conjectures
     "CyclicClass", "ShiftProfileEntry", "CyclicCheckReport",
     "NearSymmetryReport", "compositions", "cyclic_classes",

@@ -244,7 +244,7 @@ def _check_cyclic(args) -> int:
     ]
     lines.append(f"{matches}/{len(report.rows)} match")
     _emit(args, "\n".join(lines), report.to_json_dict())
-    return 0
+    return 0 if report.all_match else 1  # the identity is a theorem
 
 
 def _check_near_symmetry(args) -> int:

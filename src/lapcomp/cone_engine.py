@@ -11,12 +11,12 @@ of the integer point transform
 
 which can be specialized to a univariate rational generating function by
 sending every variable to q ("total") or only the first one ("first
-coordinate").  Both specializations are linear in the parallelepiped
-digits, so `specialized_gf` streams the univariate function through the
-walk, one histogram bin per point, without building points, the transform
-or a sort; prefer it to `specialize(integer_point_transform(...))` unless
-the points or the multivariate transform are needed too.  The one box
-scan, independent of the walk, backs `brute_force_count` and slice dilates.
+coordinate").  `fpp_points` walks the points along a triangular basis of
+the valid digit vectors; `specialized_gf`, whose weights are linear in the
+digits, counts them instead by a DP over the d classes of the critical
+group Z^n / A*Z^n.  Prefer it to `specialize(integer_point_transform(...))`
+unless the points or the multivariate transform are needed too.  The one
+box scan, independent of both, backs `brute_force_count` and slice dilates.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from operator import mul
-from typing import Callable, Iterable, Literal, Optional, Sequence
+from typing import Iterable, Literal, Optional, Sequence
 
 from .exact_linalg import IntegerMatrix, adjugate_pair
 
@@ -318,39 +318,32 @@ def _column_hermite(A: IntegerMatrix) -> list[list[int]]:
     return [[cols[c][r] for c in range(n)] for r in range(n)]
 
 
-def _walk_parallelepiped(cone: SimplicialCone, budget: Optional[int], start,
-                         fold: Callable, leaf: Callable) -> None:
-    """The set-up and odometer shared by `fpp_points` and `specialized_gf`.
+def _charge_points(cone: SimplicialCone, budget: Optional[int]) -> None:
+    """Refuse a parallelepiped with more than `budget` lattice points."""
+    budget = DEFAULT_BUDGET if budget is None else budget
+    required = cone.d ** (cone.dimension - 1)
+    if required > budget:
+        raise BudgetExceededError(
+            f"parallelepiped has {required} lattice points; budget is {budget}", required)
+
+
+def fpp_points(cone: SimplicialCone, budget: Optional[int] = None) -> FppPointSet:
+    """Enumerate the lattice points of the half-open parallelepiped, sorted.
 
     A point lam is in the parallelepiped iff c = A*lam has every coordinate
     in {0..d-1}; the set of valid c vectors is exactly the column lattice of
     A reduced mod d, which a triangular lattice basis lets us walk in
     d**(n-1) steps instead of d**n.  Row i of the offsets is final once
-    level i is chosen, so the walk carries acc = fold(acc, i, c_i) down the
-    levels from `start` and calls leaf(acc, c_last) once per point.
+    level i is chosen, so the walk extends c by one digit per level.
     """
-    if budget is None:
-        budget = DEFAULT_BUDGET
-    n = cone.dimension
-    d = cone.d
+    n, d = cone.dimension, cone.d
     if d == 1:
-        acc = start
-        for i in range(n - 1):
-            acc = fold(acc, i, 0)
-        leaf(acc, 0)
-        return
-    required = d ** (n - 1)
-    if required > budget:
-        raise BudgetExceededError(
-            f"parallelepiped has {required} lattice points; budget is {budget}",
-            required=required,
-        )
+        return FppPointSet([((0,) * n, (0,) * n)], d)
+    _charge_points(cone, budget)
     h = _column_hermite(cone.A)
-    ranges = []
-    for i in range(n):
-        if d % h[i][i] != 0:
-            raise ArithmeticError("triangular basis does not divide d")
-        ranges.append(d // h[i][i])
+    if any(d % h[i][i] for i in range(n)):
+        raise ArithmeticError("triangular basis does not divide d")
+    ranges = [d // h[i][i] for i in range(n)]
     # R*h_j = 0 (mod d) for every basis column certifies that R*c/d is
     # integral for every walked c, which is a combination of them mod d.
     rrows = [cone.R.row(i) for i in range(n)]
@@ -365,44 +358,29 @@ def _walk_parallelepiped(cone: SimplicialCone, budget: Optional[int], start,
     # That level takes no step and resets nothing, so it is folded in place
     # rather than walked; top is the last level that does step.
     top = max((i for i in range(n) if ranges[i] > 1), default=last)
+    points = []
 
-    def walk(i: int, acc):
+    def emit(c: tuple[int, ...]):
+        points.append((c, tuple(sum(map(mul, row, c)) // d for row in rrows)))
+
+    def walk(i: int, c: tuple[int, ...]):
         if i < top and ranges[i] == 1:
-            acc = fold(acc, i, offsets[i] % d)
+            c += (offsets[i] % d,)
             i += 1
         for x in range(ranges[i]):
             if x:
                 for r, v in steps[i]:
                     offsets[r] += v
             if i < top:
-                walk(i + 1, fold(acc, i, offsets[i] % d))
+                walk(i + 1, c + (offsets[i] % d,))
             elif i == last:
-                leaf(acc, offsets[i] % d)
+                emit(c + (offsets[i] % d,))
             else:
-                leaf(fold(acc, i, offsets[i] % d), offsets[last] % d)
+                emit(c + (offsets[i] % d, offsets[last] % d))
         for r, v in steps[i]:
             offsets[r] -= v * (ranges[i] - 1)
 
-    walk(0, start)
-
-
-def fpp_points(cone: SimplicialCone, budget: Optional[int] = None) -> FppPointSet:
-    """Enumerate the lattice points of the half-open parallelepiped, sorted."""
-    d = cone.d
-    rrows = [cone.R.row(i) for i in range(cone.dimension)]
-    points = []
-
-    def leaf(c: tuple[int, ...], c_last: int):
-        c += (c_last,)
-        lam = []
-        for row in rrows:
-            q, rem = divmod(sum(map(mul, row, c)), d)
-            if rem:
-                raise ArithmeticError("parallelepiped point not integral")
-            lam.append(q)
-        points.append((c, tuple(lam)))
-
-    _walk_parallelepiped(cone, budget, (), lambda c, i, c_i: c + (c_i,), leaf)
+    walk(0, ())
     points.sort()
     return FppPointSet(points, d)
 
@@ -447,30 +425,74 @@ def specialize(ipt: IntegerPointTransform,
                        [sum(map(mul, w, ray)) for ray in ipt.denominator])
 
 
+def _numerator(R: IntegerMatrix, d: int, s: Sequence[int]) -> dict[int, int]:
+    """{s.c/d: count} over the parallelepiped's digit vectors c, which are
+    the c in {0..d-1}^n with R*c = 0 (mod d), by a DP over the coordinates.
+
+    The residues R*c mod d form a group of order d (Z^n / A*Z^n, the
+    critical group of a Laplacian minor), numbered by closure from 0 under
+    adding a column of R.  Per class the DP keeps the histogram of s.c/g,
+    g = gcd(s), packed into one int with `bits` bits per slot (no slot
+    exceeds d**n, so none carries); a negative weight offsets its slots.
+    That is n*d**2 shifted adds, and class 0 at the end is the numerator.
+    """
+    n = len(s)
+    cols = [[x % d for x in R.column(j)] for j in range(n)]
+    classes = [(0,) * n]
+    index = {classes[0]: 0}
+    step = [[] for _ in range(n)]  # step[j][k]: class k plus column j
+    for v in classes:
+        for j, col in enumerate(cols):
+            w = tuple((a + b) % d for a, b in zip(v, col))
+            if w not in index:
+                index[w] = len(classes)
+                classes.append(w)
+            step[j].append(index[w])
+        if len(classes) > d:
+            break
+    if len(classes) != d:
+        raise ArithmeticError(f"digit vectors do not fall into d = {d} classes")
+    g = math.gcd(*s)
+    bits = (d ** n).bit_length() + 1
+    hist = [1] + [0] * (d - 1)
+    offset = 0
+    for weight, nxt in zip([x // g for x in s], step):
+        low = min(0, weight * (d - 1))
+        offset += low
+        shifts = [(weight * c - low) * bits for c in range(d)]
+        new = [0] * d
+        for k, packed in enumerate(hist):
+            if packed:
+                t = k
+                for shift in shifts:
+                    new[t] += packed << shift
+                    t = nxt[t]
+        hist = new
+    digits = format(hist[0], "b")
+    exponents = {}
+    for slot, end in enumerate(range(len(digits), 0, -bits)):
+        count = int(digits[max(end - bits, 0):end], 2)
+        if count:
+            e, rem = divmod((slot + offset) * g, d)
+            if rem:
+                raise ArithmeticError("parallelepiped point not integral")
+            exponents[e] = count
+    return exponents
+
+
 def specialized_gf(cone: SimplicialCone, mode: Literal["total", "first_coordinate"],
                    budget: Optional[int] = None) -> UnivariateRationalGF:
-    """`specialize(integer_point_transform(cone, budget), mode)`, streamed.
+    """`specialize(integer_point_transform(cone, budget), mode)`, by the DP.
 
-    Both specializations are linear: with s = w^T R for the mode's form w,
-    the point lam = R*c/d gets exponent s.c/d and the ray in column j gets
-    s_j.  The parallelepiped walk carries the partial sum of s_i*c_i down
-    its levels and bins each point's exponent, so no point, transform or
-    sort is built and memory is one histogram instead of d**(n-1) points.
+    With s = w^T R for the mode's form w, the point lam = R*c/d has exponent
+    s.c/d and ray j has s_j.  The budget is still charged d**(n-1) points.
     """
     w = _mode_weights(mode, cone.dimension)
     s = [sum(map(mul, w, col)) for col in cone.rays()]
-    d = cone.d
-    s_last = s[-1]
-    exponents = {}
-
-    def leaf(acc: int, c_last: int):
-        q, rem = divmod(acc + s_last * c_last, d)
-        if rem:
-            raise ArithmeticError("parallelepiped point not integral")
-        exponents[q] = exponents.get(q, 0) + 1
-
-    _walk_parallelepiped(cone, budget, 0, lambda acc, i, c_i: acc + s[i] * c_i, leaf)
-    return _univariate(exponents, s)
+    if cone.d == 1:
+        return _univariate({0: 1}, s)
+    _charge_points(cone, budget)
+    return _univariate(_numerator(cone.R, cone.d, s), s)
 
 
 def series_expand(gf: UnivariateRationalGF, order: int) -> list[int]:

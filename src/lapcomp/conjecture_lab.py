@@ -3,11 +3,10 @@
 Two counting questions are compared here.  The first: does the coefficient
 of q^m in the leafed-cycle generating function equal the number of cyclic
 equivalence classes of weak compositions of m into n parts?  The class count
-comes from Burnside's lemma, the coefficient from the digit-sum DP, so the
-two sides are computed by unrelated methods.  The second: for n = 2^k, does
-a prescribed rescaling of the generating function produce an almost
-palindromic polynomial whose asymmetry is (1 - q^n)^(n-2)?
-"""
+comes from Burnside's lemma, the coefficient from the engine's digit-class
+DP, so the two sides are computed by unrelated methods.  The second: for
+n = 2^k, does a prescribed rescaling of the generating function produce an
+almost palindromic polynomial whose asymmetry is (1 - q^n)^(n-2)?"""
 
 from __future__ import annotations
 

@@ -1,65 +1,48 @@
-"""The digit-sum DP and generating function of leafed-cycle minors.
+"""The generating function of leafed-cycle minors.
 
-The leafed n-cycle, minored at its leaf, has determinant n, and its
-scaled inverse n * L^-1 reduced mod n has rank one: every column is a
-multiple of a single vector.  As a consequence the digit vectors of the
-fundamental parallelepiped, which `cone_engine.fpp_points` lists for any
-cone, are here the vectors c in {0..n-1}^n satisfying one linear
-congruence mod n, with weights (0, n-1, ..., 1); call that set S_n.  The
-univariate numerator is then a dynamic program over digit positions,
-which runs for n far beyond where the n**(n-1) points could be walked.
-The closed-form inverses and the rank-one check live with the tests, as
-oracles for the general engine.
+The leafed n-cycle, minored at its leaf, has determinant n and a scaled
+inverse R = n * L^-1 with a top row of n's, so its first-coordinate gf is
+the engine's digit-class DP on R with weights (n, ..., n), which runs far
+beyond where the n**(n-1) parallelepiped points could be walked.  The
+family closed forms live with the tests, as oracles for the engine.
 """
 
 from __future__ import annotations
 
-from .cone_engine import UnivariateRationalGF
+from .cone_engine import UnivariateRationalGF, _numerator, _univariate
 from .exact_linalg import IntegerMatrix, adjugate_pair
-from .graph_core import laplacian_minor, leafed_cycle_graph
 
 __all__ = [
-    "phi_histogram_dp",
     "leafed_gf",
 ]
 
 
 def _leafed_minor_pair(n: int) -> tuple[IntegerMatrix, IntegerMatrix]:
-    """Minor matrix L of the leafed n-cycle, minored at its leaf, and its
-    scaled inverse R = n * L^-1.
+    """The leafed n-cycle's minor at its leaf, L = 2I - P - P^T + E_00 with P
+    the cyclic shift, and R = n * L^-1; a determinant other than n raises.
 
-    The minor has determinant n; any other value raises.
+    For n >= 3, L is `laplacian_minor(leafed_cycle_graph(n), n)`; for n = 2
+    it is the minor of a doubled edge with a leaf.
     """
-    minor = laplacian_minor(leafed_cycle_graph(n), n)
-    d, r = adjugate_pair(minor.matrix)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        j = (i + 1) % n
+        rows[i][i] += 2
+        rows[i][j] -= 1
+        rows[j][i] -= 1
+    rows[0][0] += 1
+    minor = IntegerMatrix(rows)
+    d, r = adjugate_pair(minor)
     if d != n:
         raise ArithmeticError(f"expected determinant {n}, got {d}")
-    return minor.matrix, r
-
-
-def phi_histogram_dp(n: int) -> list[int]:
-    """Coefficient list of sum_{c in S_n} q^{phi(c)} for the leafed family,
-    phi(c) = digit sum; computed by DP over positions, states (residue,
-    running digit sum).  Length n*(n-1)+1; total mass n**(n-1)."""
-    if n < 2:
-        raise ValueError("histogram needs n >= 2")
-    weights = (0,) + tuple(range(n - 1, 0, -1))
-    max_phi = n * (n - 1)
-    table = [[0] * (max_phi + 1) for _ in range(n)]
-    table[0][0] = 1
-    for w in weights:
-        new = [[0] * (max_phi + 1) for _ in range(n)]
-        for r in range(n):
-            row = table[r]
-            for s, count in enumerate(row):
-                if count:
-                    for c in range(n):
-                        new[(r + w * c) % n][s + c] += count
-        table = new
-    return table[0]
+    return minor, r
 
 
 def leafed_gf(n: int) -> UnivariateRationalGF:
     """Generating function of the leafed n-cycle cone by first coordinate:
-    (sum_{c in S_n} q^{phi(c)}) / (1 - q^n)^n."""
-    return UnivariateRationalGF(phi_histogram_dp(n), [(n, n)])
+    (sum_{c in S_n} q^{digit sum of c}) / (1 - q^n)^n."""
+    if n < 2:
+        raise ValueError("leafed gf needs n >= 2")
+    _, r = _leafed_minor_pair(n)
+    weights = [n] * n
+    return _univariate(_numerator(r, n, weights), weights)

@@ -28,8 +28,8 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
-from .cone_engine import DEFAULT_BUDGET, _box_points
-from .cycle_families import _leafed_minor_pair, phi_histogram_dp
+from .cone_engine import DEFAULT_BUDGET, _box_points, _numerator
+from .cycle_families import _leafed_minor_pair
 from .exact_linalg import IntegerMatrix, adjugate_pair, determinant
 from .graph_core import laplacian_minor, leafed_cycle_graph
 
@@ -257,13 +257,14 @@ def dilate_points(s: LatticeSimplex, t: int, budget: Optional[int] = None
 
 def _height_strata(s: LatticeSimplex) -> list[tuple[int, int]]:
     """(phi/n, count) for the digit-sum strata of S_n with n | phi: the
-    parallelepiped points that lie on a slice dilate, at height phi/n.
-    Computed once per simplex."""
+    parallelepiped points on a slice dilate, at height phi/n.  The DP runs
+    once per simplex on its rays: the vertices under a row of n's."""
     if s._strata is None:
         n = s.source_n
-        s._strata = [(phi // n, count)
-                     for phi, count in enumerate(phi_histogram_dp(n))
-                     if count and phi % n == 0]
+        rays = [[n] * n] + [list(coords) for coords in zip(*s.vertices)]
+        histogram = _numerator(IntegerMatrix(rays), n, [n] * n)
+        s._strata = [(phi // n, count) for phi, count in sorted(histogram.items())
+                     if phi % n == 0]
     return s._strata
 
 

@@ -152,6 +152,25 @@ class TestCheck:
         assert data["all_match"] is True
         assert data["rows"][0]["lhs"] == "1"
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_cyclic_mismatch_is_exit_one(self, capsys, monkeypatch, fmt):
+        import lapcomp.conjecture_lab as lab
+
+        real = lab.count_cyclic_classes
+        monkeypatch.setattr(lab, "count_cyclic_classes",
+                            lambda m, n: real(m, n) + (m == 2))
+        code, out, err = run(capsys, "check", "cyclic", "3", "4", *fmt)
+        assert code == 1 and err == ""
+        if fmt:
+            data = json.loads(out)
+            assert data["all_match"] is False
+            assert [row["match"] for row in data["rows"]] == [
+                True, True, False, True, True,
+            ]
+        else:
+            assert "m=2: coefficient 2 vs classes 3 MISMATCH" in out
+            assert "4/5 match" in out
+
     def test_cyclic_wrong_arity(self, capsys):
         code, _, err = run(capsys, "check", "cyclic", "3")
         assert code == 2 and "parameter" in err

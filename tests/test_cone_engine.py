@@ -2,6 +2,8 @@
 
 import itertools
 import json
+from collections import Counter
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,6 +14,7 @@ from lapcomp import (
     BudgetExceededError,
     IntegerMatrix,
     IntegerPointTransform,
+    SimplicialCone,
     SingularMatrixError,
     UnivariateRationalGF,
     brute_force_count,
@@ -294,12 +297,17 @@ class TestSpecializedGf:
     def test_basis_certificate(self, monkeypatch):
         # A triangular basis that divides d = 3 but leaves the lattice of
         # valid digit vectors: (1, 0) is not one for the 3-cycle minor.
-        monkeypatch.setattr(cone_engine, "_column_hermite",
-                            lambda A: [[1, 0], [0, 3]])
-        with pytest.raises(ArithmeticError, match="not a valid digit vector"):
-            fpp_points(CYCLE3)
-        with pytest.raises(ArithmeticError, match="not a valid digit vector"):
-            specialized_gf(CYCLE3, "total")
+        with monkeypatch.context() as patch:
+            patch.setattr(cone_engine, "_column_hermite",
+                          lambda A: [[1, 0], [0, 3]])
+            with pytest.raises(ArithmeticError, match="not a valid digit vector"):
+                fpp_points(CYCLE3)
+        # The DP's certificate: a ray matrix other than d * A^-1 sorts the
+        # digit vectors into more (9) or fewer (1) classes than d = 3.
+        for rays in (IntegerMatrix.identity(2), IntegerMatrix.zeros(2, 2)):
+            cone = SimplicialCone(CYCLE3.A, 3, rays)
+            with pytest.raises(ArithmeticError, match="d = 3 classes"):
+                specialized_gf(cone, "first_coordinate")
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -322,6 +330,88 @@ class TestSpecializedGf:
         A = IntegerMatrix(rows)
         assume(determinant(A) != 0)
         assert_routes_agree(cone_from_constraints(A), data.draw(MODES))
+
+
+def flat_numerator(R, d, s):
+    """{s.c/d: count} over the digit vectors, by filtering all of
+    {0..d-1}^n for R*c = 0 (mod d): no walk and no DP."""
+    rows = [R.row(i) for i in range(R.rows)]
+    counts = Counter()
+    for c in itertools.product(range(d), repeat=len(s)):
+        if all(sum(map(mul, row, c)) % d == 0 for row in rows):
+            e, rem = divmod(sum(map(mul, s, c)), d)
+            assert rem == 0
+            counts[e] += 1
+    return dict(counts)
+
+
+def geometric(step, terms):
+    """Coefficients of 1 + q^step + ... + q^(step*(terms-1))."""
+    return [1 if e % step == 0 else 0 for e in range(step * (terms - 1) + 1)]
+
+
+def poly_product(*factors):
+    """Coefficients of the product of the given polynomials."""
+    out = [1]
+    for f in factors:
+        out = [sum(out[i] * f[k - i] for i in range(len(out)) if 0 <= k - i < len(f))
+               for k in range(len(out) + len(f) - 1)]
+    return tuple(out)
+
+
+class TestNumerator:
+    """`_numerator`, the digit-class DP behind `specialized_gf`."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_flat_filter(self, data):
+        n = data.draw(st.integers(1, 3))
+        rows = data.draw(st.lists(
+            st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+            min_size=n, max_size=n,
+        ))
+        A = IntegerMatrix(rows)
+        assume(0 < abs(determinant(A)) <= 30)
+        cone = cone_from_constraints(A)
+        # Any nonzero integer form u^T R: negative weights included.
+        u = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        assume(any(u))
+        s = [sum(map(mul, u, col)) for col in cone.rays()]
+        assert (cone_engine._numerator(cone.R, cone.d, s)
+                == flat_numerator(cone.R, cone.d, s))
+
+    def test_non_integral_weight_raises(self):
+        # (1, 0) is not in the row lattice of R, so 1*c_0/3 is fractional.
+        with pytest.raises(ArithmeticError, match="not integral"):
+            cone_engine._numerator(CYCLE3.R, 3, [1, 0])
+
+    @pytest.mark.parametrize("family,params", [
+        ("cycle", (7,)), ("leafed_cycle", (7,)),
+    ])
+    def test_past_the_sampled_sizes(self, family, params):
+        # 7 vertices, 16807 and 117649 points: the hypothesis tests draw at
+        # most 6 vertices and 20000 points.
+        cone = minor_cone(family, *params)
+        ipt = integer_point_transform(cone)
+        for mode in ("total", "first_coordinate"):
+            assert specialized_gf(cone, mode) == specialize(ipt, mode)
+
+    def test_complete_five(self):
+        # K5's minor is 5I - J, so R = 25(I + J) and R*c = 0 (mod 125) iff
+        # every c_i = 5*a_i + r for one r < 5 and a_i < 25.  Then the total
+        # weight is 5*sum(a) + 4r and the first-coordinate one
+        # 2*a_0 + a_1 + a_2 + a_3 + r.  This closed form stands in for the
+        # materialized route, which would hold all 1,953,125 points.
+        cone = minor_cone("complete", 5)
+        assert cone.R == IntegerMatrix([[50 if i == j else 25 for j in range(4)]
+                                        for i in range(4)])
+        total = specialized_gf(cone, "total")
+        assert total.numerator == poly_product(geometric(4, 5), *[geometric(5, 25)] * 4)
+        assert total.denominator == ((125, 4),)
+        first = specialized_gf(cone, "first_coordinate")
+        assert first.numerator == poly_product(
+            geometric(1, 5), geometric(2, 25), *[geometric(1, 25)] * 3)
+        assert first.denominator == ((25, 3), (50, 1))
 
 
 class TestSeriesExpand:

@@ -1,5 +1,6 @@
-"""Tests for the digit-sum DP of the leafed cycle, against the cycle and
-leafed-cycle closed forms of `oracles`."""
+"""Tests for the leafed-cycle generating function, whose numerator is the
+engine's digit-class DP, against the cycle and leafed-cycle closed forms
+of `oracles`."""
 
 import itertools
 
@@ -16,10 +17,11 @@ from lapcomp import (
     laplacian_minor,
     leafed_cycle_graph,
     leafed_gf,
-    phi_histogram_dp,
     series_expand,
     specialize,
 )
+
+from lapcomp import cycle_families
 
 from oracles import (
     cycle_inverse_closed,
@@ -115,11 +117,18 @@ class TestSolveSn:
         assert err.value.required == 6**5
 
 
+def histogram(n):
+    """leafed_gf(n)'s numerator, the digit-sum histogram of S_n, padded to
+    its full length n*(n-1)+1."""
+    numerator = list(leafed_gf(n).numerator)
+    assert len(numerator) <= n * (n - 1) + 1
+    return numerator + [0] * (n * (n - 1) + 1 - len(numerator))
+
+
 class TestPhiHistograms:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_histogram_matches_enumeration(self, n):
-        hist = phi_histogram_dp(n)
-        assert len(hist) == n * (n - 1) + 1
+        hist = histogram(n)
         if n == 2:
             # S_2 = {(0, 0), (1, 0)}; the leafed 2-cycle is not a simple graph
             assert hist == [1, 1, 0]
@@ -140,15 +149,26 @@ class TestPhiHistograms:
         open_hist = [0] * (n * n + 1)
         for c in sols:
             open_hist[sum(x or n for x in c)] += 1
-        assert open_hist[::-1] == phi_histogram_dp(n) + [0] * n
+        assert open_hist[::-1] == histogram(n) + [0] * n
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_matches_necklace_oracle(self, n):
-        assert phi_histogram_dp(n) == necklace_histogram(n)
+        assert histogram(n) == necklace_histogram(n)
 
     def test_leafed_three_histogram(self):
         # 9 solutions with digit sums {0,1,2,2,3,4,4,5,6}
-        assert phi_histogram_dp(3) == [1, 1, 2, 1, 2, 1, 1]
+        assert leafed_gf(3).numerator == (1, 1, 2, 1, 2, 1, 1)
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_minor_pair_is_the_graph_minor(self, n):
+        minor = laplacian_minor(leafed_cycle_graph(n), n).matrix
+        L, r = cycle_families._leafed_minor_pair(n)
+        assert L == minor
+        assert adjugate_pair(minor) == (n, r)
+
+    def test_small_n_refused(self):
+        with pytest.raises(ValueError, match="n >= 2"):
+            leafed_gf(1)
 
 
 class TestGeneratingFunctions:

@@ -17,7 +17,7 @@ from lapcomp import (
     reflexivity_by_halfspaces,
     reflexivity_by_interior_counts,
 )
-from lapcomp import ehrhart_reflexive
+from lapcomp import cone_engine, cycle_families, ehrhart_reflexive
 from lapcomp.cli import main
 from lapcomp.ehrhart_reflexive import _is_unimodal
 
@@ -164,13 +164,15 @@ class TestDilateCounting:
     ])
     def test_digit_dp_runs_once_per_slice(self, argv, monkeypatch, capsys):
         calls = []
-        real = ehrhart_reflexive.phi_histogram_dp
+        real = cone_engine._numerator
 
-        def counted(n):
-            calls.append(n)
-            return real(n)
+        def counted(R, d, s):
+            calls.append(d)
+            return real(R, d, s)
 
-        monkeypatch.setattr(ehrhart_reflexive, "phi_histogram_dp", counted)
+        # Bound under its name in every module that imports it.
+        for module in (cone_engine, cycle_families, ehrhart_reflexive):
+            monkeypatch.setattr(module, "_numerator", counted)
         assert main(argv) == 0
         assert calls == [9]
 
