@@ -26,14 +26,17 @@ import json
 import os
 import random
 import sys
+from collections import Counter
+from itertools import islice
 from pathlib import Path
+from typing import Iterable
 
 from .cone_engine import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     UnivariateRationalGF,
+    _lex_walk,
     cone_from_constraints,
-    fpp_points,
     integer_point_transform,
     series_expand,
     specialized_gf,
@@ -56,6 +59,8 @@ from .tree_transforms import (
 __all__ = ["main"]
 
 _SPEC_MODES = {"total": "total", "first": "first_coordinate"}
+# Pieces of a point listing joined per write.
+_CHUNK = 1024
 
 
 class _TheoremViolation(Exception):
@@ -193,14 +198,45 @@ def _emit(args, text: str, payload: dict) -> None:
         print(text)
 
 
+def _json_strings(n: int, indent: int) -> str:
+    """Format string of n decimal strings as `json.dumps(indent=2)` lays
+    out a list whose opening bracket is `indent` spaces deep."""
+    if not n:
+        return "[]"
+    return ("[\n" + ",\n".join([" " * (indent + 2) + '"{}"'] * n)
+            + "\n" + " " * indent + "]")
+
+
+def _write_joined(pieces: Iterable[str], sep: str) -> None:
+    """Write the pieces joined by `sep` to stdout, a chunk at a time, so a
+    listing is printed as it is walked and never held whole."""
+    pieces = iter(pieces)
+    write = sys.stdout.write
+    write(sep.join(islice(pieces, _CHUNK)))
+    while chunk := sep.join(islice(pieces, _CHUNK)):
+        write(sep)
+        write(chunk)
+
+
 def _cmd_gf(args) -> int:
     cone = _minor_cone(args, _load_graph(args))
-    if args.spec is None:
-        ipt = integer_point_transform(cone, budget=_effective_budget(args))
-        _emit(args, str(ipt), ipt.to_json_dict())
-    else:
-        gf = specialized_gf(cone, _SPEC_MODES[args.spec], budget=_effective_budget(args))
+    budget = _effective_budget(args)
+    if args.spec is not None:
+        gf = specialized_gf(cone, _SPEC_MODES[args.spec], budget=budget)
         _emit(args, str(gf), gf.to_json_dict())
+    elif args.json:
+        ipt = integer_point_transform(cone, budget=budget)
+        vector = "    " + _json_strings(cone.dimension, 4)
+        ray = ('    {{\n      "ray": ' + _json_strings(cone.dimension, 6)
+               + ',\n      "mult": "{}"\n    }}')
+        sys.stdout.write('{\n  "numerator": [\n')
+        _write_joined((vector.format(*v) for v in ipt.numerator), ",\n")
+        sys.stdout.write('\n  ],\n  "denominator": [\n')
+        _write_joined((ray.format(*v, mult) for v, mult
+                       in sorted(Counter(ipt.denominator).items())), ",\n")
+        sys.stdout.write("\n  ]\n}\n")
+    else:
+        print(integer_point_transform(cone, budget=budget))
     return 0
 
 
@@ -372,18 +408,21 @@ def _cmd_ehrhart(args) -> int:
 
 
 def _cmd_fpp(args) -> int:
-    g = _load_graph(args)
-    points = fpp_points(_minor_cone(args, g), budget=_effective_budget(args))
-    lines = [f"determinant {points.d}, {len(points.points)} lattice points"]
-    lines += [f"digits {list(c)} -> point {list(lam)}"
-              for c, lam in points.points]
-    _emit(args, "\n".join(lines), {
-        "determinant": str(points.d),
-        "points": [
-            {"digits": [str(e) for e in c], "point": [str(e) for e in lam]}
-            for c, lam in points.points
-        ],
-    })
+    cone = _minor_cone(args, _load_graph(args))
+    points = _lex_walk(cone, _effective_budget(args))
+    n, d = cone.dimension, cone.d
+    if args.json:
+        digits = _json_strings(n, 6)
+        entry = ('    {{\n      "digits": ' + digits
+                 + ',\n      "point": ' + digits + "\n    }}")
+        sys.stdout.write(f'{{\n  "determinant": "{d}",\n  "points": [\n')
+        _write_joined((entry.format(*c, *lam) for c, lam in points), ",\n")
+        sys.stdout.write("\n  ]\n}\n")
+    else:
+        digits = "[" + ", ".join(["{}"] * n) + "]"
+        line = "digits " + digits + " -> point " + digits + "\n"
+        sys.stdout.write(f"determinant {d}, {d ** (n - 1)} lattice points\n")
+        _write_joined((line.format(*c, *lam) for c, lam in points), "")
     return 0
 
 

@@ -12,19 +12,21 @@ of the integer point transform
 which can be specialized to a univariate rational generating function by
 sending every variable to q ("total") or only the first one ("first
 coordinate").  `fpp_points` walks the points along a triangular basis of
-the valid digit vectors; `specialized_gf`, whose weights are linear in the
-digits, counts them instead by a DP over the d classes of the critical
-group Z^n / A*Z^n.  Prefer it to `specialize(integer_point_transform(...))`
-unless the points or the multivariate transform are needed too.  The one
-box scan, independent of both, backs `brute_force_count` and slice dilates.
+the valid digit vectors, in lexicographic order with no sort; the walk is
+a generator, so `lapcomp fpp` prints each point as it is found.
+`specialized_gf`, whose weights are linear in the digits, counts them
+instead by a DP over the d classes of the critical group Z^n / A*Z^n.
+Prefer it to `specialize(integer_point_transform(...))` unless the points
+or the multivariate transform are needed too.  The one box scan,
+independent of both, backs `brute_force_count` and slice dilates.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from operator import mul
-from typing import Iterable, Literal, Optional, Sequence
+from operator import add, mul, sub
+from typing import Iterable, Iterator, Literal, Optional, Sequence
 
 from .exact_linalg import IntegerMatrix, adjugate_pair
 
@@ -327,68 +329,111 @@ def _charge_points(cone: SimplicialCone, budget: Optional[int]) -> None:
             f"parallelepiped has {required} lattice points; budget is {budget}", required)
 
 
-def fpp_points(cone: SimplicialCone, budget: Optional[int] = None) -> FppPointSet:
-    """Enumerate the lattice points of the half-open parallelepiped, sorted.
+def _lex_walk(cone: SimplicialCone, budget: Optional[int]
+              ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The parallelepiped's (c, lam) pairs, c in lexicographic order.
 
     A point lam is in the parallelepiped iff c = A*lam has every coordinate
-    in {0..d-1}; the set of valid c vectors is exactly the column lattice of
-    A reduced mod d, which a triangular lattice basis lets us walk in
-    d**(n-1) steps instead of d**n.  Row i of the offsets is final once
-    level i is chosen, so the walk extends c by one digit per level.
+    in {0..d-1}; the valid c are the column lattice of A reduced mod d.  The
+    budget charge and the checks of the triangular basis of that lattice
+    run here, before the iterator is returned, so a refused or broken walk
+    yields nothing.
     """
     n, d = cone.dimension, cone.d
     if d == 1:
-        return FppPointSet([((0,) * n, (0,) * n)], d)
+        return iter([((0,) * n, (0,) * n)])
     _charge_points(cone, budget)
     h = _column_hermite(cone.A)
-    if any(d % h[i][i] for i in range(n)):
-        raise ArithmeticError("triangular basis does not divide d")
-    ranges = [d // h[i][i] for i in range(n)]
+    # A positive diagonal multiplying to d: each h_ii divides d, so level i
+    # takes d / h_ii digits, d**(n-1) in all.
+    diagonal = [h[i][i] for i in range(n)]
+    if min(diagonal) < 1 or math.prod(diagonal) != d:
+        raise ArithmeticError("triangular basis does not have determinant d")
     # R*h_j = 0 (mod d) for every basis column certifies that R*c/d is
-    # integral for every walked c, which is a combination of them mod d.
+    # integral for every walked c, which is a combination of them mod d;
+    # with the determinant, it certifies that h spans the whole lattice.
     rrows = [cone.R.row(i) for i in range(n)]
     for j in range(n):
         col = [h[r][j] for r in range(n)]
         if any(sum(map(mul, row, col)) % d for row in rrows):
             raise ArithmeticError("triangular basis column is not a valid digit vector")
-    steps = [[(r, h[r][i]) for r in range(i, n) if h[r][i]] for i in range(n)]
-    offsets = [0] * n
+    return _lex_points(cone.R, h, d)
+
+
+def _lex_points(R: IntegerMatrix, h: list[list[int]], d: int
+                ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Walk of `_lex_walk` along a checked lower-triangular basis h.
+
+    Once c_0..c_{i-1} are fixed, the valid c_i are the values = off_i
+    (mod h_ii) in {0..d-1}, where off holds the earlier basis steps mod d;
+    each step of h_ii adds basis column i.  Running every level up from its
+    smallest value emits the c in lexicographic order, with no sort.  The
+    partial R*c rides down the levels, so lam = R*c/d costs n adds a point.
+    """
+    n = len(h)
+    cols = [R.column(j) for j in range(n)]
     last = n - 1
-    # The diagonal of h multiplies to d, so at most one level has range 1.
-    # That level takes no step and resets nothing, so it is folded in place
-    # rather than walked; top is the last level that does step.
-    top = max((i for i in range(n) if ranges[i] > 1), default=last)
-    points = []
+    # The diagonal multiplies to d, so at most one level has h_ii = d and
+    # takes a single digit.  top is the last level that steps; a
+    # single-digit last level is carried along with it.
+    top = last - 1 if n > 1 and h[last][last] == d else last
+    below = [[(r, h[r][i]) for r in range(i + 1, n) if h[r][i]] for i in range(n)]
 
-    def emit(c: tuple[int, ...]):
-        points.append((c, tuple(sum(map(mul, row, c)) // d for row in rrows)))
+    def prefixes(i, prefix, off, acc):
+        if i == top:
+            yield prefix, off, acc
+            return
+        hi = h[i][i]
+        for c in range(off[i] % hi, d, hi):
+            x = (c - off[i]) // hi
+            nxt = list(off)
+            for r, v in below[i]:
+                nxt[r] = (nxt[r] + x * v) % d
+            yield from prefixes(i + 1, prefix + (c,), nxt,
+                                [a + b * c for a, b in zip(acc, cols[i])])
 
-    def walk(i: int, c: tuple[int, ...]):
-        if i < top and ranges[i] == 1:
-            c += (offsets[i] % d,)
-            i += 1
-        for x in range(ranges[i]):
-            if x:
-                for r, v in steps[i]:
-                    offsets[r] += v
-            if i < top:
-                walk(i + 1, c + (offsets[i] % d,))
-            elif i == last:
-                emit(c + (offsets[i] % d,))
+    ht = h[top][top]
+    # One step at the top level moves lam by step, or by wrap when the
+    # carried last digit passes d; both are integral by the certificate.
+    s = h[last][top] % d if top < last else 0
+    step = [(a * ht + b * s) // d for a, b in zip(cols[top], cols[last])]
+    wrap = list(map(sub, step, cols[last]))
+    for prefix, off, acc in prefixes(0, (), [0] * n, [0] * n):
+        c = off[top] % ht
+        if top == last:
+            lam = tuple((a + b * c) // d for a, b in zip(acc, cols[top]))
+            for c in range(c, d, ht):
+                yield prefix + (c,), lam
+                lam = tuple(map(add, lam, step))
+            continue
+        t = (off[last] + (c - off[top]) // ht * h[last][top]) % d
+        lam = tuple((a + b * c + e * t) // d
+                    for a, b, e in zip(acc, cols[top], cols[last]))
+        for c in range(c, d, ht):
+            yield prefix + (c, t), lam
+            t += s
+            if t < d:
+                lam = tuple(map(add, lam, step))
             else:
-                emit(c + (offsets[i] % d, offsets[last] % d))
-        for r, v in steps[i]:
-            offsets[r] -= v * (ranges[i] - 1)
+                t -= d
+                lam = tuple(map(add, lam, wrap))
 
-    walk(0, ())
-    points.sort()
-    return FppPointSet(points, d)
+
+def fpp_points(cone: SimplicialCone, budget: Optional[int] = None) -> FppPointSet:
+    """Enumerate the lattice points of the half-open parallelepiped.
+
+    The pairs (c, lam) come in lexicographic order of the digit vector c
+    straight from the walk, with no sort: a triangular lattice basis lets
+    it take d**(n-1) steps instead of scanning d**n candidates.
+    """
+    return FppPointSet(_lex_walk(cone, budget), cone.d)
 
 
 def integer_point_transform(cone: SimplicialCone,
                             budget: Optional[int] = None) -> IntegerPointTransform:
     """The transform of the cone: parallelepiped points over the rays."""
-    return IntegerPointTransform(fpp_points(cone, budget).lattice_points(), cone.rays())
+    return IntegerPointTransform((lam for _, lam in _lex_walk(cone, budget)),
+                                 cone.rays())
 
 
 def _mode_weights(mode: str, n: int) -> tuple[int, ...]:

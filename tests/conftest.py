@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 from lapcomp import Graph
 
 
-def random_connected_graph(data, max_vertices=6):
-    """Draw a connected graph: a random spanning tree plus extra edges."""
+def random_connected_graph(data, max_vertices=6, min_extra=0):
+    """Draw a connected graph: a random spanning tree plus extra edges, at
+    least `min_extra` of them where the graph has room (each closes a
+    cycle, so a positive `min_extra` biases the draw toward many cycles)."""
     n = data.draw(st.integers(2, max_vertices))
     edges = set()
     for v in range(1, n):
@@ -18,7 +20,8 @@ def random_connected_graph(data, max_vertices=6):
         for v in range(u + 1, n)
         if (u, v) not in edges
     ]
-    extra = data.draw(st.lists(st.sampled_from(non_tree), unique=True)) if non_tree else []
+    extra = data.draw(st.lists(st.sampled_from(non_tree), unique=True,
+                               min_size=min(min_extra, len(non_tree)))) if non_tree else []
     return Graph(n, sorted(edges | set(extra)))
 
 

@@ -1,0 +1,46 @@
+"""The benchmark's own correctness gate, on its tiny `cone_listing` workload.
+
+`perfbench/` is only imported: its `workloads` module writes the inputs and
+its `checks.verify` judges each query's output by routes of its own.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from lapcomp.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delenv("LAPCOMP_BUDGET", raising=False)
+    import checks
+    import workloads
+
+    return workloads, checks
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_cone_listing_passes_the_gate(perfbench, capsys, tmp_path, seed):
+    workloads, checks = perfbench
+    queries = workloads.build("cone_listing", seed, str(tmp_path), tiny=True)
+    assert {q.kind for q in queries} == {"fpp_json", "gf_json"}
+    for q in queries:
+        rc = main(list(q.argv))
+        captured = capsys.readouterr()
+        assert checks.verify(q, rc, captured.out, captured.err) is None, q.argv
+
+
+def test_gate_rejects_a_wrong_listing(perfbench, capsys, tmp_path):
+    # The gate is not vacuous: one point dropped from a listing fails it.
+    workloads, checks = perfbench
+    q = next(q for q in workloads.build("cone_listing", 1, str(tmp_path), tiny=True)
+             if q.kind == "fpp_json")
+    rc = main(list(q.argv))
+    out = capsys.readouterr().out
+    cut = out.rindex("    {")
+    broken = out[:cut].rstrip(",\n") + "\n  ]\n}\n"
+    assert checks.verify(q, rc, broken, "") == "wrong point count"

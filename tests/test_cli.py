@@ -5,12 +5,15 @@ stdout/stderr can be asserted exactly.
 """
 
 import json
+import random
 
 import pytest
 
 from lapcomp import (
     UnivariateRationalGF,
+    cone_engine,
     cone_from_constraints,
+    fpp_points,
     integer_point_transform,
     laplacian_minor,
     parse_graph,
@@ -406,6 +409,85 @@ class TestStreamedSpecialization:
         monkeypatch.delenv("LAPCOMP_BUDGET", raising=False)
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", BUDGET_ERROR)
+
+
+def fpp_text(points):
+    lines = [f"determinant {points.d}, {len(points)} lattice points"]
+    lines += [f"digits {list(c)} -> point {list(lam)}" for c, lam in points]
+    return "\n".join(lines)
+
+
+def fpp_payload(points):
+    return {
+        "determinant": str(points.d),
+        "points": [
+            {"digits": [str(e) for e in c], "point": [str(e) for e in lam]}
+            for c, lam in points
+        ],
+    }
+
+
+def random_graph_text(rng):
+    """A random 4-7-vertex connected graph in the `--file` format."""
+    n = rng.randint(4, 7)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    free = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    edges |= set(rng.sample(free, rng.randint(0, min(3, len(free)))))
+    return f"{n}\n" + "".join(f"{u} {v}\n" for u, v in sorted(edges))
+
+
+class TestListingOutput:
+    """`fpp` and `gf` without `--spec` write their listings as they walk;
+    the bytes must be what `json.dumps(payload, indent=2)` and the text
+    rendering of the whole point set give.  The seeds include trees
+    (d = 1) and cones refused at the budget."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_every_minor_of_random_graphs(self, capsys, tmp_path, seed):
+        text = random_graph_text(random.Random(seed))
+        f = tmp_path / "g.txt"
+        f.write_text(text)
+        g = parse_graph(text)
+        for v in range(g.vertex_count):
+            cone = cone_from_constraints(laplacian_minor(g, v).matrix)
+            required = cone.d ** (cone.dimension - 1)
+            if required <= 20000:
+                points, ipt = fpp_points(cone), integer_point_transform(cone)
+                renders = {"fpp": (fpp_text(points), fpp_payload(points)),
+                           "gf": (str(ipt), ipt.to_json_dict())}
+            for command in ("fpp", "gf"):
+                for as_json in (False, True):
+                    argv = [command, "--file", str(f), "--minor", str(v),
+                            "--budget", "20000"] + ["--json"] * as_json
+                    if required > 20000:
+                        expected = (2, "", "error: budget exhausted: parallelepiped "
+                                           f"has {required} lattice points; budget is 20000\n")
+                    else:
+                        expected = (0, expected_stdout(*renders[command], as_json), "")
+                    assert run(capsys, *argv) == expected, argv
+
+
+class TestListingRefusals:
+    """A refused or broken walk fails before its first line is written."""
+
+    def test_budget_refusal(self, capsys):
+        assert run(capsys, "fpp", "--family", "cycle:4", "--minor", "0",
+                   "--json", "--budget", "5") == (
+            2, "",
+            "error: budget exhausted: parallelepiped has 16 lattice points; "
+            "budget is 5\n",
+        )
+
+    @pytest.mark.parametrize("argv", [["fpp"], ["fpp", "--json"],
+                                      ["gf"], ["gf", "--json"]])
+    def test_broken_basis(self, capsys, monkeypatch, argv):
+        # (1, 0) is not a valid digit vector of the 3-cycle's minor.
+        monkeypatch.setattr(cone_engine, "_column_hermite",
+                            lambda A: [[1, 0], [0, 3]])
+        code, out, err = run(capsys, *argv, "--family", "cycle:3", "--minor", "0")
+        assert (code, out) == (1, "")
+        assert err == ("error: internal identity failed: triangular basis "
+                       "column is not a valid digit vector\n")
 
 
 class TestBudgetsAndThreads:

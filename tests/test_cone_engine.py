@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import random_connected_graph
 from lapcomp import (
     BudgetExceededError,
+    Graph,
     IntegerMatrix,
     IntegerPointTransform,
     SimplicialCone,
@@ -150,6 +151,85 @@ class TestFppRandomGraphs:
         for c, lam in pts:
             assert all(0 <= x < d for x in c)
             assert cone.A.apply(lam) == c
+
+
+def flat_fpp(cone):
+    """(c, R*c/d) for every c of {0..d-1}^n with R*c = 0 (mod d), scanned
+    flat in lexicographic order: no lattice basis, no walk."""
+    d, n = cone.d, cone.dimension
+    rows = [cone.R.row(i) for i in range(n)]
+    out = []
+    for c in itertools.product(range(d), repeat=n):
+        rc = [sum(map(mul, row, c)) for row in rows]
+        if not any(x % d for x in rc):
+            out.append((c, tuple(x // d for x in rc)))
+    return out
+
+
+def graph_cone(n, edges, vertex):
+    return cone_from_constraints(laplacian_minor(Graph(n, edges), vertex).matrix)
+
+
+class TestLexWalk:
+    """The walk emits the digit vectors in lexicographic order without a
+    sort, so it must equal the flat filter of {0..d-1}^n exactly."""
+
+    @pytest.mark.parametrize("cone,diagonal", [
+        # A tree: d = 1, the origin only.
+        (graph_cone(4, [(0, 1), (1, 2), (1, 3)], 3), None),
+        # The 3-cycle: the last level takes a single digit.
+        (graph_cone(3, [(0, 1), (0, 2), (1, 2)], 1), [1, 3]),
+        # A triangle with a pendant edge: the single-digit level is in the
+        # middle of the walk.
+        (graph_cone(4, [(0, 1), (0, 2), (1, 2), (2, 3)], 3), [1, 3, 1]),
+        # The 4-cycle: every level steps.
+        (graph_cone(4, [(0, 1), (0, 3), (1, 2), (2, 3)], 1), [1, 2, 2]),
+        # The first level takes a single digit.
+        (cone_from_constraints(IntegerMatrix([[3, 0, 0], [1, 1, 0], [2, 0, 1]])),
+         [3, 1, 1]),
+        # One dimension, d > 1.
+        (cone_from_constraints(IntegerMatrix([[-4]])), [4]),
+    ])
+    def test_single_digit_levels(self, cone, diagonal):
+        if diagonal is None:
+            assert cone.d == 1
+        else:
+            h = cone_engine._column_hermite(cone.A)
+            assert [h[i][i] for i in range(cone.dimension)] == diagonal
+        assert list(fpp_points(cone)) == flat_fpp(cone)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_graphs(self, data):
+        g = random_connected_graph(data, max_vertices=6, min_extra=2)
+        vertex = data.draw(st.integers(0, g.vertex_count - 1))
+        cone = cone_from_constraints(laplacian_minor(g, vertex).matrix)
+        d, n = cone.d, cone.dimension
+        if d ** (n - 1) > 20000:
+            return
+        pts = list(fpp_points(cone))
+        assert all(a[0] < b[0] for a, b in zip(pts, pts[1:]))
+        if d ** n <= 50000:
+            assert pts == flat_fpp(cone)
+
+    def test_checks_run_before_the_first_point(self, monkeypatch):
+        # `_lex_walk` refuses when called, not when first iterated.
+        cone = minor_cone("cycle", 4, vertex=0)
+        with pytest.raises(BudgetExceededError):
+            cone_engine._lex_walk(cone, 5)
+        monkeypatch.setattr(cone_engine, "_column_hermite",
+                            lambda A: [[1, 0, 0], [0, 2, 0], [0, 0, 2]])
+        with pytest.raises(ArithmeticError, match="not a valid digit vector"):
+            cone_engine._lex_walk(cone, None)
+        # A basis inside the lattice but of index 4 in it (every column is a
+        # valid digit vector; the walk would list d**(n-1) / 4 points), and
+        # the true basis with two columns negated (the diagonal multiplies
+        # to d, but the walk would list nothing).
+        for basis in ([[1, 0, 0], [-2, 4, 0], [1, -8, 4]],
+                      [[-1, 0, 0], [2, -1, 0], [-1, 2, 4]]):
+            monkeypatch.setattr(cone_engine, "_column_hermite", lambda A: basis)
+            with pytest.raises(ArithmeticError, match="determinant"):
+                cone_engine._lex_walk(cone, None)
 
 
 class TestIntegerPointTransform:
