@@ -35,6 +35,7 @@ from .cone_engine import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     UnivariateRationalGF,
+    _json_form,
     _lex_walk,
     cone_from_constraints,
     integer_point_transform,
@@ -193,7 +194,7 @@ def _minor_cone(args, g):
 
 def _emit(args, text: str, payload: dict) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(_json_form(payload), indent=2))
     else:
         print(text)
 
@@ -254,10 +255,7 @@ def _cmd_series(args) -> int:
                             _SPEC_MODES[args.spec], budget=_effective_budget(args))
     coeffs = series_expand(gf, args.order)
     text = "[" + ", ".join(str(c) for c in coeffs) + "]"
-    _emit(args, text, {
-        "order": str(args.order),
-        "coefficients": [str(c) for c in coeffs],
-    })
+    _emit(args, text, {"order": args.order, "coefficients": coeffs})
     return 0
 
 
@@ -317,7 +315,7 @@ def _check_reflexive(args) -> int:
         f"interior-count test agrees"
     )
     _emit(args, text, {
-        "n": str(n),
+        "n": n,
         "halfspace": half.to_json_dict(),
         "interior_counts": by_counts,
         "reflexive": half.reflexive,
@@ -335,17 +333,9 @@ def _check_tree_equivalence(args) -> int:
         t = random_tree(rng.randint(2, 12), rng)
         leaf = rng.choice(t.leaves())
         for message in verify_tree_identities(t, leaf):
-            failures.append({
-                "trial": str(trial),
-                "edges": [[str(a), str(b)] for a, b in t.edges],
-                "leaf": str(leaf),
-                "message": message,
-            })
-    payload = {
-        "seed": str(seed),
-        "count": str(count),
-        "failures": failures,
-    }
+            failures.append({"trial": trial, "edges": t.edges, "leaf": leaf,
+                             "message": message})
+    payload = {"seed": seed, "count": count, "failures": failures}
     if failures:
         text = "\n".join(
             f"trial {f['trial']}: {f['message']}" for f in failures
@@ -395,14 +385,14 @@ def _cmd_ehrhart(args) -> int:
     if normal_up_to is not None:
         lines.append(f"normal up to dilate {normal_up_to}")
     _emit(args, "\n".join(lines), {
-        "n": str(args.n),
-        "vertices": [[str(e) for e in v] for v in simplex.vertices],
-        "h_star": [str(e) for e in data.h_star],
-        "dilate_counts": [str(e) for e in data.dilate_counts],
+        "n": args.n,
+        "vertices": simplex.vertices,
+        "h_star": data.h_star,
+        "dilate_counts": data.dilate_counts,
         "palindromic": data.palindromic,
         "unimodal": data.unimodal,
         "reflexive": data.reflexive_certificate,
-        "normal_up_to": None if normal_up_to is None else str(normal_up_to),
+        "normal_up_to": normal_up_to,
     })
     return 0
 
@@ -432,11 +422,8 @@ def _cmd_tree_inverse(args) -> int:
     inv = tree_inverse_combinatorial(g, leaf)
     lines = [f"leaf {leaf}, vertex order {list(inv.vertices)}"]
     lines += [" ".join(str(e) for e in row) for row in inv.matrix]
-    _emit(args, "\n".join(lines), {
-        "leaf": str(leaf),
-        "vertices": [str(v) for v in inv.vertices],
-        "matrix": [[str(e) for e in row] for row in inv.matrix.to_lists()],
-    })
+    _emit(args, "\n".join(lines),
+          {"leaf": leaf, "vertices": inv.vertices, "matrix": inv.matrix})
     return 0
 
 

@@ -137,14 +137,11 @@ class IntegerPointTransform:
         return f"({num})/({den})"
 
     def to_json_dict(self) -> dict:
-        ray_counts = Counter(self.denominator)
-        return {
-            "numerator": [[str(e) for e in v] for v in self.numerator],
-            "denominator": [
-                {"ray": [str(e) for e in ray], "mult": str(mult)}
-                for ray, mult in sorted(ray_counts.items())
-            ],
-        }
+        return _json_form({
+            "numerator": self.numerator,
+            "denominator": [{"ray": ray, "mult": mult} for ray, mult
+                            in sorted(Counter(self.denominator).items())],
+        })
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "IntegerPointTransform":
@@ -154,6 +151,21 @@ class IntegerPointTransform:
             ray = tuple(int(e) for e in entry["ray"])
             denominator.extend([ray] * int(entry["mult"]))
         return cls(numerator, denominator)
+
+
+def _json_form(value):
+    """The package's JSON form of a value: every int that is not a bool,
+    at any depth, becomes its decimal string, because coefficients,
+    exponents and class counts outgrow 64 bits.  bool, None and str pass
+    through, a dict keeps its key order, and any other iterable (a tuple,
+    the rows of an IntegerMatrix) becomes a list."""
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, dict):
+        return {key: _json_form(v) for key, v in value.items()}
+    return [_json_form(v) for v in value]
 
 
 def _poly_trim(p: Iterable[int]) -> list[int]:
@@ -242,10 +254,7 @@ class UnivariateRationalGF:
         return f"{num}/{den}"
 
     def to_json_dict(self) -> dict:
-        return {
-            "num": [str(c) for c in self.numerator],
-            "den": [[str(e), str(m)] for e, m in self.denominator],
-        }
+        return _json_form({"num": self.numerator, "den": self.denominator})
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "UnivariateRationalGF":

@@ -14,7 +14,8 @@ import math
 from typing import NamedTuple, Optional, Sequence
 
 from .cone_engine import (
-    _divide_exact, _one_minus_q_power, _poly_mul, _poly_trim, series_expand,
+    _divide_exact, _json_form, _one_minus_q_power, _poly_mul, _poly_trim,
+    series_expand,
 )
 from .cycle_families import _leafed_minor_pair, leafed_gf
 
@@ -144,21 +145,12 @@ class CyclicCheckReport(NamedTuple):
     first_mismatch: Optional[int]
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": str(self.n),
-            "m_max": str(self.m_max),
-            "rows": [
-                {
-                    "n": str(self.n),
-                    "m": str(row["m"]),
-                    "lhs": str(row["lhs"]),
-                    "rhs": str(row["rhs"]),
-                    "match": row["match"],
-                }
-                for row in self.rows
-            ],
+        return _json_form({
+            "n": self.n,
+            "m_max": self.m_max,
+            "rows": [{"n": self.n, **row} for row in self.rows],
             "all_match": self.all_match,
-        }
+        })
 
 
 def check_conjecture_cyclic(n: int, m_max: int) -> CyclicCheckReport:
@@ -195,21 +187,7 @@ class NearSymmetryReport(NamedTuple):
     numerator_match: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": str(self.k),
-            "n": str(self.n),
-            "division_exact": self.division_exact,
-            "f": None if self.f is None else [str(c) for c in self.f],
-            "difference": (
-                None if self.difference is None
-                else [str(c) for c in self.difference]
-            ),
-            "expected": [str(c) for c in self.expected],
-            "verdict": self.verdict,
-            "numerator_difference": [str(c) for c in self.numerator_difference],
-            "numerator_expected": [str(c) for c in self.numerator_expected],
-            "numerator_match": self.numerator_match,
-        }
+        return _json_form(self._asdict())
 
 
 def check_near_symmetry(k: int) -> NearSymmetryReport:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
-from .cone_engine import DEFAULT_BUDGET, _box_points, _numerator
+from .cone_engine import DEFAULT_BUDGET, _box_points, _json_form, _numerator
 from .cycle_families import _leafed_minor_pair
 from .exact_linalg import IntegerMatrix, adjugate_pair, determinant
 from .graph_core import laplacian_minor, leafed_cycle_graph
@@ -160,24 +160,7 @@ class HalfspaceReport(NamedTuple):
     translated_vertices: Optional[tuple[tuple[int, ...], ...]]
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": str(self.n),
-            "reflexive": self.reflexive,
-            "reason": self.reason,
-            "translation": (
-                None if self.translation is None
-                else [str(e) for e in self.translation]
-            ),
-            "reduced_matrix": (
-                None if self.reduced_matrix is None
-                else [[str(e) for e in row] for row in self.reduced_matrix.to_lists()]
-            ),
-            "rhs": None if self.rhs is None else [str(e) for e in self.rhs],
-            "translated_vertices": (
-                None if self.translated_vertices is None
-                else [[str(e) for e in v] for v in self.translated_vertices]
-            ),
-        }
+        return _json_form(self._asdict())
 
 
 def reflexivity_by_halfspaces(n: int) -> HalfspaceReport:
@@ -320,13 +303,7 @@ class HStarData(NamedTuple):
     reflexive_certificate: Optional[bool]
 
     def to_json_dict(self) -> dict:
-        return {
-            "h_star": [str(e) for e in self.h_star],
-            "dilate_counts": [str(e) for e in self.dilate_counts],
-            "palindromic": self.palindromic,
-            "unimodal": self.unimodal,
-            "reflexive_certificate": self.reflexive_certificate,
-        }
+        return _json_form(self._asdict())
 
 
 def _is_unimodal(seq: Sequence[int]) -> bool:
@@ -386,18 +363,11 @@ class NormalityReport(NamedTuple):
     counterexample: Optional[tuple[int, tuple[int, ...]]]
 
     def to_json_dict(self) -> dict:
-        return {
-            "m_max": str(self.m_max),
-            "results": list(self.results),
-            "normal_up_to": str(self.normal_up_to),
-            "counterexample": (
-                None if self.counterexample is None
-                else {
-                    "m": str(self.counterexample[0]),
-                    "point": [str(e) for e in self.counterexample[1]],
-                }
-            ),
-        }
+        cx = self.counterexample
+        return _json_form({
+            **self._asdict(),
+            "counterexample": None if cx is None else {"m": cx[0], "point": cx[1]},
+        })
 
 
 def normality_probe(s: LatticeSimplex, m_max: int = 2,

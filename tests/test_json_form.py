@@ -8,7 +8,11 @@ import json
 
 import pytest
 
-from lapcomp.cone_engine import IntegerPointTransform, UnivariateRationalGF
+from lapcomp.cone_engine import (
+    IntegerPointTransform,
+    UnivariateRationalGF,
+    _json_form,
+)
 from lapcomp.conjecture_lab import NearSymmetryReport, check_conjecture_cyclic
 from lapcomp.ehrhart_reflexive import (
     LatticeSimplex,
@@ -18,6 +22,7 @@ from lapcomp.ehrhart_reflexive import (
     normality_probe,
     reflexivity_by_halfspaces,
 )
+from lapcomp.exact_linalg import IntegerMatrix
 
 PINNED = {
     "halfspace_certified": (
@@ -306,3 +311,25 @@ PINNED = {
 def test_report_json_bytes_are_pinned(name):
     build, expected = PINNED[name]
     assert json.dumps(build().to_json_dict(), indent=2) == expected
+
+
+class TestJsonForm:
+    def test_bools_none_and_strings_pass_through(self):
+        assert _json_form([True, False, None, "x", "12"]) == [True, False, None, "x", "12"]
+        assert _json_form(True) is True
+
+    def test_integers_become_decimal_strings(self):
+        assert _json_form([0, -7, 2**70, -(2**70)]) == [
+            "0", "-7", "1180591620717411303424", "-1180591620717411303424",
+        ]
+
+    def test_nesting(self):
+        value = {"b": ((1, -2), ()), "a": IntegerMatrix([[3, 0], [-1, 4]])}
+        form = _json_form(value)
+        assert form == {"b": [["1", "-2"], []], "a": [["3", "0"], ["-1", "4"]]}
+        assert list(form) == ["b", "a"]
+
+    @pytest.mark.parametrize("name", PINNED)
+    def test_idempotent(self, name):
+        form = PINNED[name][0]().to_json_dict()
+        assert _json_form(form) == form
