@@ -22,6 +22,7 @@ output are decimal strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -91,6 +92,7 @@ def _add_graph_options(p: argparse.ArgumentParser) -> None:
                         "(default: the last vertex)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lapcomp",

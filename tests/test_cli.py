@@ -20,7 +20,7 @@ from lapcomp import (
     series_expand,
     specialize,
 )
-from lapcomp.cli import main
+from lapcomp.cli import _build_parser, main
 from lapcomp.graph_core import family_from_string
 
 
@@ -538,3 +538,14 @@ class TestBudgetsAndThreads:
             "--threads", "0",
         )
         assert code == 2 and "thread count" in err
+
+
+class TestParser:
+    def test_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_each_parse_starts_from_the_defaults(self):
+        parser = _build_parser()
+        parser.parse_args(["fpp", "--family", "path:3", "--json", "--budget", "7"])
+        args = parser.parse_args(["fpp", "--family", "path:3"])
+        assert (args.json, args.budget, args.threads) == (False, None, 1)
