@@ -24,6 +24,7 @@ independent of both, backs `brute_force_count` and slice dilates.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Literal, Optional, Sequence
@@ -145,12 +146,17 @@ class IntegerPointTransform:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "IntegerPointTransform":
-        numerator = [tuple(int(e) for e in v) for v in data["numerator"]]
+        """Strict inverse of `to_json_dict`; see `_integer`."""
         denominator = []
-        for entry in data["denominator"]:
-            ray = tuple(int(e) for e in entry["ray"])
-            denominator.extend([ray] * int(entry["mult"]))
-        return cls(numerator, denominator)
+        for i, entry in enumerate(_list_field(data, "denominator")):
+            where = f"denominator[{i}]"
+            ray = _integers(_list_field(entry, "ray", where), where + ".ray")
+            mult = _integer(entry.get("mult"), where + ".mult")
+            if mult < 1:
+                raise ValueError(f"{where}.mult must be positive, got {mult}")
+            denominator += [ray] * mult
+        return cls([_integers(v, f"numerator[{i}]") for i, v
+                    in enumerate(_list_field(data, "numerator"))], denominator)
 
 
 def _json_form(value):
@@ -166,6 +172,31 @@ def _json_form(value):
     if isinstance(value, dict):
         return {key: _json_form(v) for key, v in value.items()}
     return [_json_form(v) for v in value]
+
+
+def _integer(value, where: str) -> int:
+    """Strict inverse of `_json_form` for one integer: a string matching
+    -?[0-9]+ or a JSON integer that is not a bool.  Anything else, such as
+    1.5, true, "1_0" or " 3", is a ValueError naming the field `where`."""
+    if isinstance(value, str) and re.fullmatch("-?[0-9]+", value) or (
+            isinstance(value, int) and not isinstance(value, bool)):
+        return int(value)
+    raise ValueError(f"{where} must be an integer or a decimal string, got {value!r}")
+
+
+def _integers(value, where: str, length: Optional[int] = None) -> tuple[int, ...]:
+    """A JSON list of integers, `length` of them when given."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        size = "" if length is None else f" of {length}"
+        raise ValueError(f"{where} must be a list{size}, got {value!r}")
+    return tuple(_integer(e, f"{where}[{i}]") for i, e in enumerate(value))
+
+
+def _list_field(data, key: str, where: str = "the top level") -> list:
+    """The list `data[key]` of the JSON object `data`, which `where` names."""
+    if isinstance(data, dict) and isinstance(data.get(key), list):
+        return data[key]
+    raise ValueError(f"{where} must be a JSON object with a list {key!r}")
 
 
 def _poly_trim(p: Iterable[int]) -> list[int]:
@@ -258,10 +289,10 @@ class UnivariateRationalGF:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "UnivariateRationalGF":
-        return cls(
-            [int(c) for c in data["num"]],
-            [(int(e), int(m)) for e, m in data["den"]],
-        )
+        """Strict inverse of `to_json_dict`; see `_integer`."""
+        return cls(_integers(_list_field(data, "num"), "num"),
+                   [_integers(pair, f"den[{i}]", 2)
+                    for i, pair in enumerate(_list_field(data, "den"))])
 
 
 def _monomial(exponents: Sequence[int], force: bool = False) -> str:

@@ -130,6 +130,37 @@ class TestSeries:
         code, _, err = run(capsys, "series", "--file", str(f), "--order", "3")
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"num": [1.5], "den": [["2", "1"]]}',
+         "num[0] must be an integer or a decimal string, got 1.5"),
+        ('{"num": "12", "den": [["2", "1"]]}',
+         "the top level must be a JSON object with a list 'num'"),
+        ('{"num": [true], "den": [[2, 1]]}',
+         "num[0] must be an integer or a decimal string, got True"),
+        ('{"num": ["1_0"], "den": [["2", "1"]]}',
+         "num[0] must be an integer or a decimal string, got '1_0'"),
+        ('{"num": ["1"], "den": [["2", " 1"]]}',
+         "den[0][1] must be an integer or a decimal string, got ' 1'"),
+        ("[1]", "the top level must be a JSON object with a list 'num'"),
+        ('{"num": ["1"]}', "the top level must be a JSON object with a list 'den'"),
+        ('{"num": ["1"], "den": {"2": "1"}}',
+         "the top level must be a JSON object with a list 'den'"),
+        ('{"num": ["1"], "den": [["2", "1", "1"]]}',
+         "den[0] must be a list of 2, got ['2', '1', '1']"),
+    ], ids=["float", "bare_string", "bool", "underscore", "space", "top_level_list",
+            "missing_den", "den_not_a_list", "den_entry_not_a_pair"])
+    def test_malformed_gf_file(self, capsys, tmp_path, text, message):
+        f = tmp_path / "gf.json"
+        f.write_text(text)
+        assert run(capsys, "series", "--file", str(f), "--order", "3") == (
+            2, "", f"error: {message}\n")
+
+    def test_gf_file_takes_json_integers_and_decimal_strings(self, capsys, tmp_path):
+        f = tmp_path / "gf.json"
+        f.write_text('{"num": [1, "-1", "0", 0], "den": [[1, "1"]]}')
+        assert run(capsys, "series", "--file", str(f), "--order", "3") == (
+            0, "[1, 0, 0, 0]\n", "")
+
     def test_negative_order(self, capsys):
         code, _, err = run(
             capsys, "series", "--family", "path:3", "--order", "-1"

@@ -262,6 +262,25 @@ class TestIntegerPointTransform:
         )
         assert again == ipt
 
+    @pytest.mark.parametrize("data,message", [
+        ({"numerator": [["0"]], "denominator": [{"ray": ["1"], "mult": "0"}]},
+         "denominator[0].mult must be positive, got 0"),
+        ({"numerator": [["0"]], "denominator": [{"ray": ["1"], "mult": True}]},
+         "denominator[0].mult must be an integer or a decimal string, got True"),
+        ({"numerator": [["0"]], "denominator": [{"ray": "1", "mult": "1"}]},
+         "denominator[0] must be a JSON object with a list 'ray'"),
+        ({"numerator": [["0"]], "denominator": [["1"]]},
+         "denominator[0] must be a JSON object with a list 'ray'"),
+        ({"numerator": [[0.0]], "denominator": [{"ray": ["1"], "mult": "1"}]},
+         "numerator[0][0] must be an integer or a decimal string, got 0.0"),
+        ({"denominator": []}, "the top level must be a JSON object with a list 'numerator'"),
+        ([], "the top level must be a JSON object with a list 'denominator'"),
+    ])
+    def test_json_reader_is_strict(self, data, message):
+        with pytest.raises(ValueError) as info:
+            IntegerPointTransform.from_json_dict(data)
+        assert str(info.value) == message
+
     def test_repeated_rays_merge_in_json(self):
         t = IntegerPointTransform([(0,)], [(2,), (2,), (3,)])
         data = t.to_json_dict()
