@@ -94,6 +94,7 @@ def _add_graph_options(p: argparse.ArgumentParser) -> None:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on the first call and shared: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="lapcomp",
         description="Exact generating functions and lattice-point counts "

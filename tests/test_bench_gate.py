@@ -1,4 +1,4 @@
-"""The benchmark's own correctness gate, on its tiny `cone_listing` workload.
+"""The benchmark's own correctness gate, on its tiny workloads.
 
 `perfbench/` is only imported: its `workloads` module writes the inputs and
 its `checks.verify` judges each query's output by routes of its own.
@@ -32,6 +32,17 @@ def test_cone_listing_passes_the_gate(perfbench, capsys, tmp_path, seed):
         rc = main(list(q.argv))
         captured = capsys.readouterr()
         assert checks.verify(q, rc, captured.out, captured.err) is None, q.argv
+
+
+def test_every_tiny_workload_passes_the_gate(perfbench, capsys, tmp_path):
+    # One process runs all four workloads one query after another, as a
+    # benchmark worker does, so one argument parser serves every command.
+    workloads, checks = perfbench
+    for name in workloads.WORKLOADS:
+        for q in workloads.build(name, 1, str(tmp_path), tiny=True):
+            rc = main(list(q.argv))
+            captured = capsys.readouterr()
+            assert checks.verify(q, rc, captured.out, captured.err) is None, q.argv
 
 
 def test_gate_rejects_a_wrong_listing(perfbench, capsys, tmp_path):

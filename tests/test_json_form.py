@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from lapcomp.cli import main
 from lapcomp.cone_engine import (
     IntegerPointTransform,
     UnivariateRationalGF,
@@ -333,3 +334,47 @@ class TestJsonForm:
     def test_idempotent(self, name):
         form = PINNED[name][0]().to_json_dict()
         assert _json_form(form) == form
+
+
+CLI_JSON = [
+    ["gf", "--family", "cycle:4"],
+    ["gf", "--family", "cycle:4", "--spec", "total"],
+    ["series", "--family", "leafed_cycle:3", "--order", "5"],
+    ["check", "cyclic", "3", "4"],
+    ["check", "near_symmetry", "2"],
+    ["check", "reflexive", "3"],
+    ["check", "reflexive", "4"],
+    ["check", "tree_equivalence", "1", "2"],
+    ["ehrhart", "3"],
+    ["ehrhart", "4", "--normal-m", "0"],
+    ["fpp", "--family", "cycle:4"],
+    ["tree-inverse", "--family", "path:4"],
+]
+
+
+def json_numbers(text):
+    """Every number literal in a JSON document."""
+    found = []
+    json.loads(text, parse_int=found.append, parse_float=found.append,
+               parse_constant=found.append)
+    return found
+
+
+@pytest.mark.parametrize("argv", CLI_JSON, ids=" ".join)
+def test_cli_json_has_no_numbers(capsys, argv):
+    assert main(argv + ["--json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out) and json_numbers(out) == []
+
+
+def test_series_file_json_has_no_numbers(capsys, tmp_path):
+    f = tmp_path / "gf.json"
+    assert main(["gf", "--family", "kary:2,2", "--spec", "first", "--json"]) == 0
+    f.write_text(capsys.readouterr().out)
+    assert main(["series", "--file", str(f), "--order", "6", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["order"] == "6" and json_numbers(out) == []
+
+
+def test_json_numbers_finds_every_number():
+    assert json_numbers('[1, "2", true, null, {"a": -0.5, "b": NaN}]') == ["1", "-0.5", "NaN"]
