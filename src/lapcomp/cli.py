@@ -15,8 +15,8 @@ Subcommands:
 Exit codes: 0 for a completed run, including negative findings from
 conjecture checks; 1 when a theorem-level identity fails; 2 for usage,
 parse, or budget errors.  ``LAPCOMP_BUDGET`` overrides the built-in
-enumeration budget; ``--budget`` overrides both.  All integers in JSON
-output are decimal strings.
+enumeration budget; ``--budget`` overrides both, and each is read in
+decimal digits only.  All integers in JSON output are decimal strings.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .cone_engine import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     UnivariateRationalGF,
+    _is_decimal,
     _json_form,
     _lex_walk,
     cone_from_constraints,
@@ -69,10 +70,17 @@ class _TheoremViolation(Exception):
     """A theorem-level identity failed; the run exits with status 1."""
 
 
+def _budget_option(text: str) -> int:
+    """The value of `--budget`, read by the same rule as LAPCOMP_BUDGET."""
+    if not _is_decimal(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _add_output_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true",
                    help="emit JSON instead of text")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_budget_option, default=None,
                    help="enumeration budget cap (default: LAPCOMP_BUDGET "
                         f"or {DEFAULT_BUDGET})")
     p.add_argument("--threads", type=int, default=1,
@@ -103,6 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gf = sub.add_parser("gf", help="generating function of a minor cone")
+    p_gf.set_defaults(run=_cmd_gf)
     _add_graph_options(p_gf)
     p_gf.add_argument("--spec", choices=sorted(_SPEC_MODES),
                       help="specialize to one variable: 'total' grades by "
@@ -110,6 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_options(p_gf)
 
     p_series = sub.add_parser("series", help="power-series coefficients")
+    p_series.set_defaults(run=_cmd_series)
     p_series.add_argument("--family", metavar="NAME:PARAMS",
                           help="compute the generating function from a "
                                "built-in family first")
@@ -128,15 +138,15 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_options(p_series)
 
     p_check = sub.add_parser("check", help="run a verification pipeline")
-    p_check.add_argument("target",
-                         choices=["cyclic", "near_symmetry", "reflexive",
-                                  "tree_equivalence"])
+    p_check.set_defaults(run=_cmd_check)
+    p_check.add_argument("target", choices=list(_CHECKS))
     p_check.add_argument("params", nargs="*", type=int,
                          help="cyclic: N M_MAX; near_symmetry: K; "
                               "reflexive: N; tree_equivalence: SEED COUNT")
     _add_output_options(p_check)
 
     p_ehr = sub.add_parser("ehrhart", help="slice-simplex report")
+    p_ehr.set_defaults(run=_cmd_ehrhart)
     p_ehr.add_argument("n", type=int, help="leafed cycle length")
     p_ehr.add_argument("--normal-m", type=int, default=2,
                        help="largest dilate for the normality probe "
@@ -144,11 +154,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_options(p_ehr)
 
     p_fpp = sub.add_parser("fpp", help="parallelepiped lattice points")
+    p_fpp.set_defaults(run=_cmd_fpp)
     _add_graph_options(p_fpp)
     _add_output_options(p_fpp)
 
     p_ti = sub.add_parser("tree-inverse",
                           help="combinatorial minor inverse of a tree")
+    p_ti.set_defaults(run=_cmd_tree_inverse)
     _add_graph_options(p_ti)
     _add_output_options(p_ti)
 
@@ -162,12 +174,9 @@ def _effective_budget(args) -> int:
         return args.budget
     env = os.environ.get("LAPCOMP_BUDGET")
     if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(
-                f"LAPCOMP_BUDGET must be an integer, got {env!r}"
-            ) from None
+        if not _is_decimal(env):
+            raise ValueError(f"LAPCOMP_BUDGET must be an integer, got {env!r}")
+        value = int(env)
         if value < 1:
             raise ValueError("LAPCOMP_BUDGET must be positive")
         return value
@@ -430,21 +439,11 @@ def _cmd_tree_inverse(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "gf": _cmd_gf,
-    "series": _cmd_series,
-    "check": _cmd_check,
-    "ehrhart": _cmd_ehrhart,
-    "fpp": _cmd_fpp,
-    "tree-inverse": _cmd_tree_inverse,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check_threads(args)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except BudgetExceededError as exc:
         print(f"error: budget exhausted: {exc}", file=sys.stderr)
         return 2
@@ -454,7 +453,7 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"error: internal identity failed: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -174,12 +174,18 @@ def _json_form(value):
     return [_json_form(v) for v in value]
 
 
+def _is_decimal(text) -> bool:
+    """Whether `text` is the package's one spelling of an integer: a str
+    matching -?[0-9]+, so "1_0", " 3", "+5" and non-ASCII digits are not."""
+    return isinstance(text, str) and re.fullmatch("-?[0-9]+", text) is not None
+
+
 def _integer(value, where: str) -> int:
-    """Strict inverse of `_json_form` for one integer: a string matching
-    -?[0-9]+ or a JSON integer that is not a bool.  Anything else, such as
-    1.5, true, "1_0" or " 3", is a ValueError naming the field `where`."""
-    if isinstance(value, str) and re.fullmatch("-?[0-9]+", value) or (
-            isinstance(value, int) and not isinstance(value, bool)):
+    """Strict inverse of `_json_form` for one integer: a string that
+    `_is_decimal` accepts or a JSON integer that is not a bool.  Anything
+    else, such as 1.5, true, "1_0" or " 3", is a ValueError naming the
+    field `where`."""
+    if _is_decimal(value) or isinstance(value, int) and not isinstance(value, bool):
         return int(value)
     raise ValueError(f"{where} must be an integer or a decimal string, got {value!r}")
 
@@ -613,7 +619,7 @@ def _first_coordinate_bounds(R: IntegerMatrix, value: int) -> list[int]:
 
 def _box_points(rows: Sequence[Sequence[int]], rhs: Sequence[int],
                 lows: Sequence[int], highs: Sequence[int],
-                budget: int) -> list[tuple[int, ...]]:
+                budget: Optional[int] = None) -> list[tuple[int, ...]]:
     """Integer points x of the box lows <= x <= highs with row.x >= rhs for
     every row, in lexicographic order.
 
@@ -623,6 +629,7 @@ def _box_points(rows: Sequence[Sequence[int]], rhs: Sequence[int],
     empty interval prunes the prefix, and the last level emits its
     interval without scanning it.
     """
+    budget = DEFAULT_BUDGET if budget is None else budget
     size = math.prod(h - l + 1 for l, h in zip(lows, highs))
     if size > budget:
         raise BudgetExceededError(
@@ -676,8 +683,6 @@ def brute_force_count(A: IntegerMatrix,
     scans the box [0, bounds] with the statistic w.x = value written as
     the two rows w.x >= value and -w.x >= -value.
     """
-    if budget is None:
-        budget = DEFAULT_BUDGET
     if value < 0:
         raise ValueError("statistic value must be nonnegative")
     n = A.rows

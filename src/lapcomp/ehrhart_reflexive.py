@@ -28,7 +28,9 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
-from .cone_engine import DEFAULT_BUDGET, _box_points, _json_form, _numerator
+from .cone_engine import (
+    _box_points, _json_form, _numerator, _one_minus_q_power, _poly_mul,
+)
 from .cycle_families import _leafed_minor_pair
 from .exact_linalg import IntegerMatrix, adjugate_pair, determinant
 from .graph_core import laplacian_minor, leafed_cycle_graph
@@ -53,14 +55,15 @@ __all__ = [
 class LatticeSimplex:
     """A full-dimensional lattice simplex, given by its vertices.
 
-    `source_n` records, when applicable, that the simplex is the height-n
-    slice of a leafed n-cycle cone; counting routines use that to switch
-    to the digit-vector formulas.
+    `source_n` records that the simplex is the height-n slice of a leafed
+    n-cycle cone; counting routines use that to switch to the digit-vector
+    formulas.  Only `build_slice_simplex` sets it, so a simplex built from
+    bare vertices is always counted by the box scan.
     """
 
     __slots__ = ("_dimension", "_vertices", "_source_n", "_strata")
 
-    def __init__(self, dimension, vertices, source_n=None):
+    def __init__(self, dimension, vertices):
         vertices = tuple(tuple(v) for v in vertices)
         if dimension < 1:
             raise ValueError("dimension must be at least 1")
@@ -76,7 +79,7 @@ class LatticeSimplex:
                 raise ValueError("vertices must have integer entries")
         self._dimension = dimension
         self._vertices = vertices
-        self._source_n = source_n
+        self._source_n = None
         self._strata = None
         if determinant(self.edge_matrix()) == 0:
             raise ValueError("vertices are affinely dependent")
@@ -124,8 +127,9 @@ def build_slice_simplex(n: int) -> LatticeSimplex:
     _, r = _leafed_minor_pair(n)
     if any(r[0, j] != n for j in range(n)):
         raise ArithmeticError("top row of the scaled inverse is not constant n")
-    vertices = tuple(tuple(r[i, j] for i in range(1, n)) for j in range(n))
-    return LatticeSimplex(n - 1, vertices, source_n=n)
+    simplex = LatticeSimplex(n - 1, [[r[i, j] for i in range(1, n)] for j in range(n)])
+    simplex._source_n = n
+    return simplex
 
 
 def interior_point(n: int):
@@ -223,8 +227,7 @@ def _scan_dilate(s: LatticeSimplex, t: int, budget: Optional[int],
     rhs[-1] -= t * d
     lows = [min(t * v[i] for v in s.vertices) for i in range(s.dimension)]
     highs = [max(t * v[i] for v in s.vertices) for i in range(s.dimension)]
-    return _box_points(rows, rhs, lows, highs,
-                       DEFAULT_BUDGET if budget is None else budget)
+    return _box_points(rows, rhs, lows, highs, budget)
 
 
 def dilate_points(s: LatticeSimplex, t: int, budget: Optional[int] = None
@@ -318,17 +321,15 @@ def _is_unimodal(seq: Sequence[int]) -> bool:
 
 def h_star(s: LatticeSimplex, budget: Optional[int] = None) -> HStarData:
     """h*-vector by finite differences of the first D+1 dilate counts:
-    h*_j = sum_i (-1)^i C(D+1, i) L(j-i).
+    h*_j = sum_i (-1)^i C(D+1, i) L(j-i), the coefficient of q^j in
+    (1 - q)^(D+1) * sum_t L(t) q^t.
 
     Nonnegativity of every entry is a theorem for lattice polytopes, so a
     negative entry here means inconsistent counts and raises.
     """
     dim = s.dimension
     counts = tuple(dilate_count(s, t, budget=budget) for t in range(dim + 1))
-    h = [
-        sum((-1) ** i * math.comb(dim + 1, i) * counts[j - i] for i in range(j + 1))
-        for j in range(dim + 1)
-    ]
+    h = _poly_mul(counts, _one_minus_q_power(1, dim + 1))[:dim + 1]
     if h[0] != 1 or any(e < 0 for e in h):
         raise ArithmeticError(f"inconsistent dilate counts: h* = {h}")
     cert = None

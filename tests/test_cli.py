@@ -4,6 +4,7 @@ Everything runs in-process through ``main(argv)`` so exit codes and
 stdout/stderr can be asserted exactly.
 """
 
+import argparse
 import json
 import random
 
@@ -20,7 +21,8 @@ from lapcomp import (
     series_expand,
     specialize,
 )
-from lapcomp.cli import _build_parser, main
+from lapcomp import cli
+from lapcomp.cli import _CHECKS, _build_parser, main
 from lapcomp.graph_core import family_from_string
 
 
@@ -558,6 +560,18 @@ class TestBudgetsAndThreads:
         code, _, err = run(capsys, "fpp", "--family", "cycle:3", "--minor", "0")
         assert code == 2 and "positive" in err
 
+    @pytest.mark.parametrize("value", ["1_0", " 1_0", "+5", "5 ", "\u0661\u0660"])
+    def test_budget_is_decimal_digits_only(self, capsys, monkeypatch, value):
+        argv = ["fpp", "--family", "cycle:4", "--minor", "0"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--budget", value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --budget: invalid int value: {value!r}\n")
+        monkeypatch.setenv("LAPCOMP_BUDGET", value)
+        assert run(capsys, *argv) == (
+            2, "", f"error: LAPCOMP_BUDGET must be an integer, got {value!r}\n")
+
     def test_threads_accepted_but_validated(self, capsys):
         code, out, _ = run(
             capsys, "series", "--family", "path:3", "--order", "3",
@@ -580,3 +594,22 @@ class TestParser:
         parser.parse_args(["fpp", "--family", "path:3", "--json", "--budget", "7"])
         args = parser.parse_args(["fpp", "--family", "path:3"])
         assert (args.json, args.budget, args.threads) == (False, None, 1)
+
+    def test_every_subcommand_binds_its_handler(self):
+        (commands,) = [action.choices for action in _build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        assert list(commands) == ["gf", "series", "check", "ehrhart", "fpp",
+                                  "tree-inverse"]
+        for subparser in commands.values():
+            assert callable(subparser.get_default("run"))
+        (target,) = [action for action in commands["check"]._actions
+                     if action.dest == "target"]
+        assert target.choices == list(_CHECKS)
+
+    def test_internal_key_error_is_not_a_usage_error(self, monkeypatch):
+        def broken(text):
+            raise KeyError("x")
+
+        monkeypatch.setattr(cli, "family_from_string", broken)
+        with pytest.raises(KeyError):
+            main(["fpp", "--family", "path:3"])

@@ -64,6 +64,16 @@ class TestLatticeSimplex:
     def test_generic_simplex_has_no_source(self):
         assert UNIT_TRIANGLE.source_n is None
 
+    def test_only_slices_are_counted_by_digits(self):
+        # The n = 3 slice doubled: the slice's digit formula would give
+        # [1, 4, 10, 19] for it.
+        doubled = [(6, 6), (10, 8), (8, 10)]
+        with pytest.raises(TypeError):
+            LatticeSimplex(2, doubled, source_n=3)
+        s = LatticeSimplex(2, doubled)
+        assert s.source_n is None
+        assert [dilate_count(s, t) for t in range(4)] == [1, 10, 31, 64]
+
 
 class TestSliceSimplex:
     def test_three(self):
