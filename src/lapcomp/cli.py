@@ -16,7 +16,8 @@ Exit codes: 0 for a completed run, including negative findings from
 conjecture checks; 1 when a theorem-level identity fails; 2 for usage,
 parse, or budget errors.  ``LAPCOMP_BUDGET`` overrides the built-in
 enumeration budget; ``--budget`` overrides both, and each is read in
-decimal digits only.  All integers in JSON output are decimal strings.
+decimal digits only, like every other integer option and argument.
+All integers in JSON output are decimal strings.
 """
 
 from __future__ import annotations
@@ -70,8 +71,10 @@ class _TheoremViolation(Exception):
     """A theorem-level identity failed; the run exits with status 1."""
 
 
-def _budget_option(text: str) -> int:
-    """The value of `--budget`, read by the same rule as LAPCOMP_BUDGET."""
+def _int_option(text: str) -> int:
+    """An integer option or argument, read by the same rule as
+    LAPCOMP_BUDGET (`_is_decimal`), with argparse's own message for a
+    value it refuses."""
     if not _is_decimal(text):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     return int(text)
@@ -80,10 +83,10 @@ def _budget_option(text: str) -> int:
 def _add_output_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true",
                    help="emit JSON instead of text")
-    p.add_argument("--budget", type=_budget_option, default=None,
+    p.add_argument("--budget", type=_int_option, default=None,
                    help="enumeration budget cap (default: LAPCOMP_BUDGET "
                         f"or {DEFAULT_BUDGET})")
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=_int_option, default=1,
                    help="worker threads; accepted for compatibility, output "
                         "is identical for any value")
 
@@ -95,7 +98,7 @@ def _add_graph_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--file", metavar="PATH",
                    help="edge-list file: first line is the vertex count, "
                         "then one 'u v' pair per line; '#' comments allowed")
-    p.add_argument("--minor", type=int, default=None, metavar="V",
+    p.add_argument("--minor", type=_int_option, default=None, metavar="V",
                    help="vertex whose Laplacian minor to take "
                         "(default: the last vertex)")
 
@@ -123,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--family", metavar="NAME:PARAMS",
                           help="compute the generating function from a "
                                "built-in family first")
-    p_series.add_argument("--minor", type=int, default=None, metavar="V",
+    p_series.add_argument("--minor", type=_int_option, default=None, metavar="V",
                           help="minor vertex used with --family "
                                "(default: the last vertex)")
     p_series.add_argument("--spec", choices=sorted(_SPEC_MODES),
@@ -133,22 +136,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--file", metavar="PATH",
                           help="JSON file holding a univariate generating "
                                "function (as emitted by gf --spec ... --json)")
-    p_series.add_argument("--order", type=int, required=True,
+    p_series.add_argument("--order", type=_int_option, required=True,
                           help="highest power to expand to")
     _add_output_options(p_series)
 
     p_check = sub.add_parser("check", help="run a verification pipeline")
     p_check.set_defaults(run=_cmd_check)
     p_check.add_argument("target", choices=list(_CHECKS))
-    p_check.add_argument("params", nargs="*", type=int,
+    p_check.add_argument("params", nargs="*", type=_int_option,
                          help="cyclic: N M_MAX; near_symmetry: K; "
                               "reflexive: N; tree_equivalence: SEED COUNT")
     _add_output_options(p_check)
 
     p_ehr = sub.add_parser("ehrhart", help="slice-simplex report")
     p_ehr.set_defaults(run=_cmd_ehrhart)
-    p_ehr.add_argument("n", type=int, help="leafed cycle length")
-    p_ehr.add_argument("--normal-m", type=int, default=2,
+    p_ehr.add_argument("n", type=_int_option, help="leafed cycle length")
+    p_ehr.add_argument("--normal-m", type=_int_option, default=2,
                        help="largest dilate for the normality probe "
                             "(0 skips it; default 2)")
     _add_output_options(p_ehr)

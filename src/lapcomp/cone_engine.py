@@ -3,8 +3,11 @@
 A cone is given by an invertible integer constraint matrix A as
 C = {x : A x >= 0}.  With d = |det A| and R = d * A^{-1}, the columns of R
 are integral ray generators, and the half-open parallelepiped they span
-contains exactly d**(n-1) lattice points.  Those points form the numerator
-of the integer point transform
+contains exactly d**(n-1) lattice points.  A cone is built with d alone;
+R is solved for on first read, so a query refused on its d**(n-1) charge
+never builds it, and a unimodular cone (d = 1, as for a tree minored
+anywhere) gets its specialized gf from one solve instead.  The
+parallelepiped points form the numerator of the integer point transform
 
     sigma_C(z) = (sum over parallelepiped points w of z^w)
                  / prod over ray columns v of (1 - z^v),
@@ -29,7 +32,9 @@ from collections import Counter
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Literal, Optional, Sequence
 
-from .exact_linalg import IntegerMatrix, adjugate_pair
+from .exact_linalg import (
+    IntegerMatrix, SingularMatrixError, adjugate_pair, determinant, scaled_solve,
+)
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -60,14 +65,28 @@ class BudgetExceededError(RuntimeError):
 
 
 class SimplicialCone:
-    """Constraint matrix A, determinant magnitude d, ray matrix R = d*A^{-1}."""
+    """Constraint matrix A, determinant magnitude d, ray matrix R = d*A^{-1}.
 
-    __slots__ = ("A", "d", "R")
+    R is built on first read, by `adjugate_pair`, and must come with the
+    same d; a query that refuses on d alone never builds it.  A given R is
+    taken as it is.
+    """
 
-    def __init__(self, A: IntegerMatrix, d: int, R: IntegerMatrix):
+    __slots__ = ("A", "d", "_R")
+
+    def __init__(self, A: IntegerMatrix, d: int, R: Optional[IntegerMatrix] = None):
         self.A = A
         self.d = d
-        self.R = R
+        self._R = R
+
+    @property
+    def R(self) -> IntegerMatrix:
+        if self._R is None:
+            d, R = adjugate_pair(self.A)
+            if d != self.d:
+                raise ArithmeticError(f"ray matrix has d = {d}, the cone d = {self.d}")
+            self._R = R
+        return self._R
 
     @property
     def dimension(self) -> int:
@@ -328,11 +347,13 @@ def polynomial_string(coeffs: Sequence[int], var: str = "q") -> str:
 
 
 def cone_from_constraints(A: IntegerMatrix) -> SimplicialCone:
-    """Cone {x : Ax >= 0} for invertible A."""
+    """Cone {x : Ax >= 0} for invertible A, with d = |det A| only."""
     if not A.is_square:
         raise ValueError("constraint matrix must be square")
-    d, R = adjugate_pair(A)
-    return SimplicialCone(A, d, R)
+    d = abs(determinant(A))
+    if d == 0:
+        raise SingularMatrixError("matrix is singular")
+    return SimplicialCone(A, d)
 
 
 def _column_hermite(A: IntegerMatrix) -> list[list[int]]:
@@ -577,12 +598,17 @@ def specialized_gf(cone: SimplicialCone, mode: Literal["total", "first_coordinat
 
     With s = w^T R for the mode's form w, the point lam = R*c/d has exponent
     s.c/d and ray j has s_j.  The budget is still charged d**(n-1) points.
+    With d = 1 the apex is the one point and s = A^-T w is one solve, so R
+    is never built; with d > 1 the DP needs R, and s is read off it.
     """
     w = _mode_weights(mode, cone.dimension)
-    s = [sum(map(mul, w, col)) for col in cone.rays()]
     if cone.d == 1:
-        return _univariate({0: 1}, s)
+        d, s = scaled_solve(cone.A.transpose(), IntegerMatrix([x] for x in w))
+        if d != 1:
+            raise ArithmeticError(f"solve has d = {d}, the cone d = 1")
+        return _univariate({0: 1}, s.column(0))
     _charge_points(cone, budget)
+    s = [sum(map(mul, w, col)) for col in cone.rays()]
     return _univariate(_numerator(cone.R, cone.d, s), s)
 
 

@@ -1,21 +1,26 @@
 """Exact dense linear algebra over the integers.
 
-Both routines use fraction-free (Bareiss) elimination: `determinant` runs
-the forward pass only, and `adjugate_pair` runs the Gauss-Jordan pass over
-`[A | I]`, which leaves d * A^-1 in the right block.  Every intermediate
-value is an integer minor of the input, so no precision is ever lost and
-no rational arithmetic is needed.  Nothing in this module (or anywhere else
-in the package) touches floating point.
+One elimination kernel serves every routine: a fraction-free (Bareiss)
+forward pass over `[m | B]`, in which each division is exact and still
+checked for a remainder.  `determinant` runs it over m alone.
+`scaled_solve(m, B)` adds a fraction-free back substitution and returns
+(d, d * m^-1 * B) with d = |det m|; `adjugate_pair(m)` is
+`scaled_solve(m, I)`.  Every intermediate value is an integer, a minor of
+the input or an entry of the scaled solution, so no precision is ever lost
+and no rational arithmetic is needed.  Nothing in this module (or anywhere
+else in the package) touches floating point.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Sequence
 
 __all__ = [
     "IntegerMatrix",
     "SingularMatrixError",
     "determinant",
+    "scaled_solve",
     "adjugate_pair",
 ]
 
@@ -24,10 +29,13 @@ class SingularMatrixError(ValueError):
     """Raised when an operation needs an invertible matrix and det = 0."""
 
 
-def _check_int(x):
-    if isinstance(x, int):
-        return x
-    raise TypeError(f"integer matrix entry {x!r} is not an int")
+def _int_row(row: Iterable[int]) -> tuple:
+    """The row as a tuple, checked to hold ints only."""
+    r = tuple(row)
+    if not all(map(isinstance, r, repeat(int))):
+        bad = next(x for x in r if not isinstance(x, int))
+        raise TypeError(f"integer matrix entry {bad!r} is not an int")
+    return r
 
 
 class IntegerMatrix:
@@ -39,7 +47,7 @@ class IntegerMatrix:
         data = []
         width = None
         for row in rows:
-            r = tuple(_check_int(x) for x in row)
+            r = _int_row(row)
             if width is None:
                 width = len(r)
             elif len(r) != width:
@@ -125,68 +133,107 @@ class IntegerMatrix:
         return IntegerMatrix([[k * x for x in row] for row in self._data])
 
 
-def determinant(m: IntegerMatrix) -> int:
-    """Exact determinant by Bareiss fraction-free elimination.
+def _exact_quotients(values: Iterable[int], divisor: int) -> list[int]:
+    """values[i] / divisor for each value, each by a `divmod` whose
+    remainder must be 0."""
+    out = []
+    for x in values:
+        q, r = divmod(x, divisor)
+        if r:
+            raise ArithmeticError("Bareiss division left a remainder")
+        out.append(q)
+    return out
 
-    Every division below is exact, which keeps intermediate entries at the
-    size of (n-1)x(n-1) minors instead of growing exponentially.
+
+def _eliminate(rows: list[list[int]], n: int) -> tuple[int, list[list[int]]]:
+    """Bareiss forward pass over [m | B], given as the n lists `rows`.
+
+    Step k picks the first row at or below k with a nonzero entry in
+    column k, swaps it up, and replaces each row below by
+    (pivot * row - f * pivot row) / p, with p the pivot before.
+    Sylvester's identity makes that division exact (Bareiss, Math. Comp.
+    1968): every entry is a minor of [m | B].  A row with f = 0 would only
+    be scaled by pivot / p, so it is left as it is and keeps the p it
+    divides by next: the scalings telescope, so its next update, or its
+    catch-up when it becomes the pivot row, is one exact division by that
+    p.  Every division is a `divmod` whose remainder is checked.  A
+    finished pivot row drops its pivot column, so row k of `upper` starts
+    with its pivot and ends with its part of B.
+
+    Returns (D, upper), where D is det m: the last pivot times the sign
+    of the row swaps.  A singular m gives D = 0 and stops the pass.
     """
+    sign, prev = 1, 1
+    divisors = [1] * n
+    upper = []
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][0]), None)
+        if p is None:
+            return 0, upper
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            divisors[k], divisors[p] = divisors[p], divisors[k]
+            sign = -sign
+        if divisors[k] != prev:
+            rows[k] = _exact_quotients([x * prev for x in rows[k]], divisors[k])
+        pivot, *tail = rows[k]
+        upper.append(rows[k])
+        for i in range(k + 1, n):
+            row = rows[i]
+            f = row[0]
+            if f:
+                rows[i] = _exact_quotients(
+                    [pivot * x - f * y for x, y in zip(row[1:], tail)], divisors[i])
+                divisors[i] = pivot
+            else:
+                rows[i] = row[1:]
+        prev = pivot
+    return sign * prev, upper
+
+
+def determinant(m: IntegerMatrix) -> int:
+    """Exact determinant: the forward pass of `_eliminate` over m alone."""
     if not m.is_square:
         raise ValueError("determinant of a non-square matrix")
+    return _eliminate(m.to_lists(), m.rows)[0]
+
+
+def scaled_solve(m: IntegerMatrix, B: IntegerMatrix) -> tuple[int, IntegerMatrix]:
+    """Return (d, X) with d = |det m| > 0 and X = d * m^{-1} * B integral.
+
+    One forward pass over [m | B] leaves the upper triangle U with pivots
+    p_i and the rows b'_i of B, and U*X = d*b' still holds.  Back
+    substitution takes X_i = (d*b'_i - sum_{j>i} U_ij*X_j) / p_i from the
+    last row up; each X_i is a row of the integral d * m^{-1} * B, so every
+    division is exact, and each is a remainder-checked `divmod`.
+    """
+    if not m.is_square:
+        raise ValueError("solve with a non-square matrix")
     n = m.rows
-    a = m.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    if B.rows != n:
+        raise ValueError(f"right-hand side has {B.rows} rows, matrix has {n}")
+    D, upper = _eliminate([list(r) + list(b) for r, b in zip(m, B)], n)
+    if D == 0:
+        raise SingularMatrixError("matrix is singular")
+    d = abs(D)
+    X = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = upper[i]
+        acc = [d * b for b in row[n - i:]]
+        for j in range(i + 1, n):
+            c = row[j - i]
+            if c:
+                acc = [a - c * x for a, x in zip(acc, X[j])]
+        X[i] = _exact_quotients(acc, row[0])
+    return d, IntegerMatrix(X)
 
 
 def adjugate_pair(m: IntegerMatrix) -> tuple[int, IntegerMatrix]:
     """Return (d, R) with d = |det m| > 0 and R = d * m^{-1} integral.
 
     R satisfies m @ R = d * I exactly; its columns generate the ray lattice
-    used throughout the cone machinery.  One Bareiss Gauss-Jordan pass over
-    [m | I] clears each pivot column above and below the pivot; the row
-    swaps act on both blocks, so the pass ends at [D * I | D * m^{-1}] with
-    D = +-det m the last pivot.  Each step drops its finished pivot column,
-    so a row ends as its n right-block entries.
+    used throughout the cone machinery.  It is `scaled_solve(m, I)`.
     """
     if not m.is_square:
         raise ValueError("adjugate of a non-square matrix")
-    n = m.rows
-    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
-    prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if rows[i][0]), None)
-        if p is None:
-            raise SingularMatrixError("matrix is singular")
-        rows[k], rows[p] = rows[p], rows[k]
-        pivot, *tail = rows[k]
-        for i, row in enumerate(rows):
-            if i == k:
-                rows[i] = tail
-                continue
-            f = row[0]
-            qr = [divmod(pivot * x - f * y, prev) for x, y in zip(row[1:], tail)]
-            if any(r for _, r in qr):
-                # Cannot happen: Sylvester's identity makes each division exact.
-                raise ArithmeticError("Bareiss division left a remainder")
-            rows[i] = [q for q, _ in qr]
-        prev = pivot
-    if prev < 0:
-        rows = [[-x for x in row] for row in rows]
-    return abs(prev), IntegerMatrix(rows)
+    return scaled_solve(m, IntegerMatrix.identity(m.rows))

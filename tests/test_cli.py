@@ -14,6 +14,7 @@ from lapcomp import (
     UnivariateRationalGF,
     cone_engine,
     cone_from_constraints,
+    exact_linalg,
     fpp_points,
     integer_point_transform,
     laplacian_minor,
@@ -444,6 +445,43 @@ class TestStreamedSpecialization:
         assert (code, out, err) == (2, "", BUDGET_ERROR)
 
 
+def graph_text(n, extra, seed):
+    """A connected graph on n vertices in the `--file` format: a random
+    tree, in which vertex n - 1 is a leaf, plus `extra` other edges."""
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    free = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    edges |= set(rng.sample(free, extra))
+    return f"{n}\n" + "".join(f"{u} {v}\n" for u, v in sorted(edges))
+
+
+class TestRaysOnDemand:
+    """A tree's specialized gf needs d = 1 and one solve, and a refusal
+    needs d alone: none of them may build the ray matrix R."""
+
+    def test_same_output_without_the_adjugate(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.delenv("LAPCOMP_BUDGET", raising=False)
+        tree, dense = tmp_path / "tree.txt", tmp_path / "dense.txt"
+        tree.write_text(graph_text(28, 0, 1))
+        dense.write_text(graph_text(26, 8, 2))
+        argvs = [["gf", "--file", str(tree), "--spec", spec] + ["--json"] * as_json
+                 for spec in ("total", "first") for as_json in (False, True)]
+        argvs += [[command, *source] + spec
+                  for source in (["--file", str(dense)], ["--family", "complete:6"])
+                  for command, spec in (("gf", []), ("gf", ["--spec", "total"]),
+                                        ("fpp", []))]
+        expected = [run(capsys, *argv) for argv in argvs]
+        assert [code for code, _, _ in expected] == [0] * 4 + [2] * 6
+        assert all("budget exhausted" in err for _, _, err in expected[4:])
+
+        def no_rays(m):
+            raise AssertionError("the ray matrix was built")
+
+        monkeypatch.setattr(cone_engine, "adjugate_pair", no_rays)
+        monkeypatch.setattr(exact_linalg, "adjugate_pair", no_rays)
+        assert [run(capsys, *argv) for argv in argvs] == expected
+
+
 def fpp_text(points):
     lines = [f"determinant {points.d}, {len(points)} lattice points"]
     lines += [f"digits {list(c)} -> point {list(lam)}" for c, lam in points]
@@ -571,6 +609,41 @@ class TestBudgetsAndThreads:
         monkeypatch.setenv("LAPCOMP_BUDGET", value)
         assert run(capsys, *argv) == (
             2, "", f"error: LAPCOMP_BUDGET must be an integer, got {value!r}\n")
+
+    # Each integer option or argument, with {} where its value goes, and
+    # the name argparse gives it.
+    INTEGER_OPTIONS = [
+        (["series", "--family", "path:3", "--order", "{}"], "--order"),
+        (["series", "--family", "path:3", "--order", "2", "--minor", "{}"], "--minor"),
+        (["gf", "--family", "path:3", "--minor", "{}"], "--minor"),
+        (["fpp", "--family", "path:3", "--threads", "{}"], "--threads"),
+        (["ehrhart", "{}"], "n"),
+        (["ehrhart", "3", "--normal-m", "{}"], "--normal-m"),
+        (["check", "cyclic", "3", "{}"], "params"),
+        (["check", "near_symmetry", "{}"], "params"),
+    ]
+
+    @pytest.mark.parametrize("value", ["1_0", " 3", "+4", "\u0663", "3 ", "abc"])
+    @pytest.mark.parametrize("argv,name", INTEGER_OPTIONS)
+    def test_integers_are_decimal_digits_only(self, capsys, argv, name, value):
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(value) for a in argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f": error: argument {name}: invalid int value: {value!r}\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["series", "--family", "path:3", "--order", "-1"],
+         "order must be nonnegative"),
+        (["series", "--family", "path:3", "--order", "2", "--minor", "-1"],
+         "vertex -1 out of range"),
+        (["fpp", "--family", "path:3", "--threads", "-1"],
+         "thread count must be positive"),
+        (["ehrhart", "-3"], "leafed cycles need n >= 3"),
+        (["check", "tree_equivalence", "1", "-1"], "trial count must be positive"),
+    ])
+    def test_negative_integers_reach_their_checks(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
     def test_threads_accepted_but_validated(self, capsys):
         code, out, _ = run(

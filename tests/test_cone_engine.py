@@ -18,6 +18,7 @@ from lapcomp import (
     SimplicialCone,
     SingularMatrixError,
     UnivariateRationalGF,
+    adjugate_pair,
     brute_force_count,
     build_family,
     cone_from_constraints,
@@ -59,6 +60,24 @@ class TestConeFromConstraints:
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrixError):
             cone_from_constraints(IntegerMatrix([[1, 1], [1, 1]]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_rays_built_on_demand(self, data):
+        # The cone holds d alone until R is read; R is then d * A^-1.
+        g = random_connected_graph(data)
+        A = laplacian_minor(g, data.draw(st.integers(0, g.vertex_count - 1))).matrix
+        cone = cone_from_constraints(A)
+        assert cone._R is None
+        d, R = adjugate_pair(A)
+        assert (cone.d, cone.R) == (d, R)
+        assert A @ cone.R == IntegerMatrix.identity(A.rows).scale(cone.d)
+        assert cone.R is cone.R
+
+    def test_rays_checked_against_d(self):
+        cone = SimplicialCone(CYCLE3.A, 2)
+        with pytest.raises(ArithmeticError, match="ray matrix has d = 3"):
+            cone.R
 
 
 class TestFppPoints:

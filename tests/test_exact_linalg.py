@@ -1,10 +1,17 @@
 """Tests for the exact integer matrix layer."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lapcomp import IntegerMatrix, SingularMatrixError, adjugate_pair, determinant
+from lapcomp import (
+    IntegerMatrix,
+    SingularMatrixError,
+    adjugate_pair,
+    determinant,
+    exact_linalg,
+    scaled_solve,
+)
 
 
 def cofactor_det(rows):
@@ -28,6 +35,16 @@ def square(draw_n=5):
             max_size=n,
         )
     )
+
+
+# Half the entries zero: rows whose multiplier is zero skip steps of the
+# elimination, and zero pivots force row swaps.
+SPARSE_ENTRY = st.one_of(st.just(0), st.integers(-4, 4))
+
+
+def sparse_square(draw, n):
+    return draw(st.lists(st.lists(SPARSE_ENTRY, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
 
 
 class TestConstruction:
@@ -113,12 +130,18 @@ class TestDeterminant:
         assert determinant(IntegerMatrix([[1, 2], [2, 4]])) == 0
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^determinant of a non-square matrix$"):
             determinant(IntegerMatrix([[1, 2]]))
 
     @settings(max_examples=150, deadline=None)
     @given(square())
     def test_matches_cofactor_expansion(self, rows):
+        assert determinant(IntegerMatrix(rows)) == cofactor_det(rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_sparse_determinant(self, data):
+        rows = sparse_square(data.draw, data.draw(st.integers(1, 6)))
         assert determinant(IntegerMatrix(rows)) == cofactor_det(rows)
 
     @settings(max_examples=60, deadline=None)
@@ -166,7 +189,7 @@ class TestInverse:
             adjugate_pair(IntegerMatrix([[1, 1], [1, 1]]))
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^adjugate of a non-square matrix$"):
             adjugate_pair(IntegerMatrix([[1, 2]]))
 
     @settings(max_examples=100, deadline=None)
@@ -240,3 +263,66 @@ class TestAdjugatePair:
         rows.insert(position, dependent)
         with pytest.raises(SingularMatrixError):
             adjugate_pair(IntegerMatrix(rows))
+
+
+@st.composite
+def solvable_system(draw):
+    """(m, B): m is 1x1 to 6x6 and invertible, often with a zero leading
+    pivot (m[0][0] = 0) and, through a swap of its first two rows, often
+    with a negative determinant; B has one to three columns."""
+    n = draw(st.integers(1, 6))
+    rows = sparse_square(draw, n)
+    if n > 1 and draw(st.booleans()):
+        rows[0][0] = 0
+    if n > 1 and draw(st.booleans()):
+        rows[0], rows[1] = rows[1], rows[0]
+    assume(cofactor_det(rows) != 0)
+    k = draw(st.integers(1, 3))
+    b = draw(st.lists(st.lists(st.integers(-6, 6), min_size=k, max_size=k),
+                      min_size=n, max_size=n))
+    return IntegerMatrix(rows), IntegerMatrix(b)
+
+
+class TestScaledSolve:
+    def test_example(self):
+        m = IntegerMatrix([[0, 2], [3, 1]])  # zero leading pivot, det -6
+        d, x = scaled_solve(m, IntegerMatrix([[2], [1]]))
+        assert (d, x) == (6, IntegerMatrix([[0], [6]]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(solvable_system())
+    def test_scaled_solution(self, system):
+        m, b = system
+        d, x = scaled_solve(m, b)
+        assert d == abs(cofactor_det(m.to_lists()))
+        assert m @ x == b.scale(d)
+        assert x == adjugate_pair(m)[1] @ b
+
+    @pytest.mark.parametrize("rows", [[[0]], [[1, 2], [2, 4]],
+                                      [[0, 1, 2], [0, 3, 4], [0, 5, 6]]])
+    def test_singular_raises(self, rows):
+        m = IntegerMatrix(rows)
+        with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
+            scaled_solve(m, IntegerMatrix.identity(m.rows))
+
+    def test_shape_errors(self):
+        with pytest.raises(ValueError, match="^solve with a non-square matrix$"):
+            scaled_solve(IntegerMatrix([[1, 2]]), IntegerMatrix([[1]]))
+        with pytest.raises(ValueError,
+                           match="^right-hand side has 1 rows, matrix has 2$"):
+            scaled_solve(IntegerMatrix.identity(2), IntegerMatrix([[1, 2]]))
+
+    def test_every_division_is_checked(self, monkeypatch):
+        # The divisions are exact for any integer input, so a remainder
+        # can only be provoked by a divmod that reports one: each routine
+        # must then refuse rather than return.
+        monkeypatch.setattr(exact_linalg, "divmod", lambda a, b: (a // b, 1),
+                            raising=False)
+        m = IntegerMatrix([[2, 1], [1, 1]])
+        calls = [lambda: determinant(m), lambda: adjugate_pair(m),
+                 lambda: scaled_solve(m, IntegerMatrix([[1], [0]])),
+                 lambda: scaled_solve(IntegerMatrix([[3]]), IntegerMatrix([[1]]))]
+        for call in calls:
+            with pytest.raises(ArithmeticError,
+                               match="^Bareiss division left a remainder$"):
+                call()

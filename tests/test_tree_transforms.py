@@ -29,6 +29,7 @@ from lapcomp import (
     tree_inverse_combinatorial,
     verify_tree_identities,
 )
+from lapcomp import tree_transforms
 
 pruefer_sequences = st.integers(2, 12).flatmap(
     lambda n: st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2)
@@ -194,3 +195,25 @@ class TestIdentitySuite:
         # An internal vertex is not a valid minor root for the leaf formulas.
         with pytest.raises(GraphError):
             verify_tree_identities(path_graph(4), 1)
+
+    def test_each_minor_eliminated_once_failures_in_order(self, monkeypatch):
+        # A doubled adjugate (d = 2, 2 * inverse) fails both checks of every
+        # minor; each minor is eliminated once and reports in the old order.
+        seen = []
+
+        def doubled(m):
+            seen.append(m)
+            d, r = adjugate_pair(m)
+            return 2 * d, r.scale(2)
+
+        monkeypatch.setattr(tree_transforms, "adjugate_pair", doubled)
+        t = path_graph(4)  # vertices 1 and 2 are internal
+        assert verify_tree_identities(t, 0) == [
+            "minor determinant at leaf 0 is not 1",
+            "distance formula disagrees with the algebraic inverse",
+            "minor determinant at vertex 1 is not 1",
+            "block assembly at vertex 1 disagrees with the direct inverse",
+            "minor determinant at vertex 2 is not 1",
+            "block assembly at vertex 2 disagrees with the direct inverse",
+        ]
+        assert seen == [laplacian_minor(t, v).matrix for v in (0, 1, 2)]
