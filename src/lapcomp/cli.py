@@ -37,7 +37,6 @@ from .cone_engine import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     UnivariateRationalGF,
-    _is_decimal,
     _json_form,
     _lex_walk,
     cone_from_constraints,
@@ -53,7 +52,7 @@ from .ehrhart_reflexive import (
     normality_probe,
     reflexivity_by_interior_counts,
 )
-from .graph_core import family_from_string, laplacian_minor, parse_graph
+from .graph_core import _is_decimal, family_from_string, laplacian_minor, parse_graph
 from .tree_transforms import (
     random_tree,
     tree_inverse_combinatorial,
@@ -65,10 +64,6 @@ __all__ = ["main"]
 _SPEC_MODES = {"total": "total", "first": "first_coordinate"}
 # Pieces of a point listing joined per write.
 _CHUNK = 1024
-
-
-class _TheoremViolation(Exception):
-    """A theorem-level identity failed; the run exits with status 1."""
 
 
 def _int_option(text: str) -> int:
@@ -313,18 +308,24 @@ def _check_near_symmetry(args) -> int:
     return 0
 
 
+def _interior_counts_agree(simplex, reflexive: bool, budget: int) -> bool:
+    """The interior-count reflexivity test on a slice, which must agree
+    with the halfspace certificate `reflexive`: the two are one theorem."""
+    n = simplex.source_n
+    by_counts = reflexivity_by_interior_counts(simplex, max(1, n - 1), budget=budget)
+    if reflexive != by_counts:
+        raise ArithmeticError(
+            f"reflexivity tests disagree for n={n}: halfspaces say "
+            f"{reflexive}, interior counts say {by_counts}"
+        )
+    return by_counts
+
+
 def _check_reflexive(args) -> int:
     (n,) = _params(args, 1, "N")
     simplex = build_slice_simplex(n)
     half = _halfspaces(simplex)
-    by_counts = reflexivity_by_interior_counts(
-        simplex, max(1, n - 1), budget=_effective_budget(args)
-    )
-    if half.reflexive != by_counts:
-        raise _TheoremViolation(
-            f"reflexivity tests disagree for n={n}: halfspaces say "
-            f"{half.reflexive}, interior counts say {by_counts}"
-        )
+    by_counts = _interior_counts_agree(simplex, half.reflexive, _effective_budget(args))
     text = (
         f"n={n}: reflexive={half.reflexive} ({half.reason}); "
         f"interior-count test agrees"
@@ -377,13 +378,7 @@ def _cmd_ehrhart(args) -> int:
     budget = _effective_budget(args)
     simplex = build_slice_simplex(args.n)
     data = h_star(simplex, budget=budget)
-    by_counts = reflexivity_by_interior_counts(
-        simplex, max(1, args.n - 1), budget=budget
-    )
-    if data.reflexive_certificate != by_counts:
-        raise _TheoremViolation(
-            f"reflexivity tests disagree for n={args.n}"
-        )
+    _interior_counts_agree(simplex, data.reflexive_certificate, budget)
     normal_up_to = None
     if args.normal_m > 0:
         normal_up_to = normality_probe(
@@ -450,9 +445,6 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: budget exhausted: {exc}", file=sys.stderr)
         return 2
-    except _TheoremViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ArithmeticError as exc:
         print(f"error: internal identity failed: {exc}", file=sys.stderr)
         return 1

@@ -14,9 +14,10 @@ parallelepiped points form the numerator of the integer point transform
 
 which can be specialized to a univariate rational generating function by
 sending every variable to q ("total") or only the first one ("first
-coordinate").  `fpp_points` walks the points along a triangular basis of
-the valid digit vectors, in lexicographic order with no sort; the walk is
-a generator, so `lapcomp fpp` prints each point as it is found.
+coordinate").  `fpp_points` lists the points of a walk along a
+triangular basis of the valid digit vectors, in lexicographic order with
+no sort; the walk itself is a generator, so `lapcomp fpp` prints each
+point as it is found.
 `specialized_gf`, whose weights are linear in the digits, counts them
 instead by a DP over the d classes of the critical group Z^n / A*Z^n.
 Prefer it to `specialize(integer_point_transform(...))` unless the points
@@ -27,7 +28,6 @@ independent of both, backs `brute_force_count` and slice dilates.
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Literal, Optional, Sequence
@@ -35,12 +35,12 @@ from typing import Iterable, Iterator, Literal, Optional, Sequence
 from .exact_linalg import (
     IntegerMatrix, SingularMatrixError, adjugate_pair, determinant, scaled_solve,
 )
+from .graph_core import _is_decimal
 
 __all__ = [
     "DEFAULT_BUDGET",
     "BudgetExceededError",
     "SimplicialCone",
-    "FppPointSet",
     "IntegerPointTransform",
     "UnivariateRationalGF",
     "cone_from_constraints",
@@ -97,30 +97,6 @@ class SimplicialCone:
 
     def __repr__(self):
         return f"SimplicialCone(dim={self.dimension}, d={self.d})"
-
-
-class FppPointSet:
-    """Lattice points of the half-open fundamental parallelepiped.
-
-    Each entry is a pair (c, lam): c = A*lam lies in {0..d-1}^n and
-    lam = R*c/d is the lattice point itself.
-    """
-
-    __slots__ = ("points", "d")
-
-    def __init__(self, points: Iterable[tuple[tuple[int, ...], tuple[int, ...]]],
-                 d: int):
-        self.points = tuple(points)
-        self.d = d
-
-    def __len__(self):
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def lattice_points(self) -> list[tuple[int, ...]]:
-        return [lam for _, lam in self.points]
 
 
 class IntegerPointTransform:
@@ -191,12 +167,6 @@ def _json_form(value):
     if isinstance(value, dict):
         return {key: _json_form(v) for key, v in value.items()}
     return [_json_form(v) for v in value]
-
-
-def _is_decimal(text) -> bool:
-    """Whether `text` is the package's one spelling of an integer: a str
-    matching -?[0-9]+, so "1_0", " 3", "+5" and non-ASCII digits are not."""
-    return isinstance(text, str) and re.fullmatch("-?[0-9]+", text) is not None
 
 
 def _integer(value, where: str) -> int:
@@ -486,14 +456,16 @@ def _lex_points(R: IntegerMatrix, h: list[list[int]], d: int
                 lam = tuple(map(add, lam, wrap))
 
 
-def fpp_points(cone: SimplicialCone, budget: Optional[int] = None) -> FppPointSet:
-    """Enumerate the lattice points of the half-open parallelepiped.
+def fpp_points(cone: SimplicialCone, budget: Optional[int] = None
+               ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The lattice points of the half-open parallelepiped, as the walk's
+    pairs (c, lam): lam is the point and c = A*lam lies in {0..d-1}^n.
 
-    The pairs (c, lam) come in lexicographic order of the digit vector c
-    straight from the walk, with no sort: a triangular lattice basis lets
-    it take d**(n-1) steps instead of scanning d**n candidates.
+    The pairs come in lexicographic order of the digit vector c straight
+    from the walk, with no sort: a triangular lattice basis lets it take
+    d**(n-1) steps instead of scanning d**n candidates.
     """
-    return FppPointSet(_lex_walk(cone, budget), cone.d)
+    return tuple(_lex_walk(cone, budget))
 
 
 def integer_point_transform(cone: SimplicialCone,

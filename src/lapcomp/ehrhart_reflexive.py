@@ -8,17 +8,17 @@ tests reflexivity two independent ways: a halfspace certificate at one
 fixed translation, and the interior-count identity L_interior(t+1) =
 L(t).  A small sumset probe for normality rounds it out.
 
-The slice is the one carrier of the scaled inverse n * L^-1, computed
-once per slice: its vertices are the columns below a top row of n's, so
-the canonical interior point is read back from them, and the halfspace
-certificate rebuilds L itself from the graph, which needs no elimination.
+The slice is built once from the leafed minor pair (L, R = n * L^-1) and
+keeps what it computed: its vertices are the columns of R below a top row
+of n's, so the canonical interior point is read back from them; the
+halfspace certificate reads L itself; and one digit-class DP on R, run
+when the slice is built, gives the digit strata behind every dilate count.
 
-Counting goes through the digit-sum histogram of the cone whenever the
-simplex remembers which n it came from, interior points included, by
-Ehrhart-Macdonald reciprocity; the histogram is computed once per
-simplex.  The box-scan oracle of `cone_engine`, fed the simplex's facet
-inequalities in integers, covers arbitrary simplices and doubles as an
-independent cross-check.
+Counting goes through those strata whenever the simplex is a slice,
+interior points included, by Ehrhart-Macdonald reciprocity.  The box-scan
+oracle of `cone_engine`, fed the simplex's facet inequalities in
+integers, covers arbitrary simplices and doubles as an independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .cone_engine import (
 )
 from .cycle_families import _leafed_minor_pair
 from .exact_linalg import IntegerMatrix, adjugate_pair, determinant
-from .graph_core import laplacian_minor, leafed_cycle_graph
 
 __all__ = [
     "LatticeSimplex",
@@ -55,13 +54,14 @@ __all__ = [
 class LatticeSimplex:
     """A full-dimensional lattice simplex, given by its vertices.
 
-    `source_n` records that the simplex is the height-n slice of a leafed
-    n-cycle cone; counting routines use that to switch to the digit-vector
-    formulas.  Only `build_slice_simplex` sets it, so a simplex built from
-    bare vertices is always counted by the box scan.
+    The height-n slice of a leafed n-cycle cone also carries the leafed
+    minor L and the cone's digit strata, and `source_n` is then n, the
+    size of L; counting routines use the strata instead of the box scan.
+    Only `build_slice_simplex` sets them, so a simplex built from bare
+    vertices is always counted by the box scan.
     """
 
-    __slots__ = ("_dimension", "_vertices", "_source_n", "_strata")
+    __slots__ = ("_dimension", "_vertices", "_minor", "_strata")
 
     def __init__(self, dimension, vertices):
         vertices = tuple(tuple(v) for v in vertices)
@@ -79,7 +79,7 @@ class LatticeSimplex:
                 raise ValueError("vertices must have integer entries")
         self._dimension = dimension
         self._vertices = vertices
-        self._source_n = None
+        self._minor = None
         self._strata = None
         if determinant(self.edge_matrix()) == 0:
             raise ValueError("vertices are affinely dependent")
@@ -94,7 +94,7 @@ class LatticeSimplex:
 
     @property
     def source_n(self) -> Optional[int]:
-        return self._source_n
+        return None if self._minor is None else self._minor.rows
 
     def edge_matrix(self) -> IntegerMatrix:
         """Columns are the edge vectors from vertex 0 to the others."""
@@ -111,24 +111,28 @@ class LatticeSimplex:
         return abs(determinant(self.edge_matrix()))
 
     def __repr__(self) -> str:
-        tag = f", source_n={self._source_n}" if self._source_n is not None else ""
+        tag = "" if self._minor is None else f", source_n={self._minor.rows}"
         return f"LatticeSimplex(dim={self._dimension}, vertices={self._vertices}{tag})"
 
 
 def build_slice_simplex(n: int) -> LatticeSimplex:
     """The slice of the leafed n-cycle cone at first coordinate n.
 
-    Its vertices are the columns of n * L^-1, which are integral because
-    the minor determinant is n; every column has first coordinate n, so
-    that coordinate is dropped.
+    Its vertices are the columns of R = n * L^-1, which are integral
+    because the minor determinant is n; every column has first coordinate
+    n, so that coordinate is dropped.  The slice keeps L, and the strata
+    (phi/n, count) of the digit sums phi of the cone's parallelepiped
+    points with n | phi, which lie on slice dilates at height phi/n.
     """
     if n < 3:
         raise ValueError("leafed cycles need n >= 3")
-    _, r = _leafed_minor_pair(n)
+    l, r = _leafed_minor_pair(n)
     if any(r[0, j] != n for j in range(n)):
         raise ArithmeticError("top row of the scaled inverse is not constant n")
     simplex = LatticeSimplex(n - 1, [[r[i, j] for i in range(1, n)] for j in range(n)])
-    simplex._source_n = n
+    simplex._minor = l
+    simplex._strata = [(phi // n, count) for phi, count
+                       in _numerator(r, n, [n] * n).items() if phi % n == 0]
     return simplex
 
 
@@ -189,7 +193,7 @@ def _halfspaces(s: LatticeSimplex) -> HalfspaceReport:
             n, False, "canonical interior point is not integral",
             None, None, None, None,
         )
-    l = laplacian_minor(leafed_cycle_graph(n), n).matrix
+    l = s._minor
     ones = l.apply(u)
     if any(e != 1 for e in ones):
         raise ArithmeticError("minor times its inverse row sums is not all-ones")
@@ -241,17 +245,17 @@ def dilate_points(s: LatticeSimplex, t: int, budget: Optional[int] = None
     return _scan_dilate(s, t, budget, 0)
 
 
-def _height_strata(s: LatticeSimplex) -> list[tuple[int, int]]:
-    """(phi/n, count) for the digit-sum strata of S_n with n | phi: the
-    parallelepiped points on a slice dilate, at height phi/n.  The DP runs
-    once per simplex on its rays: the vertices under a row of n's."""
-    if s._strata is None:
-        n = s.source_n
-        rays = [[n] * n] + [list(coords) for coords in zip(*s.vertices)]
-        histogram = _numerator(IntegerMatrix(rays), n, [n] * n)
-        s._strata = [(phi // n, count) for phi, count in sorted(histogram.items())
-                     if phi % n == 0]
-    return s._strata
+def _count(s: LatticeSimplex, t: int, budget: Optional[int], strict: int) -> int:
+    """`dilate_count` (strict 0) or `interior_count` (strict 1)."""
+    if t < 0:
+        raise ValueError("dilation factor must be nonnegative")
+    if t == 0:
+        return 1 - strict
+    n = s.source_n
+    if n is None:
+        return len(_scan_dilate(s, t, budget, strict))
+    return sum(count * math.comb(t - 1 + (k if strict else n - k), n - 1)
+               for k, count in s._strata)
 
 
 def dilate_count(s: LatticeSimplex, t: int, budget: Optional[int] = None) -> int:
@@ -262,15 +266,7 @@ def dilate_count(s: LatticeSimplex, t: int, budget: Optional[int] = None) -> int
     digit sum phi plus a nonnegative ray combination summing to
     t - phi/n, so each stratum with n | phi contributes a binomial.
     """
-    if t < 0:
-        raise ValueError("dilation factor must be nonnegative")
-    if t == 0:
-        return 1
-    n = s.source_n
-    if n is None:
-        return len(dilate_points(s, t, budget=budget))
-    return sum(count * math.comb(t - k + n - 1, n - 1)
-               for k, count in _height_strata(s))
+    return _count(s, t, budget, 0)
 
 
 def interior_count(s: LatticeSimplex, t: int, budget: Optional[int] = None) -> int:
@@ -285,15 +281,7 @@ def interior_count(s: LatticeSimplex, t: int, budget: Optional[int] = None) -> i
     inside t*s is an open parallelepiped point plus a nonnegative ray
     combination.
     """
-    if t < 0:
-        raise ValueError("dilation factor must be nonnegative")
-    if t == 0:
-        return 0
-    n = s.source_n
-    if n is None:
-        return len(_scan_dilate(s, t, budget, 1))
-    return sum(count * math.comb(t + k - 1, n - 1)
-               for k, count in _height_strata(s))
+    return _count(s, t, budget, 1)
 
 
 class HStarData(NamedTuple):

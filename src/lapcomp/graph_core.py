@@ -36,6 +36,13 @@ __all__ = [
 MAX_VERTICES = 64
 
 
+def _is_decimal(text) -> bool:
+    """Whether `text` is the package's one spelling of an integer: a str
+    matching -?[0-9]+, so "1_0", " 3", "+5" and non-ASCII digits are not."""
+    return (isinstance(text, str) and text.isascii()
+            and text.removeprefix("-").isdigit())
+
+
 class GraphError(ValueError):
     """Invalid graph construction or graph text input."""
 
@@ -231,11 +238,10 @@ def family_from_string(spec: str) -> Graph:
     name, sep, rest = spec.partition(":")
     if not sep or not rest:
         raise GraphError(f"family spec {spec!r} must look like 'name:params'")
-    try:
-        params = [int(p) for p in rest.split(",")]
-    except ValueError:
-        raise GraphError(f"non-integer parameter in family spec {spec!r}") from None
-    return build_family(name, *params)
+    params = rest.split(",")
+    if not all(map(_is_decimal, params)):
+        raise GraphError(f"non-integer parameter in family spec {spec!r}")
+    return build_family(name, *map(int, params))
 
 
 def laplacian(g: Graph) -> IntegerMatrix:
@@ -310,22 +316,18 @@ def parse_graph(text: str, *, require_connected: bool = True) -> Graph:
                 raise GraphError(
                     f"line {lineno}: expected a single vertex count, got {line!r}"
                 )
-            try:
-                count = int(tokens[0])
-            except ValueError:
+            if not _is_decimal(tokens[0]):
                 raise GraphError(
                     f"line {lineno}: vertex count {tokens[0]!r} is not an integer"
-                ) from None
+                )
+            count = int(tokens[0])
             continue
         if len(tokens) != 2:
             raise GraphError(f"line {lineno}: expected 'u v', got {line!r}")
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise GraphError(
-                f"line {lineno}: non-integer vertex label in {line!r}"
-            ) from None
-        edges.append((u, v))
+        u, v = tokens
+        if not (_is_decimal(u) and _is_decimal(v)):
+            raise GraphError(f"line {lineno}: non-integer vertex label in {line!r}")
+        edges.append((int(u), int(v)))
     if count is None:
         raise GraphError("empty graph input")
     g = Graph(count, edges)

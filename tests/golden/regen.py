@@ -1,0 +1,128 @@
+"""Rewrite `cli.jsonl`, the CLI corpus that `tests/test_golden.py` replays.
+
+    python3 tests/golden/regen.py
+
+Each call runs in process through `lapcomp.cli.main`, from this directory
+(so `--file graphs/...` resolves), with COLUMNS=80 and LAPCOMP_BUDGET
+unset unless the call sets it.  One JSON line per call holds its argv,
+the environment variables it sets, the exit code and the SHA-256 of
+stdout and stderr, with the text itself when it is at most TEXT_MAX
+characters.  A changed line is a changed CLI: name its argv and the
+reason with the change.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+from unittest import mock
+
+HERE = Path(__file__).resolve().parent
+CORPUS = HERE / "cli.jsonl"
+if __name__ == "__main__":
+    sys.path.insert(0, str(HERE.parents[1] / "src"))
+
+from lapcomp.cli import main  # noqa: E402
+
+TEXT_MAX = 400
+FAMILIES = ("path:4", "cycle:5", "leafed_cycle:4", "kary:2,2", "complete:4")
+GOOD_GRAPHS = ("blanks", "diamond", "house", "k23")
+BAD_GRAPHS = ("count_arabic_indic", "count_plus", "disconnected", "label_arabic_indic",
+              "label_plus", "label_underscore", "three_tokens", "missing")
+# ehrhart N --normal-m M runs that take seconds each, in the box scan of
+# the normality probe: 7 at m = 3 ends in a refusal after its m = 2
+# sumset, 8 in a refusal after scanning L(1).
+SLOW = {(7, 3), (8, 2), (8, 3)}
+
+
+def calls():
+    """(argv, env) of every call, in corpus order."""
+    formats = ([], ["--json"])
+    for n in range(1, 14):
+        for m in (0, 2, 3):
+            if (n, m) not in SLOW:
+                for fmt in formats:
+                    yield ["ehrhart", str(n), "--normal-m", str(m)] + fmt, {}
+        for fmt in formats:
+            yield ["check", "reflexive", str(n)] + fmt, {}
+    for family in FAMILIES:
+        for command in (["fpp"], ["gf"], ["gf", "--spec", "total"],
+                        ["gf", "--spec", "first"], ["tree-inverse"]):
+            for fmt in formats:
+                yield command + ["--family", family] + fmt, {}
+        yield ["series", "--family", family, "--order", "8"], {}
+    for name in GOOD_GRAPHS:
+        for minor in range(5):
+            for command in (["fpp"], ["gf", "--spec", "first"]):
+                yield command + ["--file", f"graphs/{name}.txt",
+                                 "--minor", str(minor)], {}
+    for name in BAD_GRAPHS:
+        yield ["fpp", "--file", f"graphs/{name}.txt"], {}
+    for spec in ("path:1_0", "path: 3", "path:3 ", "path:+2", "path:٢",
+                 "kary:+2,2", "kary:2", "torus:3", "cycle"):
+        yield ["series", "--family", spec, "--order", "2"], {}
+        yield ["gf", "--family", spec, "--spec", "total"], {}
+    for argv in (["ehrhart", "x"], ["ehrhart", "1_0"], ["ehrhart", "+3"],
+                 ["ehrhart", "3", "--normal-m", "٢"], ["check", "reflexive"],
+                 ["check", "reflexive", "3", "4"], ["check", "everything"],
+                 ["gf", "--family", "cycle:4", "--file", "graphs/diamond.txt"],
+                 ["gf"], ["fpp", "--family", "path:3", "--threads", "0"],
+                 ["gf", "--family", "path:3", "--minor", "7"],
+                 ["series", "--family", "path:3", "--order", "-1"]):
+        yield argv, {}
+    for argv in (["fpp", "--family", "complete:6"],
+                 ["gf", "--family", "complete:6"],
+                 ["fpp", "--family", "cycle:5", "--budget", "5"],
+                 ["fpp", "--family", "cycle:5", "--budget", "0"],
+                 ["fpp", "--family", "cycle:5", "--budget", "+5"]):
+        yield argv, {}
+    for budget in ("5", "625", "1_0", "0"):
+        yield ["fpp", "--family", "cycle:5"], {"LAPCOMP_BUDGET": budget}
+        yield ["gf", "--family", "cycle:5", "--spec", "total"], {"LAPCOMP_BUDGET": budget}
+    yield ["fpp", "--family", "cycle:5", "--budget", "625"], {"LAPCOMP_BUDGET": "5"}
+    for argv in (["--help"], ["ehrhart", "--help"], ["fpp", "--help"], []):
+        yield argv, {}
+
+
+def run(argv, env):
+    """(exit code, stdout, stderr) of one call."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80", **env}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        if "LAPCOMP_BUDGET" not in env:
+            os.environ.pop("LAPCOMP_BUDGET", None)
+        os.chdir(HERE)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue()
+
+
+def record(argv, env) -> dict:
+    """The corpus line of one call."""
+    code, out, err = run(argv, env)
+    line = {"argv": argv, "env": env, "exit": code}
+    for name, text in (("stdout", out), ("stderr", err)):
+        line[f"{name}_sha256"] = hashlib.sha256(text.encode()).hexdigest()
+        if len(text) <= TEXT_MAX:
+            line[name] = text
+    return line
+
+
+def write_corpus() -> None:
+    with CORPUS.open("w", encoding="utf-8") as f:
+        for argv, env in calls():
+            f.write(json.dumps(record(argv, env), ensure_ascii=False) + "\n")
+
+
+if __name__ == "__main__":
+    write_corpus()

@@ -27,6 +27,12 @@ from lapcomp.cli import _CHECKS, _build_parser, main
 from lapcomp.graph_core import family_from_string
 
 
+# What `check reflexive 3` and `ehrhart 3` print when the interior-count
+# test is forced to contradict the halfspace certificate.
+DISAGREEMENT = ("error: internal identity failed: reflexivity tests disagree "
+                "for n=3: halfspaces say True, interior counts say False\n")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -235,8 +241,16 @@ class TestCheck:
             cli_mod, "reflexivity_by_interior_counts",
             lambda *a, **k: False,
         )
-        code, _, err = run(capsys, "check", "reflexive", "3")
-        assert code == 1 and "disagree" in err
+        assert run(capsys, "check", "reflexive", "3") == (1, "", DISAGREEMENT)
+
+    def test_ehrhart_disagreement_is_exit_one(self, capsys, monkeypatch):
+        import lapcomp.cli as cli_mod
+
+        monkeypatch.setattr(
+            cli_mod, "reflexivity_by_interior_counts",
+            lambda *a, **k: False,
+        )
+        assert run(capsys, "ehrhart", "3") == (1, "", DISAGREEMENT)
 
     def test_tree_equivalence(self, capsys):
         code, out, _ = run(capsys, "check", "tree_equivalence", "11", "25")
@@ -482,15 +496,15 @@ class TestRaysOnDemand:
         assert [run(capsys, *argv) for argv in argvs] == expected
 
 
-def fpp_text(points):
-    lines = [f"determinant {points.d}, {len(points)} lattice points"]
+def fpp_text(points, d):
+    lines = [f"determinant {d}, {len(points)} lattice points"]
     lines += [f"digits {list(c)} -> point {list(lam)}" for c, lam in points]
     return "\n".join(lines)
 
 
-def fpp_payload(points):
+def fpp_payload(points, d):
     return {
-        "determinant": str(points.d),
+        "determinant": str(d),
         "points": [
             {"digits": [str(e) for e in c], "point": [str(e) for e in lam]}
             for c, lam in points
@@ -524,7 +538,8 @@ class TestListingOutput:
             required = cone.d ** (cone.dimension - 1)
             if required <= 20000:
                 points, ipt = fpp_points(cone), integer_point_transform(cone)
-                renders = {"fpp": (fpp_text(points), fpp_payload(points)),
+                renders = {"fpp": (fpp_text(points, cone.d),
+                                   fpp_payload(points, cone.d)),
                            "gf": (str(ipt), ipt.to_json_dict())}
             for command in ("fpp", "gf"):
                 for as_json in (False, True):
@@ -631,6 +646,27 @@ class TestBudgetsAndThreads:
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith(
             f": error: argument {name}: invalid int value: {value!r}\n")
+
+    @pytest.mark.parametrize("value", ["1_0", " 3", "+2", "٢"])
+    @pytest.mark.parametrize("argv", [
+        ["series", "--family", "path:{}", "--order", "2"],
+        ["gf", "--family", "kary:{},2", "--spec", "total"],
+        ["fpp", "--family", "cycle:{}"],
+    ])
+    def test_family_parameters_are_decimal_digits_only(self, capsys, argv, value):
+        argv = [a.format(value) for a in argv]
+        assert run(capsys, *argv) == (
+            2, "", f"error: non-integer parameter in family spec {argv[2]!r}\n")
+
+    @pytest.mark.parametrize("value", ["1_0", "+2", "٢"])
+    def test_edge_file_integers_are_decimal_digits_only(self, capsys, tmp_path, value):
+        f = tmp_path / "g.txt"
+        f.write_text(f"3\n0 1\n1 {value}\n")
+        assert run(capsys, "fpp", "--file", str(f)) == (
+            2, "", f"error: line 3: non-integer vertex label in '1 {value}'\n")
+        f.write_text(f"{value}\n0 1\n1 2\n")
+        assert run(capsys, "fpp", "--file", str(f)) == (
+            2, "", f"error: line 1: vertex count {value!r} is not an integer\n")
 
     @pytest.mark.parametrize("argv,message", [
         (["series", "--family", "path:3", "--order", "-1"],

@@ -83,8 +83,7 @@ class TestConeFromConstraints:
 class TestFppPoints:
     def test_cycle_three(self):
         pts = fpp_points(CYCLE3)
-        assert pts.d == 3
-        assert pts.lattice_points() == [(0, 0), (1, 1), (2, 2)]
+        assert [lam for _, lam in pts] == [(0, 0), (1, 1), (2, 2)]
         for c, lam in pts:
             assert c == CYCLE3.A.apply(lam)
             assert all(0 <= x < 3 for x in c)
@@ -108,7 +107,7 @@ class TestFppPoints:
         cone = minor_cone("path", 4, vertex=3)
         assert cone.d == 1
         pts = fpp_points(cone)
-        assert pts.points == (((0, 0, 0), (0, 0, 0)),)
+        assert pts == (((0, 0, 0), (0, 0, 0)),)
 
     def test_budget_respected(self):
         cone = minor_cone("cycle", 4, vertex=0)  # d = 4, dimension 3

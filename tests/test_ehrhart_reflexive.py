@@ -1,5 +1,6 @@
 """Tests for slice simplices, Ehrhart counts, and reflexivity checks."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,9 +18,9 @@ from lapcomp import (
     reflexivity_by_halfspaces,
     reflexivity_by_interior_counts,
 )
-from lapcomp import cone_engine, cycle_families, ehrhart_reflexive
+from lapcomp import cone_engine, cycle_families, ehrhart_reflexive, graph_core
 from lapcomp.cli import main
-from lapcomp.ehrhart_reflexive import _is_unimodal
+from lapcomp.ehrhart_reflexive import _halfspaces, _is_unimodal
 
 
 def count_minor_pairs(monkeypatch):
@@ -92,6 +93,51 @@ class TestSliceSimplex:
     def test_validation(self):
         with pytest.raises(ValueError):
             build_slice_simplex(2)
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_keeps_its_minor_and_strata(self, n, monkeypatch):
+        pairs = count_minor_pairs(monkeypatch)
+        dps = []
+        real = ehrhart_reflexive._numerator
+
+        def counted(R, d, s):
+            dps.append(d)
+            return real(R, d, s)
+
+        monkeypatch.setattr(ehrhart_reflexive, "_numerator", counted)
+        s = build_slice_simplex(n)
+        assert (pairs, dps) == ([n], [n])
+        h_star(s)
+        for t in range(n + 2):
+            dilate_count(s, t)
+            interior_count(s, t)
+        _halfspaces(s)
+        reflexivity_by_interior_counts(s, n - 1)
+        assert (pairs, dps) == ([n], [n])
+
+    def test_commands_never_build_the_graph(self, monkeypatch, capsys):
+        """`check reflexive N` and `ehrhart N` read L from the slice: with
+        every binding of `leafed_cycle_graph` raising, their bytes stay the
+        same.  `--normal-m 0` skips the probe, which reads only vertices."""
+        argvs = [argv for n in range(3, 10)
+                 for argv in (["check", "reflexive", str(n)],
+                              ["ehrhart", str(n), "--normal-m", "0"])]
+
+        def outputs():
+            return [(main(argv), *capsys.readouterr()) for argv in argvs]
+
+        expected = outputs()
+
+        def refuse(n):
+            raise AssertionError("the slice code built the leafed cycle graph")
+
+        real = graph_core.leafed_cycle_graph
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "lapcomp":
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, refuse)
+        assert outputs() == expected
 
 
 class TestInteriorPoint:

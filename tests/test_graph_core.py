@@ -1,6 +1,7 @@
 """Tests for graph families, Laplacians, and incidence matrices."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -136,6 +137,15 @@ class TestFamilies:
             with pytest.raises(GraphError):
                 family_from_string(bad)
 
+    @pytest.mark.parametrize("spec", [
+        "path:1_0", "cycle: 3", "cycle:3 ", "kary:+2,2", "kary:2,\u0662",
+        "complete:\u0663",
+    ])
+    def test_family_parameters_are_decimal_digits_only(self, spec):
+        # int() reads all of these; the package's one spelling does not.
+        with pytest.raises(GraphError, match="non-integer parameter in family spec"):
+            family_from_string(spec)
+
 
 class TestLaplacian:
     def test_example(self):
@@ -248,6 +258,24 @@ class TestParseGraph:
             parse_graph("3\n0 1 2\n")
         with pytest.raises(GraphError):
             parse_graph("3\n0 a\n")
+
+    @pytest.mark.parametrize("count", ["1_0", "+3", "\u0663"])
+    def test_vertex_count_is_decimal_digits_only(self, count):
+        message = f"line 1: vertex count {count!r} is not an integer"
+        with pytest.raises(GraphError, match=re.escape(message)):
+            parse_graph(f"{count}\n0 1\n1 2\n")
+
+    @pytest.mark.parametrize("label", ["1_0", "+2", "\u0662"])
+    def test_vertex_labels_are_decimal_digits_only(self, label):
+        line = f"1 {label}"
+        message = f"line 3: non-integer vertex label in {line!r}"
+        with pytest.raises(GraphError, match=re.escape(message)):
+            parse_graph(f"3\n0 1\n{line}\n")
+
+    def test_blanks_around_tokens_are_separators(self):
+        # " 3" cannot reach the integer rule in this format: lines are
+        # stripped and split on whitespace before any token is read.
+        assert parse_graph(" 3\n 0  1\n1\t2 \n") == path_graph(3)
 
     def test_connectivity_enforcement(self):
         text = "4\n0 1\n2 3\n"
