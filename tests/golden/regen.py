@@ -32,6 +32,8 @@ from lapcomp.cli import main  # noqa: E402
 TEXT_MAX = 400
 FAMILIES = ("path:4", "cycle:5", "leafed_cycle:4", "kary:2,2", "complete:4")
 GOOD_GRAPHS = ("blanks", "diamond", "house", "k23")
+# Trees, whose every minor is unimodular (d = 1): name and vertex count.
+TREE_GRAPHS = (("star", 7), ("spider", 7), ("tree9", 9))
 BAD_GRAPHS = ("count_arabic_indic", "count_plus", "disconnected", "label_arabic_indic",
               "label_plus", "label_underscore", "three_tokens", "missing")
 # ehrhart N --normal-m M runs that take seconds each, in the box scan of
@@ -61,6 +63,18 @@ def calls():
             for command in (["fpp"], ["gf", "--spec", "first"]):
                 yield command + ["--file", f"graphs/{name}.txt",
                                  "--minor", str(minor)], {}
+    for name, size in TREE_GRAPHS:
+        for minor in range(size):
+            for spec in ("total", "first"):
+                for fmt in formats:
+                    yield ["gf", "--spec", spec, "--file", f"graphs/{name}.txt",
+                           "--minor", str(minor)] + fmt, {}
+    checks = ([["cyclic", str(n), str(3 * n)] for n in range(2, 9)]
+              + [["near_symmetry", str(k)] for k in (2, 3)]
+              + [["tree_equivalence", str(seed), "2"] for seed in range(5)])
+    for params in checks:
+        for fmt in formats:
+            yield ["check"] + params + fmt, {}
     for name in BAD_GRAPHS:
         yield ["fpp", "--file", f"graphs/{name}.txt"], {}
     for spec in ("path:1_0", "path: 3", "path:3 ", "path:+2", "path:٢",
