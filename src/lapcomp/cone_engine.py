@@ -3,10 +3,12 @@
 A cone is given by an invertible integer constraint matrix A as
 C = {x : A x >= 0}.  With d = |det A| and R = d * A^{-1}, the columns of R
 are integral ray generators, and the half-open parallelepiped they span
-contains exactly d**(n-1) lattice points.  A cone is built with d alone;
-R is solved for on first read, so a query refused on its d**(n-1) charge
-never builds it, and a unimodular cone (d = 1, as for a tree minored
-anywhere) gets its specialized gf from one solve instead.  The
+contains exactly d**(n-1) lattice points.  A cone is built by one
+forward elimination over [A^T | w] for the two weight forms w below,
+which gives d and is kept; R is solved for on first read, so a query
+refused on its d**(n-1) charge never builds it, and a unimodular cone
+(d = 1, as for a tree minored anywhere) gets its specialized gf by back
+substitution on the kept pass, with no second elimination.  The
 parallelepiped points form the numerator of the integer point transform
 
     sigma_C(z) = (sum over parallelepiped points w of z^w)
@@ -33,7 +35,7 @@ from operator import add, mul, sub
 from typing import Iterable, Iterator, Literal, Optional, Sequence
 
 from .exact_linalg import (
-    IntegerMatrix, SingularMatrixError, adjugate_pair, determinant, scaled_solve,
+    IntegerMatrix, SingularMatrixError, _back_substitute, _eliminate, adjugate_pair,
 )
 from .graph_core import _is_decimal
 
@@ -69,15 +71,20 @@ class SimplicialCone:
 
     R is built on first read, by `adjugate_pair`, and must come with the
     same d; a query that refuses on d alone never builds it.  A given R is
-    taken as it is.
+    taken as it is.  The cone also keeps the rows of one forward pass over
+    [A^T | w] for the weight forms of both specialization modes, from which
+    `specialized_gf` back-substitutes s = A^-T w when d = 1.
+    `cone_from_constraints` sets them from the pass that gave d; a cone
+    built here runs that pass on first need, and it too must give d.
     """
 
-    __slots__ = ("A", "d", "_R")
+    __slots__ = ("A", "d", "_R", "_upper")
 
     def __init__(self, A: IntegerMatrix, d: int, R: Optional[IntegerMatrix] = None):
         self.A = A
         self.d = d
         self._R = R
+        self._upper = None
 
     @property
     def R(self) -> IntegerMatrix:
@@ -87,6 +94,16 @@ class SimplicialCone:
                 raise ArithmeticError(f"ray matrix has d = {d}, the cone d = {self.d}")
             self._R = R
         return self._R
+
+    def _kept_pass(self) -> list[list[int]]:
+        """The kept rows of the forward pass over [A^T | w_total | w_first]."""
+        if self._upper is None:
+            D, upper = _weight_pass(self.A)
+            if abs(D) != self.d:
+                raise ArithmeticError(
+                    f"forward pass has d = {abs(D)}, the cone d = {self.d}")
+            self._upper = upper
+        return self._upper
 
     @property
     def dimension(self) -> int:
@@ -316,14 +333,30 @@ def polynomial_string(coeffs: Sequence[int], var: str = "q") -> str:
     return " ".join(terms)
 
 
+# The specialization modes, in the order of their weight columns in a
+# cone's kept forward pass.
+_MODES = ("total", "first_coordinate")
+
+
+def _weight_pass(A: IntegerMatrix) -> tuple[int, list[list[int]]]:
+    """`_eliminate` over the rows of [A^T | w_total | w_first]: det A^T =
+    det A, and the rows are kept for solving A^T s = w in either mode."""
+    n = A.rows
+    weights = zip(*(_mode_weights(mode, n) for mode in _MODES))
+    return _eliminate([[*col, *w] for col, w in zip(zip(*A), weights)], n)
+
+
 def cone_from_constraints(A: IntegerMatrix) -> SimplicialCone:
-    """Cone {x : Ax >= 0} for invertible A, with d = |det A| only."""
+    """Cone {x : Ax >= 0} for invertible A, with d = |det A| and the kept
+    forward pass that gave it."""
     if not A.is_square:
         raise ValueError("constraint matrix must be square")
-    d = abs(determinant(A))
-    if d == 0:
+    D, upper = _weight_pass(A)
+    if D == 0:
         raise SingularMatrixError("matrix is singular")
-    return SimplicialCone(A, d)
+    cone = SimplicialCone(A, abs(D))
+    cone._upper = upper
+    return cone
 
 
 def _column_hermite(A: IntegerMatrix) -> list[list[int]]:
@@ -519,6 +552,11 @@ def _numerator(R: IntegerMatrix, d: int, s: Sequence[int]) -> dict[int, int]:
     g = gcd(s), packed into one int with `bits` bits per slot (no slot
     exceeds d**n, so none carries); a negative weight offsets its slots.
     That is n*d**2 shifted adds, and class 0 at the end is the numerator.
+
+    Slot k holds the weight (k + offset)*g, integral over d exactly when
+    k = -offset (mod p), p = d / gcd(d, g).  One mask of those slots
+    certifies that every other slot is empty, so every point is integral,
+    and only the masked slots are read.
     """
     n = len(s)
     cols = [[x % d for x in R.column(j)] for j in range(n)]
@@ -552,15 +590,26 @@ def _numerator(R: IntegerMatrix, d: int, s: Sequence[int]) -> dict[int, int]:
                     new[t] += packed << shift
                     t = nxt[t]
         hist = new
-    digits = format(hist[0], "b")
+    packed = hist[0]
+    h = math.gcd(d, g)
+    period = d // h
+    first = -offset % period
+    block = period * bits
+    # The mask doubles until it spans every slot of `packed`.
+    mask, width = ((1 << bits) - 1) << (first * bits), block
+    while width < packed.bit_length():
+        mask |= mask << width
+        width *= 2
+    if packed & ~mask:
+        raise ArithmeticError("parallelepiped point not integral")
+    digits = format(packed, "b")
+    e, step = (first + offset) * g // d, g // h
     exponents = {}
-    for slot, end in enumerate(range(len(digits), 0, -bits)):
+    for end in range(len(digits) - first * bits, 0, -block):
         count = int(digits[max(end - bits, 0):end], 2)
         if count:
-            e, rem = divmod((slot + offset) * g, d)
-            if rem:
-                raise ArithmeticError("parallelepiped point not integral")
             exponents[e] = count
+        e += step
     return exponents
 
 
@@ -570,15 +619,16 @@ def specialized_gf(cone: SimplicialCone, mode: Literal["total", "first_coordinat
 
     With s = w^T R for the mode's form w, the point lam = R*c/d has exponent
     s.c/d and ray j has s_j.  The budget is still charged d**(n-1) points.
-    With d = 1 the apex is the one point and s = A^-T w is one solve, so R
-    is never built; with d > 1 the DP needs R, and s is read off it.
+    With d = 1 the apex is the one point and s = A^-T w is the mode's
+    column of the back substitution on the cone's kept forward pass, so
+    neither R nor a second elimination is needed; with d > 1 the DP needs
+    R, and s is read off it.
     """
     w = _mode_weights(mode, cone.dimension)
     if cone.d == 1:
-        d, s = scaled_solve(cone.A.transpose(), IntegerMatrix([x] for x in w))
-        if d != 1:
-            raise ArithmeticError(f"solve has d = {d}, the cone d = 1")
-        return _univariate({0: 1}, s.column(0))
+        k = _MODES.index(mode)
+        s = [x[k] for x in _back_substitute(cone._kept_pass(), 1, cone.dimension)]
+        return _univariate({0: 1}, s)
     _charge_points(cone, budget)
     s = [sum(map(mul, w, col)) for col in cone.rays()]
     return _univariate(_numerator(cone.R, cone.d, s), s)
@@ -615,18 +665,9 @@ def _first_coordinate_bounds(R: IntegerMatrix, value: int) -> list[int]:
     return bounds
 
 
-def _box_points(rows: Sequence[Sequence[int]], rhs: Sequence[int],
-                lows: Sequence[int], highs: Sequence[int],
-                budget: Optional[int] = None) -> list[tuple[int, ...]]:
-    """Integer points x of the box lows <= x <= highs with row.x >= rhs for
-    every row, in lexicographic order.
-
-    The whole box is charged against the budget up front.  Each row keeps
-    the most that coordinates t+1.. can add to it over the box, so once
-    coordinates 0..t-1 are fixed every row bounds x_t to an interval; an
-    empty interval prunes the prefix, and the last level emits its
-    interval without scanning it.
-    """
+def _charge_box(lows: Sequence[int], highs: Sequence[int],
+                budget: Optional[int]) -> None:
+    """Refuse a box lows <= x <= highs with more than `budget` cells."""
     budget = DEFAULT_BUDGET if budget is None else budget
     size = math.prod(h - l + 1 for l, h in zip(lows, highs))
     if size > budget:
@@ -634,6 +675,21 @@ def _box_points(rows: Sequence[Sequence[int]], rhs: Sequence[int],
             f"box scan needs {size} candidates, budget is {budget}",
             required=size,
         )
+
+
+def _box_points(rows: Sequence[Sequence[int]], rhs: Sequence[int],
+                lows: Sequence[int], highs: Sequence[int],
+                budget: Optional[int] = None) -> list[tuple[int, ...]]:
+    """Integer points x of the box lows <= x <= highs with row.x >= rhs for
+    every row, in lexicographic order.
+
+    The whole box is charged against the budget up front, by
+    `_charge_box`.  Each row keeps the most that coordinates t+1.. can add
+    to it over the box, so once coordinates 0..t-1 are fixed every row
+    bounds x_t to an interval; an empty interval prunes the prefix, and the
+    last level emits its interval without scanning it.
+    """
+    _charge_box(lows, highs, budget)
     n = len(lows)
     columns = [[row[t] for row in rows] for t in range(n)]
     # tails[t][r]: the most that coordinates t+1.. can add to row r.

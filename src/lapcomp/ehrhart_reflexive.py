@@ -29,7 +29,7 @@ from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .cone_engine import (
-    _box_points, _json_form, _numerator, _one_minus_q_power, _poly_mul,
+    _box_points, _charge_box, _json_form, _numerator, _one_minus_q_power, _poly_mul,
 )
 from .cycle_families import _leafed_minor_pair
 from .exact_linalg import IntegerMatrix, adjugate_pair, determinant
@@ -57,8 +57,8 @@ class LatticeSimplex:
     The height-n slice of a leafed n-cycle cone also carries the leafed
     minor L and the cone's digit strata, and `source_n` is then n, the
     size of L; counting routines use the strata instead of the box scan.
-    Only `build_slice_simplex` sets them, so a simplex built from bare
-    vertices is always counted by the box scan.
+    Only `build_slice_simplex` and its helper `_leafed_slice` set them, so
+    a simplex built from bare vertices is always counted by the box scan.
     """
 
     __slots__ = ("_dimension", "_vertices", "_minor", "_strata")
@@ -124,6 +124,16 @@ def build_slice_simplex(n: int) -> LatticeSimplex:
     (phi/n, count) of the digit sums phi of the cone's parallelepiped
     points with n | phi, which lie on slice dilates at height phi/n.
     """
+    simplex, r = _leafed_slice(n)
+    simplex._strata = [(phi // n, count) for phi, count
+                       in _numerator(r, n, [n] * n).items() if phi % n == 0]
+    return simplex
+
+
+def _leafed_slice(n: int) -> tuple[LatticeSimplex, IntegerMatrix]:
+    """The slice of `build_slice_simplex` with L but not yet its strata,
+    and R.  Only the halfspace test and the interior point, which never
+    count, use a slice without its strata."""
     if n < 3:
         raise ValueError("leafed cycles need n >= 3")
     l, r = _leafed_minor_pair(n)
@@ -131,9 +141,7 @@ def build_slice_simplex(n: int) -> LatticeSimplex:
         raise ArithmeticError("top row of the scaled inverse is not constant n")
     simplex = LatticeSimplex(n - 1, [[r[i, j] for i in range(1, n)] for j in range(n)])
     simplex._minor = l
-    simplex._strata = [(phi // n, count) for phi, count
-                       in _numerator(r, n, [n] * n).items() if phi % n == 0]
-    return simplex
+    return simplex, r
 
 
 def interior_point(n: int):
@@ -143,7 +151,7 @@ def interior_point(n: int):
     n is odd; for even n the fractional entries are returned as-is, and
     the halfspace reflexivity test reports a refutation.
     """
-    return _interior_point(build_slice_simplex(n))
+    return _interior_point(_leafed_slice(n)[0])
 
 
 def _interior_point(s: LatticeSimplex):
@@ -175,7 +183,7 @@ def reflexivity_by_halfspaces(n: int) -> HalfspaceReport:
     """Translate the slice simplex by its canonical interior point and test
     whether the facet description becomes {z : Bz >= -1} with integral B.
     """
-    return _halfspaces(build_slice_simplex(n))
+    return _halfspaces(_leafed_slice(n)[0])
 
 
 def _halfspaces(s: LatticeSimplex) -> HalfspaceReport:
@@ -229,9 +237,13 @@ def _scan_dilate(s: LatticeSimplex, t: int, budget: Optional[int],
     v0 = s.vertices[0]
     rhs = [t * sum(map(mul, row, v0)) + strict for row in rows]
     rhs[-1] -= t * d
-    lows = [min(t * v[i] for v in s.vertices) for i in range(s.dimension)]
-    highs = [max(t * v[i] for v in s.vertices) for i in range(s.dimension)]
-    return _box_points(rows, rhs, lows, highs, budget)
+    return _box_points(rows, rhs, *_dilate_box(s, t), budget)
+
+
+def _dilate_box(s: LatticeSimplex, t: int) -> tuple[list[int], list[int]]:
+    """(lows, highs): the bounding box of t*s."""
+    return ([min(t * v[i] for v in s.vertices) for i in range(s.dimension)],
+            [max(t * v[i] for v in s.vertices) for i in range(s.dimension)])
 
 
 def dilate_points(s: LatticeSimplex, t: int, budget: Optional[int] = None
@@ -364,9 +376,15 @@ def normality_probe(s: LatticeSimplex, m_max: int = 2,
     """Verify, for each m <= m_max, that every lattice point of m*s is a
     sum of m lattice points of s.  Evidence only — stops at the first
     failing m and records one uncovered point.
+
+    Every dilate's box is charged before any is scanned, so a probe over
+    the budget at some m refuses at once, as the box scan of the first
+    such m would, even where an earlier m would have failed.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
+    for m in range(1, m_max + 1):
+        _charge_box(*_dilate_box(s, m), budget)
     base = dilate_points(s, 1, budget=budget)
     reachable = set(base)
     results = [True]

@@ -3,12 +3,15 @@
 One elimination kernel serves every routine: a fraction-free (Bareiss)
 forward pass over `[m | B]`, in which each division is exact and still
 checked for a remainder.  `determinant` runs it over m alone.
-`scaled_solve(m, B)` adds a fraction-free back substitution and returns
-(d, d * m^-1 * B) with d = |det m|; `adjugate_pair(m)` is
-`scaled_solve(m, I)`.  Every intermediate value is an integer, a minor of
-the input or an entry of the scaled solution, so no precision is ever lost
-and no rational arithmetic is needed.  Nothing in this module (or anywhere
-else in the package) touches floating point.
+`scaled_solve(m, B)` adds the fraction-free back substitution
+`_back_substitute` and returns (d, d * m^-1 * B) with d = |det m|;
+`adjugate_pair(m)` is `scaled_solve(m, I)`.  A caller that keeps the rows
+of one pass, as a cone keeps its pass over [A^T | w] for the weight forms
+w, back-substitutes them later without a second pass.  Every intermediate
+value is an integer, a minor of the input or an entry of the scaled
+solution, so no precision is ever lost and no rational arithmetic is
+needed.  Nothing in this module (or anywhere else in the package)
+touches floating point.
 """
 
 from __future__ import annotations
@@ -199,13 +202,8 @@ def determinant(m: IntegerMatrix) -> int:
 
 
 def scaled_solve(m: IntegerMatrix, B: IntegerMatrix) -> tuple[int, IntegerMatrix]:
-    """Return (d, X) with d = |det m| > 0 and X = d * m^{-1} * B integral.
-
-    One forward pass over [m | B] leaves the upper triangle U with pivots
-    p_i and the rows b'_i of B, and U*X = d*b' still holds.  Back
-    substitution takes X_i = (d*b'_i - sum_{j>i} U_ij*X_j) / p_i from the
-    last row up; each X_i is a row of the integral d * m^{-1} * B, so every
-    division is exact, and each is a remainder-checked `divmod`.
+    """Return (d, X) with d = |det m| > 0 and X = d * m^{-1} * B integral:
+    one forward pass of `_eliminate` over [m | B], then `_back_substitute`.
     """
     if not m.is_square:
         raise ValueError("solve with a non-square matrix")
@@ -216,6 +214,18 @@ def scaled_solve(m: IntegerMatrix, B: IntegerMatrix) -> tuple[int, IntegerMatrix
     if D == 0:
         raise SingularMatrixError("matrix is singular")
     d = abs(D)
+    return d, IntegerMatrix(_back_substitute(upper, d, n))
+
+
+def _back_substitute(upper: list[list[int]], d: int, n: int) -> list[list[int]]:
+    """The rows of X = d * m^-1 * B from the rows `upper` that `_eliminate`
+    left of [m | B], where d = |det m| > 0.
+
+    U*X = d*b' holds for the triangle U with pivots p_i and the rows b'_i
+    of B, so X_i = (d*b'_i - sum_{j>i} U_ij*X_j) / p_i from the last row
+    up; each X_i is a row of the integral X, so every division is exact,
+    and each is a remainder-checked `divmod`.
+    """
     X = [None] * n
     for i in range(n - 1, -1, -1):
         row = upper[i]
@@ -225,7 +235,7 @@ def scaled_solve(m: IntegerMatrix, B: IntegerMatrix) -> tuple[int, IntegerMatrix
             if c:
                 acc = [a - c * x for a, x in zip(acc, X[j])]
         X[i] = _exact_quotients(acc, row[0])
-    return d, IntegerMatrix(X)
+    return X
 
 
 def adjugate_pair(m: IntegerMatrix) -> tuple[int, IntegerMatrix]:

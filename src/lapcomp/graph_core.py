@@ -262,9 +262,9 @@ def laplacian_minor(g: Graph, i: int) -> LaplacianMinor:
         raise GraphError(f"vertex {i} out of range")
     if g.vertex_count < 2:
         raise GraphError("graph too small to take a Laplacian minor")
-    full = laplacian(g)
     keep = tuple(v for v in range(g.vertex_count) if v != i)
-    m = IntegerMatrix([[full[r, c] for c in keep] for r in keep])
+    rows = laplacian(g)
+    m = IntegerMatrix(row[:i] + row[i + 1:] for r, row in enumerate(rows) if r != i)
     return LaplacianMinor(m, g, i, keep)
 
 

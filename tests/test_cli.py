@@ -496,6 +496,31 @@ class TestRaysOnDemand:
         assert [run(capsys, *argv) for argv in argvs] == expected
 
 
+class TestOneElimination:
+    """A tree's specialized gf back-substitutes the forward pass that gave
+    its d: one elimination per query, with the output unchanged."""
+
+    @pytest.mark.parametrize("spec", ["total", "first"])
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_tree_gf_eliminates_once(self, spec, as_json, capsys, monkeypatch, tmp_path):
+        tree = tmp_path / "tree.txt"
+        tree.write_text(graph_text(28, 0, 1))
+        argv = ["gf", "--file", str(tree), "--spec", spec] + ["--json"] * as_json
+        expected = run(capsys, *argv)
+        assert expected[0] == 0
+        calls = []
+        real = exact_linalg._eliminate
+
+        def counted(rows, n):
+            calls.append(n)
+            return real(rows, n)
+
+        monkeypatch.setattr(exact_linalg, "_eliminate", counted)
+        monkeypatch.setattr(cone_engine, "_eliminate", counted)
+        assert run(capsys, *argv) == expected
+        assert calls == [27]
+
+
 def fpp_text(points, d):
     lines = [f"determinant {d}, {len(points)} lattice points"]
     lines += [f"digits {list(c)} -> point {list(lam)}" for c, lam in points]

@@ -30,7 +30,7 @@ from lapcomp import (
     specialize,
     specialized_gf,
 )
-from lapcomp import cone_engine
+from lapcomp import cone_engine, exact_linalg
 from lapcomp.cone_engine import polynomial_string
 
 
@@ -78,6 +78,34 @@ class TestConeFromConstraints:
         cone = SimplicialCone(CYCLE3.A, 2)
         with pytest.raises(ArithmeticError, match="ray matrix has d = 3"):
             cone.R
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_kept_pass_solves_the_transpose(self, data):
+        # The pass that gave d, back-substituted, is d * A^-T times the
+        # weight forms of "total" and "first_coordinate", and a cone built
+        # from A and d alone runs the same pass on first need.
+        n = data.draw(st.integers(1, 4))
+        rows = data.draw(st.lists(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+            min_size=n, max_size=n,
+        ))
+        A = IntegerMatrix(rows)
+        assume(determinant(A) != 0)
+        cone = cone_from_constraints(A)
+        weights = IntegerMatrix([[1, int(i == 0)] for i in range(n)])
+        d, X = exact_linalg.scaled_solve(A.transpose(), weights)
+        assert d == cone.d
+        assert exact_linalg._back_substitute(cone._upper, d, n) == X.to_lists()
+        bare = SimplicialCone(A, cone.d)
+        assert bare._upper is None
+        assert bare._kept_pass() == cone._upper
+
+    def test_kept_pass_checked_against_d(self):
+        for cone, found in ((SimplicialCone(CYCLE3.A, 2), 3),
+                            (SimplicialCone(IntegerMatrix([[1, 1], [1, 1]]), 1), 0)):
+            with pytest.raises(ArithmeticError, match=f"forward pass has d = {found}"):
+                cone._kept_pass()
 
 
 class TestFppPoints:
@@ -392,6 +420,26 @@ class TestSpecializedGf:
         assert gf == specialize(integer_point_transform(tree), "total")
         assert str(gf) == "1/(1 - q^4)(1 - q^7)(1 - q^9)(1 - q^10)"
 
+    @pytest.mark.parametrize("rows,d", [
+        ([[1, -1], [0, 1]], 1),
+        ([[2, -1, 0], [0, 1, -1], [-1, 0, 2]], 3),
+    ])
+    def test_non_symmetric_cones(self, rows, d):
+        # Every Laplacian minor is symmetric, so only a cone like these
+        # tells the kept pass over A^T from one over A.
+        cone = cone_from_constraints(IntegerMatrix(rows))
+        assert cone.d == d
+        for mode in ("total", "first_coordinate"):
+            assert isinstance(assert_routes_agree(cone, mode), UnivariateRationalGF)
+
+    @pytest.mark.parametrize("A,d", [
+        (CYCLE3.A, 2), (CYCLE3.A, 1), (minor_cone("path", 4).A, 2),
+    ])
+    def test_wrong_d_raises(self, A, d):
+        for mode in ("total", "first_coordinate"):
+            with pytest.raises(ArithmeticError, match=f"the cone d = {d}"):
+                specialized_gf(SimplicialCone(A, d), mode)
+
     @pytest.mark.parametrize("rows,mode,message", [
         ([[3, 1], [1, -2]], "total", "negative numerator exponent"),
         ([[2, 1], [1, -1]], "total", "non-positive exponent"),
@@ -479,7 +527,7 @@ def poly_product(*factors):
 class TestNumerator:
     """`_numerator`, the digit-class DP behind `specialized_gf`."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_flat_filter(self, data):
         n = data.draw(st.integers(1, 3))
@@ -490,16 +538,25 @@ class TestNumerator:
         A = IntegerMatrix(rows)
         assume(0 < abs(determinant(A)) <= 30)
         cone = cone_from_constraints(A)
-        # Any nonzero integer form u^T R: negative weights included.
+        # Any nonzero integer form u^T R, negative weights included, or any
+        # integer weights at all: off the row lattice of R some s.c/d may
+        # be fractional, in any slot, and the DP must then raise.
         u = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
         assume(any(u))
-        s = [sum(map(mul, u, col)) for col in cone.rays()]
-        assert (cone_engine._numerator(cone.R, cone.d, s)
-                == flat_numerator(cone.R, cone.d, s))
+        s = u
+        if data.draw(st.booleans()):
+            s = [sum(map(mul, u, col)) for col in cone.rays()]
+        try:
+            expected = flat_numerator(cone.R, cone.d, s)
+        except AssertionError:
+            with pytest.raises(ArithmeticError, match="not integral"):
+                cone_engine._numerator(cone.R, cone.d, s)
+        else:
+            assert cone_engine._numerator(cone.R, cone.d, s) == expected
 
     def test_non_integral_weight_raises(self):
         # (1, 0) is not in the row lattice of R, so 1*c_0/3 is fractional.
-        with pytest.raises(ArithmeticError, match="not integral"):
+        with pytest.raises(ArithmeticError, match="^parallelepiped point not integral$"):
             cone_engine._numerator(CYCLE3.R, 3, [1, 0])
 
     @pytest.mark.parametrize("family,params", [

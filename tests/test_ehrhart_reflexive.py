@@ -194,6 +194,17 @@ class TestHalfspaceReflexivity:
         assert main(command.format(n=n).split()) == (2 if refused else 0)
         assert calls == [n]
 
+    @pytest.mark.parametrize("n", [3, 4, 7, 32])
+    def test_never_runs_the_digit_dp(self, n, monkeypatch):
+        # Neither reads the strata, so neither may pay for the DP.
+        expected = reflexivity_by_halfspaces(n), interior_point(n)
+
+        def no_dp(*args):
+            raise AssertionError("the digit DP ran")
+
+        monkeypatch.setattr(ehrhart_reflexive, "_numerator", no_dp)
+        assert (reflexivity_by_halfspaces(n), interior_point(n)) == expected
+
     def test_json_round_trip_types(self):
         data = reflexivity_by_halfspaces(3).to_json_dict()
         assert data["reflexive"] is True
@@ -332,6 +343,35 @@ class TestNormalityProbe:
     def test_validation(self):
         with pytest.raises(ValueError):
             normality_probe(UNIT_TRIANGLE, m_max=0)
+
+    @pytest.mark.parametrize("n,m_max,required", [
+        (7, 3, 474934849), (8, 2, 4459640625), (8, 3, 4459640625),
+    ])
+    def test_every_box_charged_before_any_scan(self, n, m_max, required, monkeypatch):
+        # The first box over the default budget refuses, with its own size,
+        # before L(1) or any sumset is scanned.
+        simplex = build_slice_simplex(n)
+
+        def no_scan(*args):
+            raise AssertionError("a box was scanned")
+
+        monkeypatch.setattr(ehrhart_reflexive, "_box_points", no_scan)
+        with pytest.raises(BudgetExceededError, match="box scan needs") as refused:
+            normality_probe(simplex, m_max=m_max)
+        assert refused.value.required == required
+
+    def test_refusal_comes_before_a_non_normal_dilate(self):
+        # Reeve's tetrahedron: 2T holds (1, 1, 1), which no sum of two of
+        # its four lattice points (the vertices) reaches.  Its boxes have
+        # 12, 45 and 112 cells; at budget 50 the probe to m = 2 finds the
+        # gap, and the probe to m = 3 is refused before it looks.
+        reeve = LatticeSimplex(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)])
+        report = normality_probe(reeve, m_max=2, budget=50)
+        assert report.results == (True, False)
+        assert report.counterexample == (2, (1, 1, 1))
+        with pytest.raises(BudgetExceededError) as refused:
+            normality_probe(reeve, m_max=3, budget=50)
+        assert refused.value.required == 112
 
     def test_json_types(self):
         data = normality_probe(build_slice_simplex(3)).to_json_dict()
