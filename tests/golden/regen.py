@@ -36,6 +36,12 @@ GOOD_GRAPHS = ("blanks", "diamond", "house", "k23")
 TREE_GRAPHS = (("star", 7), ("spider", 7), ("tree9", 9))
 BAD_GRAPHS = ("count_arabic_indic", "count_plus", "disconnected", "label_arabic_indic",
               "label_plus", "label_underscore", "three_tokens", "missing")
+# Cones whose listings span several blocks of the walk: the single-digit
+# level last (cycle:7, 16,807 points), in the middle (leafed_cycle:6 minored
+# at 0, 7,776 points), and two levels of 3 digits in 9 (bowtie_pendant,
+# 6,561 points).
+LONG_LISTINGS = (["--family", "cycle:7"], ["--family", "leafed_cycle:6", "--minor", "0"],
+                 ["--file", "graphs/bowtie_pendant.txt", "--minor", "5"])
 
 
 def calls():
@@ -58,6 +64,10 @@ def calls():
             for command in (["fpp"], ["gf", "--spec", "first"]):
                 yield command + ["--file", f"graphs/{name}.txt",
                                  "--minor", str(minor)], {}
+    for cone in LONG_LISTINGS:
+        for command in ("fpp", "gf"):
+            for fmt in formats:
+                yield [command] + cone + fmt, {}
     for name, size in TREE_GRAPHS:
         for minor in range(size):
             for spec in ("total", "first"):
