@@ -29,14 +29,16 @@ import os
 import random
 import sys
 from collections import Counter
-from itertools import islice
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable
 
 from .cone_engine import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    IntegerPointTransform,
     UnivariateRationalGF,
+    _BLOCK,
     _json_form,
     _lex_walk,
     cone_from_constraints,
@@ -62,8 +64,6 @@ from .tree_transforms import (
 __all__ = ["main"]
 
 _SPEC_MODES = {"total": "total", "first": "first_coordinate"}
-# Pieces of a point listing joined per write.
-_CHUNK = 1024
 
 
 def _int_option(text: str) -> int:
@@ -218,15 +218,40 @@ def _json_strings(n: int, indent: int) -> str:
             + "\n" + " " * indent + "]")
 
 
-def _write_joined(pieces: Iterable[str], sep: str) -> None:
-    """Write the pieces joined by `sep` to stdout, a chunk at a time, so a
-    listing is printed as it is walked and never held whole."""
-    pieces = iter(pieces)
-    write = sys.stdout.write
-    write(sep.join(islice(pieces, _CHUNK)))
-    while chunk := sep.join(islice(pieces, _CHUNK)):
-        write(sep)
-        write(chunk)
+class _Decimals(dict):
+    """The decimal string of each int looked up, then `suffix`, made on
+    first use."""
+
+    __slots__ = ("suffix",)
+
+    def __init__(self, suffix: str):
+        super().__init__()
+        self.suffix = suffix
+
+    def __missing__(self, value: int) -> str:
+        self[value] = text = str(value) + self.suffix
+        return text
+
+
+def _rows_text(columns, template: str) -> str:
+    """One block of a listing: row j is `template` with its "{}" slots
+    filled, in order, by columns[0][j], columns[1][j], ..., all joined at
+    once.  Per block, a table for each separator of the template holds
+    each value's decimal string with that separator after it."""
+    lead, *seps = template.split("{}")
+    tables = {sep: _Decimals(sep).__getitem__ for sep in seps}
+    return "".join(chain.from_iterable(zip(
+        repeat(lead), *(map(tables[sep], col) for col, sep in zip(columns, seps)))))
+
+
+def _write_blocks(texts: Iterable[str], lead: str) -> None:
+    """Write each block's text as it comes, so a listing is never held
+    whole; `lead`, the separator that heads every row, is cut from the
+    first."""
+    skip = len(lead)
+    for text in texts:
+        sys.stdout.write(text[skip:])
+        skip = 0
 
 
 def _cmd_gf(args) -> int:
@@ -235,20 +260,34 @@ def _cmd_gf(args) -> int:
     if args.spec is not None:
         gf = specialized_gf(cone, _SPEC_MODES[args.spec], budget=budget)
         _emit(args, str(gf), gf.to_json_dict())
-    elif args.json:
-        ipt = integer_point_transform(cone, budget=budget)
-        vector = "    " + _json_strings(cone.dimension, 4)
-        ray = ('    {{\n      "ray": ' + _json_strings(cone.dimension, 6)
-               + ',\n      "mult": "{}"\n    }}')
+    else:
+        _write_transform(integer_point_transform(cone, budget=budget), args.json)
+    return 0
+
+
+def _write_transform(ipt: IntegerPointTransform, as_json: bool) -> None:
+    """Print the transform as `str` or `to_json_dict` gives it, with the
+    sorted numerator cut into blocks of columns."""
+    n, num = len(ipt.denominator[0]), ipt.numerator
+    blocks = (list(zip(*num[j:j + _BLOCK])) for j in range(0, len(num), _BLOCK))
+    if as_json:
+        rays = [ray + (mult,) for ray, mult in sorted(Counter(ipt.denominator).items())]
         sys.stdout.write('{\n  "numerator": [\n')
-        _write_joined((vector.format(*v) for v in ipt.numerator), ",\n")
+        _write_blocks((_rows_text(b, ",\n    " + _json_strings(n, 4)) for b in blocks),
+                      ",\n")
         sys.stdout.write('\n  ],\n  "denominator": [\n')
-        _write_joined((ray.format(*v, mult) for v, mult
-                       in sorted(Counter(ipt.denominator).items())), ",\n")
+        ray = ',\n    {\n      "ray": ' + _json_strings(n, 6) + ',\n      "mult": "{}"\n    }'
+        _write_blocks([_rows_text(list(zip(*rays)), ray)], ",\n")
         sys.stdout.write("\n  ]\n}\n")
     else:
-        print(integer_point_transform(cone, budget=budget))
-    return 0
+        # The origin is the one all-zero point, and its monomial is "1".
+        monomial = "z^(" + ",".join(["{}"] * n) + ")"
+        origin = monomial.format(*[0] * n)
+        sys.stdout.write("(")
+        _write_blocks((_rows_text(b, " + " + monomial).replace(origin, "1")
+                       for b in blocks), " + ")
+        sys.stdout.write(")/(" + _rows_text(list(zip(*ipt.denominator)),
+                                            "(1 - " + monomial + ")") + ")\n")
 
 
 def _cmd_series(args) -> int:
@@ -408,22 +447,25 @@ def _cmd_ehrhart(args) -> int:
 
 
 def _cmd_fpp(args) -> int:
-    cone = _minor_cone(args, _load_graph(args))
-    points = _lex_walk(cone, _effective_budget(args))
+    _write_fpp(_minor_cone(args, _load_graph(args)), _effective_budget(args), args.json)
+    return 0
+
+
+def _write_fpp(cone, budget: int, as_json: bool) -> None:
+    """Print the cone's parallelepiped points, block by block as walked."""
+    blocks = _lex_walk(cone, budget)
     n, d = cone.dimension, cone.d
-    if args.json:
+    if as_json:
         digits = _json_strings(n, 6)
-        entry = ('    {{\n      "digits": ' + digits
-                 + ',\n      "point": ' + digits + "\n    }}")
         sys.stdout.write(f'{{\n  "determinant": "{d}",\n  "points": [\n')
-        _write_joined((entry.format(*c, *lam) for c, lam in points), ",\n")
+        entry = ',\n    {\n      "digits": ' + digits + ',\n      "point": ' + digits + "\n    }"
+        _write_blocks((_rows_text(c + lam, entry) for c, lam in blocks), ",\n")
         sys.stdout.write("\n  ]\n}\n")
     else:
         digits = "[" + ", ".join(["{}"] * n) + "]"
-        line = "digits " + digits + " -> point " + digits + "\n"
         sys.stdout.write(f"determinant {d}, {d ** (n - 1)} lattice points\n")
-        _write_joined((line.format(*c, *lam) for c, lam in points), "")
-    return 0
+        line = "digits " + digits + " -> point " + digits + "\n"
+        _write_blocks((_rows_text(c + lam, line) for c, lam in blocks), "")
 
 
 def _cmd_tree_inverse(args) -> int:

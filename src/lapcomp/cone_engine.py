@@ -16,10 +16,10 @@ parallelepiped points form the numerator of the integer point transform
 
 which can be specialized to a univariate rational generating function by
 sending every variable to q ("total") or only the first one ("first
-coordinate").  `fpp_points` lists the points of a walk along a
-triangular basis of the valid digit vectors, in lexicographic order with
-no sort; the walk itself is a generator, so `lapcomp fpp` prints each
-point as it is found.
+coordinate").  `fpp_points` lists the points of a walk along the reduced
+triangular (Hermite) basis of the valid digit vectors, in lexicographic
+order with no sort.  The walk yields blocks of at most `_BLOCK` points as
+coordinate columns, so `lapcomp fpp` prints a block at a time.
 `specialized_gf`, whose weights are linear in the digits, counts them
 instead by a DP over the d classes of the critical group Z^n / A*Z^n.
 Prefer it to `specialize(integer_point_transform(...))` unless the points
@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from operator import add, mul, sub
+from itertools import chain, repeat
+from operator import mod, mul, sub
 from typing import Iterable, Iterator, Literal, Optional, Sequence
 
 from .exact_linalg import (
@@ -129,8 +130,8 @@ class IntegerPointTransform:
 
     def __init__(self, numerator: Iterable[Sequence[int]],
                  denominator: Iterable[Sequence[int]]):
-        self.numerator = tuple(sorted(tuple(v) for v in numerator))
-        self.denominator = tuple(sorted(tuple(v) for v in denominator))
+        self.numerator = tuple(sorted(map(tuple, numerator)))
+        self.denominator = tuple(sorted(map(tuple, denominator)))
         if not self.numerator or not self.denominator:
             raise ValueError("transform needs a numerator and a denominator")
 
@@ -360,10 +361,12 @@ def cone_from_constraints(A: IntegerMatrix) -> SimplicialCone:
 
 
 def _column_hermite(A: IntegerMatrix) -> list[list[int]]:
-    """Lower-triangular basis (positive diagonal) of the column lattice of A.
+    """Reduced lower-triangular basis of the column lattice of A: a positive
+    diagonal, and 0 <= h[r][j] < h[r][r] for every j < r.
 
     Uses gcd-style integer column operations only, so the column span over
-    the integers is preserved exactly.
+    the integers is preserved exactly; the reduction subtracts multiples of
+    column r from the columns left of it, which leaves rows 0..r-1 alone.
     """
     n = A.rows
     cols = [list(A.column(j)) for j in range(n)]
@@ -386,6 +389,11 @@ def _column_hermite(A: IntegerMatrix) -> list[list[int]]:
                 break
         if cols[i][i] < 0:
             cols[i] = [-a for a in cols[i]]
+    for r in range(1, n):
+        for j in range(r):
+            q = cols[j][r] // cols[r][r]
+            if q:
+                cols[j] = [a - q * b for a, b in zip(cols[j], cols[r])]
     # Rows of the returned basis: entry (r, c) = cols[c][r].
     return [[cols[c][r] for c in range(n)] for r in range(n)]
 
@@ -399,19 +407,26 @@ def _charge_points(cone: SimplicialCone, budget: Optional[int]) -> None:
             f"parallelepiped has {required} lattice points; budget is {budget}", required)
 
 
-def _lex_walk(cone: SimplicialCone, budget: Optional[int]
-              ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The parallelepiped's (c, lam) pairs, c in lexicographic order.
+# Points in one block of the walk, and so in one write of a listing.
+_BLOCK = 1024
+
+# A block: the digit columns c_0..c_{n-1}, then the point columns lam_0..lam_{n-1}.
+_Block = tuple[list[list[int]], list[list[int]]]
+
+
+def _lex_walk(cone: SimplicialCone, budget: Optional[int]) -> Iterator[_Block]:
+    """The parallelepiped's (c, lam) pairs, c in lexicographic order, in
+    blocks of at most `_BLOCK` points held as coordinate columns.
 
     A point lam is in the parallelepiped iff c = A*lam has every coordinate
     in {0..d-1}; the valid c are the column lattice of A reduced mod d.  The
-    budget charge and the checks of the triangular basis of that lattice
-    run here, before the iterator is returned, so a refused or broken walk
-    yields nothing.
+    budget charge and the checks of the reduced triangular basis h of that
+    lattice run here, before the iterator is returned, so a refused or
+    broken walk yields nothing.
     """
     n, d = cone.dimension, cone.d
     if d == 1:
-        return iter([((0,) * n, (0,) * n)])
+        return iter([([[0]] * n, [[0]] * n)])
     _charge_points(cone, budget)
     h = _column_hermite(cone.A)
     # A positive diagonal multiplying to d: each h_ii divides d, so level i
@@ -419,74 +434,133 @@ def _lex_walk(cone: SimplicialCone, budget: Optional[int]
     diagonal = [h[i][i] for i in range(n)]
     if min(diagonal) < 1 or math.prod(diagonal) != d:
         raise ArithmeticError("triangular basis does not have determinant d")
+    # Reduced: zero above the diagonal and 0 <= h[r][j] < h_rr left of it,
+    # so a level with h_ii = 1 takes every digit whatever the prefix.
+    if any(h[r][j] if j > r else not 0 <= h[r][j] < diagonal[r]
+           for r in range(n) for j in range(n) if j != r):
+        raise ArithmeticError("triangular basis is not reduced")
     # R*h_j = 0 (mod d) for every basis column certifies that R*c/d is
-    # integral for every walked c, which is a combination of them mod d;
-    # with the determinant, it certifies that h spans the whole lattice.
+    # integral for every walked c, which is a combination of them; with the
+    # determinant, it certifies that h spans the whole lattice.  The point
+    # of basis step j is g_j = R*h_j/d.
     rrows = [cone.R.row(i) for i in range(n)]
+    steps = []
     for j in range(n):
         col = [h[r][j] for r in range(n)]
-        if any(sum(map(mul, row, col)) % d for row in rrows):
+        g = [divmod(sum(map(mul, row, col)), d) for row in rrows]
+        if any(rem for _, rem in g):
             raise ArithmeticError("triangular basis column is not a valid digit vector")
-    return _lex_points(cone.R, h, d)
+        steps.append([q for q, _ in g])
+    return _lex_points(h, steps, d)
 
 
-def _lex_points(R: IntegerMatrix, h: list[list[int]], d: int
-                ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Walk of `_lex_walk` along a checked lower-triangular basis h.
+def _stretch(col: Iterable[int], times: int) -> list[int]:
+    """Each entry of col, `times` times over."""
+    return list(chain.from_iterable(map(repeat, col, repeat(times))))
+
+
+def _kron(incs: Iterable[Sequence[int]]) -> list[int]:
+    """Every sum of one entry of each list, the last list varying fastest."""
+    out = [0]
+    for inc in incs:
+        out = [a + y for a in out for y in inc]
+    return out
+
+
+def _lex_points(h: list[list[int]], g: list[list[int]], d: int) -> Iterator[_Block]:
+    """Walk of `_lex_walk` along a checked reduced lower-triangular basis
+    h, whose step j moves the point by g[j].
 
     Once c_0..c_{i-1} are fixed, the valid c_i are the values = off_i
-    (mod h_ii) in {0..d-1}, where off holds the earlier basis steps mod d;
-    each step of h_ii adds basis column i.  Running every level up from its
-    smallest value emits the c in lexicographic order, with no sort.  The
-    partial R*c rides down the levels, so lam = R*c/d costs n adds a point.
+    (mod h_ii) in {0..d-1}, where off_i is row i of the basis steps so far;
+    digit c_i is basis step x_i = (c_i - off_i) / h_ii, exactly, so the
+    point is the sum of x_j * g[j] and needs no division.  Only a level
+    with h_ii > 1 has an offset, and every level has the fixed fan-out
+    d / h_ii.  Running every level up from its smallest value emits the c
+    in lexicographic order, with no sort.
+
+    The outer levels run depth-first.  The inner levels k..n-1, up to one
+    block, expand breadth-first into columns: a run of levels with h_ii = 1
+    is the same tile of digits under every parent, and a level with
+    h_ii = d takes the one digit its offset names, any other level a range
+    per parent.  Each point and offset column grows by one Kronecker sum a
+    run or level.  Level k is cut into chunks of digits whose points fill
+    at most one block.
     """
     n = len(h)
-    cols = [R.column(j) for j in range(n)]
-    last = n - 1
-    # The diagonal multiplies to d, so at most one level has h_ii = d and
-    # takes a single digit.  top is the last level that steps; a
-    # single-digit last level is carried along with it.
-    top = last - 1 if n > 1 and h[last][last] == d else last
+    diag = [h[i][i] for i in range(n)]
+    fan = [d // x for x in diag]
+    k, inner = n - 1, 1
+    while k and inner * fan[k] <= _BLOCK:
+        inner *= fan[k]
+        k -= 1
+    chunk = max(1, _BLOCK // inner)
+    # below[i]: the offset levels r > i that a step of level i moves.
     below = [[(r, h[r][i]) for r in range(i + 1, n) if h[r][i]] for i in range(n)]
+    stepped = [r for r in range(k + 1, n) if diag[r] > 1]
+    # The inner levels i..j-1 of each step of a block, hoisted out of the
+    # blocks: a run of levels with h_ii = 1 or one other level; the points
+    # below each of its digits; the digit tiles of a run; and what its
+    # basis steps add to each point and offset column.
+    plan = []
+    i = k + 1
+    while i < n:
+        j = i + 1 if diag[i] > 1 else next((j for j in range(i, n) if diag[j] > 1), n)
+        tiles = [_stretch(range(d), math.prod(fan[l + 1:])) * d ** (l - i)
+                 for l in range(i, j) if diag[l] == 1]
+        plan.append((i, diag[i], math.prod(fan[i:j]), math.prod(fan[j:]), tiles,
+                     [_kron([g[l][r] * x for x in range(fan[l])] for l in range(i, j))
+                      for r in range(n)],
+                     {r: _kron([h[r][l] * x for x in range(fan[l])] for l in range(i, j))
+                      for r in stepped if r >= j}))
+        i = j
 
-    def prefixes(i, prefix, off, acc):
-        if i == top:
-            yield prefix, off, acc
+    def block(prefix, off, acc, top):
+        xs = [(c - off[k]) // diag[k] for c in top]
+        digits = [_stretch(top, inner)]
+        points = [[a + v * x for x in xs] for a, v in zip(acc, g[k])]
+        offs = {r: [off[r] + h[r][k] * x for x in xs] for r in stepped}
+        m = len(top)
+        for i, hi, f, after, tiles, adds, moves in plan:
+            if hi == 1:
+                digits += [t * m for t in tiles]
+            else:
+                # Under a parent with offset o the digits run up from
+                # o mod h_ii, and digit o mod h_ii + x*h_ii is the basis
+                # step x - o // h_ii.
+                o_i = offs.pop(i)
+                cs = list(map(mod, o_i, repeat(hi)))
+                if f > 1:
+                    cs = list(chain.from_iterable(map(range, cs, repeat(d), repeat(hi))))
+                digits.append(_stretch(cs, after) if after > 1 else cs)
+                q = [o // hi for o in o_i]
+                points = [list(map(sub, col, map(v.__mul__, q))) if v else col
+                          for col, v in zip(points, g[i])]
+                offs = {r: list(map(sub, col, map(h[r][i].__mul__, q)))
+                        for r, col in offs.items()}
+            if f > 1:
+                points = [[a + y for a in col for y in inc] for col, inc in zip(points, adds)]
+                offs = {r: [a + y for a in col for y in moves[r]] for r, col in offs.items()}
+                m *= f
+        size = len(digits[0])
+        return [[c] * size for c in prefix] + digits, points
+
+    def walk(i, prefix, off, acc):
+        if i == k:
+            run = range(off[k] % diag[k], d, diag[k])
+            for j in range(0, len(run), chunk):
+                yield block(prefix, off, acc, run[j:j + chunk])
             return
-        hi = h[i][i]
+        hi = diag[i]
         for c in range(off[i] % hi, d, hi):
             x = (c - off[i]) // hi
             nxt = list(off)
             for r, v in below[i]:
-                nxt[r] = (nxt[r] + x * v) % d
-            yield from prefixes(i + 1, prefix + (c,), nxt,
-                                [a + b * c for a, b in zip(acc, cols[i])])
+                nxt[r] += x * v
+            yield from walk(i + 1, prefix + (c,), nxt,
+                            [a + v * x for a, v in zip(acc, g[i])])
 
-    ht = h[top][top]
-    # One step at the top level moves lam by step, or by wrap when the
-    # carried last digit passes d; both are integral by the certificate.
-    s = h[last][top] % d if top < last else 0
-    step = [(a * ht + b * s) // d for a, b in zip(cols[top], cols[last])]
-    wrap = list(map(sub, step, cols[last]))
-    for prefix, off, acc in prefixes(0, (), [0] * n, [0] * n):
-        c = off[top] % ht
-        if top == last:
-            lam = tuple((a + b * c) // d for a, b in zip(acc, cols[top]))
-            for c in range(c, d, ht):
-                yield prefix + (c,), lam
-                lam = tuple(map(add, lam, step))
-            continue
-        t = (off[last] + (c - off[top]) // ht * h[last][top]) % d
-        lam = tuple((a + b * c + e * t) // d
-                    for a, b, e in zip(acc, cols[top], cols[last]))
-        for c in range(c, d, ht):
-            yield prefix + (c, t), lam
-            t += s
-            if t < d:
-                lam = tuple(map(add, lam, step))
-            else:
-                t -= d
-                lam = tuple(map(add, lam, wrap))
+    return walk(0, (), [0] * n, [0] * n)
 
 
 def fpp_points(cone: SimplicialCone, budget: Optional[int] = None
@@ -498,14 +572,15 @@ def fpp_points(cone: SimplicialCone, budget: Optional[int] = None
     from the walk, with no sort: a triangular lattice basis lets it take
     d**(n-1) steps instead of scanning d**n candidates.
     """
-    return tuple(_lex_walk(cone, budget))
+    return tuple(chain.from_iterable(zip(zip(*c), zip(*lam))
+                                     for c, lam in _lex_walk(cone, budget)))
 
 
 def integer_point_transform(cone: SimplicialCone,
                             budget: Optional[int] = None) -> IntegerPointTransform:
     """The transform of the cone: parallelepiped points over the rays."""
-    return IntegerPointTransform((lam for _, lam in _lex_walk(cone, budget)),
-                                 cone.rays())
+    points = chain.from_iterable(zip(*lam) for _, lam in _lex_walk(cone, budget))
+    return IntegerPointTransform(points, cone.rays())
 
 
 def _mode_weights(mode: str, n: int) -> tuple[int, ...]:

@@ -5,8 +5,10 @@ stdout/stderr can be asserted exactly.
 """
 
 import argparse
+import contextlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -576,6 +578,44 @@ class TestListingOutput:
                     else:
                         expected = (0, expected_stdout(*renders[command], as_json), "")
                     assert run(capsys, *argv) == expected, argv
+
+
+class _Recorder:
+    """A stdout that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+BOWTIE = str(Path(__file__).parent / "golden" / "graphs" / "bowtie_pendant.txt")
+
+
+class TestListingStreams:
+    """A listing is written a block of the walk at a time, never whole:
+    bowtie_pendant minored at 5 has 6,561 points, several blocks' worth."""
+
+    @pytest.mark.parametrize("argv,marker", [
+        (["fpp", "--json"], '"digits"'),
+        (["fpp"], "digits ["),
+        (["gf", "--json"], "    [\n"),
+        (["gf"], "z^("),
+    ])
+    def test_no_write_holds_more_than_a_block(self, argv, marker):
+        out = _Recorder()
+        with contextlib.redirect_stdout(out):
+            assert main([*argv, "--file", BOWTIE, "--minor", "5"]) == 0
+        counts = [w.count(marker) for w in out.writes]
+        assert sum(c > 0 for c in counts) > 1
+        assert max(counts) <= cone_engine._BLOCK
+        if argv[0] == "fpp":
+            assert sum(counts) == 9 ** 4
 
 
 class TestListingRefusals:

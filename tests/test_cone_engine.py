@@ -1,9 +1,13 @@
 """Tests for the cone / parallelepiped / generating-function engine."""
 
+import contextlib
+import io
 import itertools
 import json
+import math
 from collections import Counter
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,8 +34,8 @@ from lapcomp import (
     specialize,
     specialized_gf,
 )
-from lapcomp import cone_engine, exact_linalg
-from lapcomp.cone_engine import polynomial_string
+from lapcomp import cli, cone_engine, exact_linalg, parse_graph
+from lapcomp.cone_engine import _json_form, polynomial_string
 
 
 def minor_cone(family, *params, vertex=None):
@@ -276,6 +280,72 @@ class TestLexWalk:
             monkeypatch.setattr(cone_engine, "_column_hermite", lambda A: basis)
             with pytest.raises(ArithmeticError, match="determinant"):
                 cone_engine._lex_walk(cone, None)
+        # The reduced basis with its last column added to its first: the
+        # same lattice, but h[2][0] = 5 is not below h[2][2] = 4.
+        monkeypatch.undo()
+        assert cone_engine._column_hermite(cone.A) == [[1, 0, 0], [0, 1, 0], [1, 2, 4]]
+        monkeypatch.setattr(cone_engine, "_column_hermite",
+                            lambda A: [[1, 0, 0], [0, 1, 0], [5, 2, 4]])
+        with pytest.raises(ArithmeticError, match="not reduced"):
+            cone_engine._lex_walk(cone, None)
+
+    @pytest.mark.parametrize("cone", [
+        # d = 9, critical group (Z/3)^2: two levels of 3 digits in 9.
+        cone_from_constraints(laplacian_minor(parse_graph(
+            (Path(__file__).parent / "golden/graphs/bowtie_pendant.txt").read_text()),
+            5).matrix),
+        # d = 7: the single-digit level is last.
+        minor_cone("cycle", 7),
+    ], ids=["bowtie_pendant", "cycle:7"])
+    def test_several_blocks(self, cone):
+        blocks = list(cone_engine._lex_walk(cone, None))
+        assert len(blocks) > 1
+        for digits, points in blocks:
+            assert len(digits) == len(points) == cone.dimension
+            assert len({len(col) for col in digits + points}) == 1
+            assert len(digits[0]) <= cone_engine._BLOCK
+        assert list(fpp_points(cone)) == flat_fpp(cone)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matrices_with_negative_rays(self, data):
+        # A = L*U with L unit lower and U upper triangular, so d is the
+        # product of U's diagonal.  The walk, at several block sizes, must
+        # equal the flat filter, and the listings must be what the JSON
+        # forms and str() give, negative entries and all.
+        n = data.draw(st.integers(2, 4))
+        entries = st.integers(-3, 3)
+        diag = data.draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+        assume(1 < math.prod(diag) and math.prod(diag) ** n <= 20000)
+        lower = [[1 if i == j else data.draw(entries) if j < i else 0
+                  for j in range(n)] for i in range(n)]
+        upper = [[diag[i] if i == j else data.draw(entries) if j > i else 0
+                  for j in range(n)] for i in range(n)]
+        cone = cone_from_constraints(IntegerMatrix(lower) @ IntegerMatrix(upper))
+        assume(any(x < 0 for row in cone.R for x in row))
+        h = cone_engine._column_hermite(cone.A)
+        assert all(0 <= h[r][j] < h[r][r] for r in range(n) for j in range(r))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cone_engine, "_BLOCK", data.draw(st.sampled_from([1, 7, 64, 1024])))
+            points = list(fpp_points(cone))
+            assert points == flat_fpp(cone)
+            listing = printed(cli._write_fpp, cone, None, True)
+        assert listing == json.dumps(_json_form({
+            "determinant": cone.d,
+            "points": [{"digits": c, "point": lam} for c, lam in points],
+        }), indent=2) + "\n"
+        ipt = integer_point_transform(cone)
+        assert printed(cli._write_transform, ipt, False) == f"{ipt}\n"
+        assert printed(cli._write_transform, ipt, True) == (
+            json.dumps(ipt.to_json_dict(), indent=2) + "\n")
+
+
+def printed(write, *args):
+    """What `write(*args)` prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        write(*args)
+    return out.getvalue()
 
 
 class TestIntegerPointTransform:
