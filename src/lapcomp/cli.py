@@ -457,14 +457,14 @@ def _write_fpp(cone, budget: int, as_json: bool) -> None:
     n, d = cone.dimension, cone.d
     if as_json:
         digits = _json_strings(n, 6)
-        sys.stdout.write(f'{{\n  "determinant": "{d}",\n  "points": [\n')
         entry = ',\n    {\n      "digits": ' + digits + ',\n      "point": ' + digits + "\n    }"
+        sys.stdout.write(f'{{\n  "determinant": "{d}",\n  "points": [\n')
         _write_blocks((_rows_text(c + lam, entry) for c, lam in blocks), ",\n")
         sys.stdout.write("\n  ]\n}\n")
     else:
         digits = "[" + ", ".join(["{}"] * n) + "]"
-        sys.stdout.write(f"determinant {d}, {d ** (n - 1)} lattice points\n")
         line = "digits " + digits + " -> point " + digits + "\n"
+        sys.stdout.write(f"determinant {d}, {d ** (n - 1)} lattice points\n")
         _write_blocks((_rows_text(c + lam, line) for c, lam in blocks), "")
 
 
