@@ -416,13 +416,14 @@ def _cmd_check(args) -> int:
 def _cmd_ehrhart(args) -> int:
     budget = _effective_budget(args)
     simplex = build_slice_simplex(args.n)
-    data = h_star(simplex, budget=budget)
-    _interior_counts_agree(simplex, data.reflexive_certificate, budget)
+    # The probe is the only step that can be refused, so it runs first.
     normal_up_to = None
     if args.normal_m > 0:
         normal_up_to = normality_probe(
             simplex, m_max=args.normal_m, budget=budget
         ).normal_up_to
+    data = h_star(simplex, budget=budget)
+    _interior_counts_agree(simplex, data.reflexive_certificate, budget)
     lines = [
         f"n={args.n}, dimension {simplex.dimension}",
         f"vertices: {list(simplex.vertices)}",

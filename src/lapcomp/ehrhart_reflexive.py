@@ -6,7 +6,9 @@ vertices.  This module builds those simplices, counts lattice points of
 their dilates exactly, extracts h*-vectors by finite differences, and
 tests reflexivity two independent ways: a halfspace certificate at one
 fixed translation, and the interior-count identity L_interior(t+1) =
-L(t).  A small sumset probe for normality rounds it out.
+L(t).  A sumset probe for normality rounds it out: it lists only the
+simplex's own lattice points and holds the size of each m-fold sumset
+against the count of m*s.
 
 The slice is built once from the leafed minor pair (L, R = n * L^-1) and
 keeps what it computed: its vertices are the columns of R below a top row
@@ -29,7 +31,8 @@ from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .cone_engine import (
-    _box_points, _charge_box, _json_form, _numerator, _one_minus_q_power, _poly_mul,
+    DEFAULT_BUDGET, BudgetExceededError, _box_points, _charge_box, _json_form,
+    _numerator, _one_minus_q_power, _poly_mul,
 )
 from .cycle_families import _leafed_minor_pair
 from .exact_linalg import IntegerMatrix, adjugate_pair, determinant
@@ -221,10 +224,10 @@ def _halfspaces(s: LatticeSimplex) -> HalfspaceReport:
     )
 
 
-def _scan_dilate(s: LatticeSimplex, t: int, budget: Optional[int],
-                 strict: int) -> list[tuple[int, ...]]:
-    """Lattice points of t*s (strictly inside it when strict is 1), by the
-    box scan over the bounding box of t*s.
+def _facets(s: LatticeSimplex, t: int, strict: int
+            ) -> tuple[list[list[int]], list[int]]:
+    """(rows, rhs): t*s is {x : row.x >= rhs for every row}, and its
+    interior the same with strict 1.
 
     With M = d * E^-1 for the edge matrix E, the barycentric coordinates of
     x are M(x - t*v0)/d together with t - (1^T M)(x - t*v0)/d, so x lies in
@@ -237,7 +240,14 @@ def _scan_dilate(s: LatticeSimplex, t: int, budget: Optional[int],
     v0 = s.vertices[0]
     rhs = [t * sum(map(mul, row, v0)) + strict for row in rows]
     rhs[-1] -= t * d
-    return _box_points(rows, rhs, *_dilate_box(s, t), budget)
+    return rows, rhs
+
+
+def _scan_dilate(s: LatticeSimplex, t: int, budget: Optional[int],
+                 strict: int) -> list[tuple[int, ...]]:
+    """Lattice points of t*s (strictly inside it when strict is 1), by the
+    box scan over the bounding box of t*s with the rows of `_facets`."""
+    return _box_points(*_facets(s, t, strict), *_dilate_box(s, t), budget)
 
 
 def _dilate_box(s: LatticeSimplex, t: int) -> tuple[list[int], list[int]]:
@@ -375,35 +385,58 @@ def normality_probe(s: LatticeSimplex, m_max: int = 2,
                     budget: Optional[int] = None) -> NormalityReport:
     """Verify, for each m <= m_max, that every lattice point of m*s is a
     sum of m lattice points of s.  Evidence only — stops at the first
-    failing m and records one uncovered point.
+    failing m and records its least uncovered point.
 
-    Every dilate's box is charged before any is scanned, so a probe over
-    the budget at some m refuses at once, as the box scan of the first
-    such m would, even where an earlier m would have failed.
+    Every dilate's box is charged before any scan, so a probe over the
+    budget at some m refuses at once, even where an earlier m would have
+    failed.  Only L(1) is listed, by the box scan, and its size must equal
+    `dilate_count(s, 1)`.  Each point is packed into one int, coordinate i
+    shifted by m * low_i into a field wide enough for m_max times the
+    box's extent, the first coordinate highest: a sum of m packed points
+    is then one int add without carries, and int order is lexicographic.
+    The m-fold sumset is the set of packed sums, its pairs charged against
+    the budget before any is formed.  Every L(1) point satisfies the facet
+    rows of s, and those rows are linear in m, so the m-fold sums lie in
+    m*s; m is normal iff their number is `dilate_count(s, m)`, which a
+    slice reads from its strata.  Only a dilate that fails is listed, by
+    the box scan, to name its least uncovered point.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
+    budget = DEFAULT_BUDGET if budget is None else budget
     for m in range(1, m_max + 1):
         _charge_box(*_dilate_box(s, m), budget)
-    base = dilate_points(s, 1, budget=budget)
-    reachable = set(base)
-    results = [True]
+    rows, rhs = _facets(s, 1, 0)
+    lows, highs = _dilate_box(s, 1)
+    base = _box_points(rows, rhs, lows, highs, budget)
+    if len(base) != dilate_count(s, 1, budget=budget):
+        raise ArithmeticError("box scan of the simplex disagrees with its count")
+    if any(sum(map(mul, row, p)) < b for p in base for row, b in zip(rows, rhs)):
+        raise ArithmeticError("box scan of the simplex left its facets")
+    widths = [(m_max * (h - l)).bit_length() for l, h in zip(lows, highs)]
+    weights = [1 << sum(widths[i + 1:]) for i in range(s.dimension)]
+    offset = sum(map(mul, lows, weights))
+    packed = [sum(map(mul, p, weights)) - offset for p in base]
+    reach = set(packed)
+    pairs = 0
     counterexample = None
     for m in range(2, m_max + 1):
-        reachable = {
-            tuple(a + b for a, b in zip(p, q)) for p in reachable for q in base
-        }
-        target = set(dilate_points(s, m, budget=budget))
-        if not reachable <= target:
+        pairs += len(reach) * len(packed)
+        if pairs > budget:
+            raise BudgetExceededError(
+                f"normality sumset needs {pairs} pairs, budget is {budget}", pairs)
+        reach = set().union(*(map(a.__add__, packed) for a in reach))
+        count = dilate_count(s, m, budget=budget)
+        if len(reach) == count:
+            continue
+        target = {sum(map(mul, p, weights)) - m * offset: p
+                  for p in dilate_points(s, m, budget=budget)}
+        if len(target) != count:
+            raise ArithmeticError(f"box scan of dilate {m} disagrees with its count")
+        if not reach <= target.keys():
             raise ArithmeticError("sumset escaped the dilate; vertices corrupt")
-        missing = target - reachable
-        results.append(not missing)
-        if missing:
-            counterexample = (m, min(missing))
-            break
-    normal_up_to = 0
-    for ok in results:
-        if not ok:
-            break
-        normal_up_to += 1
-    return NormalityReport(m_max, tuple(results), normal_up_to, counterexample)
+        counterexample = (m, target[min(target.keys() - reach)])
+        break
+    normal_up_to = m_max if counterexample is None else counterexample[0] - 1
+    results = (True,) * normal_up_to + (False,) * (counterexample is not None)
+    return NormalityReport(m_max, results, normal_up_to, counterexample)

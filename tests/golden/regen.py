@@ -36,6 +36,12 @@ GOOD_GRAPHS = ("blanks", "diamond", "house", "k23")
 TREE_GRAPHS = (("star", 7), ("spider", 7), ("tree9", 9))
 BAD_GRAPHS = ("count_arabic_indic", "count_plus", "disconnected", "label_arabic_indic",
               "label_plus", "label_underscore", "three_tokens", "missing")
+# `gf --spec MODE --json` of two families, saved as `series --file` inputs,
+# then malformed inputs that the strict reader refuses, and a missing file.
+SAVED_GFS = {f"{family.replace(':', '')}_{mode}": (family, mode)
+             for family in ("cycle:5", "leafed_cycle:4") for mode in ("total", "first")}
+BAD_GFS = ("bad_float", "bad_bool", "bad_bare_string", "bad_underscore",
+           "bad_top_level_list", "bad_missing_den", "bad_den_triple", "missing")
 # Cones whose listings span several blocks of the walk: the single-digit
 # level last (cycle:7, 16,807 points), in the middle (leafed_cycle:6 minored
 # at 0, 7,776 points), and two levels of 3 digits in 9 (bowtie_pendant,
@@ -82,6 +88,11 @@ def calls():
             yield ["check"] + params + fmt, {}
     for name in BAD_GRAPHS:
         yield ["fpp", "--file", f"graphs/{name}.txt"], {}
+    for name in SAVED_GFS:
+        for fmt in formats:
+            yield ["series", "--file", f"gfs/{name}.json", "--order", "12"] + fmt, {}
+    for name in BAD_GFS:
+        yield ["series", "--file", f"gfs/{name}.json", "--order", "4"], {}
     for spec in ("path:1_0", "path: 3", "path:3 ", "path:+2", "path:٢",
                  "kary:+2,2", "kary:2", "torus:3", "cycle"):
         yield ["series", "--family", spec, "--order", "2"], {}

@@ -1,19 +1,24 @@
-"""Closed forms for the cycle and leafed-cycle families, kept as oracles.
+"""Closed forms for the cycle and leafed-cycle families, and a set-based
+normality probe, kept as oracles.
 
-Nothing in `lapcomp` computes these: each one reaches a family result by
-a route the library does not take, so the tests can hold the general
-engine and the digit-sum DP against them.
+Nothing in `lapcomp` computes these: each one reaches a result by a route
+the library does not take, so the tests can hold the general engine, the
+digit-sum DP and the packed normality probe against them.
 """
 
 import math
 
 from lapcomp import (
     IntegerMatrix,
+    NormalityReport,
     adjugate_pair,
     cycle_graph,
+    dilate_points,
     laplacian_minor,
     leafed_cycle_graph,
 )
+from lapcomp.cone_engine import _charge_box
+from lapcomp.ehrhart_reflexive import _dilate_box
 
 
 def family_minor(n, leafed):
@@ -133,3 +138,35 @@ def necklace_histogram(n):
     if any(c % n for c in total):
         raise ArithmeticError("Burnside sum not divisible by n")
     return [c // n for c in total]
+
+
+def normality_by_sets(s, m_max=2, budget=None):
+    """The normality probe by comparing sets of point tuples: every
+    dilate's box is charged up front, then each m*s is listed by the box
+    scan and held against the m-fold sumset of L(1), formed pair by pair."""
+    if m_max < 1:
+        raise ValueError("m_max must be at least 1")
+    for m in range(1, m_max + 1):
+        _charge_box(*_dilate_box(s, m), budget)
+    base = dilate_points(s, 1, budget=budget)
+    reachable = set(base)
+    results = [True]
+    counterexample = None
+    for m in range(2, m_max + 1):
+        reachable = {
+            tuple(a + b for a, b in zip(p, q)) for p in reachable for q in base
+        }
+        target = set(dilate_points(s, m, budget=budget))
+        if not reachable <= target:
+            raise ArithmeticError("sumset escaped the dilate; vertices corrupt")
+        missing = target - reachable
+        results.append(not missing)
+        if missing:
+            counterexample = (m, min(missing))
+            break
+    normal_up_to = 0
+    for ok in results:
+        if not ok:
+            break
+        normal_up_to += 1
+    return NormalityReport(m_max, tuple(results), normal_up_to, counterexample)

@@ -1,5 +1,6 @@
 """Tests for slice simplices, Ehrhart counts, and reflexivity checks."""
 
+import random
 import sys
 from fractions import Fraction
 
@@ -18,9 +19,10 @@ from lapcomp import (
     reflexivity_by_halfspaces,
     reflexivity_by_interior_counts,
 )
-from lapcomp import cone_engine, cycle_families, ehrhart_reflexive, graph_core
+from lapcomp import cli, cone_engine, cycle_families, ehrhart_reflexive, graph_core
 from lapcomp.cli import main
 from lapcomp.ehrhart_reflexive import _halfspaces, _is_unimodal
+from oracles import normality_by_sets
 
 
 def count_minor_pairs(monkeypatch):
@@ -39,6 +41,27 @@ def count_minor_pairs(monkeypatch):
 # hull of (-1,-1), (1,0), (0,1): the origin is its only interior point
 REFLEXIVE_TRIANGLE = LatticeSimplex(2, [(-1, -1), (1, 0), (0, 1)])
 UNIT_TRIANGLE = LatticeSimplex(2, [(0, 0), (1, 0), (0, 1)])
+
+
+def reeve(r):
+    """Reeve's tetrahedron: its only lattice points are its vertices, and
+    for r >= 2 its second dilate holds (1, 1, 1), which no two reach."""
+    return LatticeSimplex(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, r)])
+
+
+def random_simplices(seed, count):
+    """`count` random 2- and 3-dimensional simplices with vertex
+    coordinates in -3..3, each with an m_max in 1..3."""
+    rng = random.Random(seed)
+    drawn = []
+    while len(drawn) < count:
+        dim = rng.choice((2, 3))
+        vertices = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim + 1)]
+        try:
+            drawn.append((LatticeSimplex(dim, vertices), rng.randint(1, 3)))
+        except ValueError:  # affinely dependent
+            pass
+    return drawn
 
 
 class TestLatticeSimplex:
@@ -189,7 +212,7 @@ class TestHalfspaceReflexivity:
     def test_each_command_builds_the_minor_pair_once(self, command, n,
                                                      monkeypatch, capsys):
         calls = count_minor_pairs(monkeypatch)
-        # the default normality probe of slice 9 is refused after its h* report
+        # the default normality probe of slice 9 is refused
         refused = command == "ehrhart {n}" and n == 9
         assert main(command.format(n=n).split()) == (2 if refused else 0)
         assert calls == [n]
@@ -373,8 +396,99 @@ class TestNormalityProbe:
             normality_probe(reeve, m_max=3, budget=50)
         assert refused.value.required == 112
 
+    def test_sumset_charged_before_any_pair(self):
+        # The unit segment's boxes have 2 and 3 cells, so both pass a
+        # budget of 3, but its 2-fold sumset has 2 * 2 pairs.
+        segment = LatticeSimplex(1, [(0,), (1,)])
+        assert normality_probe(segment, m_max=2, budget=4).normal_up_to == 2
+        with pytest.raises(BudgetExceededError,
+                           match="normality sumset needs 4 pairs") as refused:
+            normality_probe(segment, m_max=2, budget=3)
+        assert refused.value.required == 4
+
+    def test_sumset_charge_accumulates_over_dilates(self):
+        # UNIT_TRIANGLE: L(1) and L(2) have 3 and 6 points, so the sums
+        # to m = 3 form 3 * 3 + 6 * 3 pairs; its largest box has 16 cells.
+        assert normality_probe(UNIT_TRIANGLE, m_max=3, budget=27).normal_up_to == 3
+        with pytest.raises(BudgetExceededError) as refused:
+            normality_probe(UNIT_TRIANGLE, m_max=3, budget=26)
+        assert refused.value.required == 27
+
+    @pytest.mark.parametrize("n,m_max", [(n, 3) for n in range(3, 6)] + [(7, 2)])
+    def test_normal_slice_lists_only_its_base(self, n, m_max, monkeypatch):
+        scans = []
+        real = ehrhart_reflexive._box_points
+
+        def counted(rows, rhs, lows, highs, budget=None):
+            scans.append(lows)
+            return real(rows, rhs, lows, highs, budget)
+
+        monkeypatch.setattr(ehrhart_reflexive, "_box_points", counted)
+        s = build_slice_simplex(n)
+        assert normality_probe(s, m_max=m_max).normal_up_to == m_max
+        assert scans == [ehrhart_reflexive._dilate_box(s, 1)[0]]
+
+    def test_base_listing_must_match_its_count(self, monkeypatch):
+        real = ehrhart_reflexive._box_points
+        s = build_slice_simplex(4)
+        monkeypatch.setattr(ehrhart_reflexive, "_box_points",
+                            lambda *args: real(*args)[1:])
+        with pytest.raises(ArithmeticError, match="disagrees with its count"):
+            normality_probe(s)
+
+    def test_base_listing_must_satisfy_the_facets(self, monkeypatch):
+        real = ehrhart_reflexive._box_points
+        s = build_slice_simplex(4)
+        far = tuple(v + 100 for v in s.vertices[0])
+        monkeypatch.setattr(ehrhart_reflexive, "_box_points",
+                            lambda *args: real(*args)[1:] + [far])
+        with pytest.raises(ArithmeticError, match="left its facets"):
+            normality_probe(s)
+
     def test_json_types(self):
         data = normality_probe(build_slice_simplex(3)).to_json_dict()
         assert data["m_max"] == "2"
         assert data["normal_up_to"] == "2"
         assert data["counterexample"] is None
+
+
+class TestNormalityAgainstSets:
+    """The packed probe against the set-comparison oracle: equal reports,
+    counterexample included."""
+
+    @pytest.mark.parametrize("n,m_max", [(3, 3), (4, 3), (5, 3), (6, 3), (7, 2)])
+    def test_leafed_slices(self, n, m_max):
+        s = build_slice_simplex(n)
+        for m in range(1, m_max + 1):
+            assert normality_probe(s, m) == normality_by_sets(s, m)
+
+    def test_unit_triangle(self):
+        for m in range(1, 5):
+            assert normality_probe(UNIT_TRIANGLE, m) == normality_by_sets(UNIT_TRIANGLE, m)
+
+    @pytest.mark.parametrize("r", range(2, 6))
+    def test_reeve_tetrahedra(self, r):
+        for m in (2, 3):
+            report = normality_probe(reeve(r), m)
+            assert report == normality_by_sets(reeve(r), m)
+            assert report.counterexample == (2, (1, 1, 1))
+
+    def test_random_simplices(self):
+        failing = 0
+        for s, m_max in random_simplices(15, 120):
+            report = normality_probe(s, m_max)
+            assert report == normality_by_sets(s, m_max), s
+            failing += report.counterexample is not None
+        assert failing > 20  # the draw reaches the listing path often
+
+
+class TestEhrhartCommandOrder:
+    def test_refused_probe_does_no_h_star_work(self, monkeypatch, capsys):
+        def no_h_star(*args, **kwargs):
+            raise AssertionError("h* ran before the refused probe")
+
+        monkeypatch.setattr(cli, "h_star", no_h_star)
+        assert main(["ehrhart", "9"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: budget exhausted: box scan needs 2901438225")

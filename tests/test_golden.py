@@ -2,6 +2,7 @@
 exit code, stdout and stderr, byte for byte.  `golden/regen.py` rewrites
 the corpus; a changed line is a changed CLI."""
 
+import hashlib
 import json
 
 from golden import regen
@@ -22,3 +23,13 @@ def test_every_call_replays_byte_for_byte():
     changed = [(line, regen.record(line["argv"], line["env"])) for line in corpus()]
     changed = [(old, new) for old, new in changed if old != new]
     assert not changed, f"{len(changed)} calls changed; first: {changed[0]}"
+
+
+def test_saved_gfs_are_what_gf_writes():
+    """Each `series --file` input under `golden/gfs/` holds the bytes of
+    the corpus's `gf --family F --spec MODE --json` call."""
+    recorded = {tuple(line["argv"]): line["stdout_sha256"] for line in corpus()}
+    for name, (family, mode) in regen.SAVED_GFS.items():
+        saved = (regen.HERE / "gfs" / f"{name}.json").read_bytes()
+        argv = ("gf", "--spec", mode, "--family", family, "--json")
+        assert hashlib.sha256(saved).hexdigest() == recorded[argv], name
