@@ -48,6 +48,14 @@ BAD_GFS = ("bad_float", "bad_bool", "bad_bare_string", "bad_underscore",
 # 6,561 points).
 LONG_LISTINGS = (["--family", "cycle:7"], ["--family", "leafed_cycle:6", "--minor", "0"],
                  ["--file", "graphs/bowtie_pendant.txt", "--minor", "5"])
+# Every minor's `gf` listing of small graphs: the non-cyclic critical
+# groups of k23, bowtie_pendant ((Z/3)^2) and complete:4 ((Z/4)^2) give
+# triangular bases with several levels of h_ii > 1.  Each source with its
+# vertex count; a call already in LONG_LISTINGS is not repeated.
+EVERY_MINOR_GF = ((["--file", "graphs/house.txt"], 5), (["--file", "graphs/diamond.txt"], 4),
+                  (["--file", "graphs/k23.txt"], 5),
+                  (["--file", "graphs/bowtie_pendant.txt"], 6),
+                  (["--family", "complete:4"], 4))
 
 
 def calls():
@@ -74,6 +82,12 @@ def calls():
         for command in ("fpp", "gf"):
             for fmt in formats:
                 yield [command] + cone + fmt, {}
+    for source, size in EVERY_MINOR_GF:
+        for minor in range(size):
+            cone = source + ["--minor", str(minor)]
+            if cone not in LONG_LISTINGS:
+                for fmt in formats:
+                    yield ["gf"] + cone + fmt, {}
     for name, size in TREE_GRAPHS:
         for minor in range(size):
             for spec in ("total", "first"):
