@@ -31,18 +31,16 @@ import sys
 from collections import Counter
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .cone_engine import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    IntegerPointTransform,
     UnivariateRationalGF,
-    _BLOCK,
     _json_form,
     _lex_walk,
+    _sorted_points,
     cone_from_constraints,
-    integer_point_transform,
     series_expand,
     specialized_gf,
 )
@@ -202,11 +200,13 @@ def _minor_cone(args, g):
     return cone_from_constraints(laplacian_minor(g, _minor_vertex(args, g)).matrix)
 
 
-def _emit(args, text: str, payload: dict) -> None:
+def _emit(args, text: Callable[[], str], payload: Callable[[], dict]) -> None:
+    """Print the text or, with --json, the JSON form of a result; each
+    form is built by its function, and only the printed one is built."""
     if args.json:
-        print(json.dumps(_json_form(payload), indent=2))
+        print(json.dumps(_json_form(payload()), indent=2))
     else:
-        print(text)
+        print(text())
 
 
 def _json_strings(n: int, indent: int) -> str:
@@ -259,19 +259,20 @@ def _cmd_gf(args) -> int:
     budget = _effective_budget(args)
     if args.spec is not None:
         gf = specialized_gf(cone, _SPEC_MODES[args.spec], budget=budget)
-        _emit(args, str(gf), gf.to_json_dict())
+        _emit(args, lambda: str(gf), gf.to_json_dict)
     else:
-        _write_transform(integer_point_transform(cone, budget=budget), args.json)
+        _write_transform(cone, budget, args.json)
     return 0
 
 
-def _write_transform(ipt: IntegerPointTransform, as_json: bool) -> None:
-    """Print the transform as `str` or `to_json_dict` gives it, with the
-    sorted numerator cut into blocks of columns."""
-    n, num = len(ipt.denominator[0]), ipt.numerator
-    blocks = (list(zip(*num[j:j + _BLOCK])) for j in range(0, len(num), _BLOCK))
+def _write_transform(cone, budget: int, as_json: bool) -> None:
+    """Print the cone's transform as `str` or `to_json_dict` of
+    `integer_point_transform` gives it, its numerator written block by
+    block as `_sorted_points` unpacks it."""
+    blocks = _sorted_points(cone, budget)
+    n, rays = cone.dimension, sorted(cone.rays())
     if as_json:
-        rays = [ray + (mult,) for ray, mult in sorted(Counter(ipt.denominator).items())]
+        rays = [ray + (mult,) for ray, mult in sorted(Counter(rays).items())]
         sys.stdout.write('{\n  "numerator": [\n')
         _write_blocks((_rows_text(b, ",\n    " + _json_strings(n, 4)) for b in blocks),
                       ",\n")
@@ -286,7 +287,7 @@ def _write_transform(ipt: IntegerPointTransform, as_json: bool) -> None:
         sys.stdout.write("(")
         _write_blocks((_rows_text(b, " + " + monomial).replace(origin, "1")
                        for b in blocks), " + ")
-        sys.stdout.write(")/(" + _rows_text(list(zip(*ipt.denominator)),
+        sys.stdout.write(")/(" + _rows_text(list(zip(*rays)),
                                             "(1 - " + monomial + ")") + ")\n")
 
 
@@ -303,8 +304,8 @@ def _cmd_series(args) -> int:
         gf = specialized_gf(_minor_cone(args, family_from_string(args.family)),
                             _SPEC_MODES[args.spec], budget=_effective_budget(args))
     coeffs = series_expand(gf, args.order)
-    text = "[" + ", ".join(str(c) for c in coeffs) + "]"
-    _emit(args, text, {"order": args.order, "coefficients": coeffs})
+    _emit(args, lambda: "[" + ", ".join(map(str, coeffs)) + "]",
+          lambda: {"order": args.order, "coefficients": coeffs})
     return 0
 
 
@@ -319,31 +320,39 @@ def _params(args, count: int, names: str) -> list[int]:
 def _check_cyclic(args) -> int:
     n, m_max = _params(args, 2, "N M_MAX")
     report = check_conjecture_cyclic(n, m_max)
-    matches = sum(row["match"] for row in report.rows)
-    lines = [
-        f"m={row['m']}: coefficient {row['lhs']} vs classes {row['rhs']} "
-        f"{'ok' if row['match'] else 'MISMATCH'}"
-        for row in report.rows
-    ]
-    lines.append(f"{matches}/{len(report.rows)} match")
-    _emit(args, "\n".join(lines), report.to_json_dict())
+
+    def text():
+        matches = sum(row["match"] for row in report.rows)
+        lines = [
+            f"m={row['m']}: coefficient {row['lhs']} vs classes {row['rhs']} "
+            f"{'ok' if row['match'] else 'MISMATCH'}"
+            for row in report.rows
+        ]
+        lines.append(f"{matches}/{len(report.rows)} match")
+        return "\n".join(lines)
+
+    _emit(args, text, report.to_json_dict)
     return 0 if report.all_match else 1  # the identity is a theorem
 
 
 def _check_near_symmetry(args) -> int:
     (k,) = _params(args, 1, "K")
     report = check_near_symmetry(k)
-    lines = [f"k={report.k} (n={report.n})"]
-    if report.division_exact:
-        lines.append(f"f coefficients: {list(report.f)}")
-        lines.append(f"difference:     {list(report.difference)}")
-    else:
-        lines.append("exact division failed; the conjectured rational form "
-                      "does not hold")
-    lines.append(f"expected:       {list(report.expected)}")
-    lines.append(f"verdict: {report.verdict}")
-    lines.append(f"numerator-level identity holds: {report.numerator_match}")
-    _emit(args, "\n".join(lines), report.to_json_dict())
+
+    def text():
+        lines = [f"k={report.k} (n={report.n})"]
+        if report.division_exact:
+            lines.append(f"f coefficients: {list(report.f)}")
+            lines.append(f"difference:     {list(report.difference)}")
+        else:
+            lines.append("exact division failed; the conjectured rational form "
+                          "does not hold")
+        lines.append(f"expected:       {list(report.expected)}")
+        lines.append(f"verdict: {report.verdict}")
+        lines.append(f"numerator-level identity holds: {report.numerator_match}")
+        return "\n".join(lines)
+
+    _emit(args, text, report.to_json_dict)
     return 0
 
 
@@ -365,16 +374,14 @@ def _check_reflexive(args) -> int:
     simplex = build_slice_simplex(n)
     half = _halfspaces(simplex)
     by_counts = _interior_counts_agree(simplex, half.reflexive, _effective_budget(args))
-    text = (
-        f"n={n}: reflexive={half.reflexive} ({half.reason}); "
-        f"interior-count test agrees"
-    )
-    _emit(args, text, {
-        "n": n,
-        "halfspace": half.to_json_dict(),
-        "interior_counts": by_counts,
-        "reflexive": half.reflexive,
-    })
+    _emit(args, lambda: (f"n={n}: reflexive={half.reflexive} ({half.reason}); "
+                         f"interior-count test agrees"),
+          lambda: {
+              "n": n,
+              "halfspace": half.to_json_dict(),
+              "interior_counts": by_counts,
+              "reflexive": half.reflexive,
+          })
     return 0
 
 
@@ -390,15 +397,14 @@ def _check_tree_equivalence(args) -> int:
         for message in verify_tree_identities(t, leaf):
             failures.append({"trial": trial, "edges": t.edges, "leaf": leaf,
                              "message": message})
-    payload = {"seed": seed, "count": count, "failures": failures}
-    if failures:
-        text = "\n".join(
-            f"trial {f['trial']}: {f['message']}" for f in failures
-        )
-        _emit(args, text, payload)
-        return 1
-    _emit(args, f"{count} random trees: all identities hold", payload)
-    return 0
+
+    def text():
+        if not failures:
+            return f"{count} random trees: all identities hold"
+        return "\n".join(f"trial {f['trial']}: {f['message']}" for f in failures)
+
+    _emit(args, text, lambda: {"seed": seed, "count": count, "failures": failures})
+    return 1 if failures else 0
 
 
 _CHECKS = {
@@ -424,17 +430,21 @@ def _cmd_ehrhart(args) -> int:
         ).normal_up_to
     data = h_star(simplex, budget=budget)
     _interior_counts_agree(simplex, data.reflexive_certificate, budget)
-    lines = [
-        f"n={args.n}, dimension {simplex.dimension}",
-        f"vertices: {list(simplex.vertices)}",
-        f"dilate counts: {list(data.dilate_counts)}",
-        f"h*: {list(data.h_star)}",
-        f"palindromic={data.palindromic} unimodal={data.unimodal} "
-        f"reflexive={data.reflexive_certificate}",
-    ]
-    if normal_up_to is not None:
-        lines.append(f"normal up to dilate {normal_up_to}")
-    _emit(args, "\n".join(lines), {
+
+    def text():
+        lines = [
+            f"n={args.n}, dimension {simplex.dimension}",
+            f"vertices: {list(simplex.vertices)}",
+            f"dilate counts: {list(data.dilate_counts)}",
+            f"h*: {list(data.h_star)}",
+            f"palindromic={data.palindromic} unimodal={data.unimodal} "
+            f"reflexive={data.reflexive_certificate}",
+        ]
+        if normal_up_to is not None:
+            lines.append(f"normal up to dilate {normal_up_to}")
+        return "\n".join(lines)
+
+    _emit(args, text, lambda: {
         "n": args.n,
         "vertices": simplex.vertices,
         "h_star": data.h_star,
@@ -473,10 +483,10 @@ def _cmd_tree_inverse(args) -> int:
     g = _load_graph(args)
     leaf = _minor_vertex(args, g)
     inv = tree_inverse_combinatorial(g, leaf)
-    lines = [f"leaf {leaf}, vertex order {list(inv.vertices)}"]
-    lines += [" ".join(str(e) for e in row) for row in inv.matrix]
-    _emit(args, "\n".join(lines),
-          {"leaf": leaf, "vertices": inv.vertices, "matrix": inv.matrix})
+    _emit(args,
+          lambda: "\n".join([f"leaf {leaf}, vertex order {list(inv.vertices)}"]
+                            + [" ".join(map(str, row)) for row in inv.matrix]),
+          lambda: {"leaf": leaf, "vertices": inv.vertices, "matrix": inv.matrix})
     return 0
 
 

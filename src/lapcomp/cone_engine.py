@@ -19,7 +19,17 @@ sending every variable to q ("total") or only the first one ("first
 coordinate").  `fpp_points` lists the points of a walk along the reduced
 triangular (Hermite) basis of the valid digit vectors, in lexicographic
 order with no sort.  The walk yields blocks of at most `_BLOCK` points as
-coordinate columns, so `lapcomp fpp` prints a block at a time.
+coordinate columns, so `lapcomp fpp` prints a block at a time.  The
+transform's numerator is ordered by the point instead of its digits: the
+same walk runs on points packed into one int each, coordinate i in its
+own field, and one int sort orders them.  Every point lies in the box
+lo <= lam <= hi, where lo_i and hi_i sum the negative and the positive
+entries of row i of R, since lam = R*c/d with each c_j < d; each field
+is (hi_i - lo_i).bit_length() bits wide and holds lam_i - lo_i, so no
+field carries or borrows into the next and int order is lexicographic
+point order.  `lapcomp gf` prints the sorted points a block at a time as
+they are unpacked, and `integer_point_transform` makes its tuples from
+the same blocks.
 `specialized_gf`, whose weights are linear in the digits, counts them
 instead by a DP over the d classes of the critical group Z^n / A*Z^n.
 Prefer it to `specialize(integer_point_transform(...))` unless the points
@@ -32,7 +42,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import chain, repeat
-from operator import mod, mul, sub
+from operator import and_, lshift, mod, mul, rshift, sub
 from typing import Iterable, Iterator, Literal, Optional, Sequence
 
 from .exact_linalg import (
@@ -414,19 +424,16 @@ _BLOCK = 1024
 _Block = tuple[list[list[int]], list[list[int]]]
 
 
-def _lex_walk(cone: SimplicialCone, budget: Optional[int]) -> Iterator[_Block]:
-    """The parallelepiped's (c, lam) pairs, c in lexicographic order, in
-    blocks of at most `_BLOCK` points held as coordinate columns.
+def _checked_basis(cone: SimplicialCone, budget: Optional[int]
+                   ) -> tuple[list[list[int]], list[list[int]]]:
+    """(h, g): the reduced triangular basis h of the valid digit vectors of
+    a cone with d > 1, and the point g[j] = R*h_j/d of each basis step.
 
     A point lam is in the parallelepiped iff c = A*lam has every coordinate
-    in {0..d-1}; the valid c are the column lattice of A reduced mod d.  The
-    budget charge and the checks of the reduced triangular basis h of that
-    lattice run here, before the iterator is returned, so a refused or
-    broken walk yields nothing.
+    in {0..d-1}; the valid c are the column lattice of A reduced mod d.
+    The budget is charged first, and h is checked before it is returned.
     """
     n, d = cone.dimension, cone.d
-    if d == 1:
-        return iter([([[0]] * n, [[0]] * n)])
     _charge_points(cone, budget)
     h = _column_hermite(cone.A)
     # A positive diagonal multiplying to d: each h_ii divides d, so level i
@@ -441,8 +448,7 @@ def _lex_walk(cone: SimplicialCone, budget: Optional[int]) -> Iterator[_Block]:
         raise ArithmeticError("triangular basis is not reduced")
     # R*h_j = 0 (mod d) for every basis column certifies that R*c/d is
     # integral for every walked c, which is a combination of them; with the
-    # determinant, it certifies that h spans the whole lattice.  The point
-    # of basis step j is g_j = R*h_j/d.
+    # determinant, it certifies that h spans the whole lattice.
     rrows = [cone.R.row(i) for i in range(n)]
     steps = []
     for j in range(n):
@@ -451,7 +457,72 @@ def _lex_walk(cone: SimplicialCone, budget: Optional[int]) -> Iterator[_Block]:
         if any(rem for _, rem in g):
             raise ArithmeticError("triangular basis column is not a valid digit vector")
         steps.append([q for q, _ in g])
-    return _lex_points(h, steps, d)
+    return h, steps
+
+
+def _lex_walk(cone: SimplicialCone, budget: Optional[int]) -> Iterator[_Block]:
+    """The parallelepiped's (c, lam) pairs, c in lexicographic order, in
+    blocks of at most `_BLOCK` points held as coordinate columns.
+
+    The budget charge and the checks of `_checked_basis` run here, before
+    the iterator is returned, so a refused or broken walk yields nothing.
+    """
+    n, d = cone.dimension, cone.d
+    if d == 1:
+        return iter([([[0]] * n, [[0]] * n)])
+    return _lex_points(*_checked_basis(cone, budget), d)
+
+
+def _sorted_points(cone: SimplicialCone, budget: Optional[int]
+                   ) -> Iterator[list[list[int]]]:
+    """The parallelepiped points in lexicographic order, in blocks of at
+    most `_BLOCK` points held as coordinate columns.
+
+    The walk runs on packed points: coordinate i gets a field of
+    (hi_i - lo_i).bit_length() bits, where lo_i and hi_i, the sums of the
+    negative and of the positive entries of row i of R, bound every
+    lam_i = (R*c)_i / d because each c_j < d; coordinate 0 goes highest.
+    Each basis step becomes the one int sum_i g[j][i] << s_i, and the walk
+    is linear in its steps, so it emits sum_i lam_i << s_i for each point.
+    Adding K = -sum_i lo_i << s_i leaves lam_i - lo_i in field i, which is
+    nonnegative and fits, so no field carries and int order is
+    lexicographic point order: one int sort, then each block is unpacked.
+    The charge, the basis checks and the sort run before the iterator is
+    returned.
+    """
+    n, d = cone.dimension, cone.d
+    if d == 1:
+        return iter([[[0]] * n])
+    h, steps = _checked_basis(cone, budget)
+    rows = [cone.R.row(i) for i in range(n)]
+    lo = [sum(min(0, x) for x in row) for row in rows]
+    widths = [(sum(max(0, x) for x in row) - low).bit_length()
+              for row, low in zip(rows, lo)]
+    shifts = [sum(widths[i + 1:]) for i in range(n)]
+    packed = [[sum(map(lshift, g, shifts))] for g in steps]
+    keys = list(chain.from_iterable(lam[0] for _, lam in _lex_points(h, packed, d)))
+    keys.sort()
+    offset = -sum(map(lshift, lo, shifts))
+    # No key + K reaches past the top field, so that field needs no mask.
+    fields = list(zip(shifts, [0] + [(1 << w) - 1 for w in widths[1:]], lo))
+
+    def blocks():
+        for j in range(0, len(keys), _BLOCK):
+            part = keys[j:j + _BLOCK]
+            if offset:
+                part = list(map(offset.__add__, part))
+            yield [_field(part, *field) for field in fields]
+
+    return blocks()
+
+
+def _field(keys: list[int], shift: int, mask: int, low: int) -> list[int]:
+    """(key >> shift & mask) + low for each key, skipping a shift or low
+    of 0 and a mask of 0, which stands for none."""
+    col = map(rshift, keys, repeat(shift)) if shift else keys
+    if mask:
+        col = map(and_, col, repeat(mask))
+    return list(map(low.__add__, col) if low else col)
 
 
 def _stretch(col: Iterable[int], times: int) -> list[int]:
@@ -469,7 +540,8 @@ def _kron(incs: Iterable[Sequence[int]]) -> list[int]:
 
 def _lex_points(h: list[list[int]], g: list[list[int]], d: int) -> Iterator[_Block]:
     """Walk of `_lex_walk` along a checked reduced lower-triangular basis
-    h, whose step j moves the point by g[j].
+    h, whose step j moves the point by g[j].  A point has len(g[0])
+    coordinates, so `_sorted_points` walks points packed into one int.
 
     Once c_0..c_{i-1} are fixed, the valid c_i are the values = off_i
     (mod h_ii) in {0..d-1}, where off_i is row i of the basis steps so far;
@@ -487,7 +559,7 @@ def _lex_points(h: list[list[int]], g: list[list[int]], d: int) -> Iterator[_Blo
     run or level.  Level k is cut into chunks of digits whose points fill
     at most one block.
     """
-    n = len(h)
+    n, width = len(h), len(g[0])
     diag = [h[i][i] for i in range(n)]
     fan = [d // x for x in diag]
     k, inner = n - 1, 1
@@ -510,7 +582,7 @@ def _lex_points(h: list[list[int]], g: list[list[int]], d: int) -> Iterator[_Blo
                  for l in range(i, j) if diag[l] == 1]
         plan.append((i, diag[i], math.prod(fan[i:j]), math.prod(fan[j:]), tiles,
                      [_kron([g[l][r] * x for x in range(fan[l])] for l in range(i, j))
-                      for r in range(n)],
+                      for r in range(width)],
                      {r: _kron([h[r][l] * x for x in range(fan[l])] for l in range(i, j))
                       for r in stepped if r >= j}))
         i = j
@@ -560,7 +632,7 @@ def _lex_points(h: list[list[int]], g: list[list[int]], d: int) -> Iterator[_Blo
             yield from walk(i + 1, prefix + (c,), nxt,
                             [a + v * x for a, v in zip(acc, g[i])])
 
-    return walk(0, (), [0] * n, [0] * n)
+    return walk(0, (), [0] * n, [0] * width)
 
 
 def fpp_points(cone: SimplicialCone, budget: Optional[int] = None
@@ -578,8 +650,16 @@ def fpp_points(cone: SimplicialCone, budget: Optional[int] = None
 
 def integer_point_transform(cone: SimplicialCone,
                             budget: Optional[int] = None) -> IntegerPointTransform:
-    """The transform of the cone: parallelepiped points over the rays."""
-    points = chain.from_iterable(zip(*lam) for _, lam in _lex_walk(cone, budget))
+    """The transform of the cone: parallelepiped points over the rays.
+
+    The numerator comes from `_sorted_points` already in the lexicographic
+    order the transform keeps it in: each point is packed into one int, a
+    field of (hi_i - lo_i).bit_length() bits per coordinate with lo_i and
+    hi_i the sums of the negative and the positive entries of row i of R,
+    which bound every point, so that no field carries and one int sort
+    orders the points; only the sorted points become tuples.
+    """
+    points = chain.from_iterable(zip(*cols) for cols in _sorted_points(cone, budget))
     return IntegerPointTransform(points, cone.rays())
 
 

@@ -399,7 +399,9 @@ def normality_probe(s: LatticeSimplex, m_max: int = 2,
     rows of s, and those rows are linear in m, so the m-fold sums lie in
     m*s; m is normal iff their number is `dilate_count(s, m)`, which a
     slice reads from its strata.  Only a dilate that fails is listed, by
-    the box scan, to name its least uncovered point.
+    the box scan, to name its least uncovered point.  A simplex without
+    strata is counted by the box scan itself, so each of its dilates is
+    scanned once and counted by its listing, L(1) included.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
@@ -408,8 +410,9 @@ def normality_probe(s: LatticeSimplex, m_max: int = 2,
         _charge_box(*_dilate_box(s, m), budget)
     rows, rhs = _facets(s, 1, 0)
     lows, highs = _dilate_box(s, 1)
+    strata = s.source_n is not None
     base = _box_points(rows, rhs, lows, highs, budget)
-    if len(base) != dilate_count(s, 1, budget=budget):
+    if strata and len(base) != dilate_count(s, 1, budget=budget):
         raise ArithmeticError("box scan of the simplex disagrees with its count")
     if any(sum(map(mul, row, p)) < b for p in base for row, b in zip(rows, rhs)):
         raise ArithmeticError("box scan of the simplex left its facets")
@@ -426,11 +429,13 @@ def normality_probe(s: LatticeSimplex, m_max: int = 2,
             raise BudgetExceededError(
                 f"normality sumset needs {pairs} pairs, budget is {budget}", pairs)
         reach = set().union(*(map(a.__add__, packed) for a in reach))
-        count = dilate_count(s, m, budget=budget)
+        listing = None if strata else dilate_points(s, m, budget=budget)
+        count = len(listing) if listing is not None else dilate_count(s, m, budget=budget)
         if len(reach) == count:
             continue
-        target = {sum(map(mul, p, weights)) - m * offset: p
-                  for p in dilate_points(s, m, budget=budget)}
+        if listing is None:
+            listing = dilate_points(s, m, budget=budget)
+        target = {sum(map(mul, p, weights)) - m * offset: p for p in listing}
         if len(target) != count:
             raise ArithmeticError(f"box scan of dilate {m} disagrees with its count")
         if not reach <= target.keys():

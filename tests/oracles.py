@@ -1,15 +1,18 @@
-"""Closed forms for the cycle and leafed-cycle families, and a set-based
-normality probe, kept as oracles.
+"""Closed forms for the cycle and leafed-cycle families, a set-based
+normality probe and a tuple-sorted transform, kept as oracles.
 
 Nothing in `lapcomp` computes these: each one reaches a result by a route
 the library does not take, so the tests can hold the general engine, the
-digit-sum DP and the packed normality probe against them.
+digit-sum DP, the packed normality probe and the packed point sort
+against them.
 """
 
 import math
+from itertools import chain
 
 from lapcomp import (
     IntegerMatrix,
+    IntegerPointTransform,
     NormalityReport,
     adjugate_pair,
     cycle_graph,
@@ -17,7 +20,7 @@ from lapcomp import (
     laplacian_minor,
     leafed_cycle_graph,
 )
-from lapcomp.cone_engine import _charge_box
+from lapcomp.cone_engine import _charge_box, _lex_walk
 from lapcomp.ehrhart_reflexive import _dilate_box
 
 
@@ -170,3 +173,11 @@ def normality_by_sets(s, m_max=2, budget=None):
             break
         normal_up_to += 1
     return NormalityReport(m_max, tuple(results), normal_up_to, counterexample)
+
+
+def transform_by_tuples(cone, budget=None):
+    """The cone's transform with the numerator sorted as tuples: the walk
+    lists the points in digit order, one tuple each, and the transform's
+    constructor sorts them."""
+    points = chain.from_iterable(zip(*lam) for _, lam in _lex_walk(cone, budget))
+    return IntegerPointTransform(points, cone.rays())

@@ -618,6 +618,27 @@ class TestListingStreams:
             assert sum(counts) == 9 ** 4
 
 
+class TestNoTransformObject:
+    """`gf` without `--spec` writes the numerator block by block from the
+    packed sort: it never builds an `IntegerPointTransform`, on a listing
+    of several blocks or on a refusal."""
+
+    def test_same_output_without_the_transform(self, capsys, monkeypatch):
+        monkeypatch.delenv("LAPCOMP_BUDGET", raising=False)
+        argvs = [["gf", *source] + ["--json"] * as_json
+                 for source in (["--file", BOWTIE, "--minor", "5"], ["--family", "complete:6"])
+                 for as_json in (False, True)]
+        expected = [run(capsys, *argv) for argv in argvs]
+        assert [code for code, _, _ in expected] == [0, 0, 2, 2]
+        assert all(err == BUDGET_ERROR for _, _, err in expected[2:])
+
+        def no_transform(self, *args):
+            raise AssertionError("an IntegerPointTransform was built")
+
+        monkeypatch.setattr(cone_engine.IntegerPointTransform, "__init__", no_transform)
+        assert [run(capsys, *argv) for argv in argvs] == expected
+
+
 class TestListingRefusals:
     """A refused or broken walk fails before its first line is written."""
 

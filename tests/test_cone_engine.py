@@ -36,6 +36,7 @@ from lapcomp import (
 )
 from lapcomp import cli, cone_engine, exact_linalg, parse_graph
 from lapcomp.cone_engine import _json_form, polynomial_string
+from oracles import transform_by_tuples
 
 
 def minor_cone(family, *params, vertex=None):
@@ -312,7 +313,8 @@ class TestLexWalk:
         # A = L*U with L unit lower and U upper triangular, so d is the
         # product of U's diagonal.  The walk, at several block sizes, must
         # equal the flat filter, and the listings must be what the JSON
-        # forms and str() give, negative entries and all.
+        # forms and str() give, negative entries and all; the packed sort
+        # must give the tuple-sorted transform.
         n = data.draw(st.integers(2, 4))
         entries = st.integers(-3, 3)
         diag = data.draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
@@ -330,14 +332,87 @@ class TestLexWalk:
             points = list(fpp_points(cone))
             assert points == flat_fpp(cone)
             listing = printed(cli._write_fpp, cone, None, True)
+            assert_sorted_route(cone)
         assert listing == json.dumps(_json_form({
             "determinant": cone.d,
             "points": [{"digits": c, "point": lam} for c, lam in points],
         }), indent=2) + "\n"
-        ipt = integer_point_transform(cone)
-        assert printed(cli._write_transform, ipt, False) == f"{ipt}\n"
-        assert printed(cli._write_transform, ipt, True) == (
-            json.dumps(ipt.to_json_dict(), indent=2) + "\n")
+
+
+def assert_sorted_route(cone, budget=None):
+    """`_sorted_points` lists the points of the tuple-sorted transform in
+    its order, in blocks of at most `_BLOCK` coordinate columns, and
+    `integer_point_transform` and both `gf` listings are that transform."""
+    ipt = transform_by_tuples(cone, budget)
+    blocks = list(cone_engine._sorted_points(cone, budget))
+    assert all(len(b) == cone.dimension for b in blocks)
+    assert all(0 < len(col) <= cone_engine._BLOCK for b in blocks for col in b)
+    assert [p for b in blocks for p in zip(*b)] == list(ipt.numerator)
+    assert integer_point_transform(cone, budget) == ipt
+    assert printed(cli._write_transform, cone, budget, False) == f"{ipt}\n"
+    assert printed(cli._write_transform, cone, budget, True) == (
+        json.dumps(ipt.to_json_dict(), indent=2) + "\n")
+    return blocks
+
+
+class TestSortedPoints:
+    """The packed route to the transform: each point is one int whose
+    fields hold its coordinates, sorted as ints.  It must agree with the
+    tuple sort of the walk's points everywhere, negative and huge
+    coordinates included."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_every_minor_of_random_graphs(self, data):
+        g = random_connected_graph(data, max_vertices=7)
+        block = data.draw(st.sampled_from([1, 7, 64, 1024]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cone_engine, "_BLOCK", block)
+            for vertex in range(g.vertex_count):
+                cone = cone_from_constraints(laplacian_minor(g, vertex).matrix)
+                if cone.d ** (cone.dimension - 1) > 3000:
+                    with pytest.raises(BudgetExceededError):
+                        cone_engine._sorted_points(cone, 3000)
+                else:
+                    assert_sorted_route(cone, 3000)
+
+    @pytest.mark.parametrize("cone,block", [
+        # d = 9, critical group (Z/3)^2; 6,561 points.
+        *((cone_from_constraints(laplacian_minor(parse_graph(
+            (Path(__file__).parent / "golden/graphs/bowtie_pendant.txt").read_text()),
+            5).matrix), block) for block in (7, 64, 1024)),
+        # d = 16, critical group (Z/4)^2; 256 points.
+        *((minor_cone("complete", 4, vertex=1), block) for block in (1, 7, 64, 1024)),
+    ])
+    def test_block_sizes(self, cone, block, monkeypatch):
+        monkeypatch.setattr(cone_engine, "_BLOCK", block)
+        blocks = assert_sorted_route(cone)
+        assert len(blocks) == -(-cone.d ** (cone.dimension - 1) // block)
+
+    def test_coordinates_past_64_bits(self):
+        # d = 2 and R = [[1, -(2**70 + 1)], [0, 2]]: the points are the
+        # origin and (-2**69, 1), which sorts first, and coordinate 0 takes
+        # a field of 71 bits.
+        cone = cone_from_constraints(IntegerMatrix([[2, 2**70 + 1], [0, 1]]))
+        assert cone.R == IntegerMatrix([[1, -(2**70 + 1)], [0, 2]])
+        assert assert_sorted_route(cone) == [[[-2**69, 0], [1, 0]]]
+
+    def test_unimodular_cone(self):
+        # d = 1: the apex is the one point, with no basis and no sort.
+        cone = minor_cone("path", 4)
+        assert cone.d == 1
+        assert list(cone_engine._sorted_points(cone, 1)) == [[[0], [0], [0]]]
+        assert_sorted_route(cone)
+
+    def test_checks_run_before_the_first_point(self, monkeypatch):
+        # Like `_lex_walk`, it refuses when called, not when first iterated.
+        cone = minor_cone("cycle", 4, vertex=0)
+        with pytest.raises(BudgetExceededError):
+            cone_engine._sorted_points(cone, 5)
+        monkeypatch.setattr(cone_engine, "_column_hermite",
+                            lambda A: [[1, 0, 0], [0, 2, 0], [0, 0, 2]])
+        with pytest.raises(ArithmeticError, match="not a valid digit vector"):
+            cone_engine._sorted_points(cone, None)
 
 
 def printed(write, *args):

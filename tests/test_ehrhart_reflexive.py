@@ -428,6 +428,29 @@ class TestNormalityProbe:
         assert normality_probe(s, m_max=m_max).normal_up_to == m_max
         assert scans == [ehrhart_reflexive._dilate_box(s, 1)[0]]
 
+    @pytest.mark.parametrize("simplex,m_max,scans", [
+        # Reeve's tetrahedra fail at m = 2: L(1) and 2T, each listed once.
+        *((reeve(r), 2, 2) for r in range(2, 6)),
+        # The unit triangle is normal: L(1), L(2) and L(3), once each.
+        (UNIT_TRIANGLE, 3, 3),
+    ])
+    def test_simplex_without_strata_scans_each_dilate_once(self, simplex, m_max, scans,
+                                                           monkeypatch):
+        # With no digit strata the box scan is the count, so a dilate's
+        # listing gives its count and is not scanned again.
+        calls = []
+        real = ehrhart_reflexive._box_points
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ehrhart_reflexive, "_box_points", counted)
+        report = normality_probe(simplex, m_max)
+        assert len(calls) == scans
+        monkeypatch.undo()
+        assert report == normality_by_sets(simplex, m_max)
+
     def test_base_listing_must_match_its_count(self, monkeypatch):
         real = ehrhart_reflexive._box_points
         s = build_slice_simplex(4)
