@@ -484,8 +484,8 @@ def _sorted_points(cone: SimplicialCone, budget: Optional[int]
     lam_i = (R*c)_i / d because each c_j < d; coordinate 0 goes highest.
     Each basis step becomes the one int sum_i g[j][i] << s_i, and the walk
     is linear in its steps, so it emits sum_i lam_i << s_i for each point.
-    Adding K = -sum_i lo_i << s_i leaves lam_i - lo_i in field i, which is
-    nonnegative and fits, so no field carries and int order is
+    Adding offset = -sum_i lo_i << s_i leaves lam_i - lo_i in field i, which
+    is nonnegative and fits, so no field carries and int order is
     lexicographic point order: one int sort, then each block is unpacked.
     The charge, the basis checks and the sort run before the iterator is
     returned.
@@ -503,7 +503,7 @@ def _sorted_points(cone: SimplicialCone, budget: Optional[int]
     keys = list(chain.from_iterable(lam[0] for _, lam in _lex_points(h, packed, d)))
     keys.sort()
     offset = -sum(map(lshift, lo, shifts))
-    # No key + K reaches past the top field, so that field needs no mask.
+    # No key + offset reaches past the top field, so it needs no mask.
     fields = list(zip(shifts, [0] + [(1 << w) - 1 for w in widths[1:]], lo))
 
     def blocks():

@@ -430,7 +430,7 @@ def normality_probe(s: LatticeSimplex, m_max: int = 2,
                 f"normality sumset needs {pairs} pairs, budget is {budget}", pairs)
         reach = set().union(*(map(a.__add__, packed) for a in reach))
         listing = None if strata else dilate_points(s, m, budget=budget)
-        count = len(listing) if listing is not None else dilate_count(s, m, budget=budget)
+        count = dilate_count(s, m, budget=budget) if strata else len(listing)
         if len(reach) == count:
             continue
         if listing is None:

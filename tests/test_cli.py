@@ -27,6 +27,7 @@ from lapcomp import (
 from lapcomp import cli
 from lapcomp.cli import _CHECKS, _build_parser, main
 from lapcomp.graph_core import family_from_string
+from oracles import transform_by_tuples
 
 
 # What `check reflexive 3` and `ehrhart 3` print when the interior-count
@@ -549,10 +550,11 @@ def random_graph_text(rng):
 
 
 class TestListingOutput:
-    """`fpp` and `gf` without `--spec` write their listings as they walk;
-    the bytes must be what `json.dumps(payload, indent=2)` and the text
-    rendering of the whole point set give.  The seeds include trees
-    (d = 1) and cones refused at the budget."""
+    """`fpp` and `gf` without `--spec` write their listings a block at a
+    time; the bytes must be what `json.dumps(payload, indent=2)` and the
+    text rendering of the whole point set give, the transform's sorted as
+    tuples.  The seeds include trees (d = 1) and cones refused at the
+    budget."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_every_minor_of_random_graphs(self, capsys, tmp_path, seed):
@@ -564,7 +566,7 @@ class TestListingOutput:
             cone = cone_from_constraints(laplacian_minor(g, v).matrix)
             required = cone.d ** (cone.dimension - 1)
             if required <= 20000:
-                points, ipt = fpp_points(cone), integer_point_transform(cone)
+                points, ipt = fpp_points(cone), transform_by_tuples(cone)
                 renders = {"fpp": (fpp_text(points, cone.d),
                                    fpp_payload(points, cone.d)),
                            "gf": (str(ipt), ipt.to_json_dict())}
