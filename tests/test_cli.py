@@ -641,6 +641,24 @@ class TestNoTransformObject:
         assert [run(capsys, *argv) for argv in argvs] == expected
 
 
+class TestEmitBuildsOneForm:
+    """`_emit` builds only the form it prints: a text `gf --spec` never
+    builds the JSON form, and a `--json` one never the text."""
+
+    @pytest.mark.parametrize("as_json,unbuilt", [(False, "to_json_dict"),
+                                                 (True, "__str__")])
+    def test_gf_spec(self, capsys, monkeypatch, as_json, unbuilt):
+        argv = ["gf", "--family", "cycle:5", "--spec", "total"] + ["--json"] * as_json
+        expected = run(capsys, *argv)
+        assert expected[0] == 0
+
+        def unbuilt_form(self):
+            raise AssertionError(f"{unbuilt} was called")
+
+        monkeypatch.setattr(UnivariateRationalGF, unbuilt, unbuilt_form)
+        assert run(capsys, *argv) == expected
+
+
 class TestListingRefusals:
     """A refused or broken walk fails before its first line is written."""
 
