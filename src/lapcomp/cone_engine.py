@@ -22,7 +22,7 @@ order with no sort.  The walk yields blocks of at most `_BLOCK` points as
 coordinate columns, so `lapcomp fpp` prints a block at a time.  The
 transform's numerator is ordered by the point instead of its digits: the
 same walk runs on points packed into one int each, coordinate i in its
-own field, and one int sort orders them.  Every point lies in the box
+own field and coordinate 0 highest, and one int sort orders them.  Every point lies in the box
 lo <= lam <= hi, where lo_i and hi_i sum the negative and the positive
 entries of row i of R, since lam = R*c/d with each c_j < d; each field
 is (hi_i - lo_i).bit_length() bits wide and holds lam_i - lo_i, so no
@@ -478,17 +478,13 @@ def _sorted_points(cone: SimplicialCone, budget: Optional[int]
     """The parallelepiped points in lexicographic order, in blocks of at
     most `_BLOCK` points held as coordinate columns.
 
-    The walk runs on packed points: coordinate i gets a field of
-    (hi_i - lo_i).bit_length() bits, where lo_i and hi_i, the sums of the
-    negative and of the positive entries of row i of R, bound every
-    lam_i = (R*c)_i / d because each c_j < d; coordinate 0 goes highest.
-    Each basis step becomes the one int sum_i g[j][i] << s_i, and the walk
-    is linear in its steps, so it emits sum_i lam_i << s_i for each point.
-    Adding offset = -sum_i lo_i << s_i leaves lam_i - lo_i in field i, which
-    is nonnegative and fits, so no field carries and int order is
-    lexicographic point order: one int sort, then each block is unpacked.
-    The charge, the basis checks and the sort run before the iterator is
-    returned.
+    The points are packed as the module docstring says, coordinate i
+    shifted by s_i.  Each basis step becomes the one int
+    sum_i g[j][i] << s_i, and the walk is linear in its steps, so it emits
+    sum_i lam_i << s_i for each point.  One int sort orders them; each
+    block then adds offset = -sum_i lo_i << s_i, which leaves lam_i - lo_i
+    in field i, and is unpacked.  The charge, the basis checks and the
+    sort run before the iterator is returned.
     """
     n, d = cone.dimension, cone.d
     if d == 1:
