@@ -40,6 +40,8 @@ BAD_GRAPHS = ("count_arabic_indic", "count_plus", "disconnected", "label_arabic_
 # then malformed inputs that the strict reader refuses, and a missing file.
 SAVED_GFS = {f"{family.replace(':', '')}_{mode}": (family, mode)
              for family in ("cycle:5", "leafed_cycle:4") for mode in ("total", "first")}
+# A numerator with a negative coefficient over factors of high multiplicity.
+MULTIPLICITY_GF = "multiplicities"
 BAD_GFS = ("bad_float", "bad_bool", "bad_bare_string", "bad_underscore",
            "bad_top_level_list", "bad_missing_den", "bad_den_triple", "missing")
 # Cones whose listings span several blocks of the walk: the single-digit
@@ -56,6 +58,18 @@ EVERY_MINOR_GF = ((["--file", "graphs/house.txt"], 5), (["--file", "graphs/diamo
                   (["--file", "graphs/k23.txt"], 5),
                   (["--file", "graphs/bowtie_pendant.txt"], 6),
                   (["--family", "complete:4"], 4))
+# The exact charge of each call at its default minor, found by raising
+# --budget until the call completes: d**(n-1) parallelepiped points for a
+# family, and for `ehrhart N --normal-m M` its largest charge, the box of
+# dilate M, or at N = 3, M = 3 the normality sumset's pairs.  The boundary
+# block runs each call at that budget and one below, by --budget and by
+# LAPCOMP_BUDGET, so a strict comparison that became non-strict (or the
+# reverse) changes a line.
+BOUNDARY_FAMILIES = {"cycle:5": 125, "leafed_cycle:4": 64, "complete:4": 256}
+BOUNDARY_EHRHART = {(3, 1): 9, (3, 2): 25, (3, 3): 56, (4, 1): 80, (4, 2): 441,
+                    (4, 3): 1300, (5, 1): 1225, (5, 2): 13689, (5, 3): 61009,
+                    (6, 1): 29160, (6, 2): 664411, (6, 3): 4480000,
+                    (7, 1): 1002001, (7, 2): 46580625}
 
 
 def calls():
@@ -105,6 +119,9 @@ def calls():
     for name in SAVED_GFS:
         for fmt in formats:
             yield ["series", "--file", f"gfs/{name}.json", "--order", "12"] + fmt, {}
+    for order in ("0", "12"):
+        for fmt in formats:
+            yield ["series", "--file", f"gfs/{MULTIPLICITY_GF}.json", "--order", order] + fmt, {}
     for name in BAD_GFS:
         yield ["series", "--file", f"gfs/{name}.json", "--order", "4"], {}
     for spec in ("path:1_0", "path: 3", "path:3 ", "path:+2", "path:٢",
@@ -129,8 +146,24 @@ def calls():
         yield ["fpp", "--family", "cycle:5"], {"LAPCOMP_BUDGET": budget}
         yield ["gf", "--family", "cycle:5", "--spec", "total"], {"LAPCOMP_BUDGET": budget}
     yield ["fpp", "--family", "cycle:5", "--budget", "625"], {"LAPCOMP_BUDGET": "5"}
+    for argv, required in boundary_calls():
+        for budget in (required, required - 1):
+            for fmt in formats:
+                yield argv + fmt + ["--budget", str(budget)], {}
+                yield argv + fmt, {"LAPCOMP_BUDGET": str(budget)}
     for argv in (["--help"], ["ehrhart", "--help"], ["fpp", "--help"], []):
         yield argv, {}
+
+
+def boundary_calls():
+    """(argv, required) of each call of the budget-boundary block."""
+    for family, required in BOUNDARY_FAMILIES.items():
+        for command in (["fpp"], ["gf"], ["gf", "--spec", "total"],
+                        ["gf", "--spec", "first"]):
+            yield command + ["--family", family], required
+        yield ["series", "--family", family, "--order", "4"], required
+    for (n, m), required in BOUNDARY_EHRHART.items():
+        yield ["ehrhart", str(n), "--normal-m", str(m)], required
 
 
 def run(argv, env):
