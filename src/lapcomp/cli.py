@@ -184,9 +184,13 @@ def _check_threads(args) -> None:
         raise ValueError("thread count must be positive")
 
 
-def _load_graph(args):
+def _check_one_source(args) -> None:
     if (args.family is None) == (args.file is None):
         raise ValueError("give exactly one of --family or --file")
+
+
+def _load_graph(args):
+    _check_one_source(args)
     if args.family is not None:
         return family_from_string(args.family)
     return parse_graph(Path(args.file).read_text())
@@ -294,8 +298,7 @@ def _write_transform(cone, budget: int, as_json: bool) -> None:
 def _cmd_series(args) -> int:
     if args.order < 0:
         raise ValueError("order must be nonnegative")
-    if (args.family is None) == (args.file is None):
-        raise ValueError("give exactly one of --family or --file")
+    _check_one_source(args)
     if args.file is not None:
         gf = UnivariateRationalGF.from_json_dict(
             json.loads(Path(args.file).read_text())

@@ -21,15 +21,15 @@ triangular (Hermite) basis of the valid digit vectors, in lexicographic
 order with no sort.  The walk yields blocks of at most `_BLOCK` points as
 coordinate columns, so `lapcomp fpp` prints a block at a time.  The
 transform's numerator is ordered by the point instead of its digits: the
-same walk runs on points packed into one int each, coordinate i in its
-own field and coordinate 0 highest, and one int sort orders them.  Every point lies in the box
-lo <= lam <= hi, where lo_i and hi_i sum the negative and the positive
-entries of row i of R, since lam = R*c/d with each c_j < d; each field
-is (hi_i - lo_i).bit_length() bits wide and holds lam_i - lo_i, so no
-field carries or borrows into the next and int order is lexicographic
-point order.  `lapcomp gf` prints the sorted points a block at a time as
-they are unpacked, and `integer_point_transform` makes its tuples from
-the same blocks.
+same walk runs on points packed into one int each by `_field_shifts`,
+coordinate 0 highest, and one int sort orders them.  Every point lies in
+the box lo <= lam <= hi, where lo_i and hi_i sum the negative and the
+positive entries of row i of R, since lam = R*c/d with each c_j < d;
+field i spans hi_i - lo_i and holds lam_i - lo_i, so no field carries or
+borrows into the next and int order is lexicographic point order.
+`lapcomp gf` prints the sorted points a block at a time as they are
+unpacked, and `integer_point_transform` makes its tuples from the same
+blocks.
 `specialized_gf`, whose weights are linear in the digits, counts them
 instead by a DP over the d classes of the critical group Z^n / A*Z^n.
 Prefer it to `specialize(integer_point_transform(...))` unless the points
@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import chain, repeat
-from operator import and_, lshift, mod, mul, rshift, sub
+from itertools import accumulate, chain, repeat
+from operator import add, and_, lshift, mod, mul, rshift, sub
 from typing import Iterable, Iterator, Literal, Optional, Sequence
 
 from .exact_linalg import (
@@ -167,20 +167,6 @@ class IntegerPointTransform:
                             in sorted(Counter(self.denominator).items())],
         })
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "IntegerPointTransform":
-        """Strict inverse of `to_json_dict`; see `_integer`."""
-        denominator = []
-        for i, entry in enumerate(_list_field(data, "denominator")):
-            where = f"denominator[{i}]"
-            ray = _integers(_list_field(entry, "ray", where), where + ".ray")
-            mult = _integer(entry.get("mult"), where + ".mult")
-            if mult < 1:
-                raise ValueError(f"{where}.mult must be positive, got {mult}")
-            denominator += [ray] * mult
-        return cls([_integers(v, f"numerator[{i}]") for i, v
-                    in enumerate(_list_field(data, "numerator"))], denominator)
-
 
 def _json_form(value):
     """The package's JSON form of a value: every int that is not a bool,
@@ -215,11 +201,11 @@ def _integers(value, where: str, length: Optional[int] = None) -> tuple[int, ...
     return tuple(_integer(e, f"{where}[{i}]") for i, e in enumerate(value))
 
 
-def _list_field(data, key: str, where: str = "the top level") -> list:
-    """The list `data[key]` of the JSON object `data`, which `where` names."""
+def _list_field(data, key: str) -> list:
+    """The list `data[key]` of the top-level JSON object `data`."""
     if isinstance(data, dict) and isinstance(data.get(key), list):
         return data[key]
-    raise ValueError(f"{where} must be a JSON object with a list {key!r}")
+    raise ValueError(f"the top level must be a JSON object with a list {key!r}")
 
 
 def _poly_trim(p: Iterable[int]) -> list[int]:
@@ -251,6 +237,18 @@ def _times_geometric(coeffs: list[int], e: int) -> None:
     """Multiply a truncated power series by 1/(1 - q^e), in place."""
     for i in range(e, len(coeffs)):
         coeffs[i] += coeffs[i - e]
+
+
+def _times_binomial_series(coeffs: list[int], e: int, m: int) -> list[int]:
+    """A truncated power series times (1 - q^e)^-m, whose series has
+    C(m - 1 + k, k) at q^(e*k): one pass per k with e*k in range, however
+    large m is."""
+    out = list(coeffs)
+    c = 1
+    for k in range(1, (len(coeffs) - 1) // e + 1):
+        c = c * (m - 1 + k) // k
+        out[e * k:] = map(add, out[e * k:], map(c.__mul__, coeffs))
+    return out
 
 
 def _divide_exact(p: Sequence[int], e: int) -> Optional[list[int]]:
@@ -324,7 +322,7 @@ def _monomial(exponents: Sequence[int], force: bool = False) -> str:
     return "z^(" + ",".join(str(e) for e in exponents) + ")"
 
 
-def polynomial_string(coeffs: Sequence[int], var: str = "q") -> str:
+def polynomial_string(coeffs: Sequence[int]) -> str:
     """Human-readable form of a dense coefficient list."""
     terms = []
     for e, c in enumerate(coeffs):
@@ -333,7 +331,7 @@ def polynomial_string(coeffs: Sequence[int], var: str = "q") -> str:
         if e == 0:
             body = str(abs(c))
         else:
-            power = var if e == 1 else f"{var}^{e}"
+            power = "q" if e == 1 else f"q^{e}"
             body = power if abs(c) == 1 else f"{abs(c)}{power}"
         if not terms:
             terms.append(body if c > 0 else f"-{body}")
@@ -408,13 +406,27 @@ def _column_hermite(A: IntegerMatrix) -> list[list[int]]:
     return [[cols[c][r] for c in range(n)] for r in range(n)]
 
 
+def _charge(required: int, budget: Optional[int], message: str) -> None:
+    """The one budget rule: refuse work of `required` units over `budget`
+    (None is DEFAULT_BUDGET), with `message` formatted by the two."""
+    budget = DEFAULT_BUDGET if budget is None else budget
+    if required > budget:
+        raise BudgetExceededError(message.format(required, budget), required)
+
+
 def _charge_points(cone: SimplicialCone, budget: Optional[int]) -> None:
     """Refuse a parallelepiped with more than `budget` lattice points."""
-    budget = DEFAULT_BUDGET if budget is None else budget
-    required = cone.d ** (cone.dimension - 1)
-    if required > budget:
-        raise BudgetExceededError(
-            f"parallelepiped has {required} lattice points; budget is {budget}", required)
+    _charge(cone.d ** (cone.dimension - 1), budget,
+            "parallelepiped has {} lattice points; budget is {}")
+
+
+def _field_shifts(spans: Sequence[int]) -> list[int]:
+    """The one packing rule: the shift of each field of a packed int whose
+    field i is spans[i].bit_length() bits wide, field 0 highest.  A value
+    in [0, spans[i]] in each field never carries into the next, and int
+    order is the lexicographic order of the fields."""
+    widths = [span.bit_length() for span in reversed(spans[1:])]
+    return list(accumulate(widths, initial=0))[::-1]
 
 
 # Points in one block of the walk, and so in one write of a listing.
@@ -492,15 +504,15 @@ def _sorted_points(cone: SimplicialCone, budget: Optional[int]
     h, steps = _checked_basis(cone, budget)
     rows = [cone.R.row(i) for i in range(n)]
     lo = [sum(min(0, x) for x in row) for row in rows]
-    widths = [(sum(max(0, x) for x in row) - low).bit_length()
-              for row, low in zip(rows, lo)]
-    shifts = [sum(widths[i + 1:]) for i in range(n)]
+    spans = [sum(max(0, x) for x in row) - low for row, low in zip(rows, lo)]
+    shifts = _field_shifts(spans)
     packed = [[sum(map(lshift, g, shifts))] for g in steps]
     keys = list(chain.from_iterable(lam[0] for _, lam in _lex_points(h, packed, d)))
     keys.sort()
     offset = -sum(map(lshift, lo, shifts))
     # No key + offset reaches past the top field, so it needs no mask.
-    fields = list(zip(shifts, [0] + [(1 << w) - 1 for w in widths[1:]], lo))
+    masks = [0] + [(1 << span.bit_length()) - 1 for span in spans[1:]]
+    fields = list(zip(shifts, masks, lo))
 
     def blocks():
         for j in range(0, len(keys), _BLOCK):
@@ -649,11 +661,8 @@ def integer_point_transform(cone: SimplicialCone,
     """The transform of the cone: parallelepiped points over the rays.
 
     The numerator comes from `_sorted_points` already in the lexicographic
-    order the transform keeps it in: each point is packed into one int, a
-    field of (hi_i - lo_i).bit_length() bits per coordinate with lo_i and
-    hi_i the sums of the negative and the positive entries of row i of R,
-    which bound every point, so that no field carries and one int sort
-    orders the points; only the sorted points become tuples.
+    order the transform keeps it in, by one int sort of packed points (see
+    the module docstring); only the sorted points become tuples.
     """
     points = chain.from_iterable(zip(*cols) for cols in _sorted_points(cone, budget))
     return IntegerPointTransform(points, cone.rays())
@@ -786,14 +795,23 @@ def specialized_gf(cone: SimplicialCone, mode: Literal["total", "first_coordinat
 
 
 def series_expand(gf: UnivariateRationalGF, order: int) -> list[int]:
-    """Exact coefficients of q^0..q^order of the rational function."""
+    """Exact coefficients of q^0..q^order of the rational function.
+
+    A denominator factor (1 - q^e)^m takes min(m, order // e) passes over
+    the coefficients: m geometric passes, or the order // e of its
+    binomial series when m is larger, so a huge multiplicity costs no more
+    than the order allows.
+    """
     if order < 0:
         raise ValueError("order must be nonnegative")
     coeffs = list(gf.numerator[: order + 1])
     coeffs += [0] * (order + 1 - len(coeffs))
     for e, mult in gf.denominator:
-        for _ in range(mult):
-            _times_geometric(coeffs, e)
+        if mult > order // e:
+            coeffs = _times_binomial_series(coeffs, e, mult)
+        else:
+            for _ in range(mult):
+                _times_geometric(coeffs, e)
     return coeffs
 
 
@@ -819,13 +837,8 @@ def _first_coordinate_bounds(R: IntegerMatrix, value: int) -> list[int]:
 def _charge_box(lows: Sequence[int], highs: Sequence[int],
                 budget: Optional[int]) -> None:
     """Refuse a box lows <= x <= highs with more than `budget` cells."""
-    budget = DEFAULT_BUDGET if budget is None else budget
-    size = math.prod(h - l + 1 for l, h in zip(lows, highs))
-    if size > budget:
-        raise BudgetExceededError(
-            f"box scan needs {size} candidates, budget is {budget}",
-            required=size,
-        )
+    _charge(math.prod(h - l + 1 for l, h in zip(lows, highs)), budget,
+            "box scan needs {} candidates, budget is {}")
 
 
 def _box_points(rows: Sequence[Sequence[int]], rhs: Sequence[int],

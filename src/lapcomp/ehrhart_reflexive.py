@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import lshift, mul
 from typing import NamedTuple, Optional, Sequence
 
 from .cone_engine import (
-    DEFAULT_BUDGET, BudgetExceededError, _box_points, _charge_box, _json_form,
-    _numerator, _one_minus_q_power, _poly_mul,
+    _box_points, _charge, _charge_box, _field_shifts, _json_form, _numerator,
+    _one_minus_q_power, _poly_mul,
 )
 from .cycle_families import _leafed_minor_pair
 from .exact_linalg import IntegerMatrix, adjugate_pair, determinant
@@ -108,10 +108,6 @@ class LatticeSimplex:
                 for i in range(self._dimension)
             ]
         )
-
-    def normalized_volume(self) -> int:
-        """dimension! times the euclidean volume."""
-        return abs(determinant(self.edge_matrix()))
 
     def __repr__(self) -> str:
         tag = "" if self._minor is None else f", source_n={self._minor.rows}"
@@ -390,10 +386,10 @@ def normality_probe(s: LatticeSimplex, m_max: int = 2,
     Every dilate's box is charged before any scan, so a probe over the
     budget at some m refuses at once, even where an earlier m would have
     failed.  Only L(1) is listed, by the box scan, and its size must equal
-    `dilate_count(s, 1)`.  Each point is packed into one int, coordinate i
-    shifted by m * low_i into a field wide enough for m_max times the
-    box's extent, the first coordinate highest: a sum of m packed points
-    is then one int add without carries, and int order is lexicographic.
+    `dilate_count(s, 1)`.  Each point is packed into one int by
+    `_field_shifts` over spans of m_max times the box's extent, field i
+    holding x_i - m * low_i: a sum of m packed points is then one int add
+    without carries, and int order is lexicographic.
     The m-fold sumset is the set of packed sums, its pairs charged against
     the budget before any is formed.  Every L(1) point satisfies the facet
     rows of s, and those rows are linear in m, so the m-fold sums lie in
@@ -405,7 +401,6 @@ def normality_probe(s: LatticeSimplex, m_max: int = 2,
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    budget = DEFAULT_BUDGET if budget is None else budget
     for m in range(1, m_max + 1):
         _charge_box(*_dilate_box(s, m), budget)
     rows, rhs = _facets(s, 1, 0)
@@ -416,18 +411,15 @@ def normality_probe(s: LatticeSimplex, m_max: int = 2,
         raise ArithmeticError("box scan of the simplex disagrees with its count")
     if any(sum(map(mul, row, p)) < b for p in base for row, b in zip(rows, rhs)):
         raise ArithmeticError("box scan of the simplex left its facets")
-    widths = [(m_max * (h - l)).bit_length() for l, h in zip(lows, highs)]
-    weights = [1 << sum(widths[i + 1:]) for i in range(s.dimension)]
-    offset = sum(map(mul, lows, weights))
-    packed = [sum(map(mul, p, weights)) - offset for p in base]
+    shifts = _field_shifts([m_max * (h - l) for l, h in zip(lows, highs)])
+    offset = sum(map(lshift, lows, shifts))
+    packed = [sum(map(lshift, p, shifts)) - offset for p in base]
     reach = set(packed)
     pairs = 0
     counterexample = None
     for m in range(2, m_max + 1):
         pairs += len(reach) * len(packed)
-        if pairs > budget:
-            raise BudgetExceededError(
-                f"normality sumset needs {pairs} pairs, budget is {budget}", pairs)
+        _charge(pairs, budget, "normality sumset needs {} pairs, budget is {}")
         reach = set().union(*(map(a.__add__, packed) for a in reach))
         listing = None if strata else dilate_points(s, m, budget=budget)
         count = dilate_count(s, m, budget=budget) if strata else len(listing)
@@ -435,7 +427,7 @@ def normality_probe(s: LatticeSimplex, m_max: int = 2,
             continue
         if listing is None:
             listing = dilate_points(s, m, budget=budget)
-        target = {sum(map(mul, p, weights)) - m * offset: p for p in listing}
+        target = {sum(map(lshift, p, shifts)) - m * offset: p for p in listing}
         if len(target) != count:
             raise ArithmeticError(f"box scan of dilate {m} disagrees with its count")
         if not reach <= target.keys():

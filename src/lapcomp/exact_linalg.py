@@ -64,10 +64,6 @@ class IntegerMatrix:
     def identity(cls, n: int) -> "IntegerMatrix":
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
     @property
     def rows(self) -> int:
         return len(self._data)
@@ -131,9 +127,6 @@ class IntegerMatrix:
             [sum(a * b for a, b in zip(row, col)) for col in cols]
             for row in self._data
         )
-
-    def scale(self, k: int) -> "IntegerMatrix":
-        return IntegerMatrix([[k * x for x in row] for row in self._data])
 
 
 def _exact_quotients(values: Iterable[int], divisor: int) -> list[int]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .exact_linalg import IntegerMatrix, determinant
+from .exact_linalg import IntegerMatrix
 
 __all__ = [
     "MAX_VERTICES",
@@ -28,7 +28,6 @@ __all__ = [
     "laplacian_minor",
     "incidence_matrix",
     "incidence_subminor",
-    "spanning_tree_count",
     "parse_graph",
 ]
 
@@ -288,21 +287,12 @@ def incidence_subminor(g: Graph, i: int) -> IntegerMatrix:
     )
 
 
-def spanning_tree_count(g: Graph) -> int:
-    """Number of labeled spanning trees, as det of any Laplacian minor."""
-    if not g.is_connected():
-        raise GraphError("spanning tree count requires a connected graph")
-    if g.vertex_count == 1:
-        return 1
-    return determinant(laplacian_minor(g, 0).matrix)
-
-
-def parse_graph(text: str, *, require_connected: bool = True) -> Graph:
+def parse_graph(text: str) -> Graph:
     """Parse the edge-list text format.
 
     The first significant line is the vertex count; each following line is
     an edge 'u v' with 0-based labels.  '#' starts a comment, blank lines
-    are skipped.
+    are skipped, and a graph that is not connected is refused.
     """
     count = None
     edges = []
@@ -331,6 +321,6 @@ def parse_graph(text: str, *, require_connected: bool = True) -> Graph:
     if count is None:
         raise GraphError("empty graph input")
     g = Graph(count, edges)
-    if require_connected and not g.is_connected():
+    if not g.is_connected():
         raise GraphError("graph is not connected")
     return g

@@ -2,7 +2,12 @@ import sys
 
 from hypothesis import strategies as st
 
-from lapcomp import Graph
+from lapcomp import Graph, IntegerMatrix
+
+
+def scaled(m, k):
+    """k times the matrix m."""
+    return IntegerMatrix([[k * x for x in row] for row in m])
 
 
 def random_connected_graph(data, max_vertices=6, min_extra=0):

@@ -40,8 +40,6 @@ BAD_GRAPHS = ("count_arabic_indic", "count_plus", "disconnected", "label_arabic_
 # then malformed inputs that the strict reader refuses, and a missing file.
 SAVED_GFS = {f"{family.replace(':', '')}_{mode}": (family, mode)
              for family in ("cycle:5", "leafed_cycle:4") for mode in ("total", "first")}
-# A numerator with a negative coefficient over factors of high multiplicity.
-MULTIPLICITY_GF = "multiplicities"
 BAD_GFS = ("bad_float", "bad_bool", "bad_bare_string", "bad_underscore",
            "bad_top_level_list", "bad_missing_den", "bad_den_triple", "missing")
 # Cones whose listings span several blocks of the walk: the single-digit
@@ -119,9 +117,10 @@ def calls():
     for name in SAVED_GFS:
         for fmt in formats:
             yield ["series", "--file", f"gfs/{name}.json", "--order", "12"] + fmt, {}
+    # A numerator with a negative coefficient over factors of high multiplicity.
     for order in ("0", "12"):
         for fmt in formats:
-            yield ["series", "--file", f"gfs/{MULTIPLICITY_GF}.json", "--order", order] + fmt, {}
+            yield ["series", "--file", "gfs/multiplicities.json", "--order", order] + fmt, {}
     for name in BAD_GFS:
         yield ["series", "--file", f"gfs/{name}.json", "--order", "4"], {}
     for spec in ("path:1_0", "path: 3", "path:3 ", "path:+2", "path:٢",

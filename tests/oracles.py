@@ -1,5 +1,6 @@
 """Closed forms for the cycle and leafed-cycle families, a set-based
-normality probe and a tuple-sorted transform, kept as oracles.
+normality probe, a tuple-sorted transform and a simplex's normalized
+volume, kept as oracles.
 
 Nothing in `lapcomp` computes these: each one reaches a result by a route
 the library does not take, so the tests can hold the general engine, the
@@ -16,6 +17,7 @@ from lapcomp import (
     NormalityReport,
     adjugate_pair,
     cycle_graph,
+    determinant,
     dilate_points,
     laplacian_minor,
     leafed_cycle_graph,
@@ -181,3 +183,8 @@ def transform_by_tuples(cone, budget=None):
     constructor sorts them."""
     points = chain.from_iterable(zip(*lam) for _, lam in _lex_walk(cone, budget))
     return IntegerPointTransform(points, cone.rays())
+
+
+def normalized_volume(s):
+    """dimension! times the euclidean volume of the simplex s."""
+    return abs(determinant(s.edge_matrix()))

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import time
 from collections import Counter
 from operator import mul
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, scaled
 from lapcomp import (
     BudgetExceededError,
     Graph,
@@ -25,17 +26,21 @@ from lapcomp import (
     adjugate_pair,
     brute_force_count,
     build_family,
+    build_slice_simplex,
     cone_from_constraints,
     determinant,
     fpp_points,
     integer_point_transform,
     laplacian_minor,
+    normality_probe,
     series_expand,
     specialize,
     specialized_gf,
 )
 from lapcomp import cli, cone_engine, exact_linalg, parse_graph
-from lapcomp.cone_engine import _json_form, polynomial_string
+from lapcomp.cone_engine import (
+    _field_shifts, _json_form, _times_binomial_series, _times_geometric, polynomial_string,
+)
 from oracles import transform_by_tuples
 
 
@@ -60,7 +65,7 @@ class TestConeFromConstraints:
     def test_defining_identity(self):
         for cone in (LEAFED3, CYCLE3, minor_cone("complete", 4)):
             n = cone.dimension
-            assert cone.A @ cone.R == IntegerMatrix.identity(n).scale(cone.d)
+            assert cone.A @ cone.R == scaled(IntegerMatrix.identity(n), cone.d)
 
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrixError):
@@ -76,7 +81,7 @@ class TestConeFromConstraints:
         assert cone._R is None
         d, R = adjugate_pair(A)
         assert (cone.d, cone.R) == (d, R)
-        assert A @ cone.R == IntegerMatrix.identity(A.rows).scale(cone.d)
+        assert A @ cone.R == scaled(IntegerMatrix.identity(A.rows), cone.d)
         assert cone.R is cone.R
 
     def test_rays_checked_against_d(self):
@@ -441,36 +446,12 @@ class TestIntegerPointTransform:
         with pytest.raises(ValueError):
             IntegerPointTransform([(0,)], [])
 
-    def test_json_round_trip_uses_decimal_strings(self):
-        ipt = integer_point_transform(LEAFED3)
-        data = ipt.to_json_dict()
+    def test_json_uses_decimal_strings(self):
+        data = integer_point_transform(LEAFED3).to_json_dict()
         assert all(
             isinstance(e, str) for vec in data["numerator"] for e in vec
         )
         assert all(isinstance(d["mult"], str) for d in data["denominator"])
-        again = IntegerPointTransform.from_json_dict(
-            json.loads(json.dumps(data))
-        )
-        assert again == ipt
-
-    @pytest.mark.parametrize("data,message", [
-        ({"numerator": [["0"]], "denominator": [{"ray": ["1"], "mult": "0"}]},
-         "denominator[0].mult must be positive, got 0"),
-        ({"numerator": [["0"]], "denominator": [{"ray": ["1"], "mult": True}]},
-         "denominator[0].mult must be an integer or a decimal string, got True"),
-        ({"numerator": [["0"]], "denominator": [{"ray": "1", "mult": "1"}]},
-         "denominator[0] must be a JSON object with a list 'ray'"),
-        ({"numerator": [["0"]], "denominator": [["1"]]},
-         "denominator[0] must be a JSON object with a list 'ray'"),
-        ({"numerator": [[0.0]], "denominator": [{"ray": ["1"], "mult": "1"}]},
-         "numerator[0][0] must be an integer or a decimal string, got 0.0"),
-        ({"denominator": []}, "the top level must be a JSON object with a list 'numerator'"),
-        ([], "the top level must be a JSON object with a list 'denominator'"),
-    ])
-    def test_json_reader_is_strict(self, data, message):
-        with pytest.raises(ValueError) as info:
-            IntegerPointTransform.from_json_dict(data)
-        assert str(info.value) == message
 
     def test_repeated_rays_merge_in_json(self):
         t = IntegerPointTransform([(0,)], [(2,), (2,), (3,)])
@@ -614,7 +595,7 @@ class TestSpecializedGf:
                 fpp_points(CYCLE3)
         # The DP's certificate: a ray matrix other than d * A^-1 sorts the
         # digit vectors into more (9) or fewer (1) classes than d = 3.
-        for rays in (IntegerMatrix.identity(2), IntegerMatrix.zeros(2, 2)):
+        for rays in (IntegerMatrix.identity(2), IntegerMatrix([[0, 0], [0, 0]])):
             cone = SimplicialCone(CYCLE3.A, 3, rays)
             with pytest.raises(ArithmeticError, match="d = 3 classes"):
                 specialized_gf(cone, "first_coordinate")
@@ -754,6 +735,31 @@ class TestSeriesExpand:
         gf = specialize(integer_point_transform(LEAFED3), "first_coordinate")
         assert series_expand(gf, 8) == [1, 1, 2, 4, 5, 7, 10, 12, 15]
 
+    def test_huge_multiplicity_in_closed_form(self):
+        # (1 - q)^-m has C(m - 1 + k, k) at q^k, and (1 - q^2)^-m the same
+        # at q^(2k); the cost follows the order, not m.
+        m = 10**12
+        start = time.perf_counter()
+        single = series_expand(UnivariateRationalGF([1], [(1, m)]), 4)
+        double = series_expand(UnivariateRationalGF([1], [(2, m)]), 4)
+        assert time.perf_counter() - start < 0.5
+        assert single == [math.comb(m - 1 + k, k) for k in range(5)]
+        assert double == [1, 0, m, 0, math.comb(m + 1, 2)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-5, 5), min_size=1, max_size=12),
+           st.lists(st.tuples(st.integers(1, 6), st.integers(1, 8)), max_size=4),
+           st.integers(0, 15))
+    def test_equals_one_geometric_pass_per_unit(self, num, den, order):
+        assume(any(num))
+        coeffs = list(num[:order + 1]) + [0] * (order + 1 - len(num))
+        for e, m in den:
+            once = list(coeffs)
+            for _ in range(m):
+                _times_geometric(coeffs, e)
+            assert _times_binomial_series(once, e, m) == coeffs
+        assert series_expand(UnivariateRationalGF(num, den), order) == coeffs
+
 
 class TestBruteForceCount:
     @pytest.mark.parametrize("family,params", [
@@ -789,6 +795,45 @@ class TestBruteForceCount:
         A = IntegerMatrix([[1, 0], [0, -1]])
         with pytest.raises(ValueError):
             brute_force_count(A, "first_coordinate", 3)
+
+
+class TestCharge:
+    """The one budget rule: a charge equal to the budget runs, and one over
+    it is refused with its exact `required` and message."""
+
+    BOX = 51 * 85 * 85  # brute_force_count's box at first coordinate 50
+
+    @pytest.mark.parametrize("run,required,message", [
+        (lambda budget: fpp_points(LEAFED3, budget), 9,
+         "parallelepiped has 9 lattice points; budget is 8"),
+        (lambda budget: specialized_gf(LEAFED3, "total", budget), 9,
+         "parallelepiped has 9 lattice points; budget is 8"),
+        (lambda budget: brute_force_count(LEAFED3.A, "first_coordinate", 50, budget), BOX,
+         f"box scan needs {BOX} candidates, budget is {BOX - 1}"),
+        (lambda budget: normality_probe(build_slice_simplex(3), 3, budget), 56,
+         "normality sumset needs 56 pairs, budget is 55"),
+    ], ids=["walk", "dp", "box", "sumset"])
+    def test_boundary(self, run, required, message):
+        run(required)
+        with pytest.raises(BudgetExceededError) as refused:
+            run(required - 1)
+        assert str(refused.value) == message
+        assert refused.value.required == required
+
+
+class TestFieldShifts:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_packing_keeps_order_and_fields(self, data):
+        spans = data.draw(st.lists(st.integers(0, 300), min_size=1, max_size=5))
+        points = data.draw(st.lists(st.tuples(*[st.integers(0, s) for s in spans]),
+                                    min_size=1, max_size=20))
+        shifts = _field_shifts(spans)
+        keys = [sum(x << s for x, s in zip(p, shifts)) for p in points]
+        assert sorted(keys) == [sum(x << s for x, s in zip(p, shifts))
+                                for p in sorted(points)]
+        masks = [(1 << s.bit_length()) - 1 for s in spans]
+        assert [tuple(k >> s & m for s, m in zip(shifts, masks)) for k in keys] == points
 
 
 class TestBoxPoints:

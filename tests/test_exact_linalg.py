@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import scaled
 from lapcomp import (
     IntegerMatrix,
     SingularMatrixError,
@@ -113,9 +114,6 @@ class TestProducts:
         with pytest.raises(ValueError):
             IntegerMatrix([[1, 2]]) @ IntegerMatrix([[1, 2]])
 
-    def test_scale(self):
-        assert IntegerMatrix([[1, -2]]).scale(3) == IntegerMatrix([[3, -6]])
-
 
 class TestDeterminant:
     def test_examples(self):
@@ -201,7 +199,7 @@ class TestInverse:
                 adjugate_pair(m)
         else:
             d, r = adjugate_pair(m)
-            scaled_identity = IntegerMatrix.identity(m.rows).scale(d)
+            scaled_identity = scaled(IntegerMatrix.identity(m.rows), d)
             assert m @ r == scaled_identity
             assert r @ m == scaled_identity
 
@@ -240,7 +238,7 @@ class TestAdjugatePair:
             return
         d, r = adjugate_pair(m)
         assert d == abs(det)
-        assert m @ r == IntegerMatrix.identity(m.rows).scale(d)
+        assert m @ r == scaled(IntegerMatrix.identity(m.rows), d)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -295,7 +293,7 @@ class TestScaledSolve:
         m, b = system
         d, x = scaled_solve(m, b)
         assert d == abs(cofactor_det(m.to_lists()))
-        assert m @ x == b.scale(d)
+        assert m @ x == scaled(b, d)
         assert x == adjugate_pair(m)[1] @ b
 
     @pytest.mark.parametrize("rows", [[[0]], [[1, 2], [2, 4]],

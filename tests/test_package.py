@@ -1,6 +1,7 @@
 """The package's public surface: `lapcomp` re-exports every module's `__all__`."""
 
 import importlib
+import inspect
 import pkgutil
 
 import lapcomp
@@ -9,6 +10,20 @@ import lapcomp
 ORACLE_NAMES = (
     "ModStructureReport", "cycle_inverse_closed", "leafed_inverse_closed",
     "mod_structure",
+)
+# Names and parameters that no module, command or acceptance test used,
+# deleted from the library.  The spanning-tree count is the determinant of
+# any Laplacian minor, and tests/oracles.py keeps `normalized_volume`.
+REMOVED_NAMES = ("spanning_tree_count",)
+REMOVED_ATTRIBUTES = (
+    ("IntegerPointTransform", "from_json_dict"),
+    ("LatticeSimplex", "normalized_volume"),
+    ("IntegerMatrix", "zeros"),
+    ("IntegerMatrix", "scale"),
+)
+REMOVED_PARAMETERS = (
+    ("graph_core", "parse_graph", "require_connected"),
+    ("cone_engine", "polynomial_string", "var"),
 )
 
 
@@ -37,3 +52,15 @@ def test_oracles_are_not_exported():
     for name in ORACLE_NAMES:
         assert name not in lapcomp.__all__
         assert not hasattr(lapcomp, name)
+
+
+def test_removed_names_are_gone():
+    exports = submodule_exports()
+    for name in REMOVED_NAMES:
+        assert name not in lapcomp.__all__ and name not in exports
+        assert not hasattr(lapcomp, name)
+    for owner, name in REMOVED_ATTRIBUTES:
+        assert not hasattr(getattr(lapcomp, owner), name), (owner, name)
+    for module, function, name in REMOVED_PARAMETERS:
+        owner = importlib.import_module(f"lapcomp.{module}")
+        assert name not in inspect.signature(getattr(owner, function)).parameters, name

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scaled
 from lapcomp import (
     Graph,
     GraphError,
@@ -204,7 +205,7 @@ class TestIdentitySuite:
         def doubled(m):
             seen.append(m)
             d, r = adjugate_pair(m)
-            return 2 * d, r.scale(2)
+            return 2 * d, scaled(r, 2)
 
         monkeypatch.setattr(tree_transforms, "adjugate_pair", doubled)
         t = path_graph(4)  # vertices 1 and 2 are internal
