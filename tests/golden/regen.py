@@ -56,6 +56,10 @@ EVERY_MINOR_GF = ((["--file", "graphs/house.txt"], 5), (["--file", "graphs/diamo
                   (["--file", "graphs/k23.txt"], 5),
                   (["--file", "graphs/bowtie_pendant.txt"], 6),
                   (["--family", "complete:4"], 4))
+# `gf --spec total|first` on every minor of the EVERY_MINOR_GF sources and
+# of complete:5 ((Z/5)^3): the digit-class DP on non-cyclic critical
+# groups, columns whose order is below d, and zero first-coordinate weights.
+EVERY_MINOR_SPEC = EVERY_MINOR_GF + ((["--family", "complete:5"], 5),)
 # The exact charge of each call at its default minor, found by raising
 # --budget until the call completes: d**(n-1) parallelepiped points for a
 # family, and for `ehrhart N --normal-m M` its largest charge, the box of
@@ -100,13 +104,23 @@ def calls():
             if cone not in LONG_LISTINGS:
                 for fmt in formats:
                     yield ["gf"] + cone + fmt, {}
+    for source, size in EVERY_MINOR_SPEC:
+        for minor in range(size):
+            for spec in ("total", "first"):
+                for fmt in formats:
+                    # The text `--spec first` on a GOOD_GRAPHS file is above.
+                    if spec == "first" and not fmt and Path(source[1]).stem in GOOD_GRAPHS:
+                        continue
+                    yield ["gf", "--spec", spec] + source + ["--minor", str(minor)] + fmt, {}
+    for spec in ("total", "first"):
+        yield ["series", "--family", "complete:5", "--spec", spec, "--order", "12"], {}
     for name, size in TREE_GRAPHS:
         for minor in range(size):
             for spec in ("total", "first"):
                 for fmt in formats:
                     yield ["gf", "--spec", spec, "--file", f"graphs/{name}.txt",
                            "--minor", str(minor)] + fmt, {}
-    checks = ([["cyclic", str(n), str(3 * n)] for n in range(2, 9)]
+    checks = ([["cyclic", str(n), str(3 * n)] for n in range(2, 13)]
               + [["near_symmetry", str(k)] for k in (2, 3)]
               + [["tree_equivalence", str(seed), "2"] for seed in range(5)])
     for params in checks:
