@@ -32,7 +32,9 @@ unpacked, and `integer_point_transform` makes its tuples from the same
 blocks.
 `specialized_gf`, whose weights are linear in the digits, counts them
 instead by a DP over the d classes of the critical group Z^n / A*Z^n.
-Prefer it to `specialize(integer_point_transform(...))` unless the points
+The DP keeps only the slots of each class that a point can fill, and it
+runs each column's digits only up to that column's order in the group,
+then multiplies the rest in as a geometric factor.  Prefer it to `specialize(integer_point_transform(...))` unless the points
 or the multivariate transform are needed too.  The one box scan,
 independent of both, backs `brute_force_count` and slice dilates.
 """
@@ -708,69 +710,97 @@ def _numerator(R: IntegerMatrix, d: int, s: Sequence[int]) -> dict[int, int]:
 
     The residues R*c mod d form a group of order d (Z^n / A*Z^n, the
     critical group of a Laplacian minor), numbered by closure from 0 under
-    adding a column of R.  Per class the DP keeps the histogram of s.c/g,
-    g = gcd(s), packed into one int with `bits` bits per slot (no slot
-    exceeds d**n, so none carries); a negative weight offsets its slots.
-    That is n*d**2 shifted adds, and class 0 at the end is the numerator.
+    adding a column of R.  With g = gcd(s) and p = d / gcd(d, g), the
+    exponent s.c/d is integral iff x = s.c/g = 0 (mod p).  So x mod p must
+    be a function r of the class: r_0 = 0, and r_t = r_k + s_j/g (mod p) on
+    every closure edge k -> t of column j, or some point is not integral.
+    Per class the DP keeps the histogram of x in its slots (x - r_k)/p
+    only, packed into one int with bits enough that no slot carries; a
+    negative weight offsets the slots.
 
-    Slot k holds the weight (k + offset)*g, integral over d exactly when
-    k = -offset (mod p), p = d / gcd(d, g).  One mask of those slots
-    certifies that every other slot is empty, so every point is integral,
-    and only the masked slots are read.
+    Column j's class has order o_j, and the class of c depends on c_j mod
+    o_j only.  So the DP runs the digits below o_j, sum_j d*o_j shifted
+    adds, and then multiplies class 0 by (1 - Q^(e*m)) / (1 - Q^e) for each
+    column, m = d/o_j and e = s_j*o_j/(g*p): digit c_j + o_j reaches the
+    class of c_j again, e slots on.  The counts must sum to d**(n-1).
     """
     n = len(s)
-    cols = [[x % d for x in R.column(j)] for j in range(n)]
-    classes = [(0,) * n]
-    index = {classes[0]: 0}
+    # A residue vector is one int, coordinate i in field i of b + 1 bits,
+    # 2**b > d.  A sum of two has each field below 2*d, and adding 2**b - d
+    # to every field sets the top bit of those that d must come off.
+    b = d.bit_length()
+    fields = range(0, n * (b + 1), b + 1)
+    cols = [sum(x % d << f for x, f in zip(R.column(j), fields)) for j in range(n)]
+    top = sum(1 << b << f for f in fields)
+    lift = sum((1 << b) - d << f for f in fields)
+    classes, index, via = [0], {0: 0}, [None]
     step = [[] for _ in range(n)]  # step[j][k]: class k plus column j
-    for v in classes:
+    for k, v in enumerate(classes):
         for j, col in enumerate(cols):
-            w = tuple((a + b) % d for a, b in zip(v, col))
+            w = v + col
+            w -= ((w + lift & top) >> b) * d
             if w not in index:
                 index[w] = len(classes)
                 classes.append(w)
+                via.append((k, j))
             step[j].append(index[w])
         if len(classes) > d:
             break
     if len(classes) != d:
         raise ArithmeticError(f"digit vectors do not fall into d = {d} classes")
     g = math.gcd(*s)
-    bits = (d ** n).bit_length() + 1
+    p = d // math.gcd(d, g)
+    weights = [x // g for x in s]
+    r = [0]
+    for k, j in via[1:]:
+        r.append((r[k] + weights[j]) % p)
+    for weight, nxt in zip(weights, step):
+        if [r[t] for t in nxt] != [(x + weight) % p for x in r]:
+            raise ArithmeticError("parallelepiped point not integral")
+    orders = []
+    for nxt in step:
+        o, t = 1, nxt[0]
+        while t:
+            o, t = o + 1, nxt[t]
+        orders.append(o)
+    # Whole bytes per slot, for the read-out; no slot counts past prod(orders).
+    width = (math.prod(orders).bit_length() + 7) // 8
+    bits = 8 * width
     hist = [1] + [0] * (d - 1)
     offset = 0
-    for weight, nxt in zip([x // g for x in s], step):
-        low = min(0, weight * (d - 1))
-        offset += low
-        shifts = [(weight * c - low) * bits for c in range(d)]
+    for weight, nxt, o in zip(weights, step, orders):
+        # Digit c moves class k by floor((r_k + weight*c)/p) slots, which
+        # grows by moves[t] from class t to nxt[t]; low keeps each move >= 0.
+        low = -(min(0, weight * (o - 1)) // p)
+        offset -= low
+        moves = [(r[t] + weight - r[nxt[t]]) // p * bits for t in range(d)]
         new = [0] * d
         for k, packed in enumerate(hist):
             if packed:
-                t = k
-                for shift in shifts:
+                t, shift = k, low * bits
+                for _ in range(o):
                     new[t] += packed << shift
+                    shift += moves[t]
                     t = nxt[t]
         hist = new
-    packed = hist[0]
-    h = math.gcd(d, g)
-    period = d // h
-    first = -offset % period
-    block = period * bits
-    # The mask doubles until it spans every slot of `packed`.
-    mask, width = ((1 << bits) - 1) << (first * bits), block
-    while width < packed.bit_length():
-        mask |= mask << width
-        width *= 2
-    if packed & ~mask:
-        raise ArithmeticError("parallelepiped point not integral")
-    digits = format(packed, "b")
-    e, step = (first + offset) * g // d, g // h
-    exponents = {}
-    for end in range(len(digits) - first * bits, 0, -block):
-        count = int(digits[max(end - bits, 0):end], 2)
-        if count:
-            exponents[e] = count
-        e += step
-    return exponents
+    raw = hist[0].to_bytes((hist[0].bit_length() + 7) // 8, "little")
+    coeffs = [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+    for weight, o in zip(weights, orders):
+        e, m = weight * o // p, d // o
+        if e < 0:
+            offset += e * (m - 1)
+            e = -e
+        if e == 0:
+            coeffs = [c * m for c in coeffs]
+        elif m > 1:
+            coeffs += [0] * (e * (m - 1))
+            coeffs[e * m:] = [a - c for a, c in zip(coeffs[e * m:], coeffs)]
+            _times_geometric(coeffs, e)
+    if sum(coeffs) != d ** (n - 1):
+        raise ArithmeticError(
+            f"numerator counts {sum(coeffs)} digit vectors, not d**(n-1) = {d ** (n - 1)}")
+    unit = g * p // d
+    return {(k + offset) * unit: c for k, c in enumerate(coeffs) if c}
 
 
 def specialized_gf(cone: SimplicialCone, mode: Literal["total", "first_coordinate"],
