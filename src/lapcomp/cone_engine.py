@@ -34,8 +34,9 @@ blocks.
 instead by a DP over the d classes of the critical group Z^n / A*Z^n.
 The DP keeps only the slots of each class that a point can fill, and it
 runs each column's digits only up to that column's order in the group,
-then multiplies the rest in as a geometric factor.  Prefer it to `specialize(integer_point_transform(...))` unless the points
-or the multivariate transform are needed too.  The one box scan,
+then multiplies the rest in as a geometric factor.  Prefer it to
+`specialize(integer_point_transform(...))` unless the points or the
+multivariate transform are needed too.  The one box scan,
 independent of both, backs `brute_force_count` and slice dilates.
 """
 
@@ -718,11 +719,13 @@ def _numerator(R: IntegerMatrix, d: int, s: Sequence[int]) -> dict[int, int]:
     only, packed into one int with bits enough that no slot carries; a
     negative weight offsets the slots.
 
-    Column j's class has order o_j, and the class of c depends on c_j mod
-    o_j only.  So the DP runs the digits below o_j, sum_j d*o_j shifted
-    adds, and then multiplies class 0 by (1 - Q^(e*m)) / (1 - Q^e) for each
-    column, m = d/o_j and e = s_j*o_j/(g*p): digit c_j + o_j reaches the
-    class of c_j again, e slots on.  The counts must sum to d**(n-1).
+    Column j's class has order o_j, so the class of c depends on c_j mod
+    o_j only: digit c_j + o_j reaches the class of c_j again, e =
+    s_j*o_j/(g*p) slots on.  The DP runs the digits below o_j, sum_j d*o_j
+    shifted adds in all, and then multiplies class 0 by
+    (1 - Q^(e*m)) / (1 - Q^e), m = d/o_j, for each column: by 1 - Q^(e*m),
+    then `_times_geometric`, in time linear in its length (e = 0 makes the
+    factor m).  The counts must sum to d**(n-1), the digit vectors' number.
     """
     n = len(s)
     # A residue vector is one int, coordinate i in field i of b + 1 bits,

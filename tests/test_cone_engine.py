@@ -37,7 +37,7 @@ from lapcomp import (
     specialize,
     specialized_gf,
 )
-from lapcomp import cli, cone_engine, exact_linalg, parse_graph
+from lapcomp import cli, cone_engine, exact_linalg, graph_core, parse_graph
 from lapcomp.cone_engine import (
     _field_shifts, _json_form, _times_binomial_series, _times_geometric, polynomial_string,
 )
@@ -531,6 +531,20 @@ def assert_routes_agree(cone, mode, budget=None):
 MODES = st.sampled_from(["total", "first_coordinate"])
 
 
+def walk_gfs(cone):
+    """The outcome of `specialized_gf` in each mode, by the walk: the
+    coordinate sums and the first coordinates of the points of
+    `_lex_walk`, a block at a time, so no transform is built."""
+    totals, firsts = Counter(), Counter()
+    for _, lam in cone_engine._lex_walk(cone, None):
+        totals.update(map(sum, zip(*lam)))
+        firsts.update(lam[0])
+    rays = cone.rays()
+    return {"total": outcome(lambda: cone_engine._univariate(totals, list(map(sum, rays)))),
+            "first_coordinate": outcome(
+                lambda: cone_engine._univariate(firsts, [ray[0] for ray in rays]))}
+
+
 class TestSpecializedGf:
     """The streamed walk against `specialize(integer_point_transform(...))`."""
 
@@ -600,6 +614,35 @@ class TestSpecializedGf:
             with pytest.raises(ArithmeticError, match="d = 3 classes"):
                 specialized_gf(cone, "first_coordinate")
 
+    @pytest.mark.parametrize("source", [
+        "complete:4", "complete:5", "k23", "bowtie_pendant",
+    ])
+    def test_every_minor_against_the_walk(self, source):
+        # Non-cyclic critical groups, (Z/4)^2, (Z/5)^3, Z/2 x Z/6 and
+        # (Z/3)^2, so every column's order is below d, and 1 on two minors
+        # of bowtie_pendant.  Every minor of K_n is the same cone, so each
+        # distinct constraint matrix is walked once.
+        if ":" in source:
+            g = graph_core.family_from_string(source)
+        else:
+            g = parse_graph((Path(__file__).parent / f"golden/graphs/{source}.txt").read_text())
+        walked = {}
+        for v in range(g.vertex_count):
+            cone = cone_from_constraints(laplacian_minor(g, v).matrix)
+            key = tuple(map(tuple, cone.A))
+            if key not in walked:
+                walked[key] = walk_gfs(cone)
+            for mode, expected in walked[key].items():
+                assert outcome(lambda: specialized_gf(cone, mode)) == expected
+
+    def test_diagonal_cone_against_the_walk(self):
+        # diag(400, 1): one column of order d and one of order 1, whose
+        # first-coordinate weight is 0.
+        cone = cone_from_constraints(IntegerMatrix([[400, 0], [0, 1]]))
+        for mode, expected in walk_gfs(cone).items():
+            assert outcome(lambda: specialized_gf(cone, mode)) == expected
+        assert specialized_gf(cone, "total").numerator == (1,) * 400
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_random_graphs(self, data):
@@ -647,6 +690,21 @@ def poly_product(*factors):
     for f in factors:
         out = [sum(out[i] * f[k - i] for i in range(len(out)) if 0 <= k - i < len(f))
                for k in range(len(out) + len(f) - 1)]
+    return tuple(out)
+
+
+def geometric_product(*factors):
+    """Coefficients of the product of 1 + q^step + ... + q^(step*(terms-1))
+    over the (step, terms) factors, each by a window sum: coefficient k
+    gains the old one at k and loses the one at k - step*terms."""
+    out = [1]
+    for step, terms in factors:
+        window, old = [], out
+        for k in range(len(old) + step * (terms - 1)):
+            window.append((window[k - step] if k >= step else 0)
+                          + (old[k] if k < len(old) else 0)
+                          - (old[k - step * terms] if 0 <= k - step * terms < len(old) else 0))
+        out = window
     return tuple(out)
 
 
@@ -712,6 +770,35 @@ class TestNumerator:
         assert first.numerator == poly_product(
             geometric(1, 5), geometric(2, 25), *[geometric(1, 25)] * 3)
         assert first.denominator == ((25, 3), (50, 1))
+
+    def test_complete_six(self):
+        # K6's minor is 6I - J, so R = 216(I + J), and R*c = 0 (mod 1296)
+        # iff every c_i = 6*a_i + r for one r < 6 and a_i < 216: each
+        # column has order 6 in the critical group (Z/6)^4.  The total
+        # weight is 6*sum(a) + 5r, the first-coordinate one
+        # 2*a_0 + a_1 + ... + a_4 + r.
+        cone = minor_cone("complete", 6)
+        budget = 1296**4
+        start = time.perf_counter()
+        total = specialized_gf(cone, "total", budget=budget)
+        first = specialized_gf(cone, "first_coordinate", budget=budget)
+        assert time.perf_counter() - start < 1
+        assert total.numerator == geometric_product((5, 6), *[(6, 216)] * 5)
+        assert total.denominator == ((1296, 5),)
+        assert first.numerator == geometric_product(
+            (1, 6), (2, 216), *[(1, 216)] * 4)
+        assert first.denominator == ((216, 4), (432, 1))
+
+    def test_mass_certificate(self, monkeypatch):
+        # complete:4's columns have order 4 < d = 16.  A DP that multiplies
+        # their factors in without the geometric part is left with 1 of
+        # the 16**3 digit vectors.
+        cone = minor_cone("complete", 4)
+        s = [sum(col) for col in cone.rays()]
+        monkeypatch.setattr(cone_engine, "_times_geometric", lambda coeffs, e: None)
+        with pytest.raises(ArithmeticError,
+                           match=r"^numerator counts 1 digit vectors, not d\*\*\(n-1\) = 256$"):
+            cone_engine._numerator(cone.R, cone.d, s)
 
 
 class TestSeriesExpand:

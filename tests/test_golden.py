@@ -7,6 +7,9 @@ import json
 
 from golden import regen
 
+# Changed calls that a failed replay lists by argv.
+SHOWN = 20
+
 
 def corpus():
     with regen.CORPUS.open(encoding="utf-8") as f:
@@ -20,9 +23,14 @@ def test_corpus_lists_every_call_once():
 
 
 def test_every_call_replays_byte_for_byte():
+    """A failure names the argv and environment of every changed call, up
+    to SHOWN of them, and the first change in full."""
     changed = [(line, regen.record(line["argv"], line["env"])) for line in corpus()]
     changed = [(old, new) for old, new in changed if old != new]
-    assert not changed, f"{len(changed)} calls changed; first: {changed[0]}"
+    calls = "\n".join(f"  {old['argv']} {old['env']}" for old, _ in changed[:SHOWN])
+    more = f"\n  ... and {len(changed) - SHOWN} more" if len(changed) > SHOWN else ""
+    assert not changed, (f"{len(changed)} calls changed:\n{calls}{more}\n"
+                         f"first: {changed[0]}")
 
 
 def test_saved_gfs_are_what_gf_writes():
