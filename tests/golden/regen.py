@@ -33,7 +33,14 @@ TEXT_MAX = 400
 FAMILIES = ("path:4", "cycle:5", "leafed_cycle:4", "kary:2,2", "complete:4")
 GOOD_GRAPHS = ("blanks", "diamond", "house", "k23")
 # Trees, whose every minor is unimodular (d = 1): name and vertex count.
-TREE_GRAPHS = (("star", 7), ("spider", 7), ("tree9", 9))
+# tree24 and path12 have scrambled labels, so label order is no
+# elimination order.
+TREE_GRAPHS = (("star", 7), ("spider", 7), ("tree9", 9), ("tree24", 24), ("path12", 12))
+# The leaves of the scrambled trees, each a `tree-inverse` root.
+TREE_LEAVES = {"tree24": (1, 2, 4, 7, 8, 10, 12, 14, 16, 18, 19, 22), "path12": (0, 9)}
+# A 20-vertex tree plus 4 edges, labels scrambled: every minor's `gf`, with
+# or without `--spec`, is refused with its exact charge.
+REFUSED_GRAPHS = (("tree20_plus4", 20),)
 BAD_GRAPHS = ("count_arabic_indic", "count_plus", "disconnected", "label_arabic_indic",
               "label_plus", "label_underscore", "three_tokens", "missing")
 # `gf --spec MODE --json` of two families, saved as `series --file` inputs,
@@ -59,7 +66,10 @@ EVERY_MINOR_GF = ((["--file", "graphs/house.txt"], 5), (["--file", "graphs/diamo
 # `gf --spec total|first` on every minor of the EVERY_MINOR_GF sources and
 # of complete:5 ((Z/5)^3): the digit-class DP on non-cyclic critical
 # groups, columns whose order is below d, and zero first-coordinate weights.
-EVERY_MINOR_SPEC = EVERY_MINOR_GF + ((["--family", "complete:5"], 5),)
+# The 7-cycle with a pendant vertex has scrambled labels and d = 7 at
+# every minor.
+EVERY_MINOR_SPEC = EVERY_MINOR_GF + ((["--family", "complete:5"], 5),
+                                     (["--file", "graphs/cycle7_pendant.txt"], 8))
 # The exact charge of each call at its default minor, found by raising
 # --budget until the call completes: d**(n-1) parallelepiped points for a
 # family, and for `ehrhart N --normal-m M` its largest charge, the box of
@@ -120,6 +130,17 @@ def calls():
                 for fmt in formats:
                     yield ["gf", "--spec", spec, "--file", f"graphs/{name}.txt",
                            "--minor", str(minor)] + fmt, {}
+    for name, leaves in TREE_LEAVES.items():
+        for leaf in leaves:
+            for fmt in formats:
+                yield ["tree-inverse", "--file", f"graphs/{name}.txt",
+                       "--minor", str(leaf)] + fmt, {}
+    for name, size in REFUSED_GRAPHS:
+        for minor in range(size):
+            for spec in ([], ["--spec", "total"], ["--spec", "first"]):
+                for fmt in formats:
+                    yield ["gf"] + spec + ["--file", f"graphs/{name}.txt",
+                                           "--minor", str(minor)] + fmt, {}
     checks = ([["cyclic", str(n), str(3 * n)] for n in range(2, 13)]
               + [["near_symmetry", str(k)] for k in (2, 3)]
               + [["tree_equivalence", str(seed), "2"] for seed in range(5)])
