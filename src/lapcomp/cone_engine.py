@@ -824,6 +824,9 @@ def specialized_gf(cone: SimplicialCone, mode: Literal["total", "first_coordinat
         return _univariate({0: 1}, s)
     _charge_points(cone, budget)
     s = [sum(map(mul, w, col)) for col in cone.rays()]
+    if min(s) == 0:
+        # No exponent s.c/d can then be negative: refuse before the DP.
+        raise ValueError("specialization sends a ray to a non-positive exponent")
     return _univariate(_numerator(cone.R, cone.d, s), s)
 
 

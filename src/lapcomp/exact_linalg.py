@@ -2,8 +2,10 @@
 
 One elimination kernel serves every routine: a fraction-free (Bareiss)
 forward pass over `[m | B]`, in which each division is exact and still
-checked for a remainder.  `determinant` runs it over m alone.
-`scaled_solve(m, B)` adds the fraction-free back substitution
+checked for a remainder.  Its pivot is the sparsest remaining row, so a
+tree minor is eliminated leaves first, with unit pivots and no fill; the
+divisions stay exact under any pivot order.  `determinant` runs it over
+m alone.  `scaled_solve(m, B)` adds the fraction-free back substitution
 `_back_substitute` and returns (d, d * m^-1 * B) with d = |det m|;
 `adjugate_pair(m)` is `scaled_solve(m, I)`.  A caller that keeps the rows
 of one pass, as a cone keeps its pass over [A^T | w] for the weight forms
@@ -16,7 +18,7 @@ touches floating point.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -129,9 +131,11 @@ class IntegerMatrix:
         )
 
 
-def _exact_quotients(values: Iterable[int], divisor: int) -> list[int]:
+def _exact_quotients(values: list[int], divisor: int) -> list[int]:
     """values[i] / divisor for each value, each by a `divmod` whose
-    remainder must be 0."""
+    remainder must be 0; a divisor of 1 leaves the values as they are."""
+    if divisor == 1:
+        return values
     out = []
     for x in values:
         q, r = divmod(x, divisor)
@@ -141,48 +145,74 @@ def _exact_quotients(values: Iterable[int], divisor: int) -> list[int]:
     return out
 
 
-def _eliminate(rows: list[list[int]], n: int) -> tuple[int, list[list[int]]]:
+def _eliminate(rows: list[list[int]], n: int) -> tuple[int, list[tuple]]:
     """Bareiss forward pass over [m | B], given as the n lists `rows`.
 
-    Step k picks the first row at or below k with a nonzero entry in
-    column k, swaps it up, and replaces each row below by
-    (pivot * row - f * pivot row) / p, with p the pivot before.
-    Sylvester's identity makes that division exact (Bareiss, Math. Comp.
-    1968): every entry is a minor of [m | B].  A row with f = 0 would only
-    be scaled by pivot / p, so it is left as it is and keeps the p it
-    divides by next: the scalings telescope, so its next update, or its
-    catch-up when it becomes the pivot row, is one exact division by that
-    p.  Every division is a `divmod` whose remainder is checked.  A
-    finished pivot row drops its pivot column, so row k of `upper` starts
-    with its pivot and ends with its part of B.
+    Rows and live columns are paired by position, row i with column i at
+    first; a row's diagonal is its entry in its paired column, m[i][i]
+    while every pivot is a diagonal (always on a Laplacian minor, which
+    stays positive definite).  Each step takes the row with the fewest
+    nonzeros in the live columns of m; among ties, one whose diagonal is
+    +-1, then the lowest index (Markowitz, Mgmt. Sci. 1957).  A row's key
+    is refreshed whenever the row changes.  The pivot is the diagonal if
+    that is nonzero, else the row's first nonzero live entry.  On a tree
+    minor this takes leaves first: every pivot is 1 and nothing fills in
+    (Rose, J. Math. Anal. Appl. 1970).
 
-    Returns (D, upper), where D is det m: the last pivot times the sign
-    of the row swaps.  A singular m gives D = 0 and stops the pass.
+    Each other row becomes (pivot * row - f * pivot row) / p, with p the
+    pivot before.  The chosen rows and columns form the leading block of
+    a permuted m, so Sylvester's identity makes each division exact under
+    any pivot order (Bareiss, Math. Comp. 1968): every entry is a minor of
+    [m | B].  A row with f = 0 would only be scaled by pivot / p, so it is
+    left as it is and keeps the p it divides by next: the scalings
+    telescope, so its next update, or its catch-up when it becomes the
+    pivot row, is one exact division by that p.  A pivot of 1 defers the
+    division too: the row becomes row - f * pivot row, by
+    `row[j] -= f * pivot_row[j]` over the pivot row's nonzero entries
+    only, and keeps its p.  The pivot column is deleted from every row, so
+    each row holds its live columns only.
+
+    Returns (D, upper) with D = det m: the last pivot times a sign that
+    flips whenever the pivot's position among the remaining rows plus its
+    position among the live columns, both kept in increasing order, is
+    odd.  Each entry of `upper` is (pivot column, pivot, the live columns
+    left after it, its row over those columns and B).  A singular m gives
+    D = 0 and stops the pass.
     """
     sign, prev = 1, 1
+    cols = list(range(n))
     divisors = [1] * n
+    # A key is twice the row's nonzeros in m, plus 1 unless its diagonal is
+    # +-1; `index(min(keys))` takes the lowest index among equal keys.
+    keys = [2 * (n - r[:n].count(0)) + (abs(r[i]) != 1) for i, r in enumerate(rows)]
     upper = []
-    for k in range(n):
-        p = next((i for i in range(k, n) if rows[i][0]), None)
-        if p is None:
+    while rows:
+        t = keys.index(min(keys))
+        row, p = rows.pop(t), divisors.pop(t)
+        del keys[t]
+        q = t if row[t] else next(compress(range(len(cols)), row), None)
+        if q is None:
             return 0, upper
-        if p != k:
-            rows[k], rows[p] = rows[p], rows[k]
-            divisors[k], divisors[p] = divisors[p], divisors[k]
+        if (t + q) & 1:
             sign = -sign
-        if divisors[k] != prev:
-            rows[k] = _exact_quotients([x * prev for x in rows[k]], divisors[k])
-        pivot, *tail = rows[k]
-        upper.append(rows[k])
-        for i in range(k + 1, n):
-            row = rows[i]
-            f = row[0]
+        if p != prev:
+            row = _exact_quotients([x * prev for x in row], p)
+        pivot = row.pop(q)
+        c = cols.pop(q)
+        w = len(cols)
+        upper.append((c, pivot, cols[:], row))
+        nonzero = list(compress(range(len(row)), row)) if pivot == 1 else None
+        for u, other in enumerate(rows):
+            f = other.pop(q)
             if f:
-                rows[i] = _exact_quotients(
-                    [pivot * x - f * y for x, y in zip(row[1:], tail)], divisors[i])
-                divisors[i] = pivot
-            else:
-                rows[i] = row[1:]
+                if nonzero is not None:
+                    for j in nonzero:
+                        other[j] -= f * row[j]
+                else:
+                    rows[u] = other = _exact_quotients(
+                        [pivot * x - f * y for x, y in zip(other, row)], divisors[u])
+                    divisors[u] = pivot
+                keys[u] = 2 * (w - other[:w].count(0)) + (abs(other[u]) != 1)
         prev = pivot
     return sign * prev, upper
 
@@ -210,24 +240,22 @@ def scaled_solve(m: IntegerMatrix, B: IntegerMatrix) -> tuple[int, IntegerMatrix
     return d, IntegerMatrix(_back_substitute(upper, d, n))
 
 
-def _back_substitute(upper: list[list[int]], d: int, n: int) -> list[list[int]]:
+def _back_substitute(upper: list[tuple], d: int, n: int) -> list[list[int]]:
     """The rows of X = d * m^-1 * B from the rows `upper` that `_eliminate`
     left of [m | B], where d = |det m| > 0.
 
-    U*X = d*b' holds for the triangle U with pivots p_i and the rows b'_i
-    of B, so X_i = (d*b'_i - sum_{j>i} U_ij*X_j) / p_i from the last row
-    up; each X_i is a row of the integral X, so every division is exact,
-    and each is a remainder-checked `divmod`.
+    The kept row with pivot p in column c says p*X_c + sum U_j*X_j = d*b'
+    over its other entries U_j, all in columns pivoted later, so from the
+    last kept row up X_c = (d*b' - sum U_j*X_j) / p; each X_c is a row of
+    the integral X, so every division is exact, and each is a
+    remainder-checked `divmod`.  X comes out in the order of m's columns.
     """
     X = [None] * n
-    for i in range(n - 1, -1, -1):
-        row = upper[i]
-        acc = [d * b for b in row[n - i:]]
-        for j in range(i + 1, n):
-            c = row[j - i]
-            if c:
-                acc = [a - c * x for a, x in zip(acc, X[j])]
-        X[i] = _exact_quotients(acc, row[0])
+    for c, pivot, labels, row in reversed(upper):
+        acc = [d * x for x in row[len(labels):]]
+        for j, u in compress(zip(labels, row), row):
+            acc = [a - u * x for a, x in zip(acc, X[j])]
+        X[c] = _exact_quotients(acc, pivot)
     return X
 
 

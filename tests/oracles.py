@@ -1,6 +1,6 @@
 """Closed forms for the cycle and leafed-cycle families, a set-based
-normality probe, a tuple-sorted transform and a simplex's normalized
-volume, kept as oracles.
+normality probe, a tuple-sorted transform, a simplex's normalized volume
+and a rational Gauss-Jordan solver, kept as oracles.
 
 Nothing in `lapcomp` computes these: each one reaches a result by a route
 the library does not take, so the tests can hold the general engine, the
@@ -9,6 +9,7 @@ against them.
 """
 
 import math
+from fractions import Fraction
 from itertools import chain
 
 from lapcomp import (
@@ -188,3 +189,27 @@ def transform_by_tuples(cone, budget=None):
 def normalized_volume(s):
     """dimension! times the euclidean volume of the simplex s."""
     return abs(determinant(s.edge_matrix()))
+
+
+def gauss_jordan(rows, rhs):
+    """(det m, m^-1 * B) for the square integer rows of m and the rows of
+    B, by Gauss-Jordan over `Fraction` with the first nonzero pivot of
+    each column and a sign flip per row swap; (0, None) for a singular m."""
+    n = len(rows)
+    a = [[Fraction(x) for x in r] + [Fraction(x) for x in b] for r, b in zip(rows, rhs)]
+    det = Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return 0, None
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        det *= a[k][k]
+        a[k] = [x / a[k][k] for x in a[k]]
+        for i in range(n):
+            f = a[i][k]
+            if i != k and f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    assert det.denominator == 1
+    return int(det), [r[n:] for r in a]

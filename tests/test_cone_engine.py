@@ -590,6 +590,28 @@ class TestSpecializedGf:
         name, text, _ = assert_routes_agree(cone, mode)
         assert name == "ValueError" and message in text
 
+    @pytest.mark.parametrize("rows,mode,dp_runs", [
+        ([[10000, 0], [0, 1]], "first_coordinate", False),  # s = (1, 0)
+        ([[1, 0], [1, 2]], "first_coordinate", False),  # s = (2, 0)
+        ([[2, 1], [1, -1]], "total", True),  # s = (2, -1)
+        ([[3, 1], [1, -2]], "total", True),  # s = (3, -2)
+    ])
+    def test_zero_ray_exponent_refused_before_the_dp(self, rows, mode, dp_runs,
+                                                      monkeypatch):
+        # With every s_j >= 0 no numerator exponent can be negative, so a
+        # zero s_j is refused without the DP; with some s_j < 0 the DP runs
+        # first, as its negative exponent may be the error to report.
+        cone = cone_from_constraints(IntegerMatrix(rows))
+
+        def no_dp(R, d, s):
+            raise AssertionError("the DP ran")
+
+        monkeypatch.setattr(cone_engine, "_numerator", no_dp)
+        with pytest.raises(AssertionError, match="^the DP ran$") if dp_runs else \
+                pytest.raises(ValueError, match="^specialization sends a ray to a "
+                                                "non-positive exponent$"):
+            specialized_gf(cone, mode)
+
     def test_budget_refusal_comes_before_ray_check(self):
         cone = cone_from_constraints(IntegerMatrix([[2, 1], [1, -1]]))
         refusal = assert_routes_agree(cone, "total", budget=2)
@@ -608,11 +630,12 @@ class TestSpecializedGf:
             with pytest.raises(ArithmeticError, match="not a valid digit vector"):
                 fpp_points(CYCLE3)
         # The DP's certificate: a ray matrix other than d * A^-1 sorts the
-        # digit vectors into more (9) or fewer (1) classes than d = 3.
-        for rays in (IntegerMatrix.identity(2), IntegerMatrix([[0, 0], [0, 0]])):
+        # digit vectors into more (9) or fewer (1) classes than d = 3.  Both
+        # give every ray a positive total exponent, so the DP runs.
+        for rays in (IntegerMatrix.identity(2), IntegerMatrix([[3, 0], [0, 3]])):
             cone = SimplicialCone(CYCLE3.A, 3, rays)
             with pytest.raises(ArithmeticError, match="d = 3 classes"):
-                specialized_gf(cone, "first_coordinate")
+                specialized_gf(cone, "total")
 
     @pytest.mark.parametrize("source", [
         "complete:4", "complete:5", "k23", "bowtie_pendant",

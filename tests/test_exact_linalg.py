@@ -6,13 +6,16 @@ from hypothesis import strategies as st
 
 from conftest import scaled
 from lapcomp import (
+    Graph,
     IntegerMatrix,
     SingularMatrixError,
     adjugate_pair,
     determinant,
     exact_linalg,
+    laplacian_minor,
     scaled_solve,
 )
+from oracles import gauss_jordan
 
 
 def cofactor_det(rows):
@@ -313,14 +316,125 @@ class TestScaledSolve:
     def test_every_division_is_checked(self, monkeypatch):
         # The divisions are exact for any integer input, so a remainder
         # can only be provoked by a divmod that reports one: each routine
-        # must then refuse rather than return.
+        # must then refuse rather than return.  No row of m has a unit
+        # diagonal, so every routine's pass divides by a non-unit pivot.
         monkeypatch.setattr(exact_linalg, "divmod", lambda a, b: (a // b, 1),
                             raising=False)
-        m = IntegerMatrix([[2, 1], [1, 1]])
+        m = IntegerMatrix([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
         calls = [lambda: determinant(m), lambda: adjugate_pair(m),
-                 lambda: scaled_solve(m, IntegerMatrix([[1], [0]])),
+                 lambda: scaled_solve(m, IntegerMatrix([[1], [0], [0]])),
                  lambda: scaled_solve(IntegerMatrix([[3]]), IntegerMatrix([[1]]))]
         for call in calls:
             with pytest.raises(ArithmeticError,
                                match="^Bareiss division left a remainder$"):
                 call()
+
+
+@st.composite
+def oracle_matrix(draw):
+    """An n x n matrix, n <= 7, at least half of whose entries are 0:
+    small or up to 2**70 in size, often with a zero diagonal, and often
+    singular, one row a multiple of another."""
+    n = draw(st.integers(1, 7))
+    bound = draw(st.sampled_from([4, 2**70]))
+    cells = draw(st.sets(st.integers(0, n * n - 1), max_size=n * n // 2))
+    rows = [[draw(st.integers(-bound, bound)) if i * n + j in cells else 0
+             for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            rows[i][i] = 0
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.integers(-3, 3))
+        rows[i] = [c * x for x in rows[j]]
+    assume(2 * sum(r.count(0) for r in rows) >= n * n)
+    return rows
+
+
+@st.composite
+def relabelled_minor(draw):
+    """The Laplacian minor, at a drawn vertex, of a tree, a cycle or a
+    connected graph on up to 9 vertices whose labels are drawn at random."""
+    kind = draw(st.sampled_from(["tree", "cycle", "graph"]))
+    n = draw(st.integers(3 if kind == "cycle" else 2, 9))
+    if kind == "cycle":
+        edges = {(v, (v + 1) % n) for v in range(n)}
+    else:
+        edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    if kind == "graph":
+        extra = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+        edges |= set(draw(st.lists(st.sampled_from(extra), unique=True))) if extra else set()
+    label = draw(st.permutations(range(n)))
+    g = Graph(n, [(label[u], label[v]) for u, v in sorted(edges)])
+    return laplacian_minor(g, draw(st.integers(0, n - 1))).matrix.to_lists()
+
+
+class TestAgainstGaussJordan:
+    """The kernel against an independent rational Gauss-Jordan oracle: the
+    pivot order changes neither the sign of det nor the scaled solution."""
+
+    @staticmethod
+    def scaled(d, solution):
+        """d times the rational solution, which must be integral."""
+        assert all((d * x).denominator == 1 for r in solution for x in r)
+        return IntegerMatrix([[int(d * x) for x in r] for r in solution])
+
+    def check(self, rows, rhs):
+        det, solution = gauss_jordan(rows, rhs)
+        m = IntegerMatrix(rows)
+        assert determinant(m) == det
+        identity = IntegerMatrix.identity(len(rows))
+        if det == 0:
+            for call in (lambda: adjugate_pair(m),
+                         lambda: scaled_solve(m, IntegerMatrix(rhs))):
+                with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
+                    call()
+            return
+        d = abs(det)
+        assert scaled_solve(m, IntegerMatrix(rhs)) == (d, self.scaled(d, solution))
+        inverse = gauss_jordan(rows, identity.to_lists())[1]
+        assert adjugate_pair(m) == (d, self.scaled(d, inverse))
+
+    @settings(max_examples=300, deadline=None)
+    @given(oracle_matrix(), st.data())
+    def test_sparse_matrices(self, rows, data):
+        k = data.draw(st.integers(1, 3))
+        rhs = data.draw(st.lists(st.lists(st.integers(-2**70, 2**70), min_size=k, max_size=k),
+                                 min_size=len(rows), max_size=len(rows)))
+        self.check(rows, rhs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(relabelled_minor())
+    def test_relabelled_graph_minors(self, rows):
+        n = len(rows)
+        self.check(rows, [[1, int(i == 0)] for i in range(n)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.permutations(range(7)), st.integers(1, 7))
+    def test_permutation_sign(self, perm, n):
+        # Every diagonal may be 0, so pivots leave their rows' columns.
+        perm = [p for p in perm if p < n]
+        rows = [[int(perm[i] == j) for j in range(n)] for i in range(n)]
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+        assert determinant(IntegerMatrix(rows)) == (-1) ** inversions
+        self.check(rows, [[j - i for j in range(2)] for i in range(n)])
+
+
+class TestTreePivots:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_leaves_first_without_fill(self, data):
+        # A random 30-60-vertex tree with random labels and a random minor
+        # vertex: every pivot of the pass over [A^T | w] is 1, and a kept
+        # row holds nonzeros only where A^T does.
+        n = data.draw(st.integers(30, 60))
+        label = data.draw(st.permutations(range(n)))
+        edges = [(label[data.draw(st.integers(0, v - 1))], label[v]) for v in range(1, n)]
+        A = laplacian_minor(Graph(n, edges), data.draw(st.integers(0, n - 1))).matrix
+        At = A.transpose()
+        D, upper = exact_linalg._eliminate(
+            [list(r) + [1, int(i == 0)] for i, r in enumerate(At)], n - 1)
+        assert D == 1 and len(upper) == n - 1
+        for c, pivot, labels, row in upper:
+            assert pivot == 1
+            assert all(At[c, j] for j, x in zip(labels, row) if x)
