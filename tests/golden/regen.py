@@ -70,6 +70,11 @@ EVERY_MINOR_GF = ((["--file", "graphs/house.txt"], 5), (["--file", "graphs/diamo
 # every minor.
 EVERY_MINOR_SPEC = EVERY_MINOR_GF + ((["--family", "complete:5"], 5),
                                      (["--file", "graphs/cycle7_pendant.txt"], 8))
+# `series --spec total|first` on every minor of five families: trees whose
+# first-coordinate rays can vanish (a ray refusal), cycles, a leafed cycle
+# and complete:4, so every route to a specialized gf meets the series.
+EVERY_MINOR_SERIES = (("path:6", 6), ("kary:2,3", 8), ("cycle:6", 6),
+                      ("leafed_cycle:5", 6), ("complete:4", 4))
 # The exact charge of each call at its default minor, found by raising
 # --budget until the call completes: d**(n-1) parallelepiped points for a
 # family, and for `ehrhart N --normal-m M` its largest charge, the box of
@@ -124,6 +129,12 @@ def calls():
                     yield ["gf", "--spec", spec] + source + ["--minor", str(minor)] + fmt, {}
     for spec in ("total", "first"):
         yield ["series", "--family", "complete:5", "--spec", spec, "--order", "12"], {}
+    for family, size in EVERY_MINOR_SERIES:
+        for minor in range(size):
+            for spec in ("total", "first"):
+                for fmt in formats:
+                    yield ["series", "--family", family, "--minor", str(minor),
+                           "--spec", spec, "--order", "12"] + fmt, {}
     for name, size in TREE_GRAPHS:
         for minor in range(size):
             for spec in ("total", "first"):
