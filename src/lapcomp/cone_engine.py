@@ -3,13 +3,11 @@
 A cone is given by an invertible integer constraint matrix A as
 C = {x : A x >= 0}.  With d = |det A| and R = d * A^{-1}, the columns of R
 are integral ray generators, and the half-open parallelepiped they span
-contains exactly d**(n-1) lattice points.  A cone is built by one
+contains exactly d**(n-1) lattice points.  `SimplicialCone(A)` runs one
 forward elimination over [A^T | w] for the two weight forms w below,
 which gives d and is kept; R is solved for on first read, so a query
-refused on its d**(n-1) charge never builds it, and a unimodular cone
-(d = 1, as for a tree minored anywhere) gets its specialized gf by back
-substitution on the kept pass, with no second elimination.  The
-parallelepiped points form the numerator of the integer point transform
+refused on its d**(n-1) charge never builds it.  The parallelepiped
+points form the numerator of the integer point transform
 
     sigma_C(z) = (sum over parallelepiped points w of z^w)
                  / prod over ray columns v of (1 - z^v),
@@ -30,11 +28,16 @@ borrows into the next and int order is lexicographic point order.
 `lapcomp gf` prints the sorted points a block at a time as they are
 unpacked, and `integer_point_transform` makes its tuples from the same
 blocks.
-`specialized_gf`, whose weights are linear in the digits, counts them
-instead by a DP over the d classes of the critical group Z^n / A*Z^n.
-The DP keeps only the slots of each class that a point can fill, and it
-runs each column's digits only up to that column's order in the group,
-then multiplies the rest in as a geometric factor.  Prefer it to
+`specialized_gf` takes one route for every cone.  Back substitution on
+the kept pass gives the ray exponents s = w^T R of a weight form w, and a
+specialized gf num(q) / prod_j (1 - q^(s_j)) exists only if every s_j is
+positive, which is checked first; a unimodular cone (d = 1, as for a tree
+minored anywhere) then has num = 1 and needs no second elimination.  For
+d > 1, a point's exponent is linear in its digits, so a DP over the d
+classes of the critical group Z^n / A*Z^n counts them instead of walking
+them.  The DP keeps only the slots of each class that a point can fill,
+and it runs each column's digits only up to that column's order in the
+group, then multiplies the rest in as a geometric factor.  Prefer it to
 `specialize(integer_point_transform(...))` unless the points or the
 multivariate transform are needed too.  The one box scan,
 independent of both, backs `brute_force_count` and slice dilates.
@@ -81,24 +84,28 @@ class BudgetExceededError(RuntimeError):
 
 
 class SimplicialCone:
-    """Constraint matrix A, determinant magnitude d, ray matrix R = d*A^{-1}.
+    """The cone {x : Ax >= 0} of an invertible integer matrix A, with
+    d = |det A| and the ray matrix R = d*A^{-1}.
 
-    R is built on first read, by `adjugate_pair`, and must come with the
-    same d; a query that refuses on d alone never builds it.  A given R is
-    taken as it is.  The cone also keeps the rows of one forward pass over
-    [A^T | w] for the weight forms of both specialization modes, from which
-    `specialized_gf` back-substitutes s = A^-T w when d = 1.
-    `cone_from_constraints` sets them from the pass that gave d; a cone
-    built here runs that pass on first need, and it too must give d.
+    Building it runs one forward pass over [A^T | w_total | w_first], the
+    weight forms of both specialization modes in the order of `_MODES`:
+    det A^T = det A gives d, and the pass's rows are kept, from which
+    `specialized_gf` back-substitutes the ray exponents.  R is built on
+    first read, by `adjugate_pair`, an independent elimination that must
+    give the same d; a query that refuses on d alone never builds it.
     """
 
     __slots__ = ("A", "d", "_R", "_upper")
 
-    def __init__(self, A: IntegerMatrix, d: int, R: Optional[IntegerMatrix] = None):
-        self.A = A
-        self.d = d
-        self._R = R
-        self._upper = None
+    def __init__(self, A: IntegerMatrix):
+        if not A.is_square:
+            raise ValueError("constraint matrix must be square")
+        n = A.rows
+        weights = zip(*(_mode_weights(mode, n) for mode in _MODES))
+        D, self._upper = _eliminate([[*col, *w] for col, w in zip(zip(*A), weights)], n)
+        if D == 0:
+            raise SingularMatrixError("matrix is singular")
+        self.A, self.d, self._R = A, abs(D), None
 
     @property
     def R(self) -> IntegerMatrix:
@@ -108,16 +115,6 @@ class SimplicialCone:
                 raise ArithmeticError(f"ray matrix has d = {d}, the cone d = {self.d}")
             self._R = R
         return self._R
-
-    def _kept_pass(self) -> list[list[int]]:
-        """The kept rows of the forward pass over [A^T | w_total | w_first]."""
-        if self._upper is None:
-            D, upper = _weight_pass(self.A)
-            if abs(D) != self.d:
-                raise ArithmeticError(
-                    f"forward pass has d = {abs(D)}, the cone d = {self.d}")
-            self._upper = upper
-        return self._upper
 
     @property
     def dimension(self) -> int:
@@ -350,25 +347,9 @@ def polynomial_string(coeffs: Sequence[int]) -> str:
 _MODES = ("total", "first_coordinate")
 
 
-def _weight_pass(A: IntegerMatrix) -> tuple[int, list[list[int]]]:
-    """`_eliminate` over the rows of [A^T | w_total | w_first]: det A^T =
-    det A, and the rows are kept for solving A^T s = w in either mode."""
-    n = A.rows
-    weights = zip(*(_mode_weights(mode, n) for mode in _MODES))
-    return _eliminate([[*col, *w] for col, w in zip(zip(*A), weights)], n)
-
-
 def cone_from_constraints(A: IntegerMatrix) -> SimplicialCone:
-    """Cone {x : Ax >= 0} for invertible A, with d = |det A| and the kept
-    forward pass that gave it."""
-    if not A.is_square:
-        raise ValueError("constraint matrix must be square")
-    D, upper = _weight_pass(A)
-    if D == 0:
-        raise SingularMatrixError("matrix is singular")
-    cone = SimplicialCone(A, abs(D))
-    cone._upper = upper
-    return cone
+    """Cone {x : Ax >= 0} for invertible A: `SimplicialCone(A)`."""
+    return SimplicialCone(A)
 
 
 def _column_hermite(A: IntegerMatrix) -> list[list[int]]:
@@ -680,17 +661,12 @@ def _mode_weights(mode: str, n: int) -> tuple[int, ...]:
     raise ValueError(f"unknown specialization mode {mode!r}")
 
 
-def _univariate(exponents: dict[int, int],
-                ray_exponents: Sequence[int]) -> UnivariateRationalGF:
-    """The gf with numerator sum of exponents[e]*q^e over prod (1 - q^e)."""
-    if min(exponents) < 0:
-        raise ValueError("specialization produced a negative numerator exponent")
-    coeffs = [0] * (max(exponents) + 1)
-    for e, count in exponents.items():
-        coeffs[e] = count
-    if any(e <= 0 for e in ray_exponents):
+def _ray_factors(s: Sequence[int]) -> list[tuple[int, int]]:
+    """The denominator factors (1 - q^(s_j)) of a specialized gf, whose
+    form num(q) / prod_j (1 - q^(s_j)) needs every s_j > 0."""
+    if min(s) <= 0:
         raise ValueError("specialization sends a ray to a non-positive exponent")
-    return UnivariateRationalGF(coeffs, [(e, 1) for e in ray_exponents])
+    return [(e, 1) for e in s]
 
 
 def specialize(ipt: IntegerPointTransform,
@@ -699,15 +675,27 @@ def specialize(ipt: IntegerPointTransform,
 
     "total" sends every variable to q (exponent = coordinate sum);
     "first_coordinate" sends the first variable to q and the rest to 1.
+    The rays are checked first, as by `specialized_gf`; then a numerator
+    exponent below 0, which only a transform built by hand can hold, is
+    refused.
     """
     w = _mode_weights(mode, len(ipt.denominator[0]))
-    return _univariate(Counter(sum(map(mul, w, v)) for v in ipt.numerator),
-                       [sum(map(mul, w, ray)) for ray in ipt.denominator])
+    factors = _ray_factors([sum(map(mul, w, ray)) for ray in ipt.denominator])
+    exponents = Counter(sum(map(mul, w, v)) for v in ipt.numerator)
+    if min(exponents) < 0:
+        raise ValueError("specialization produced a negative numerator exponent")
+    coeffs = [0] * (max(exponents) + 1)
+    for e, count in exponents.items():
+        coeffs[e] = count
+    return UnivariateRationalGF(coeffs, factors)
 
 
-def _numerator(R: IntegerMatrix, d: int, s: Sequence[int]) -> dict[int, int]:
-    """{s.c/d: count} over the parallelepiped's digit vectors c, which are
-    the c in {0..d-1}^n with R*c = 0 (mod d), by a DP over the coordinates.
+def _numerator(R: IntegerMatrix, d: int, s: Sequence[int]) -> list[int]:
+    """The numerator of the specialized gf whose ray exponents s are all
+    positive: coefficient e counts the parallelepiped's digit vectors c,
+    the c in {0..d-1}^n with R*c = 0 (mod d), of exponent s.c/d = e.  It
+    is the dense list that `UnivariateRationalGF` stores, found by a DP
+    over the coordinates.
 
     The residues R*c mod d form a group of order d (Z^n / A*Z^n, the
     critical group of a Laplacian minor), numbered by closure from 0 under
@@ -716,16 +704,17 @@ def _numerator(R: IntegerMatrix, d: int, s: Sequence[int]) -> dict[int, int]:
     be a function r of the class: r_0 = 0, and r_t = r_k + s_j/g (mod p) on
     every closure edge k -> t of column j, or some point is not integral.
     Per class the DP keeps the histogram of x in its slots (x - r_k)/p
-    only, packed into one int with bits enough that no slot carries; a
-    negative weight offsets the slots.
+    only, packed into one int with bits enough that no slot carries.
 
     Column j's class has order o_j, so the class of c depends on c_j mod
     o_j only: digit c_j + o_j reaches the class of c_j again, e =
     s_j*o_j/(g*p) slots on.  The DP runs the digits below o_j, sum_j d*o_j
     shifted adds in all, and then multiplies class 0 by
     (1 - Q^(e*m)) / (1 - Q^e), m = d/o_j, for each column: by 1 - Q^(e*m),
-    then `_times_geometric`, in time linear in its length (e = 0 makes the
-    factor m).  The counts must sum to d**(n-1), the digit vectors' number.
+    then `_times_geometric`, in time linear in its length.  The counts
+    must sum to d**(n-1), the digit vectors' number, which a weight of 0
+    would break.  Slot k of class 0 is exponent k*g*p/d, so the slots are
+    spread by that unit.
     """
     n = len(s)
     # A residue vector is one int, coordinate i in field i of b + 1 bits,
@@ -770,17 +759,14 @@ def _numerator(R: IntegerMatrix, d: int, s: Sequence[int]) -> dict[int, int]:
     width = (math.prod(orders).bit_length() + 7) // 8
     bits = 8 * width
     hist = [1] + [0] * (d - 1)
-    offset = 0
     for weight, nxt, o in zip(weights, step, orders):
         # Digit c moves class k by floor((r_k + weight*c)/p) slots, which
-        # grows by moves[t] from class t to nxt[t]; low keeps each move >= 0.
-        low = -(min(0, weight * (o - 1)) // p)
-        offset -= low
+        # grows by moves[t] >= 0 from class t to nxt[t].
         moves = [(r[t] + weight - r[nxt[t]]) // p * bits for t in range(d)]
         new = [0] * d
         for k, packed in enumerate(hist):
             if packed:
-                t, shift = k, low * bits
+                t, shift = k, 0
                 for _ in range(o):
                     new[t] += packed << shift
                     shift += moves[t]
@@ -790,12 +776,7 @@ def _numerator(R: IntegerMatrix, d: int, s: Sequence[int]) -> dict[int, int]:
     coeffs = [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
     for weight, o in zip(weights, orders):
         e, m = weight * o // p, d // o
-        if e < 0:
-            offset += e * (m - 1)
-            e = -e
-        if e == 0:
-            coeffs = [c * m for c in coeffs]
-        elif m > 1:
+        if m > 1:
             coeffs += [0] * (e * (m - 1))
             coeffs[e * m:] = [a - c for a, c in zip(coeffs[e * m:], coeffs)]
             _times_geometric(coeffs, e)
@@ -803,31 +784,31 @@ def _numerator(R: IntegerMatrix, d: int, s: Sequence[int]) -> dict[int, int]:
         raise ArithmeticError(
             f"numerator counts {sum(coeffs)} digit vectors, not d**(n-1) = {d ** (n - 1)}")
     unit = g * p // d
-    return {(k + offset) * unit: c for k, c in enumerate(coeffs) if c}
+    spread = [0] * ((len(coeffs) - 1) * unit + 1)
+    spread[::unit] = coeffs
+    return spread
 
 
 def specialized_gf(cone: SimplicialCone, mode: Literal["total", "first_coordinate"],
                    budget: Optional[int] = None) -> UnivariateRationalGF:
     """`specialize(integer_point_transform(cone, budget), mode)`, by the DP.
 
-    With s = w^T R for the mode's form w, the point lam = R*c/d has exponent
-    s.c/d and ray j has s_j.  The budget is still charged d**(n-1) points.
-    With d = 1 the apex is the one point and s = A^-T w is the mode's
-    column of the back substitution on the cone's kept forward pass, so
-    neither R nor a second elimination is needed; with d > 1 the DP needs
-    R, and s is read off it.
+    Back substitution on the cone's kept forward pass gives X = d*A^-T*W =
+    R^T*W for the weight forms W of both modes, so the mode's column of X
+    is s = w^T R: ray j has exponent s_j, and the point lam = R*c/d has
+    s.c/d.  With d > 1 the budget is charged d**(n-1) points first.  Then
+    every s_j must be positive, so no point's exponent is negative, before
+    `_numerator` runs on R.  With d = 1 the apex is the one point, and
+    neither R nor a second elimination is needed.
     """
-    w = _mode_weights(mode, cone.dimension)
-    if cone.d == 1:
-        k = _MODES.index(mode)
-        s = [x[k] for x in _back_substitute(cone._kept_pass(), 1, cone.dimension)]
-        return _univariate({0: 1}, s)
-    _charge_points(cone, budget)
-    s = [sum(map(mul, w, col)) for col in cone.rays()]
-    if min(s) == 0:
-        # No exponent s.c/d can then be negative: refuse before the DP.
-        raise ValueError("specialization sends a ray to a non-positive exponent")
-    return _univariate(_numerator(cone.R, cone.d, s), s)
+    n, d = cone.dimension, cone.d
+    _mode_weights(mode, n)  # an unknown mode is refused first
+    if d > 1:
+        _charge_points(cone, budget)
+    k = _MODES.index(mode)
+    s = [x[k] for x in _back_substitute(cone._upper, d, n)]
+    factors = _ray_factors(s)
+    return UnivariateRationalGF(_numerator(cone.R, d, s) if d > 1 else [1], factors)
 
 
 def series_expand(gf: UnivariateRationalGF, order: int) -> list[int]:

@@ -9,7 +9,7 @@ family closed forms live with the tests, as oracles for the engine.
 
 from __future__ import annotations
 
-from .cone_engine import UnivariateRationalGF, _numerator, _univariate
+from .cone_engine import UnivariateRationalGF, _numerator
 from .exact_linalg import IntegerMatrix, adjugate_pair
 
 __all__ = [
@@ -44,5 +44,4 @@ def leafed_gf(n: int) -> UnivariateRationalGF:
     if n < 2:
         raise ValueError("leafed gf needs n >= 2")
     _, r = _leafed_minor_pair(n)
-    weights = [n] * n
-    return _univariate(_numerator(r, n, weights), weights)
+    return UnivariateRationalGF(_numerator(r, n, [n] * n), [(n, n)])

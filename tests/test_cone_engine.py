@@ -85,16 +85,30 @@ class TestConeFromConstraints:
         assert cone.R is cone.R
 
     def test_rays_checked_against_d(self):
-        cone = SimplicialCone(CYCLE3.A, 2)
-        with pytest.raises(ArithmeticError, match="ray matrix has d = 3"):
+        # R comes from a second, independent elimination, which must give
+        # the d of the cone's own pass.
+        cone = cone_from_constraints(CYCLE3.A)
+        cone.d = 2
+        with pytest.raises(ArithmeticError, match="^ray matrix has d = 3, the cone d = 2$"):
             cone.R
+
+    def test_one_constructor(self):
+        # `SimplicialCone(A)` is the cone `cone_from_constraints` returns,
+        # and it refuses what that refuses, with the same messages.
+        for cone in (LEAFED3, CYCLE3, minor_cone("complete", 4)):
+            built = SimplicialCone(cone.A)
+            assert (built.A, built.d, built._upper, built.R) == (
+                cone.A, cone.d, cone._upper, cone.R)
+        with pytest.raises(ValueError, match="^constraint matrix must be square$"):
+            SimplicialCone(IntegerMatrix([[1, 2]]))
+        with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
+            SimplicialCone(IntegerMatrix([[1, 1], [1, 1]]))
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_kept_pass_solves_the_transpose(self, data):
         # The pass that gave d, back-substituted, is d * A^-T times the
-        # weight forms of "total" and "first_coordinate", and a cone built
-        # from A and d alone runs the same pass on first need.
+        # weight forms of "total" and "first_coordinate".
         n = data.draw(st.integers(1, 4))
         rows = data.draw(st.lists(
             st.lists(st.integers(-3, 3), min_size=n, max_size=n),
@@ -107,15 +121,6 @@ class TestConeFromConstraints:
         d, X = exact_linalg.scaled_solve(A.transpose(), weights)
         assert d == cone.d
         assert exact_linalg._back_substitute(cone._upper, d, n) == X.to_lists()
-        bare = SimplicialCone(A, cone.d)
-        assert bare._upper is None
-        assert bare._kept_pass() == cone._upper
-
-    def test_kept_pass_checked_against_d(self):
-        for cone, found in ((SimplicialCone(CYCLE3.A, 2), 3),
-                            (SimplicialCone(IntegerMatrix([[1, 1], [1, 1]]), 1), 0)):
-            with pytest.raises(ArithmeticError, match=f"forward pass has d = {found}"):
-                cone._kept_pass()
 
 
 class TestFppPoints:
@@ -510,6 +515,16 @@ class TestSpecialize:
         with pytest.raises(ValueError):
             specialize(self.IPT3, "diagonal")
 
+    def test_hand_built_transforms(self):
+        # Only a transform built outside the engine can hold a point of
+        # negative exponent; its rays are checked first.
+        points = [(0, 0), (-1, 0)]
+        with pytest.raises(ValueError, match="^specialization produced a negative "
+                                             "numerator exponent$"):
+            specialize(IntegerPointTransform(points, [(1, 0), (0, 1)]), "total")
+        with pytest.raises(ValueError, match=f"^{RAY_REFUSAL}$"):
+            specialize(IntegerPointTransform(points, [(1, 0), (-1, 1)]), "total")
+
 
 def outcome(route):
     """A route's gf, or the type, message and size of what it raised."""
@@ -530,6 +545,19 @@ def assert_routes_agree(cone, mode, budget=None):
 
 MODES = st.sampled_from(["total", "first_coordinate"])
 
+RAY_REFUSAL = "specialization sends a ray to a non-positive exponent"
+
+
+def counted_gf(exponents, s):
+    """The gf sum of exponents[e]*q^e over prod_j (1 - q^(s_j)) for a
+    Counter of point exponents, or the ray refusal if some s_j <= 0."""
+    if min(s) <= 0:
+        raise ValueError(RAY_REFUSAL)
+    coeffs = [0] * (max(exponents) + 1)
+    for e, count in exponents.items():
+        coeffs[e] = count
+    return UnivariateRationalGF(coeffs, [(e, 1) for e in s])
+
 
 def walk_gfs(cone):
     """The outcome of `specialized_gf` in each mode, by the walk: the
@@ -540,9 +568,9 @@ def walk_gfs(cone):
         totals.update(map(sum, zip(*lam)))
         firsts.update(lam[0])
     rays = cone.rays()
-    return {"total": outcome(lambda: cone_engine._univariate(totals, list(map(sum, rays)))),
+    return {"total": outcome(lambda: counted_gf(totals, list(map(sum, rays)))),
             "first_coordinate": outcome(
-                lambda: cone_engine._univariate(firsts, [ray[0] for ray in rays]))}
+                lambda: counted_gf(firsts, [ray[0] for ray in rays]))}
 
 
 class TestSpecializedGf:
@@ -573,15 +601,24 @@ class TestSpecializedGf:
             assert isinstance(assert_routes_agree(cone, mode), UnivariateRationalGF)
 
     @pytest.mark.parametrize("A,d", [
-        (CYCLE3.A, 2), (CYCLE3.A, 1), (minor_cone("path", 4).A, 2),
+        (CYCLE3.A, 2), (CYCLE3.A, 1), (minor_cone("path", 4).A, 2), (CYCLE3.A, 6),
     ])
     def test_wrong_d_raises(self, A, d):
+        # A cone whose d is set wrong.  Back substitution on its kept pass
+        # gives (d / |det A|) * R^T * W, whose remainders these cones show
+        # unless |det A| divides d; then the DP reads R, whose own
+        # elimination disagrees on d.
+        cone = cone_from_constraints(A)
+        cone.d = d
+        det = abs(determinant(A))
+        message = (f"^ray matrix has d = {det}, the cone d = {d}$" if d % det == 0
+                   else "^Bareiss division left a remainder$")
         for mode in ("total", "first_coordinate"):
-            with pytest.raises(ArithmeticError, match=f"the cone d = {d}"):
-                specialized_gf(SimplicialCone(A, d), mode)
+            with pytest.raises(ArithmeticError, match=message):
+                specialized_gf(cone, mode)
 
     @pytest.mark.parametrize("rows,mode,message", [
-        ([[3, 1], [1, -2]], "total", "negative numerator exponent"),
+        ([[3, 1], [1, -2]], "total", "non-positive exponent"),
         ([[2, 1], [1, -1]], "total", "non-positive exponent"),
         ([[1, 0], [1, 2]], "first_coordinate", "non-positive exponent"),
     ])
@@ -590,27 +627,53 @@ class TestSpecializedGf:
         name, text, _ = assert_routes_agree(cone, mode)
         assert name == "ValueError" and message in text
 
-    @pytest.mark.parametrize("rows,mode,dp_runs", [
+    @pytest.mark.parametrize("rows,mode,negative", [
         ([[10000, 0], [0, 1]], "first_coordinate", False),  # s = (1, 0)
         ([[1, 0], [1, 2]], "first_coordinate", False),  # s = (2, 0)
         ([[2, 1], [1, -1]], "total", True),  # s = (2, -1)
         ([[3, 1], [1, -2]], "total", True),  # s = (3, -2)
     ])
-    def test_zero_ray_exponent_refused_before_the_dp(self, rows, mode, dp_runs,
+    def test_zero_ray_exponent_refused_before_the_dp(self, rows, mode, negative,
                                                       monkeypatch):
-        # With every s_j >= 0 no numerator exponent can be negative, so a
-        # zero s_j is refused without the DP; with some s_j < 0 the DP runs
-        # first, as its negative exponent may be the error to report.
-        cone = cone_from_constraints(IntegerMatrix(rows))
+        # A zero s_j, and a negative one alike, leaves no gf of the form
+        # num(q) / prod_j (1 - q^(s_j)): the kept pass alone refuses it,
+        # before R is built or the DP runs.
+        A = IntegerMatrix(rows)
+        w = cone_engine._mode_weights(mode, 2)
+        s = [sum(map(mul, w, col)) for col in adjugate_pair(A)[1].transpose()]
+        assert min(s) <= 0 and (min(s) < 0) == negative
+        cone = cone_from_constraints(A)
 
         def no_dp(R, d, s):
             raise AssertionError("the DP ran")
 
         monkeypatch.setattr(cone_engine, "_numerator", no_dp)
-        with pytest.raises(AssertionError, match="^the DP ran$") if dp_runs else \
-                pytest.raises(ValueError, match="^specialization sends a ray to a "
-                                                "non-positive exponent$"):
+        with pytest.raises(ValueError, match=f"^{RAY_REFUSAL}$"):
             specialized_gf(cone, mode)
+        assert cone._R is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rays_decide_on_both_routes(self, data):
+        # On arbitrary A, whose R may have negative entries, the rays alone
+        # decide: some s_j <= 0 is the ray refusal on both routes, and with
+        # every s_j > 0 both give one gf, so the transform has no point of
+        # negative exponent.
+        n = data.draw(st.integers(1, 4))
+        A = IntegerMatrix(data.draw(st.lists(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+            min_size=n, max_size=n,
+        )))
+        d = abs(determinant(A))
+        assume(d and d ** (n - 1) <= 2000)
+        mode = data.draw(MODES)
+        w = cone_engine._mode_weights(mode, n)
+        s = [sum(map(mul, w, col)) for col in adjugate_pair(A)[1].transpose()]
+        result = assert_routes_agree(cone_from_constraints(A), mode)
+        if min(s) > 0:
+            assert isinstance(result, UnivariateRationalGF)
+        else:
+            assert result == ("ValueError", RAY_REFUSAL, None)
 
     def test_budget_refusal_comes_before_ray_check(self):
         cone = cone_from_constraints(IntegerMatrix([[2, 1], [1, -1]]))
@@ -630,10 +693,11 @@ class TestSpecializedGf:
             with pytest.raises(ArithmeticError, match="not a valid digit vector"):
                 fpp_points(CYCLE3)
         # The DP's certificate: a ray matrix other than d * A^-1 sorts the
-        # digit vectors into more (9) or fewer (1) classes than d = 3.  Both
-        # give every ray a positive total exponent, so the DP runs.
+        # digit vectors into more (9) or fewer (1) classes than d = 3.  The
+        # ray exponents come from the kept pass, so the DP runs on it.
         for rays in (IntegerMatrix.identity(2), IntegerMatrix([[3, 0], [0, 3]])):
-            cone = SimplicialCone(CYCLE3.A, 3, rays)
+            cone = cone_from_constraints(CYCLE3.A)
+            cone._R = rays
             with pytest.raises(ArithmeticError, match="d = 3 classes"):
                 specialized_gf(cone, "total")
 
@@ -690,16 +754,19 @@ class TestSpecializedGf:
 
 
 def flat_numerator(R, d, s):
-    """{s.c/d: count} over the digit vectors, by filtering all of
-    {0..d-1}^n for R*c = 0 (mod d): no walk and no DP."""
+    """The dense list whose coefficient e counts the digit vectors of
+    exponent s.c/d = e, by filtering all of {0..d-1}^n for R*c = 0
+    (mod d): no walk and no DP."""
     rows = [R.row(i) for i in range(R.rows)]
-    counts = Counter()
+    coeffs = [0] * (sum(s) * (d - 1) // d + 1)
     for c in itertools.product(range(d), repeat=len(s)):
         if all(sum(map(mul, row, c)) % d == 0 for row in rows):
             e, rem = divmod(sum(map(mul, s, c)), d)
             assert rem == 0
-            counts[e] += 1
-    return dict(counts)
+            coeffs[e] += 1
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
 
 
 def geometric(step, terms):
@@ -745,14 +812,17 @@ class TestNumerator:
         A = IntegerMatrix(rows)
         assume(0 < abs(determinant(A)) <= 30)
         cone = cone_from_constraints(A)
-        # Any nonzero integer form u^T R, negative weights included, or any
-        # integer weights at all: off the row lattice of R some s.c/d may
-        # be fractional, in any slot, and the DP must then raise.
-        u = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-        assume(any(u))
-        s = u
+        d = cone.d
+        # Positive weights: any at all, or an integer form u^T R plus
+        # multiples of d, which leave every s.c/d integral.  Off the row
+        # lattice of R some s.c/d may be fractional, in any slot, and the
+        # DP must then raise.
+        s = data.draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
         if data.draw(st.booleans()):
-            s = [sum(map(mul, u, col)) for col in cone.rays()]
+            u = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+            lifts = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+            s = [sum(map(mul, u, col)) % d + d * k for col, k in zip(cone.rays(), lifts)]
+            assume(min(s) > 0)
         try:
             expected = flat_numerator(cone.R, cone.d, s)
         except AssertionError:
@@ -760,6 +830,37 @@ class TestNumerator:
                 cone_engine._numerator(cone.R, cone.d, s)
         else:
             assert cone_engine._numerator(cone.R, cone.d, s) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_is_the_stored_numerator(self, data):
+        # The DP's list is the numerator `specialized_gf` stores, d = 1
+        # included, whenever the rays admit a gf.
+        g = random_connected_graph(data, min_extra=2)
+        cone = cone_from_constraints(
+            laplacian_minor(g, data.draw(st.integers(0, g.vertex_count - 1))).matrix)
+        mode = data.draw(MODES)
+        w = cone_engine._mode_weights(mode, cone.dimension)
+        s = [sum(map(mul, w, col)) for col in cone.rays()]
+        assume(min(s) > 0)
+        gf = specialized_gf(cone, mode, budget=cone.d ** cone.dimension)
+        assert cone_engine._numerator(cone.R, cone.d, s) == list(gf.numerator)
+        assert gf.denominator == tuple(sorted(Counter(s).items()))
+
+    def test_slots_spread_by_unit(self):
+        # The 3-cycle minor's digit vectors are (c, c), c < 3.  Weights
+        # (6, 6) give them exponents 0, 4 and 8; class 0 counts them in
+        # slots x = s.c/g = 0, 2 and 4, and a slot is g*p/d = 2 exponents.
+        assert cone_engine._numerator(CYCLE3.R, 3, [6, 6]) == [1, 0, 0, 0, 1, 0, 0, 0, 1]
+
+    def test_zero_weight_breaks_the_mass_certificate(self):
+        # Every caller passes positive weights.  A weight of 0 on a column
+        # of order 4 < d = 16 (s = (0, 8, 8), whose exponents are integral)
+        # leaves no mass, and the certificate says so.
+        cone = minor_cone("complete", 4)
+        with pytest.raises(ArithmeticError,
+                           match=r"^numerator counts 0 digit vectors, not d\*\*\(n-1\) = 256$"):
+            cone_engine._numerator(cone.R, cone.d, [0, 8, 8])
 
     def test_non_integral_weight_raises(self):
         # (1, 0) is not in the row lattice of R, so 1*c_0/3 is fractional.
@@ -905,6 +1006,34 @@ class TestBruteForceCount:
         A = IntegerMatrix([[1, 0], [0, -1]])
         with pytest.raises(ValueError):
             brute_force_count(A, "first_coordinate", 3)
+
+
+class TestAgainstTheBoxScan:
+    """The DP's series against `brute_force_count` on arbitrary connected
+    graphs: the box scan shares nothing with the engine but the minor."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_series_equals_box_counts(self, data):
+        # Two extra edges or more where they fit, so that non-cyclic
+        # critical groups, where the DP splits its columns, are drawn too.
+        g = random_connected_graph(data, max_vertices=7, min_extra=2)
+        cone = cone_from_constraints(
+            laplacian_minor(g, data.draw(st.integers(0, g.vertex_count - 1))).matrix)
+        for mode in ("total", "first_coordinate"):
+            try:
+                series = series_expand(specialized_gf(cone, mode, budget=20000), 6)
+                counts = [brute_force_count(cone.A, mode, m) for m in range(7)]
+            except BudgetExceededError:
+                continue
+            except ValueError as refused:
+                # A first-coordinate ray at 0 is an unbounded slice.
+                assert mode == "first_coordinate" and str(refused) == RAY_REFUSAL
+                with pytest.raises(ValueError, match="^first-coordinate slices of "
+                                                     "this cone are not bounded$"):
+                    brute_force_count(cone.A, mode, 0)
+                continue
+            assert series == counts
 
 
 class TestCharge:
