@@ -37,6 +37,7 @@ from .cone_engine import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     UnivariateRationalGF,
+    _charge,
     _json_form,
     _lex_walk,
     _sorted_points,
@@ -306,6 +307,10 @@ def _cmd_series(args) -> int:
     else:
         gf = specialized_gf(_minor_cone(args, family_from_string(args.family)),
                             _SPEC_MODES[args.spec], budget=_effective_budget(args))
+    # The coefficient list, and one update per coefficient per pass.
+    passes = sum(min(m, args.order // e) for e, m in gf.denominator)
+    _charge((args.order + 1) * (1 + passes), _effective_budget(args),
+            "series needs {} coefficient updates; budget is {}")
     coeffs = series_expand(gf, args.order)
     _emit(args, lambda: "[" + ", ".join(map(str, coeffs)) + "]",
           lambda: {"order": args.order, "coefficients": coeffs})

@@ -15,19 +15,20 @@ points form the numerator of the integer point transform
 which can be specialized to a univariate rational generating function by
 sending every variable to q ("total") or only the first one ("first
 coordinate").  `fpp_points` lists the points of a walk along the reduced
-triangular (Hermite) basis of the valid digit vectors, in lexicographic
-order with no sort.  The walk yields blocks of at most `_BLOCK` points as
-coordinate columns, so `lapcomp fpp` prints a block at a time.  The
-transform's numerator is ordered by the point instead of its digits: the
-same walk runs on points packed into one int each by `_field_shifts`,
-coordinate 0 highest, and one int sort orders them.  Every point lies in
-the box lo <= lam <= hi, where lo_i and hi_i sum the negative and the
-positive entries of row i of R, since lam = R*c/d with each c_j < d;
-field i spans hi_i - lo_i and holds lam_i - lo_i, so no field carries or
-borrows into the next and int order is lexicographic point order.
-`lapcomp gf` prints the sorted points a block at a time as they are
-unpacked, and `integer_point_transform` makes its tuples from the same
-blocks.
+triangular (Hermite) basis h of the valid digit vectors, in lexicographic
+order with no sort; the column operations that give h also give each
+step's point A^-1*h_j, so the walk never builds R.  It yields blocks of
+at most `_BLOCK` points as coordinate columns, so `lapcomp fpp` prints a
+block at a time.  The transform's numerator is ordered by the point
+instead of its digits: the same walk runs on points packed into one int
+each by `_field_shifts`, coordinate 0 highest, and one int sort orders
+them.  Every point lies in the box lo <= lam <= hi, where lo_i and hi_i
+sum the negative and the positive entries of row i of R, since
+lam = R*c/d with each c_j < d; field i spans hi_i - lo_i and holds
+lam_i - lo_i, so no field carries or borrows into the next and int order
+is lexicographic point order.  `lapcomp gf` prints the sorted points a
+block at a time as they are unpacked, and `integer_point_transform`
+makes its tuples from the same blocks.
 `specialized_gf` takes one route for every cone.  Back substitution on
 the kept pass gives the ray exponents s = w^T R of a weight form w, and a
 specialized gf num(q) / prod_j (1 - q^(s_j)) exists only if every s_j is
@@ -35,12 +36,12 @@ positive, which is checked first; a unimodular cone (d = 1, as for a tree
 minored anywhere) then has num = 1 and needs no second elimination.  For
 d > 1, a point's exponent is linear in its digits, so a DP over the d
 classes of the critical group Z^n / A*Z^n counts them instead of walking
-them.  The DP keeps only the slots of each class that a point can fill,
-and it runs each column's digits only up to that column's order in the
-group, then multiplies the rest in as a geometric factor.  Prefer it to
-`specialize(integer_point_transform(...))` unless the points or the
-multivariate transform are needed too.  The one box scan,
-independent of both, backs `brute_force_count` and slice dilates.
+them.  Its slots are exponents, and it runs each column's digits only up
+to that column's order in the group, then multiplies the rest in as a
+geometric factor.  Prefer it to `specialize(integer_point_transform(...))`
+unless the points or the multivariate transform are needed too.  The one
+box scan, independent of both, backs `brute_force_count` and slice
+dilates.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from typing import Iterable, Iterator, Literal, Optional, Sequence
 from .exact_linalg import (
     IntegerMatrix, SingularMatrixError, _back_substitute, _eliminate, adjugate_pair,
 )
-from .graph_core import _is_decimal
+from .graph_core import _is_decimal, _is_int
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -188,7 +189,7 @@ def _integer(value, where: str) -> int:
     `_is_decimal` accepts or a JSON integer that is not a bool.  Anything
     else, such as 1.5, true, "1_0" or " 3", is a ValueError naming the
     field `where`."""
-    if _is_decimal(value) or isinstance(value, int) and not isinstance(value, bool):
+    if _is_decimal(value) or _is_int(value):
         return int(value)
     raise ValueError(f"{where} must be an integer or a decimal string, got {value!r}")
 
@@ -352,16 +353,19 @@ def cone_from_constraints(A: IntegerMatrix) -> SimplicialCone:
     return SimplicialCone(A)
 
 
-def _column_hermite(A: IntegerMatrix) -> list[list[int]]:
-    """Reduced lower-triangular basis of the column lattice of A: a positive
-    diagonal, and 0 <= h[r][j] < h[r][r] for every j < r.
+def _column_hermite(A: IntegerMatrix) -> tuple[list[list[int]], list[list[int]]]:
+    """(h, u): the reduced lower-triangular basis h of the column lattice
+    of A, with a positive diagonal and 0 <= h[r][j] < h[r][r] for every
+    j < r, and the integral columns u[j] with A*u[j] = h_j.
 
     Uses gcd-style integer column operations only, so the column span over
-    the integers is preserved exactly; the reduction subtracts multiples of
-    column r from the columns left of it, which leaves rows 0..r-1 alone.
+    the integers is preserved exactly; each column carries an identity
+    block under A, so the same operations turn it into u.  The reduction
+    subtracts multiples of column r from the columns left of it, which
+    leaves rows 0..r-1 alone.
     """
     n = A.rows
-    cols = [list(A.column(j)) for j in range(n)]
+    cols = [[*A.column(j), *(int(i == j) for i in range(n))] for j in range(n)]
     for i in range(n):
         while True:
             nonzero = [j for j in range(i, n) if cols[j][i] != 0]
@@ -387,7 +391,7 @@ def _column_hermite(A: IntegerMatrix) -> list[list[int]]:
             if q:
                 cols[j] = [a - q * b for a, b in zip(cols[j], cols[r])]
     # Rows of the returned basis: entry (r, c) = cols[c][r].
-    return [[cols[c][r] for c in range(n)] for r in range(n)]
+    return [[cols[c][r] for c in range(n)] for r in range(n)], [col[n:] for col in cols]
 
 
 def _charge(required: int, budget: Optional[int], message: str) -> None:
@@ -422,16 +426,20 @@ _Block = tuple[list[list[int]], list[list[int]]]
 
 def _checked_basis(cone: SimplicialCone, budget: Optional[int]
                    ) -> tuple[list[list[int]], list[list[int]]]:
-    """(h, g): the reduced triangular basis h of the valid digit vectors of
-    a cone with d > 1, and the point g[j] = R*h_j/d of each basis step.
+    """(h, u): the reduced triangular basis h of the valid digit vectors of
+    a cone, and the point u[j] = A^-1*h_j of each basis step.
 
     A point lam is in the parallelepiped iff c = A*lam has every coordinate
     in {0..d-1}; the valid c are the column lattice of A reduced mod d.
-    The budget is charged first, and h is checked before it is returned.
+    With d = 1, h is the identity and every step 0, as the apex is the one
+    point; otherwise the budget is charged first, and h and u are checked
+    before they are returned.
     """
     n, d = cone.dimension, cone.d
+    if d == 1:
+        return [[int(i == j) for j in range(n)] for i in range(n)], [[0] * n] * n
     _charge_points(cone, budget)
-    h = _column_hermite(cone.A)
+    h, u = _column_hermite(cone.A)
     # A positive diagonal multiplying to d: each h_ii divides d, so level i
     # takes d / h_ii digits, d**(n-1) in all.
     diagonal = [h[i][i] for i in range(n)]
@@ -442,18 +450,12 @@ def _checked_basis(cone: SimplicialCone, budget: Optional[int]
     if any(h[r][j] if j > r else not 0 <= h[r][j] < diagonal[r]
            for r in range(n) for j in range(n) if j != r):
         raise ArithmeticError("triangular basis is not reduced")
-    # R*h_j = 0 (mod d) for every basis column certifies that R*c/d is
-    # integral for every walked c, which is a combination of them; with the
-    # determinant, it certifies that h spans the whole lattice.
-    rrows = [cone.R.row(i) for i in range(n)]
-    steps = []
-    for j in range(n):
-        col = [h[r][j] for r in range(n)]
-        g = [divmod(sum(map(mul, row, col)), d) for row in rrows]
-        if any(rem for _, rem in g):
-            raise ArithmeticError("triangular basis column is not a valid digit vector")
-        steps.append([q for q, _ in g])
-    return h, steps
+    # A*u_j = h_j with u_j integral puts every basis column in the column
+    # lattice of A, so every walked c, a combination of them, is the image
+    # of an integral point; with the determinant, h spans the whole lattice.
+    if any(list(cone.A.apply(step)) != [row[j] for row in h] for j, step in enumerate(u)):
+        raise ArithmeticError("triangular basis column is not a valid digit vector")
+    return h, u
 
 
 def _lex_walk(cone: SimplicialCone, budget: Optional[int]) -> Iterator[_Block]:
@@ -463,10 +465,7 @@ def _lex_walk(cone: SimplicialCone, budget: Optional[int]) -> Iterator[_Block]:
     The budget charge and the checks of `_checked_basis` run here, before
     the iterator is returned, so a refused or broken walk yields nothing.
     """
-    n, d = cone.dimension, cone.d
-    if d == 1:
-        return iter([([[0]] * n, [[0]] * n)])
-    return _lex_points(*_checked_basis(cone, budget), d)
+    return _lex_points(*_checked_basis(cone, budget), cone.d)
 
 
 def _sorted_points(cone: SimplicialCone, budget: Optional[int]
@@ -476,22 +475,19 @@ def _sorted_points(cone: SimplicialCone, budget: Optional[int]
 
     The points are packed as the module docstring says, coordinate i
     shifted by s_i.  Each basis step becomes the one int
-    sum_i g[j][i] << s_i, and the walk is linear in its steps, so it emits
+    sum_i u[j][i] << s_i, and the walk is linear in its steps, so it emits
     sum_i lam_i << s_i for each point.  One int sort orders them; each
     block then adds offset = -sum_i lo_i << s_i, which leaves lam_i - lo_i
     in field i, and is unpacked.  The charge, the basis checks and the
     sort run before the iterator is returned.
     """
-    n, d = cone.dimension, cone.d
-    if d == 1:
-        return iter([[[0]] * n])
-    h, steps = _checked_basis(cone, budget)
-    rows = [cone.R.row(i) for i in range(n)]
+    h, u = _checked_basis(cone, budget)
+    rows = [cone.R.row(i) for i in range(cone.dimension)]
     lo = [sum(min(0, x) for x in row) for row in rows]
     spans = [sum(max(0, x) for x in row) - low for row, low in zip(rows, lo)]
     shifts = _field_shifts(spans)
-    packed = [[sum(map(lshift, g, shifts))] for g in steps]
-    keys = list(chain.from_iterable(lam[0] for _, lam in _lex_points(h, packed, d)))
+    packed = [[sum(map(lshift, step, shifts))] for step in u]
+    keys = list(chain.from_iterable(lam[0] for _, lam in _lex_points(h, packed, cone.d)))
     keys.sort()
     offset = -sum(map(lshift, lo, shifts))
     # No key + offset reaches past the top field, so it needs no mask.
@@ -699,22 +695,21 @@ def _numerator(R: IntegerMatrix, d: int, s: Sequence[int]) -> list[int]:
 
     The residues R*c mod d form a group of order d (Z^n / A*Z^n, the
     critical group of a Laplacian minor), numbered by closure from 0 under
-    adding a column of R.  With g = gcd(s) and p = d / gcd(d, g), the
-    exponent s.c/d is integral iff x = s.c/g = 0 (mod p).  So x mod p must
-    be a function r of the class: r_0 = 0, and r_t = r_k + s_j/g (mod p) on
-    every closure edge k -> t of column j, or some point is not integral.
-    Per class the DP keeps the histogram of x in its slots (x - r_k)/p
-    only, packed into one int with bits enough that no slot carries.
+    adding a column of R.  The exponent s.c/d is integral iff s.c = 0
+    (mod d).  So r = s.c mod d must be a function of the class: r_0 = 0,
+    and r_t = r_k + s_j (mod d) on every closure edge k -> t of column j,
+    or some point is not integral.  Per class the DP keeps the histogram
+    of floor(s.c/d) in its slots, packed into one int with bits enough
+    that no slot carries, so slot e of class 0 is exponent e.
 
     Column j's class has order o_j, so the class of c depends on c_j mod
     o_j only: digit c_j + o_j reaches the class of c_j again, e =
-    s_j*o_j/(g*p) slots on.  The DP runs the digits below o_j, sum_j d*o_j
+    s_j*o_j/d slots on.  The DP runs the digits below o_j, sum_j d*o_j
     shifted adds in all, and then multiplies class 0 by
     (1 - Q^(e*m)) / (1 - Q^e), m = d/o_j, for each column: by 1 - Q^(e*m),
     then `_times_geometric`, in time linear in its length.  The counts
     must sum to d**(n-1), the digit vectors' number, which a weight of 0
-    would break.  Slot k of class 0 is exponent k*g*p/d, so the slots are
-    spread by that unit.
+    would break.
     """
     n = len(s)
     # A residue vector is one int, coordinate i in field i of b + 1 bits,
@@ -740,14 +735,11 @@ def _numerator(R: IntegerMatrix, d: int, s: Sequence[int]) -> list[int]:
             break
     if len(classes) != d:
         raise ArithmeticError(f"digit vectors do not fall into d = {d} classes")
-    g = math.gcd(*s)
-    p = d // math.gcd(d, g)
-    weights = [x // g for x in s]
     r = [0]
     for k, j in via[1:]:
-        r.append((r[k] + weights[j]) % p)
-    for weight, nxt in zip(weights, step):
-        if [r[t] for t in nxt] != [(x + weight) % p for x in r]:
+        r.append((r[k] + s[j]) % d)
+    for weight, nxt in zip(s, step):
+        if [r[t] for t in nxt] != [(x + weight) % d for x in r]:
             raise ArithmeticError("parallelepiped point not integral")
     orders = []
     for nxt in step:
@@ -759,10 +751,10 @@ def _numerator(R: IntegerMatrix, d: int, s: Sequence[int]) -> list[int]:
     width = (math.prod(orders).bit_length() + 7) // 8
     bits = 8 * width
     hist = [1] + [0] * (d - 1)
-    for weight, nxt, o in zip(weights, step, orders):
-        # Digit c moves class k by floor((r_k + weight*c)/p) slots, which
+    for weight, nxt, o in zip(s, step, orders):
+        # Digit c moves class k by floor((r_k + weight*c)/d) slots, which
         # grows by moves[t] >= 0 from class t to nxt[t].
-        moves = [(r[t] + weight - r[nxt[t]]) // p * bits for t in range(d)]
+        moves = [(r[t] + weight - r[nxt[t]]) // d * bits for t in range(d)]
         new = [0] * d
         for k, packed in enumerate(hist):
             if packed:
@@ -774,8 +766,8 @@ def _numerator(R: IntegerMatrix, d: int, s: Sequence[int]) -> list[int]:
         hist = new
     raw = hist[0].to_bytes((hist[0].bit_length() + 7) // 8, "little")
     coeffs = [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
-    for weight, o in zip(weights, orders):
-        e, m = weight * o // p, d // o
+    for weight, o in zip(s, orders):
+        e, m = weight * o // d, d // o
         if m > 1:
             coeffs += [0] * (e * (m - 1))
             coeffs[e * m:] = [a - c for a, c in zip(coeffs[e * m:], coeffs)]
@@ -783,10 +775,7 @@ def _numerator(R: IntegerMatrix, d: int, s: Sequence[int]) -> list[int]:
     if sum(coeffs) != d ** (n - 1):
         raise ArithmeticError(
             f"numerator counts {sum(coeffs)} digit vectors, not d**(n-1) = {d ** (n - 1)}")
-    unit = g * p // d
-    spread = [0] * ((len(coeffs) - 1) * unit + 1)
-    spread[::unit] = coeffs
-    return spread
+    return coeffs
 
 
 def specialized_gf(cone: SimplicialCone, mode: Literal["total", "first_coordinate"],

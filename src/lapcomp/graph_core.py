@@ -42,6 +42,11 @@ def _is_decimal(text) -> bool:
             and text.removeprefix("-").isdigit())
 
 
+def _is_int(value) -> bool:
+    """Whether `value` is an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class GraphError(ValueError):
     """Invalid graph construction or graph text input."""
 
@@ -52,6 +57,8 @@ class Graph:
     __slots__ = ("vertex_count", "edges")
 
     def __init__(self, vertex_count: int, edges: Iterable[Sequence[int]]):
+        if not _is_int(vertex_count):
+            raise GraphError(f"vertex count {vertex_count!r} is not an int")
         if vertex_count < 1:
             raise GraphError("graph needs at least one vertex")
         if vertex_count > MAX_VERTICES:
@@ -62,6 +69,8 @@ class Graph:
         seen = set()
         for edge in edges:
             u, v = edge
+            if not (_is_int(u) and _is_int(v)):
+                raise GraphError(f"edge ({u!r}, {v!r}) has a label that is not an int")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise GraphError(f"edge ({u}, {v}) has an out-of-range label")
             if u == v:

@@ -156,11 +156,8 @@ def block_reduction(t: Graph, v: int) -> list[BlockProblem]:
     if t.degree(v) <= 1:
         raise GraphError(f"vertex {v} is a leaf; nothing to reduce")
     adj = t.adjacency()
-    assigned = {v}
     problems = []
     for start in sorted(adj[v]):
-        if start in assigned:
-            continue
         component = {start}
         queue = deque([start])
         while queue:
@@ -169,7 +166,6 @@ def block_reduction(t: Graph, v: int) -> list[BlockProblem]:
                 if w != v and w not in component:
                     component.add(w)
                     queue.append(w)
-        assigned |= component
         ordered = sorted(component)
         local = {orig: k for k, orig in enumerate(ordered)}
         local[v] = len(ordered)

@@ -1,6 +1,7 @@
 """Rewrite `cli.jsonl`, the CLI corpus that `tests/test_golden.py` replays.
 
-    python3 tests/golden/regen.py
+    python3 tests/golden/regen.py            # rewrite the corpus
+    python3 tests/golden/regen.py --check    # replay it, rewriting nothing
 
 Each call runs in process through `lapcomp.cli.main`, from this directory
 (so `--file graphs/...` resolves), with COLUMNS=80 and LAPCOMP_BUDGET
@@ -8,7 +9,9 @@ unset unless the call sets it.  One JSON line per call holds its argv,
 the environment variables it sets, the exit code and the SHA-256 of
 stdout and stderr, with the text itself when it is at most TEXT_MAX
 characters.  A changed line is a changed CLI: name its argv and the
-reason with the change.
+reason with the change.  `--check` needs no pytest: it replays every
+line, prints the argv and environment of each call that changed, and
+exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -246,5 +249,27 @@ def write_corpus() -> None:
             f.write(json.dumps(record(argv, env), ensure_ascii=False) + "\n")
 
 
+def corpus() -> list[dict]:
+    """The corpus's lines, parsed."""
+    with CORPUS.open(encoding="utf-8") as f:
+        return [json.loads(line) for line in f]
+
+
+def check_corpus() -> int:
+    """Replay the corpus: 0 if every line is what its call gives now, else
+    1, with each changed call named."""
+    lines = corpus()
+    changed = [(line["argv"], line["env"]) for line in lines
+               if record(line["argv"], line["env"]) != line]
+    for argv, env in changed:
+        print(f"changed: {argv} {env}")
+    print(f"{len(changed)} changed of {len(lines)} calls")
+    return 1 if changed else 0
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(check_corpus())
+    if sys.argv[1:]:
+        sys.exit("usage: regen.py [--check]")
     write_corpus()

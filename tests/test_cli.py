@@ -183,6 +183,32 @@ class TestSeries:
         code, _, err = run(capsys, "series", "--order", "3")
         assert code == 2 and "exactly one" in err
 
+    def test_order_is_budgeted(self, capsys, monkeypatch):
+        monkeypatch.delenv("LAPCOMP_BUDGET", raising=False)
+        # 1/((1 - q^2)(1 - q^3)) to order 10: 11 coefficients, updated once
+        # by each factor's one pass, 33 in all.
+        argv = ["series", "--family", "path:3", "--order", "10"]
+        assert run(capsys, *argv, "--budget", "33") == (
+            0, "[1, 0, 1, 1, 1, 1, 2, 1, 2, 2, 2]\n", "")
+        assert run(capsys, *argv, "--budget", "32") == (
+            2, "", "error: budget exhausted: series needs 33 coefficient "
+                   "updates; budget is 32\n")
+        # An order past the default budget is refused before its list is made.
+        assert run(capsys, "series", "--family", "path:3", "--order", "1000000000") == (
+            2, "", "error: budget exhausted: series needs 3000000003 coefficient "
+                   "updates; budget is 100000000\n")
+
+    def test_file_order_is_budgeted(self, capsys, tmp_path):
+        # (1 - q)^3000 takes order // 1 = 12 passes, not 3000; (1 - q^3)^17
+        # takes 4 and (1 - q^5) one: 13 * (1 + 12 + 4 + 1) = 234 updates.
+        f = tmp_path / "gf.json"
+        f.write_text('{"num": [1], "den": [[1, 3000], [3, 17], [5, 1]]}')
+        argv = ["series", "--file", str(f), "--order", "12"]
+        assert run(capsys, *argv, "--budget", "234")[0] == 0
+        assert run(capsys, *argv, "--budget", "233") == (
+            2, "", "error: budget exhausted: series needs 234 coefficient "
+                   "updates; budget is 233\n")
+
 
 class TestCheck:
     def test_cyclic(self, capsys):
@@ -499,6 +525,22 @@ class TestRaysOnDemand:
         assert [run(capsys, *argv) for argv in argvs] == expected
 
 
+    def test_fpp_listing_builds_no_rays(self, capsys, monkeypatch):
+        # The walk's steps come from A alone, so `fpp` lists a cone with
+        # d > 1 and never solves for R.
+        cones = []
+
+        def kept(A):
+            cones.append(cone_from_constraints(A))
+            return cones[-1]
+
+        monkeypatch.setattr(cli, "cone_from_constraints", kept)
+        code, out, _ = run(capsys, "fpp", "--family", "cycle:4", "--minor", "0", "--json")
+        assert code == 0 and len(json.loads(out)["points"]) == 16
+        [cone] = cones
+        assert cone.d == 4 and cone._R is None
+
+
 class TestOneElimination:
     """A tree's specialized gf back-substitutes the forward pass that gave
     its d: one elimination per query, with the output unchanged."""
@@ -673,9 +715,11 @@ class TestListingRefusals:
     @pytest.mark.parametrize("argv", [["fpp"], ["fpp", "--json"],
                                       ["gf"], ["gf", "--json"]])
     def test_broken_basis(self, capsys, monkeypatch, argv):
-        # (1, 0) is not a valid digit vector of the 3-cycle's minor.
+        # (1, 0) is not a valid digit vector of the 3-cycle's minor, so the
+        # true steps u, A*u_j = h_j, do not reach it.
+        real = cone_engine._column_hermite
         monkeypatch.setattr(cone_engine, "_column_hermite",
-                            lambda A: [[1, 0], [0, 3]])
+                            lambda A: ([[1, 0], [0, 3]], real(A)[1]))
         code, out, err = run(capsys, *argv, "--family", "cycle:3", "--minor", "0")
         assert (code, out) == (1, "")
         assert err == ("error: internal identity failed: triangular basis "

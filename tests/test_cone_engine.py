@@ -146,6 +146,13 @@ class TestFppPoints:
             for _, lam in pts:
                 assert all(x >= 0 for x in cone.A.apply(lam))
 
+    def test_walk_builds_no_rays(self):
+        # The basis steps come from A alone, so listing the points of a
+        # cone with d > 1 never solves for R.
+        cone = minor_cone("complete", 4)
+        assert cone.d == 16 and len(list(fpp_points(cone))) == 256
+        assert cone._R is None
+
     def test_unimodular_cone_has_only_the_origin(self):
         cone = minor_cone("path", 4, vertex=3)
         assert cone.d == 1
@@ -255,7 +262,7 @@ class TestLexWalk:
         if diagonal is None:
             assert cone.d == 1
         else:
-            h = cone_engine._column_hermite(cone.A)
+            h, _ = cone_engine._column_hermite(cone.A)
             assert [h[i][i] for i in range(cone.dimension)] == diagonal
         assert list(fpp_points(cone)) == flat_fpp(cone)
 
@@ -274,29 +281,33 @@ class TestLexWalk:
             assert pts == flat_fpp(cone)
 
     def test_checks_run_before_the_first_point(self, monkeypatch):
-        # `_lex_walk` refuses when called, not when first iterated.
+        # `_lex_walk` refuses when called, not when first iterated.  Each
+        # broken basis below comes with the true steps u, A*u_j = h_j.
         cone = minor_cone("cycle", 4, vertex=0)
+        h, u = cone_engine._column_hermite(cone.A)
+        assert h == [[1, 0, 0], [0, 1, 0], [1, 2, 4]]
         with pytest.raises(BudgetExceededError):
             cone_engine._lex_walk(cone, 5)
-        monkeypatch.setattr(cone_engine, "_column_hermite",
-                            lambda A: [[1, 0, 0], [0, 2, 0], [0, 0, 2]])
-        with pytest.raises(ArithmeticError, match="not a valid digit vector"):
-            cone_engine._lex_walk(cone, None)
+        # (0, 2, 0) is not a valid digit vector, so no integral step
+        # reaches it; nor does the true basis with one step off by one.
+        for basis, steps in (([[1, 0, 0], [0, 2, 0], [0, 0, 2]], u),
+                             (h, [u[0], u[1], [x + 1 for x in u[2]]])):
+            monkeypatch.setattr(cone_engine, "_column_hermite", lambda A: (basis, steps))
+            with pytest.raises(ArithmeticError, match="not a valid digit vector"):
+                cone_engine._lex_walk(cone, None)
         # A basis inside the lattice but of index 4 in it (every column is a
         # valid digit vector; the walk would list d**(n-1) / 4 points), and
         # the true basis with two columns negated (the diagonal multiplies
         # to d, but the walk would list nothing).
         for basis in ([[1, 0, 0], [-2, 4, 0], [1, -8, 4]],
                       [[-1, 0, 0], [2, -1, 0], [-1, 2, 4]]):
-            monkeypatch.setattr(cone_engine, "_column_hermite", lambda A: basis)
+            monkeypatch.setattr(cone_engine, "_column_hermite", lambda A: (basis, u))
             with pytest.raises(ArithmeticError, match="determinant"):
                 cone_engine._lex_walk(cone, None)
         # The reduced basis with its last column added to its first: the
         # same lattice, but h[2][0] = 5 is not below h[2][2] = 4.
-        monkeypatch.undo()
-        assert cone_engine._column_hermite(cone.A) == [[1, 0, 0], [0, 1, 0], [1, 2, 4]]
         monkeypatch.setattr(cone_engine, "_column_hermite",
-                            lambda A: [[1, 0, 0], [0, 1, 0], [5, 2, 4]])
+                            lambda A: ([[1, 0, 0], [0, 1, 0], [5, 2, 4]], u))
         with pytest.raises(ArithmeticError, match="not reduced"):
             cone_engine._lex_walk(cone, None)
 
@@ -335,8 +346,9 @@ class TestLexWalk:
                   for j in range(n)] for i in range(n)]
         cone = cone_from_constraints(IntegerMatrix(lower) @ IntegerMatrix(upper))
         assume(any(x < 0 for row in cone.R for x in row))
-        h = cone_engine._column_hermite(cone.A)
+        h, u = cone_engine._column_hermite(cone.A)
         assert all(0 <= h[r][j] < h[r][r] for r in range(n) for j in range(r))
+        assert [cone.A.apply(step) for step in u] == list(zip(*h))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cone_engine, "_BLOCK", data.draw(st.sampled_from([1, 7, 64, 1024])))
             points = list(fpp_points(cone))
@@ -419,8 +431,9 @@ class TestSortedPoints:
         cone = minor_cone("cycle", 4, vertex=0)
         with pytest.raises(BudgetExceededError):
             cone_engine._sorted_points(cone, 5)
+        _, u = cone_engine._column_hermite(cone.A)
         monkeypatch.setattr(cone_engine, "_column_hermite",
-                            lambda A: [[1, 0, 0], [0, 2, 0], [0, 0, 2]])
+                            lambda A: ([[1, 0, 0], [0, 2, 0], [0, 0, 2]], u))
         with pytest.raises(ArithmeticError, match="not a valid digit vector"):
             cone_engine._sorted_points(cone, None)
 
@@ -686,10 +699,12 @@ class TestSpecializedGf:
 
     def test_basis_certificate(self, monkeypatch):
         # A triangular basis that divides d = 3 but leaves the lattice of
-        # valid digit vectors: (1, 0) is not one for the 3-cycle minor.
+        # valid digit vectors: (1, 0) is not one for the 3-cycle minor, so
+        # the true steps do not reach it.
+        _, u = cone_engine._column_hermite(CYCLE3.A)
         with monkeypatch.context() as patch:
             patch.setattr(cone_engine, "_column_hermite",
-                          lambda A: [[1, 0], [0, 3]])
+                          lambda A: ([[1, 0], [0, 3]], u))
             with pytest.raises(ArithmeticError, match="not a valid digit vector"):
                 fpp_points(CYCLE3)
         # The DP's certificate: a ray matrix other than d * A^-1 sorts the
@@ -847,10 +862,25 @@ class TestNumerator:
         assert cone_engine._numerator(cone.R, cone.d, s) == list(gf.numerator)
         assert gf.denominator == tuple(sorted(Counter(s).items()))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_gcd_of_the_weights_divides_d(self, data):
+        # Each mode's s = w^T R has a primitive w, and s*A = d*w^T, so
+        # gcd(s) divides every entry of d*w and so d: no caller's slots
+        # could be packed closer by a common factor of s.
+        g = random_connected_graph(data)
+        cone = cone_from_constraints(
+            laplacian_minor(g, data.draw(st.integers(0, g.vertex_count - 1))).matrix)
+        for mode in ("total", "first_coordinate"):
+            w = cone_engine._mode_weights(mode, cone.dimension)
+            s = [sum(map(mul, w, col)) for col in cone.rays()]
+            assert cone.d % math.gcd(*s) == 0
+
     def test_slots_spread_by_unit(self):
-        # The 3-cycle minor's digit vectors are (c, c), c < 3.  Weights
-        # (6, 6) give them exponents 0, 4 and 8; class 0 counts them in
-        # slots x = s.c/g = 0, 2 and 4, and a slot is g*p/d = 2 exponents.
+        # No caller passes weights whose gcd does not divide d, but the DP
+        # stays exact on them.  The 3-cycle minor's digit vectors are
+        # (c, c), c < 3; weights (6, 6), gcd 6 and d = 3, give them
+        # exponents 0, 4 and 8, each in its own slot.
         assert cone_engine._numerator(CYCLE3.R, 3, [6, 6]) == [1, 0, 0, 0, 1, 0, 0, 0, 1]
 
     def test_zero_weight_breaks_the_mass_certificate(self):

@@ -58,6 +58,19 @@ class TestGraph:
         with pytest.raises(GraphError):
             Graph(65, [])
 
+    @pytest.mark.parametrize("count,edges,message", [
+        (3, [(0, 1.0), (1, 2)], "edge (0, 1.0) has a label that is not an int"),
+        (3, [(0, True), (1, 2)], "edge (0, True) has a label that is not an int"),
+        (3, [("0", 1)], "edge ('0', 1) has a label that is not an int"),
+        (3.0, [(0, 1), (1, 2)], "vertex count 3.0 is not an int"),
+        (True, [], "vertex count True is not an int"),
+    ])
+    def test_rejects_labels_and_counts_that_are_not_ints(self, count, edges, message):
+        # A float, a bool or a str is refused here, not read as an int or
+        # left to fail later inside `laplacian_minor`.
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            Graph(count, edges)
+
     def test_degrees_and_leaves(self):
         g = leafed_cycle_graph(3)
         assert g.degrees() == [3, 2, 2, 1]
@@ -191,6 +204,12 @@ class TestMinors:
     def test_out_of_range_vertex(self):
         with pytest.raises(GraphError):
             laplacian_minor(path_graph(3), 3)
+        with pytest.raises(GraphError, match="^vertex 3 out of range$"):
+            incidence_subminor(path_graph(3), 3)
+
+    def test_one_vertex_has_no_minor(self):
+        with pytest.raises(GraphError, match="^graph too small to take a Laplacian minor$"):
+            laplacian_minor(Graph(1, []), 0)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
