@@ -44,8 +44,15 @@ TREE_LEAVES = {"tree24": (1, 2, 4, 7, 8, 10, 12, 14, 16, 18, 19, 22), "path12": 
 # A 20-vertex tree plus 4 edges, labels scrambled: every minor's `gf`, with
 # or without `--spec`, is refused with its exact charge.
 REFUSED_GRAPHS = (("tree20_plus4", 20),)
+# Refused graph files; separators_bad's line number counts the breaks of
+# `str.splitlines`, and tree65 has one vertex over MAX_VERTICES.
 BAD_GRAPHS = ("count_arabic_indic", "count_plus", "disconnected", "label_arabic_indic",
-              "label_plus", "label_underscore", "three_tokens", "missing")
+              "label_plus", "label_underscore", "three_tokens", "missing",
+              "separators_bad", "tree65")
+# Graph files whose separators pin the reader: tabs, CRLF, trailing and
+# comment-only lines, blank lines, a no-break space between labels, and
+# the breaks \v, \f, \x1c, \x85 and \u2028 that `str.splitlines` splits on.
+SEPARATOR_GRAPHS = ("separators",)
 # `gf --spec MODE --json` of two families, saved as `series --file` inputs,
 # then malformed inputs that the strict reader refuses, and a missing file.
 SAVED_GFS = {f"{family.replace(':', '')}_{mode}": (family, mode)
@@ -162,6 +169,10 @@ def calls():
         for fmt in formats:
             yield ["check"] + params + fmt, {}
     for name in BAD_GRAPHS:
+        yield ["fpp", "--file", f"graphs/{name}.txt"], {}
+    for name in SEPARATOR_GRAPHS:
+        for fmt in formats:
+            yield ["gf", "--spec", "total", "--file", f"graphs/{name}.txt"] + fmt, {}
         yield ["fpp", "--file", f"graphs/{name}.txt"], {}
     for name in SAVED_GFS:
         for fmt in formats:
