@@ -487,7 +487,8 @@ def _sorted_points(cone: SimplicialCone, budget: Optional[int]
     spans = [sum(max(0, x) for x in row) - low for row, low in zip(rows, lo)]
     shifts = _field_shifts(spans)
     packed = [[sum(map(lshift, step, shifts))] for step in u]
-    keys = list(chain.from_iterable(lam[0] for _, lam in _lex_points(h, packed, cone.d)))
+    keys = list(chain.from_iterable(
+        lam[0] for _, lam in _lex_points(h, packed, cone.d, with_digits=False)))
     keys.sort()
     offset = -sum(map(lshift, lo, shifts))
     # No key + offset reaches past the top field, so it needs no mask.
@@ -526,10 +527,12 @@ def _kron(incs: Iterable[Sequence[int]]) -> list[int]:
     return out
 
 
-def _lex_points(h: list[list[int]], g: list[list[int]], d: int) -> Iterator[_Block]:
+def _lex_points(h: list[list[int]], g: list[list[int]], d: int,
+                with_digits: bool = True) -> Iterator[_Block]:
     """Walk of `_lex_walk` along a checked reduced lower-triangular basis
     h, whose step j moves the point by g[j].  A point has len(g[0])
-    coordinates, so `_sorted_points` walks points packed into one int.
+    coordinates, so `_sorted_points` walks points packed into one int, and
+    as it reads no digits, it passes `with_digits=False` to get none.
 
     Once c_0..c_{i-1} are fixed, the valid c_i are the values = off_i
     (mod h_ii) in {0..d-1}, where off_i is row i of the basis steps so far;
@@ -567,7 +570,7 @@ def _lex_points(h: list[list[int]], g: list[list[int]], d: int) -> Iterator[_Blo
     while i < n:
         j = i + 1 if diag[i] > 1 else next((j for j in range(i, n) if diag[j] > 1), n)
         tiles = [_stretch(range(d), math.prod(fan[l + 1:])) * d ** (l - i)
-                 for l in range(i, j) if diag[l] == 1]
+                 for l in range(i, j) if diag[l] == 1] if with_digits else []
         plan.append((i, diag[i], math.prod(fan[i:j]), math.prod(fan[j:]), tiles,
                      [_kron([g[l][r] * x for x in range(fan[l])] for l in range(i, j))
                       for r in range(width)],
@@ -577,7 +580,7 @@ def _lex_points(h: list[list[int]], g: list[list[int]], d: int) -> Iterator[_Blo
 
     def block(prefix, off, acc, top):
         xs = [(c - off[k]) // diag[k] for c in top]
-        digits = [_stretch(top, inner)]
+        digits = [_stretch(top, inner)] if with_digits else []
         points = [[a + v * x for x in xs] for a, v in zip(acc, g[k])]
         offs = {r: [off[r] + h[r][k] * x for x in xs] for r in stepped}
         m = len(top)
@@ -589,10 +592,11 @@ def _lex_points(h: list[list[int]], g: list[list[int]], d: int) -> Iterator[_Blo
                 # o mod h_ii, and digit o mod h_ii + x*h_ii is the basis
                 # step x - o // h_ii.
                 o_i = offs.pop(i)
-                cs = list(map(mod, o_i, repeat(hi)))
-                if f > 1:
-                    cs = list(chain.from_iterable(map(range, cs, repeat(d), repeat(hi))))
-                digits.append(_stretch(cs, after) if after > 1 else cs)
+                if with_digits:
+                    cs = list(map(mod, o_i, repeat(hi)))
+                    if f > 1:
+                        cs = list(chain.from_iterable(map(range, cs, repeat(d), repeat(hi))))
+                    digits.append(_stretch(cs, after) if after > 1 else cs)
                 q = [o // hi for o in o_i]
                 points = [list(map(sub, col, map(v.__mul__, q))) if v else col
                           for col, v in zip(points, g[i])]
@@ -602,8 +606,9 @@ def _lex_points(h: list[list[int]], g: list[list[int]], d: int) -> Iterator[_Blo
                 points = [[a + y for a in col for y in inc] for col, inc in zip(points, adds)]
                 offs = {r: [a + y for a in col for y in moves[r]] for r, col in offs.items()}
                 m *= f
-        size = len(digits[0])
-        return [[c] * size for c in prefix] + digits, points
+        if with_digits:
+            digits[:0] = [[c] * len(points[0]) for c in prefix]
+        return digits, points
 
     def walk(i, prefix, off, acc):
         if i == k:

@@ -1,5 +1,9 @@
 """Exact dense linear algebra over the integers.
 
+An `IntegerMatrix` checks its rows in one C-level pass over their lengths
+and entry types (every entry an int, none a bool), and walks them in
+order only when that fails, so the first faulty row decides the error.
+
 One elimination kernel serves every routine: a fraction-free (Bareiss)
 forward pass over `[m | B]`, in which each division is exact and still
 checked for a remainder.  Its pivot is the sparsest remaining row, so a
@@ -18,7 +22,8 @@ touches floating point.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
+from itertools import chain, compress, filterfalse
+from operator import mul
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -34,13 +39,19 @@ class SingularMatrixError(ValueError):
     """Raised when an operation needs an invertible matrix and det = 0."""
 
 
-def _int_row(row: Iterable[int]) -> tuple:
-    """The row as a tuple, checked to hold ints only."""
-    r = tuple(row)
-    if not all(map(isinstance, r, repeat(int))):
-        bad = next(x for x in r if not isinstance(x, int))
-        raise TypeError(f"integer matrix entry {bad!r} is not an int")
-    return r
+def _is_int(value) -> bool:
+    """Whether `value` is an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_rows(data: list[tuple]) -> None:
+    """Raise for the first faulty row of `data`, in order: a TypeError for an
+    entry that is not an int or is a bool, then a ValueError for its length."""
+    for r in data:
+        for x in filterfalse(_is_int, r):
+            raise TypeError(f"integer matrix entry {x!r} is not an int")
+        if len(r) != len(data[0]):
+            raise ValueError("matrix rows have unequal lengths")
 
 
 class IntegerMatrix:
@@ -50,15 +61,15 @@ class IntegerMatrix:
 
     def __init__(self, rows: Iterable[Sequence[int]]):
         data = []
-        width = None
-        for row in rows:
-            r = _int_row(row)
-            if width is None:
-                width = len(r)
-            elif len(r) != width:
-                raise ValueError("matrix rows have unequal lengths")
-            data.append(r)
-        if not data or width == 0:
+        try:
+            data.extend(map(tuple, rows))
+        except Exception:
+            # A faulty row read before the failing one is reported first.
+            _check_rows(data)
+            raise
+        if len(set(map(len, data))) > 1 or set(map(type, chain.from_iterable(data))) - {int}:
+            _check_rows(data)
+        if not data or not data[0]:
             raise ValueError("matrix must have at least one row and one column")
         self._data = tuple(data)
 
@@ -115,19 +126,16 @@ class IntegerMatrix:
         """Matrix-vector product as a tuple."""
         if len(vector) != self.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(
-            sum(a * x for a, x in zip(row, vector)) for row in self._data
-        )
+        return tuple(sum(map(mul, row, vector)) for row in self._data)
 
     def __matmul__(self, other):
         if not isinstance(other, IntegerMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("matrix dimensions do not match for product")
-        cols = [other.column(j) for j in range(other.cols)]
+        cols = list(zip(*other._data))
         return IntegerMatrix(
-            [sum(a * b for a, b in zip(row, col)) for col in cols]
-            for row in self._data
+            [sum(map(mul, row, col)) for col in cols] for row in self._data
         )
 
 

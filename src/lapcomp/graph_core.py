@@ -4,13 +4,16 @@ Vertices are always labeled 0..vertex_count-1.  Every edge carries a fixed
 orientation (tail, head); builders orient edges from the smaller label to the
 larger one.  The Laplacian and its minors do not depend on orientation, the
 signed incidence matrix does.
+
+`laplacian_minor` fills its matrix straight from the edges.  `parse_graph`
+splits each line once; only labels not in ASCII digits reach `_is_decimal`.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .exact_linalg import IntegerMatrix
+from .exact_linalg import IntegerMatrix, _is_int
 
 __all__ = [
     "MAX_VERTICES",
@@ -42,11 +45,6 @@ def _is_decimal(text) -> bool:
             and text.removeprefix("-").isdigit())
 
 
-def _is_int(value) -> bool:
-    """Whether `value` is an int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 class GraphError(ValueError):
     """Invalid graph construction or graph text input."""
 
@@ -69,7 +67,7 @@ class Graph:
         seen = set()
         for edge in edges:
             u, v = edge
-            if not (_is_int(u) and _is_int(v)):
+            if not (type(u) is type(v) is int or _is_int(u) and _is_int(v)):
                 raise GraphError(f"edge ({u!r}, {v!r}) has a label that is not an int")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise GraphError(f"edge ({u}, {v}) has an out-of-range label")
@@ -270,10 +268,18 @@ def laplacian_minor(g: Graph, i: int) -> LaplacianMinor:
         raise GraphError(f"vertex {i} out of range")
     if g.vertex_count < 2:
         raise GraphError("graph too small to take a Laplacian minor")
-    keep = tuple(v for v in range(g.vertex_count) if v != i)
-    rows = laplacian(g)
-    m = IntegerMatrix(row[:i] + row[i + 1:] for r, row in enumerate(rows) if r != i)
-    return LaplacianMinor(m, g, i, keep)
+    n = g.vertex_count
+    keep = (*range(i), *range(i + 1, n))
+    m = [[0] * (n - 1) for _ in keep]
+    for u, v in g.edges:
+        a, b = u - (u > i), v - (v > i)
+        if u != i:
+            m[a][a] += 1
+        if v != i:
+            m[b][b] += 1
+            if u != i:
+                m[a][b] = m[b][a] = -1
+    return LaplacianMinor(IntegerMatrix(m), g, i, keep)
 
 
 def incidence_matrix(g: Graph) -> IntegerMatrix:
@@ -306,15 +312,14 @@ def parse_graph(text: str) -> Graph:
     count = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        line = raw.split("#", 1)[0]
         tokens = line.split()
+        if not tokens:
+            continue
         if count is None:
             if len(tokens) != 1:
-                raise GraphError(
-                    f"line {lineno}: expected a single vertex count, got {line!r}"
-                )
+                raise GraphError(f"line {lineno}: expected a single vertex count, "
+                                 f"got {line.strip()!r}")
             if not _is_decimal(tokens[0]):
                 raise GraphError(
                     f"line {lineno}: vertex count {tokens[0]!r} is not an integer"
@@ -322,10 +327,12 @@ def parse_graph(text: str) -> Graph:
             count = int(tokens[0])
             continue
         if len(tokens) != 2:
-            raise GraphError(f"line {lineno}: expected 'u v', got {line!r}")
+            raise GraphError(f"line {lineno}: expected 'u v', got {line.strip()!r}")
         u, v = tokens
-        if not (_is_decimal(u) and _is_decimal(v)):
-            raise GraphError(f"line {lineno}: non-integer vertex label in {line!r}")
+        # A sign or any character but an ASCII digit needs `_is_decimal`.
+        uv = u + v
+        if not (uv.isdigit() and uv.isascii() or _is_decimal(u) and _is_decimal(v)):
+            raise GraphError(f"line {lineno}: non-integer vertex label in {line.strip()!r}")
         edges.append((int(u), int(v)))
     if count is None:
         raise GraphError("empty graph input")

@@ -1,6 +1,7 @@
 """Closed forms for the cycle and leafed-cycle families, a set-based
-normality probe, a tuple-sorted transform, a simplex's normalized volume
-and a rational Gauss-Jordan solver, kept as oracles.
+normality probe, a tuple-sorted transform, a simplex's normalized volume,
+a rational Gauss-Jordan solver, and the line-by-line graph reader and
+row-by-row matrix check that the library once had, kept as oracles.
 
 Nothing in `lapcomp` computes these: each one reaches a result by a route
 the library does not take, so the tests can hold the general engine, the
@@ -13,6 +14,8 @@ from fractions import Fraction
 from itertools import chain
 
 from lapcomp import (
+    Graph,
+    GraphError,
     IntegerMatrix,
     IntegerPointTransform,
     NormalityReport,
@@ -213,3 +216,69 @@ def gauss_jordan(rows, rhs):
                 a[i] = [x - f * y for x, y in zip(a[i], a[k])]
     assert det.denominator == 1
     return int(det), [r[n:] for r in a]
+
+
+def _is_decimal(text):
+    """Whether `text` matches -?[0-9]+ in ASCII."""
+    return (isinstance(text, str) and text.isascii()
+            and text.removeprefix("-").isdigit())
+
+
+def read_graph(text):
+    """The edge-list reader as it was before it split each line only once:
+    each line of `str.splitlines` loses its comment and outer blanks, and
+    each token goes through `_is_decimal`."""
+    count = None
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if count is None:
+            if len(tokens) != 1:
+                raise GraphError(
+                    f"line {lineno}: expected a single vertex count, got {line!r}"
+                )
+            if not _is_decimal(tokens[0]):
+                raise GraphError(
+                    f"line {lineno}: vertex count {tokens[0]!r} is not an integer"
+                )
+            count = int(tokens[0])
+            continue
+        if len(tokens) != 2:
+            raise GraphError(f"line {lineno}: expected 'u v', got {line!r}")
+        u, v = tokens
+        if not (_is_decimal(u) and _is_decimal(v)):
+            raise GraphError(f"line {lineno}: non-integer vertex label in {line!r}")
+        edges.append((int(u), int(v)))
+    if count is None:
+        raise GraphError("empty graph input")
+    g = Graph(count, edges)
+    if not g.is_connected():
+        raise GraphError("graph is not connected")
+    return g
+
+
+def matrix_fault(rows):
+    """(type, message) of the error that `IntegerMatrix(rows)` must raise,
+    or None, by the row-by-row walk it once made (with bools refused):
+    each row in turn is read into a tuple, then its first entry that is
+    not an int or is a bool is a TypeError, then a length unlike the first
+    row's a ValueError; an empty matrix is a ValueError last."""
+    width = None
+    try:
+        for row in rows:
+            r = tuple(row)
+            for x in r:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise TypeError(f"integer matrix entry {x!r} is not an int")
+            if width is None:
+                width = len(r)
+            elif len(r) != width:
+                raise ValueError("matrix rows have unequal lengths")
+        if not width:
+            raise ValueError("matrix must have at least one row and one column")
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None

@@ -1,5 +1,7 @@
 """Tests for the exact integer matrix layer."""
 
+import re
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from lapcomp import (
     laplacian_minor,
     scaled_solve,
 )
-from oracles import gauss_jordan
+from oracles import gauss_jordan, matrix_fault
 
 
 def cofactor_det(rows):
@@ -68,6 +70,57 @@ class TestConstruction:
         with pytest.raises(TypeError):
             IntegerMatrix([["3"]])
 
+    def test_rejects_bool_entries(self):
+        # A bool would print as JSON `true` where the package promises
+        # decimal strings.
+        with pytest.raises(TypeError, match="^integer matrix entry True is not an int$"):
+            IntegerMatrix([[True, 2], [3, 4]])
+        with pytest.raises(TypeError, match="^integer matrix entry False is not an int$"):
+            IntegerMatrix([[1, 2], [3, False]])
+
+    def test_int_subclasses_are_ints(self):
+        class Label(int):
+            pass
+        assert IntegerMatrix([[Label(3), 1]]) == IntegerMatrix([[3, 1]])
+
+    @pytest.mark.parametrize("rows, error, message", [
+        # The first faulty row decides, whatever comes after it.
+        ([[1, 2], [3], [4, 1.5]], ValueError, "matrix rows have unequal lengths"),
+        ([[1, 2], [3, "4"], [5]], TypeError, "integer matrix entry '4' is not an int"),
+        # Within one row an entry is checked before the row's length.
+        ([[1, 2], [3, None, 5]], TypeError, "integer matrix entry None is not an int"),
+        ([[1, True], []], TypeError, "integer matrix entry True is not an int"),
+        # A row that is not iterable fails only after the rows before it.
+        ([[2.5], 7], TypeError, "integer matrix entry 2.5 is not an int"),
+        ([[1], [2, 3], 7], ValueError, "matrix rows have unequal lengths"),
+        ([[1], 7, [2.5]], TypeError, "'int' object is not iterable"),
+        ([[], [1]], ValueError, "matrix rows have unequal lengths"),
+        ([[], []], ValueError, "matrix must have at least one row and one column"),
+    ])
+    def test_first_faulty_row_decides(self, rows, error, message):
+        assert matrix_fault(rows) == (error, message)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            IntegerMatrix(rows)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            IntegerMatrix(iter(rows))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_errors_match_the_row_walk(self, data):
+        entry = st.one_of(st.integers(-3, 3), st.integers(-3, 3), st.booleans(),
+                          st.sampled_from([1.5, "7", None]))
+        row = st.one_of(st.lists(entry, max_size=3), st.just(5))
+        rows = data.draw(st.lists(row, max_size=4))
+        lazy = data.draw(st.booleans())
+        expected = matrix_fault(rows)
+        try:
+            m = IntegerMatrix((r for r in rows) if lazy else rows)
+        except (TypeError, ValueError) as exc:
+            assert (type(exc), str(exc)) == expected
+        else:
+            assert expected is None
+            assert list(m) == [tuple(r) for r in rows]
+
 
 class TestAccessors:
     def setup_method(self):
@@ -116,6 +169,25 @@ class TestProducts:
     def test_matmul_dimension_mismatch(self):
         with pytest.raises(ValueError):
             IntegerMatrix([[1, 2]]) @ IntegerMatrix([[1, 2]])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_products_equal_the_triple_loop(self, data):
+        p, q, r = (data.draw(st.integers(1, 4)) for _ in range(3))
+        entries = st.integers(-2**70, 2**70)
+        a = data.draw(st.lists(st.lists(entries, min_size=q, max_size=q),
+                               min_size=p, max_size=p))
+        b = data.draw(st.lists(st.lists(entries, min_size=r, max_size=r),
+                               min_size=q, max_size=q))
+        x = data.draw(st.lists(entries, min_size=q, max_size=q))
+        product = [[0] * r for _ in range(p)]
+        for i in range(p):
+            for j in range(r):
+                for k in range(q):
+                    product[i][j] += a[i][k] * b[k][j]
+        assert IntegerMatrix(a) @ IntegerMatrix(b) == IntegerMatrix(product)
+        assert IntegerMatrix(a).apply(x) == tuple(
+            sum(a[i][k] * x[k] for k in range(q)) for i in range(p))
 
 
 class TestDeterminant:

@@ -6,6 +6,7 @@ import hashlib
 import json
 
 from golden import regen
+from lapcomp import graph_core
 
 # Changed calls that a failed replay lists by argv.
 SHOWN = 20
@@ -37,3 +38,17 @@ def test_saved_gfs_are_what_gf_writes():
         saved = (regen.HERE / "gfs" / f"{name}.json").read_bytes()
         argv = ("gf", "--spec", mode, "--family", family, "--json")
         assert hashlib.sha256(saved).hexdigest() == recorded[argv], name
+
+
+def test_spec_calls_never_build_the_laplacian(monkeypatch):
+    """Every text `gf --spec` call of the corpus replays with the full
+    Laplacian refused: its minor is filled straight from the edges."""
+    def refuse(g):
+        raise AssertionError("the --spec path built the full Laplacian")
+
+    monkeypatch.setattr(graph_core, "laplacian", refuse)
+    lines = [line for line in regen.corpus()
+             if line["argv"][:2] == ["gf", "--spec"] and "--json" not in line["argv"]]
+    assert len(lines) > 200
+    for line in lines:
+        assert regen.record(line["argv"], line["env"]) == line, line["argv"]

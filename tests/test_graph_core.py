@@ -14,6 +14,7 @@ from lapcomp import (
     IntegerMatrix,
     build_family,
     complete_graph,
+    graph_core,
     cycle_graph,
     determinant,
     family_from_string,
@@ -210,6 +211,37 @@ class TestMinors:
     def test_one_vertex_has_no_minor(self):
         with pytest.raises(GraphError, match="^graph too small to take a Laplacian minor$"):
             laplacian_minor(Graph(1, []), 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_minor_is_the_laplacian_without_row_and_column(self, data):
+        g = random_connected_graph(data, max_vertices=8)
+        lap = laplacian(g).to_lists()
+        n = g.vertex_count
+        # Every vertex, the first and the last included.
+        for i in range(n):
+            minor = laplacian_minor(g, i)
+            assert minor.matrix.to_lists() == [
+                row[:i] + row[i + 1:] for r, row in enumerate(lap) if r != i]
+            assert minor.vertices == tuple(v for v in range(n) if v != i)
+
+    def test_minor_builds_one_matrix(self, monkeypatch):
+        built = []
+
+        class Counted(IntegerMatrix):
+            __slots__ = ()
+
+            def __init__(self, rows):
+                built.append(self)
+                super().__init__(rows)
+
+        def refuse(g):
+            raise AssertionError("laplacian_minor built the full Laplacian")
+
+        monkeypatch.setattr(graph_core, "IntegerMatrix", Counted)
+        monkeypatch.setattr(graph_core, "laplacian", refuse)
+        minor = laplacian_minor(kary_tree(2, 3), 4)
+        assert built == [minor.matrix]
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
