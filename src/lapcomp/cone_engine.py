@@ -17,18 +17,20 @@ sending every variable to q ("total") or only the first one ("first
 coordinate").  `fpp_points` lists the points of a walk along the reduced
 triangular (Hermite) basis h of the valid digit vectors, in lexicographic
 order with no sort; the column operations that give h also give each
-step's point A^-1*h_j, so the walk never builds R.  It yields blocks of
-at most `_BLOCK` points as coordinate columns, so `lapcomp fpp` prints a
-block at a time.  The transform's numerator is ordered by the point
-instead of its digits: the same walk runs on points packed into one int
-each by `_field_shifts`, coordinate 0 highest, and one int sort orders
-them.  Every point lies in the box lo <= lam <= hi, where lo_i and hi_i
-sum the negative and the positive entries of row i of R, since
-lam = R*c/d with each c_j < d; field i spans hi_i - lo_i and holds
-lam_i - lo_i, so no field carries or borrows into the next and int order
-is lexicographic point order.  `lapcomp gf` prints the sorted points a
-block at a time as they are unpacked, and `integer_point_transform`
-makes its tuples from the same blocks.
+step's point A^-1*h_j.  The walk carries one packed int per point, and
+both listings unpack it a block of at most `_BLOCK` points at a time
+into coordinate columns, so `lapcomp fpp` and `lapcomp gf` print a block
+at a time.  Every point lies in the box lo <= lam <= hi, where lo_i and
+hi_i sum the negative and the positive entries of row i of R, since
+lam = R*c/d with each c_j < d; so a listing of a cone with d > 1 builds
+R.  A field holds lam_i - lo_i, or a digit c_i, and every field of a key
+takes the same whole number of bytes, field 0 highest, so no field
+carries or borrows into the next, int order is lexicographic, and a
+block unpacks by one `bytes.join` and a memoryview cast.  `fpp`'s keys
+hold the digits, then the point; the transform's numerator is ordered by
+the point instead, so `gf`'s keys hold the point alone and one int sort
+orders them; `integer_point_transform` makes its tuples from the same
+blocks.
 `specialized_gf` takes one route for every cone.  Back substitution on
 the kept pass gives the ray exponents s = w^T R of a weight form w, and a
 specialized gf num(q) / prod_j (1 - q^(s_j)) exists only if every s_j is
@@ -47,10 +49,11 @@ dilates.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from itertools import accumulate, chain, repeat
-from operator import add, and_, lshift, mod, mul, rshift, sub
-from typing import Iterable, Iterator, Literal, Optional, Sequence
+from operator import add, lshift, mul, sub
+from typing import Callable, Iterable, Iterator, Literal, Optional, Sequence
 
 from .exact_linalg import (
     IntegerMatrix, SingularMatrixError, _back_substitute, _eliminate, adjugate_pair,
@@ -412,7 +415,9 @@ def _field_shifts(spans: Sequence[int]) -> list[int]:
     """The one packing rule: the shift of each field of a packed int whose
     field i is spans[i].bit_length() bits wide, field 0 highest.  A value
     in [0, spans[i]] in each field never carries into the next, and int
-    order is the lexicographic order of the fields."""
+    order is the lexicographic order of the fields.  The listings pass
+    every span as 2**(8*w) - 1, for fields of w bytes; the normality probe
+    passes its own spans, for the fewest bits."""
     widths = [span.bit_length() for span in reversed(spans[1:])]
     return list(accumulate(widths, initial=0))[::-1]
 
@@ -458,6 +463,64 @@ def _checked_basis(cone: SimplicialCone, budget: Optional[int]
     return h, u
 
 
+def _packed_walk(cone: SimplicialCone, budget: Optional[int], digits: bool
+                 ) -> tuple[Iterator[list[int]], Callable[[list[int]], list[list[int]]]]:
+    """The walk's points packed one int each, in blocks in lexicographic
+    order of their digits, and the unpacker of a block into columns: the
+    digits c_0..c_{n-1} if `digits`, then the point lam_0..lam_{n-1}.
+
+    Field i lies in [lo_i, lo_i + spans[i]]: a digit in [0, d - 1], and lam_i
+    in the box of the module docstring, which reads R.  With d = 1 every
+    span is 0 and R is not built.  Every field is w bytes, as `_byte_width`
+    gives it, field 0 highest, so each basis step becomes one int and the
+    walk is linear in them.  The charge and the basis checks run first.
+    """
+    h, u = _checked_basis(cone, budget)
+    n, d = cone.dimension, cone.d
+    rows = cone.R if d > 1 else [[0]] * n
+    lo = [sum(min(0, x) for x in row) for row in rows]
+    spans = [sum(max(0, x) for x in row) - low for row, low in zip(rows, lo)]
+    if digits:
+        lo, spans = [0] * n + lo, [d - 1] * n + spans
+        u = [[*col, *step] for col, step in zip(zip(*h), u)]
+    w = _byte_width(max(spans))
+    shifts = _field_shifts([(1 << 8 * w) - 1] * len(spans))
+    offset = -sum(map(lshift, lo, shifts))
+    packed = [sum(map(lshift, step, shifts)) for step in u]
+    return _lex_points(h, packed, d), lambda keys: _unpack(keys, w, lo, offset)
+
+
+def _byte_width(span: int) -> int:
+    """Bytes per field for fields up to `span`: the least of 1, 2, 4 and 8
+    that holds it, or past 8 bytes the least whole number that does."""
+    bits = span.bit_length()
+    return next((w for w in (1, 2, 4, 8) if bits <= 8 * w), -(-bits // 8))
+
+
+def _unpack(keys: list[int], w: int, lo: Sequence[int], offset: int) -> list[list[int]]:
+    """The columns of a block of keys with len(lo) fields of w bytes each,
+    field 0 highest: key + offset holds value - lo[i] in field i.
+
+    One `bytes.join` lays the keys out as records of native byte order;
+    a cast of fields of 1, 2, 4 or 8 bytes then reads field i as one
+    strided slice, and a wider field is read by `int.from_bytes`.
+    """
+    m, order = len(lo), sys.byteorder
+    if offset:
+        keys = map(offset.__add__, keys)
+    raw = b"".join(map(int.to_bytes, keys, repeat(w * m), repeat(order)))
+    # Field i is element i of a big-endian record, counted from the end of a
+    # little-endian one.
+    index = range(m) if order == "big" else range(m - 1, -1, -1)
+    if w > 8:
+        cols = [[int.from_bytes(raw[p:p + w], order) for p in range(i * w, len(raw), w * m)]
+                for i in index]
+    else:
+        view = memoryview(raw).cast({1: "B", 2: "H", 4: "I", 8: "Q"}[w])
+        cols = [view[i::m].tolist() for i in index]
+    return [list(map(low.__add__, col)) if low else col for col, low in zip(cols, lo)]
+
+
 def _lex_walk(cone: SimplicialCone, budget: Optional[int]) -> Iterator[_Block]:
     """The parallelepiped's (c, lam) pairs, c in lexicographic order, in
     blocks of at most `_BLOCK` points held as coordinate columns.
@@ -465,7 +528,9 @@ def _lex_walk(cone: SimplicialCone, budget: Optional[int]) -> Iterator[_Block]:
     The budget charge and the checks of `_checked_basis` run here, before
     the iterator is returned, so a refused or broken walk yields nothing.
     """
-    return _lex_points(*_checked_basis(cone, budget), cone.d)
+    n = cone.dimension
+    blocks, unpack = _packed_walk(cone, budget, digits=True)
+    return ((cols[:n], cols[n:]) for cols in map(unpack, blocks))
 
 
 def _sorted_points(cone: SimplicialCone, budget: Optional[int]
@@ -473,50 +538,15 @@ def _sorted_points(cone: SimplicialCone, budget: Optional[int]
     """The parallelepiped points in lexicographic order, in blocks of at
     most `_BLOCK` points held as coordinate columns.
 
-    The points are packed as the module docstring says, coordinate i
-    shifted by s_i.  Each basis step becomes the one int
-    sum_i u[j][i] << s_i, and the walk is linear in its steps, so it emits
-    sum_i lam_i << s_i for each point.  One int sort orders them; each
-    block then adds offset = -sum_i lo_i << s_i, which leaves lam_i - lo_i
-    in field i, and is unpacked.  The charge, the basis checks and the
-    sort run before the iterator is returned.
+    The walk packs each point into one int, coordinate 0 highest, with no
+    digits; no field carries or borrows into the next, so one int sort
+    orders them, and each block is then unpacked.  The charge, the basis
+    checks and the sort run before the iterator is returned.
     """
-    h, u = _checked_basis(cone, budget)
-    rows = [cone.R.row(i) for i in range(cone.dimension)]
-    lo = [sum(min(0, x) for x in row) for row in rows]
-    spans = [sum(max(0, x) for x in row) - low for row, low in zip(rows, lo)]
-    shifts = _field_shifts(spans)
-    packed = [[sum(map(lshift, step, shifts))] for step in u]
-    keys = list(chain.from_iterable(
-        lam[0] for _, lam in _lex_points(h, packed, cone.d, with_digits=False)))
+    blocks, unpack = _packed_walk(cone, budget, digits=False)
+    keys = list(chain.from_iterable(blocks))
     keys.sort()
-    offset = -sum(map(lshift, lo, shifts))
-    # No key + offset reaches past the top field, so it needs no mask.
-    masks = [0] + [(1 << span.bit_length()) - 1 for span in spans[1:]]
-    fields = list(zip(shifts, masks, lo))
-
-    def blocks():
-        for j in range(0, len(keys), _BLOCK):
-            part = keys[j:j + _BLOCK]
-            if offset:
-                part = list(map(offset.__add__, part))
-            yield [_field(part, *field) for field in fields]
-
-    return blocks()
-
-
-def _field(keys: list[int], shift: int, mask: int, low: int) -> list[int]:
-    """(key >> shift & mask) + low for each key, skipping a shift or low
-    of 0 and a mask of 0, which stands for none."""
-    col = map(rshift, keys, repeat(shift)) if shift else keys
-    if mask:
-        col = map(and_, col, repeat(mask))
-    return list(map(low.__add__, col) if low else col)
-
-
-def _stretch(col: Iterable[int], times: int) -> list[int]:
-    """Each entry of col, `times` times over."""
-    return list(chain.from_iterable(map(repeat, col, repeat(times))))
+    return (unpack(keys[j:j + _BLOCK]) for j in range(0, len(keys), _BLOCK))
 
 
 def _kron(incs: Iterable[Sequence[int]]) -> list[int]:
@@ -527,30 +557,26 @@ def _kron(incs: Iterable[Sequence[int]]) -> list[int]:
     return out
 
 
-def _lex_points(h: list[list[int]], g: list[list[int]], d: int,
-                with_digits: bool = True) -> Iterator[_Block]:
-    """Walk of `_lex_walk` along a checked reduced lower-triangular basis
-    h, whose step j moves the point by g[j].  A point has len(g[0])
-    coordinates, so `_sorted_points` walks points packed into one int, and
-    as it reads no digits, it passes `with_digits=False` to get none.
+def _lex_points(h: list[list[int]], g: list[int], d: int) -> Iterator[list[int]]:
+    """Walk of `_packed_walk` along a checked reduced lower-triangular basis
+    h, whose step j adds the packed int g[j] to the point's key.
 
     Once c_0..c_{i-1} are fixed, the valid c_i are the values = off_i
     (mod h_ii) in {0..d-1}, where off_i is row i of the basis steps so far;
     digit c_i is basis step x_i = (c_i - off_i) / h_ii, exactly, so the
-    point is the sum of x_j * g[j] and needs no division.  Only a level
-    with h_ii > 1 has an offset, and every level has the fixed fan-out
-    d / h_ii.  Running every level up from its smallest value emits the c
-    in lexicographic order, with no sort.
+    key is the sum of x_j * g[j] and needs no division.  Only a level with
+    h_ii > 1 has an offset, and every level has the fixed fan-out d / h_ii.
+    Running every level up from its smallest value emits the c in
+    lexicographic order, with no sort.
 
     The outer levels run depth-first.  The inner levels k..n-1, up to one
-    block, expand breadth-first into columns: a run of levels with h_ii = 1
-    is the same tile of digits under every parent, and a level with
+    block, expand breadth-first into one column of keys: a level with
     h_ii = d takes the one digit its offset names, any other level a range
-    per parent.  Each point and offset column grows by one Kronecker sum a
-    run or level.  Level k is cut into chunks of digits whose points fill
-    at most one block.
+    per parent, and a run of levels with h_ii = 1 every digit.  The key and
+    offset columns grow by one Kronecker sum a run or level.  Level k is
+    cut into chunks of digits whose keys fill at most one block.
     """
-    n, width = len(h), len(g[0])
+    n = len(h)
     diag = [h[i][i] for i in range(n)]
     fan = [d // x for x in diag]
     k, inner = n - 1, 1
@@ -562,59 +588,42 @@ def _lex_points(h: list[list[int]], g: list[list[int]], d: int,
     below = [[(r, h[r][i]) for r in range(i + 1, n) if h[r][i]] for i in range(n)]
     stepped = [r for r in range(k + 1, n) if diag[r] > 1]
     # The inner levels i..j-1 of each step of a block, hoisted out of the
-    # blocks: a run of levels with h_ii = 1 or one other level; the points
-    # below each of its digits; the digit tiles of a run; and what its
-    # basis steps add to each point and offset column.
+    # blocks: a run of levels with h_ii = 1 or one other level, and what its
+    # basis steps add to each key and offset column.
     plan = []
     i = k + 1
     while i < n:
         j = i + 1 if diag[i] > 1 else next((j for j in range(i, n) if diag[j] > 1), n)
-        tiles = [_stretch(range(d), math.prod(fan[l + 1:])) * d ** (l - i)
-                 for l in range(i, j) if diag[l] == 1] if with_digits else []
-        plan.append((i, diag[i], math.prod(fan[i:j]), math.prod(fan[j:]), tiles,
-                     [_kron([g[l][r] * x for x in range(fan[l])] for l in range(i, j))
-                      for r in range(width)],
+        plan.append((i, diag[i], math.prod(fan[i:j]),
+                     _kron([g[l] * x for x in range(fan[l])] for l in range(i, j)),
                      {r: _kron([h[r][l] * x for x in range(fan[l])] for l in range(i, j))
                       for r in stepped if r >= j}))
         i = j
 
-    def block(prefix, off, acc, top):
+    def block(off, acc, top):
         xs = [(c - off[k]) // diag[k] for c in top]
-        digits = [_stretch(top, inner)] if with_digits else []
-        points = [[a + v * x for x in xs] for a, v in zip(acc, g[k])]
+        keys = [acc + g[k] * x for x in xs]
         offs = {r: [off[r] + h[r][k] * x for x in xs] for r in stepped}
-        m = len(top)
-        for i, hi, f, after, tiles, adds, moves in plan:
-            if hi == 1:
-                digits += [t * m for t in tiles]
-            else:
+        for i, hi, f, adds, moves in plan:
+            if hi > 1:
                 # Under a parent with offset o the digits run up from
                 # o mod h_ii, and digit o mod h_ii + x*h_ii is the basis
                 # step x - o // h_ii.
-                o_i = offs.pop(i)
-                if with_digits:
-                    cs = list(map(mod, o_i, repeat(hi)))
-                    if f > 1:
-                        cs = list(chain.from_iterable(map(range, cs, repeat(d), repeat(hi))))
-                    digits.append(_stretch(cs, after) if after > 1 else cs)
-                q = [o // hi for o in o_i]
-                points = [list(map(sub, col, map(v.__mul__, q))) if v else col
-                          for col, v in zip(points, g[i])]
+                q = [o // hi for o in offs.pop(i)]
+                if g[i]:
+                    keys = list(map(sub, keys, map(g[i].__mul__, q)))
                 offs = {r: list(map(sub, col, map(h[r][i].__mul__, q)))
                         for r, col in offs.items()}
             if f > 1:
-                points = [[a + y for a in col for y in inc] for col, inc in zip(points, adds)]
+                keys = [a + y for a in keys for y in adds]
                 offs = {r: [a + y for a in col for y in moves[r]] for r, col in offs.items()}
-                m *= f
-        if with_digits:
-            digits[:0] = [[c] * len(points[0]) for c in prefix]
-        return digits, points
+        return keys
 
-    def walk(i, prefix, off, acc):
+    def walk(i, off, acc):
         if i == k:
             run = range(off[k] % diag[k], d, diag[k])
             for j in range(0, len(run), chunk):
-                yield block(prefix, off, acc, run[j:j + chunk])
+                yield block(off, acc, run[j:j + chunk])
             return
         hi = diag[i]
         for c in range(off[i] % hi, d, hi):
@@ -622,10 +631,9 @@ def _lex_points(h: list[list[int]], g: list[list[int]], d: int,
             nxt = list(off)
             for r, v in below[i]:
                 nxt[r] += x * v
-            yield from walk(i + 1, prefix + (c,), nxt,
-                            [a + v * x for a, v in zip(acc, g[i])])
+            yield from walk(i + 1, nxt, acc + g[i] * x)
 
-    return walk(0, (), [0] * n, [0] * width)
+    return walk(0, [0] * n, 0)
 
 
 def fpp_points(cone: SimplicialCone, budget: Optional[int] = None

@@ -294,8 +294,8 @@ def verify_tree_identities(t: Graph, leaf: int) -> list[str]:
         failures.append("incidence inverse does not invert the subminor")
     if g.transpose() @ g != comb:
         failures.append("incidence Gram matrix is not the minor inverse")
-    for v in range(t.vertex_count):
-        if t.degree(v) > 1:
+    for v, degree in enumerate(t.degrees()):
+        if degree > 1:
             d, inverse = adjugate_pair(laplacian_minor(t, v).matrix)
             if d != 1:
                 failures.append(f"minor determinant at vertex {v} is not 1")

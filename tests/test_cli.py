@@ -525,20 +525,27 @@ class TestRaysOnDemand:
         assert [run(capsys, *argv) for argv in argvs] == expected
 
 
-    def test_fpp_listing_builds_no_rays(self, capsys, monkeypatch):
-        # The walk's steps come from A alone, so `fpp` lists a cone with
-        # d > 1 and never solves for R.
-        cones = []
+    @pytest.mark.parametrize("command", ["fpp", "gf"])
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_listing_builds_rays_once(self, command, as_json, capsys, monkeypatch):
+        # A listing bounds each field of its packed points by the rows of
+        # R: with d > 1 it solves for R once, after the charge and the
+        # basis checks, and `gf` reads its rays from the same R.  On a tree
+        # (d = 1) the apex is the one point and the walk needs no R, so
+        # `fpp` builds none and `gf` one, for the rays it prints.
+        argvs = [[command, "--family", family] + ["--json"] * as_json
+                 for family in ("cycle:4", "path:5")]
+        expected = [run(capsys, *argv) for argv in argvs]
+        assert [code for code, _, _ in expected] == [0, 0]
+        calls = []
 
-        def kept(A):
-            cones.append(cone_from_constraints(A))
-            return cones[-1]
+        def counted(m):
+            calls.append(m.rows)
+            return exact_linalg.adjugate_pair(m)
 
-        monkeypatch.setattr(cli, "cone_from_constraints", kept)
-        code, out, _ = run(capsys, "fpp", "--family", "cycle:4", "--minor", "0", "--json")
-        assert code == 0 and len(json.loads(out)["points"]) == 16
-        [cone] = cones
-        assert cone.d == 4 and cone._R is None
+        monkeypatch.setattr(cone_engine, "adjugate_pair", counted)
+        assert [run(capsys, *argv) for argv in argvs] == expected
+        assert calls == ([3] if command == "fpp" else [3, 4])
 
 
 class TestOneElimination:

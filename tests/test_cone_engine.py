@@ -146,12 +146,27 @@ class TestFppPoints:
             for _, lam in pts:
                 assert all(x >= 0 for x in cone.A.apply(lam))
 
-    def test_walk_builds_no_rays(self):
-        # The basis steps come from A alone, so listing the points of a
-        # cone with d > 1 never solves for R.
+    def test_walk_builds_rays_once(self, monkeypatch):
+        # The basis steps come from A alone, but each field of a packed
+        # point is bounded by a row of R, so a cone with d > 1 solves for
+        # R once, after the charge; a tree's apex needs no R.
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return exact_linalg.adjugate_pair(m)
+
+        monkeypatch.setattr(cone_engine, "adjugate_pair", counted)
         cone = minor_cone("complete", 4)
+        with pytest.raises(BudgetExceededError):
+            fpp_points(cone, budget=255)
+        assert calls == [] and cone._R is None
         assert cone.d == 16 and len(list(fpp_points(cone))) == 256
-        assert cone._R is None
+        assert calls == [cone.A] and cone._R is not None
+        tree = minor_cone("path", 5)
+        assert fpp_points(tree) == (((0,) * 4, (0,) * 4),)
+        assert list(cone_engine._sorted_points(tree, None)) == [[[0]] * 4]
+        assert len(calls) == 1 and tree._R is None
 
     def test_unimodular_cone_has_only_the_origin(self):
         cone = minor_cone("path", 4, vertex=3)
@@ -413,8 +428,8 @@ class TestSortedPoints:
 
     def test_coordinates_past_64_bits(self):
         # d = 2 and R = [[1, -(2**70 + 1)], [0, 2]]: the points are the
-        # origin and (-2**69, 1), which sorts first, and coordinate 0 takes
-        # a field of 71 bits.
+        # origin and (-2**69, 1), which sorts first, and coordinate 0 spans
+        # 71 bits, so every field takes 9 bytes.
         cone = cone_from_constraints(IntegerMatrix([[2, 2**70 + 1], [0, 1]]))
         assert cone.R == IntegerMatrix([[1, -(2**70 + 1)], [0, 2]])
         assert assert_sorted_route(cone) == [[[-2**69, 0], [1, 0]]]
@@ -436,6 +451,45 @@ class TestSortedPoints:
                             lambda A: ([[1, 0, 0], [0, 2, 0], [0, 0, 2]], u))
         with pytest.raises(ArithmeticError, match="not a valid digit vector"):
             cone_engine._sorted_points(cone, None)
+
+
+# A = [[2, k], [0, 1]] has d = 2 and R = [[1, -k], [0, 2]], so lam_0 spans
+# k + 1: these k put the widest field on either side of 1, 2, 4 and 8 bytes
+# and past 64 bits.  With k > 0 lam_0 runs down to -k, with k < 0 up to -k.
+BYTE_BOUNDARIES = [254, 255, 256, 65535, 65536, 2**32, 2**64, 2**70 + 1]
+
+
+class TestByteFields:
+    """A listing packs each point into one int whose fields all take the
+    same whole number of bytes, and unpacks a block by the bytes of its
+    keys.  Both listings must read back every field, whatever its width
+    and the sign of its lower bound."""
+
+    @pytest.mark.parametrize("span,width", [
+        (0, 1), (255, 1), (256, 2), (65535, 2), (65536, 4), (2**32 - 1, 4),
+        (2**32, 8), (2**64 - 1, 8), (2**64, 9), (2**72 - 1, 9), (2**72, 10),
+    ])
+    def test_width(self, span, width):
+        assert cone_engine._byte_width(span) == width
+
+    @pytest.mark.parametrize("block", [1, 1024])
+    @pytest.mark.parametrize("k", [*BYTE_BOUNDARIES, *(-k for k in BYTE_BOUNDARIES)])
+    def test_listings_across_byte_boundaries(self, k, block, monkeypatch):
+        monkeypatch.setattr(cone_engine, "_BLOCK", block)
+        cone = cone_from_constraints(IntegerMatrix([[2, k], [0, 1]]))
+        assert cone.R == IntegerMatrix([[1, -k], [0, 2]])
+        points = fpp_points(cone)
+        assert list(points) == flat_fpp(cone)
+        sizes = [1, 1] if block == 1 else [2]
+        assert [len(c[0]) for c, _ in cone_engine._lex_walk(cone, None)] == sizes
+        assert printed(cli._write_fpp, cone, None, False) == "".join(
+            ["determinant 2, 2 lattice points\n"]
+            + [f"digits {list(c)} -> point {list(lam)}\n" for c, lam in points])
+        assert printed(cli._write_fpp, cone, None, True) == json.dumps(_json_form({
+            "determinant": 2,
+            "points": [{"digits": c, "point": lam} for c, lam in points],
+        }), indent=2) + "\n"
+        assert [len(b[0]) for b in assert_sorted_route(cone)] == sizes
 
 
 def printed(write, *args):
