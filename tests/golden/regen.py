@@ -98,6 +98,35 @@ BOUNDARY_EHRHART = {(3, 1): 9, (3, 2): 25, (3, 3): 56, (4, 1): 80, (4, 2): 441,
                     (6, 1): 29160, (6, 2): 664411, (6, 3): 4480000,
                     (7, 1): 1002001, (7, 2): 46580625}
 
+# Command lines that reach argparse's own paths: an unknown command, an
+# option before the command, each command with an unknown option and with
+# an extra positional (both reported by the top-level parser as
+# "unrecognized arguments"), another command's option, abbreviated and
+# ambiguous options, --opt=value forms, "--", repeated options, help after
+# other options, and missing required arguments.
+ARGV_EDGES = (
+    ["bogus"], ["bogus", "--json"], ["--bogus"], ["--json", "gf"],
+    ["gf", "--family", "path:3", "--bogus"], ["gf", "-x", "--family", "path:3"],
+    ["series", "--family", "path:3", "--order", "2", "--bogus"],
+    ["check", "cyclic", "2", "3", "--bogus"], ["ehrhart", "3", "--bogus"],
+    ["fpp", "--family", "path:3", "--bogus"], ["tree-inverse", "--family", "path:3", "--bogus"],
+    ["gf", "--family", "path:3", "extra"],
+    ["series", "--family", "path:3", "--order", "2", "extra"],
+    ["check", "cyclic", "2", "--json", "3"], ["ehrhart", "3", "4"],
+    ["fpp", "--family", "path:3", "extra"], ["tree-inverse", "--family", "path:3", "extra"],
+    ["gf", "--family", "path:3", "--order", "3"], ["fpp", "--family", "path:3", "--spec", "total"],
+    ["gf", "--fam", "path:4", "--spe", "total"],
+    ["series", "--fam", "path:3", "--ord", "3", "--js"], ["gf", "--f", "path:3"], ["gf", "--he"],
+    ["gf", "--family=path:4", "--spec=total"], ["series", "--family=path:3", "--order=3", "--json"],
+    ["ehrhart", "3", "--normal-m=0"], ["fpp", "--family=cycle:5", "--budget=5"],
+    ["gf", "--spec=bogus", "--family=path:3"],
+    ["ehrhart", "--", "5"], ["ehrhart", "--normal-m", "0", "--", "3"],
+    ["gf", "--family", "path:3", "--family", "path:4", "--spec", "total"],
+    ["gf", "--family", "path:3", "--spec", "total", "--json", "--json"],
+    ["gf", "--family", "path:3", "-h"], ["check", "cyclic", "2", "3", "--help"],
+    ["series", "--family", "path:3"], ["ehrhart"], ["check"], ["check", "--json"],
+)
+
 
 def calls():
     """(argv, env) of every call, in corpus order."""
@@ -211,6 +240,8 @@ def calls():
                 yield argv + fmt + ["--budget", str(budget)], {}
                 yield argv + fmt, {"LAPCOMP_BUDGET": str(budget)}
     for argv in (["--help"], ["ehrhart", "--help"], ["fpp", "--help"], []):
+        yield argv, {}
+    for argv in ARGV_EDGES:
         yield argv, {}
 
 
