@@ -18,6 +18,12 @@ parse, or budget errors.  ``LAPCOMP_BUDGET`` overrides the built-in
 enumeration budget; ``--budget`` overrides both, and each is read in
 decimal digits only, like every other integer option and argument.
 All integers in JSON output are decimal strings.
+
+`main` parses a command line with the parser of the command that argv[0]
+names, which is what the top-level parser would hand the rest of argv to.
+The top-level parser runs only on an empty argv, an unknown command, or
+arguments that the command leaves unrecognized, so every usage error,
+help text and exit code comes from the parser that reports it either way.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import sys
 from collections import Counter
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .cone_engine import (
     DEFAULT_BUDGET,
@@ -98,8 +104,10 @@ def _add_graph_options(p: argparse.ArgumentParser) -> None:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """Built on the first call and shared: parsing leaves it unchanged."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and, by name, the parser of each command (the
+    `choices` of its subparsers action); built on the first call and
+    shared, since parsing leaves them unchanged."""
     parser = argparse.ArgumentParser(
         prog="lapcomp",
         description="Exact generating functions and lattice-point counts "
@@ -161,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_graph_options(p_ti)
     _add_output_options(p_ti)
 
-    return parser
+    return parser, sub.choices
 
 
 def _effective_budget(args) -> int:
@@ -225,7 +233,8 @@ def _json_strings(n: int, indent: int) -> str:
 
 class _Decimals(dict):
     """The decimal string of each int looked up, then `suffix`, made on
-    first use."""
+    first use; a table that holds `_DECIMALS_MAX` strings is emptied
+    before it makes another, so a listing's tables stay small."""
 
     __slots__ = ("suffix",)
 
@@ -234,19 +243,27 @@ class _Decimals(dict):
         self.suffix = suffix
 
     def __missing__(self, value: int) -> str:
+        if len(self) >= _DECIMALS_MAX:
+            self.clear()
         self[value] = text = str(value) + self.suffix
         return text
 
 
-def _rows_text(columns, template: str) -> str:
-    """One block of a listing: row j is `template` with its "{}" slots
-    filled, in order, by columns[0][j], columns[1][j], ..., all joined at
-    once.  Per block, a table for each separator of the template holds
-    each value's decimal string with that separator after it."""
+_DECIMALS_MAX = 1 << 16
+
+
+def _rows_text(template: str) -> Callable[[Sequence[Sequence[int]]], str]:
+    """The function that gives a listing's block as text: row j of the
+    block is `template` with its "{}" slots filled, in order, by
+    columns[0][j], columns[1][j], ..., all joined at once.  One table for
+    each separator of the template, made once per listing and shared by
+    its blocks, holds each value's decimal string with that separator
+    after it."""
     lead, *seps = template.split("{}")
     tables = {sep: _Decimals(sep).__getitem__ for sep in seps}
-    return "".join(chain.from_iterable(zip(
-        repeat(lead), *(map(tables[sep], col) for col, sep in zip(columns, seps)))))
+    slots = [tables[sep] for sep in seps]
+    return lambda columns: "".join(chain.from_iterable(zip(
+        repeat(lead), *map(map, slots, columns))))
 
 
 def _write_blocks(texts: Iterable[str], lead: str) -> None:
@@ -279,21 +296,20 @@ def _write_transform(cone, budget: int, as_json: bool) -> None:
     if as_json:
         rays = [ray + (mult,) for ray, mult in sorted(Counter(rays).items())]
         sys.stdout.write('{\n  "numerator": [\n')
-        _write_blocks((_rows_text(b, ",\n    " + _json_strings(n, 4)) for b in blocks),
-                      ",\n")
+        _write_blocks(map(_rows_text(",\n    " + _json_strings(n, 4)), blocks), ",\n")
         sys.stdout.write('\n  ],\n  "denominator": [\n')
         ray = ',\n    {\n      "ray": ' + _json_strings(n, 6) + ',\n      "mult": "{}"\n    }'
-        _write_blocks([_rows_text(list(zip(*rays)), ray)], ",\n")
+        _write_blocks([_rows_text(ray)(list(zip(*rays)))], ",\n")
         sys.stdout.write("\n  ]\n}\n")
     else:
         # The origin is the one all-zero point, and its monomial is "1".
         monomial = "z^(" + ",".join(["{}"] * n) + ")"
         origin = monomial.format(*[0] * n)
         sys.stdout.write("(")
-        _write_blocks((_rows_text(b, " + " + monomial).replace(origin, "1")
-                       for b in blocks), " + ")
-        sys.stdout.write(")/(" + _rows_text(list(zip(*rays)),
-                                            "(1 - " + monomial + ")") + ")\n")
+        terms = _rows_text(" + " + monomial)
+        _write_blocks((terms(b).replace(origin, "1") for b in blocks), " + ")
+        sys.stdout.write(")/(" + _rows_text("(1 - " + monomial + ")")(list(zip(*rays)))
+                         + ")\n")
 
 
 def _cmd_series(args) -> int:
@@ -478,13 +494,15 @@ def _write_fpp(cone, budget: int, as_json: bool) -> None:
         digits = _json_strings(n, 6)
         entry = ',\n    {\n      "digits": ' + digits + ',\n      "point": ' + digits + "\n    }"
         sys.stdout.write(f'{{\n  "determinant": "{d}",\n  "points": [\n')
-        _write_blocks((_rows_text(c + lam, entry) for c, lam in blocks), ",\n")
+        rows = _rows_text(entry)
+        _write_blocks((rows(c + lam) for c, lam in blocks), ",\n")
         sys.stdout.write("\n  ]\n}\n")
     else:
         digits = "[" + ", ".join(["{}"] * n) + "]"
         line = "digits " + digits + " -> point " + digits + "\n"
         sys.stdout.write(f"determinant {d}, {d ** (n - 1)} lattice points\n")
-        _write_blocks((_rows_text(c + lam, line) for c, lam in blocks), "")
+        rows = _rows_text(line)
+        _write_blocks((rows(c + lam) for c, lam in blocks), "")
 
 
 def _cmd_tree_inverse(args) -> int:
@@ -498,8 +516,23 @@ def _cmd_tree_inverse(args) -> int:
     return 0
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """`parse_args` of the top-level parser, by way of the parser of the
+    command that argv[0] names, which is what the top-level parser hands
+    every later argument to.  Only an empty argv, one whose argv[0] names
+    no command, or one with arguments that the command leaves unrecognized
+    goes through the top-level parser, whose usage errors those are."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         _check_threads(args)
         return args.run(args)

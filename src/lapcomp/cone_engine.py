@@ -32,9 +32,10 @@ the point instead, so `gf`'s keys hold the point alone and one int sort
 orders them; `integer_point_transform` makes its tuples from the same
 blocks.
 `specialized_gf` takes one route for every cone.  Back substitution on
-the kept pass gives the ray exponents s = w^T R of a weight form w, and a
-specialized gf num(q) / prod_j (1 - q^(s_j)) exists only if every s_j is
-positive, which is checked first; a unimodular cone (d = 1, as for a tree
+the kept pass, two scalar columns at once, gives the ray exponents
+s = w^T R of both weight forms w, and a specialized gf
+num(q) / prod_j (1 - q^(s_j)) exists only if every s_j is positive,
+which is checked first; a unimodular cone (d = 1, as for a tree
 minored anywhere) then has num = 1 and needs no second elimination.  For
 d > 1, a point's exponent is linear in its digits, so a DP over the d
 classes of the critical group Z^n / A*Z^n counts them instead of walking
@@ -51,13 +52,11 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import add, lshift, mul, sub
 from typing import Callable, Iterable, Iterator, Literal, Optional, Sequence
 
-from .exact_linalg import (
-    IntegerMatrix, SingularMatrixError, _back_substitute, _eliminate, adjugate_pair,
-)
+from .exact_linalg import IntegerMatrix, SingularMatrixError, _eliminate, adjugate_pair
 from .graph_core import _is_decimal, _is_int
 
 __all__ = [
@@ -94,9 +93,10 @@ class SimplicialCone:
     Building it runs one forward pass over [A^T | w_total | w_first], the
     weight forms of both specialization modes in the order of `_MODES`:
     det A^T = det A gives d, and the pass's rows are kept, from which
-    `specialized_gf` back-substitutes the ray exponents.  R is built on
-    first read, by `adjugate_pair`, an independent elimination that must
-    give the same d; a query that refuses on d alone never builds it.
+    `_ray_exponents` back-substitutes the ray exponents of both modes at
+    once, with two scalars per row.  R is built on first read, by
+    `adjugate_pair`, an independent elimination that must give the same d;
+    a query that refuses on d alone never builds it.
     """
 
     __slots__ = ("A", "d", "_R", "_upper")
@@ -791,6 +791,31 @@ def _numerator(R: IntegerMatrix, d: int, s: Sequence[int]) -> list[int]:
     return coeffs
 
 
+def _ray_exponents(cone: SimplicialCone) -> tuple[list[int], list[int]]:
+    """The ray exponents s = w^T R of both modes, in the order of `_MODES`.
+
+    They are the two weight columns of X = d*A^-T*W that `_back_substitute`
+    gives on the cone's kept pass, solved here with one scalar accumulator
+    per column: from the last kept row up, X_c = (d*b' - sum U_j*X_j) / p
+    over the row's nonzero U_j.  A pivot p other than 1 divides each column
+    by a `divmod` whose remainder must be 0, so a wrong d is refused in
+    either column.
+    """
+    n, d = cone.dimension, cone.d
+    total, first = [0] * n, [0] * n
+    for c, pivot, labels, row in reversed(cone._upper):
+        t, f = d * row[-2], d * row[-1]
+        for j, u in compress(zip(labels, row), row):
+            t -= u * total[j]
+            f -= u * first[j]
+        if pivot != 1:
+            (t, r), (f, r2) = divmod(t, pivot), divmod(f, pivot)
+            if r or r2:
+                raise ArithmeticError("Bareiss division left a remainder")
+        total[c], first[c] = t, f
+    return total, first
+
+
 def specialized_gf(cone: SimplicialCone, mode: Literal["total", "first_coordinate"],
                    budget: Optional[int] = None) -> UnivariateRationalGF:
     """`specialize(integer_point_transform(cone, budget), mode)`, by the DP.
@@ -798,8 +823,10 @@ def specialized_gf(cone: SimplicialCone, mode: Literal["total", "first_coordinat
     Back substitution on the cone's kept forward pass gives X = d*A^-T*W =
     R^T*W for the weight forms W of both modes, so the mode's column of X
     is s = w^T R: ray j has exponent s_j, and the point lam = R*c/d has
-    s.c/d.  With d > 1 the budget is charged d**(n-1) points first.  Then
-    every s_j must be positive, so no point's exponent is negative, before
+    s.c/d.  `_ray_exponents` solves both columns by scalars, each division
+    checked, so a wrong d is refused whichever mode is asked for.  With
+    d > 1 the budget is charged d**(n-1) points first.  Then every s_j
+    must be positive, so no point's exponent is negative, before
     `_numerator` runs on R.  With d = 1 the apex is the one point, and
     neither R nor a second elimination is needed.
     """
@@ -807,8 +834,7 @@ def specialized_gf(cone: SimplicialCone, mode: Literal["total", "first_coordinat
     _mode_weights(mode, n)  # an unknown mode is refused first
     if d > 1:
         _charge_points(cone, budget)
-    k = _MODES.index(mode)
-    s = [x[k] for x in _back_substitute(cone._upper, d, n)]
+    s = _ray_exponents(cone)[_MODES.index(mode)]
     factors = _ray_factors(s)
     return UnivariateRationalGF(_numerator(cone.R, d, s) if d > 1 else [1], factors)
 

@@ -4,10 +4,13 @@ Everything runs in-process through ``main(argv)`` so exit codes and
 stdout/stderr can be asserted exactly.
 """
 
-import argparse
 import contextlib
+import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +30,7 @@ from lapcomp import (
 from lapcomp import cli
 from lapcomp.cli import _CHECKS, _build_parser, main
 from lapcomp.graph_core import family_from_string
+from golden import regen
 from oracles import transform_by_tuples
 
 
@@ -669,6 +673,30 @@ class TestListingStreams:
             assert sum(counts) == 9 ** 4
 
 
+    @pytest.mark.parametrize("argv", [["fpp"], ["fpp", "--json"], ["gf"], ["gf", "--json"]])
+    def test_decimal_tables_made_once_per_listing(self, argv, capsys, monkeypatch):
+        # A listing of several blocks makes as many tables as the one
+        # point of a tree's listing in the same dimension, and the same
+        # bytes when every table is emptied as soon as it holds two strings.
+        made = []
+
+        class Counted(cli._Decimals):
+            def __init__(self, suffix):
+                super().__init__(suffix)
+                made.append(self)
+
+        monkeypatch.setattr(cli, "_Decimals", Counted)
+        expected = run(capsys, *argv, "--file", BOWTIE, "--minor", "5")
+        several = len(made)
+        assert max(map(len, made)) > 2
+        made.clear()
+        run(capsys, *argv, "--family", "path:6")
+        assert several == len(made) > 0
+        made.clear()
+        monkeypatch.setattr(cli, "_DECIMALS_MAX", 2)
+        assert run(capsys, *argv, "--file", BOWTIE, "--minor", "5") == expected
+        assert max(map(len, made)) <= 2
+
 class TestNoTransformObject:
     """`gf` without `--spec` writes the numerator block by block from the
     packed sort: it never builds an `IntegerPointTransform`, on a listing
@@ -856,14 +884,13 @@ class TestParser:
         assert _build_parser() is _build_parser()
 
     def test_each_parse_starts_from_the_defaults(self):
-        parser = _build_parser()
+        parser, _ = _build_parser()
         parser.parse_args(["fpp", "--family", "path:3", "--json", "--budget", "7"])
         args = parser.parse_args(["fpp", "--family", "path:3"])
         assert (args.json, args.budget, args.threads) == (False, None, 1)
 
     def test_every_subcommand_binds_its_handler(self):
-        (commands,) = [action.choices for action in _build_parser()._actions
-                       if isinstance(action, argparse._SubParsersAction)]
+        _, commands = _build_parser()
         assert list(commands) == ["gf", "series", "check", "ehrhart", "fpp",
                                   "tree-inverse"]
         for subparser in commands.values():
@@ -879,3 +906,84 @@ class TestParser:
         monkeypatch.setattr(cli, "family_from_string", broken)
         with pytest.raises(KeyError):
             main(["fpp", "--family", "path:3"])
+
+    def test_top_level_parser_only_where_its_errors_are(self, monkeypatch, capsys):
+        # A command's own arguments are parsed by its parser alone; an empty
+        # argv, an unknown command and arguments the command does not know
+        # go through the top-level parser, which reports them.
+        parser, _ = _build_parser()
+        seen = []
+        real = parser.parse_args
+
+        def counted(argv):
+            seen.append(argv)
+            return real(argv)
+
+        monkeypatch.setattr(parser, "parse_args", counted)
+        for argv in (["gf", "--family", "path:3", "--spec", "total"],
+                     ["series", "--fam", "path:3", "--order=3"],
+                     ["ehrhart", "--normal-m", "0", "--", "3"]):
+            assert main(argv) == 0
+        assert seen == []
+        for argv in ([], ["bogus"], ["gf", "--family", "path:3", "--bogus"],
+                     ["series", "--family", "path:3", "--order", "2", "extra"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert seen == [[], ["bogus"], ["gf", "--family", "path:3", "--bogus"],
+                        ["series", "--family", "path:3", "--order", "2", "extra"]]
+        capsys.readouterr()
+
+
+# Corpus calls for the entry-point tests, each with its exit code and the
+# end of its stderr: a success, a usage error of the `series` parser, and
+# an unrecognized argument that the top-level parser reports.
+ENTRY_CALLS = (
+    (["gf", "--spec", "total", "--file", "graphs/tree9.txt", "--minor", "3"], 0, ""),
+    (["series", "--family", "path:3"], 2,
+     "\nlapcomp series: error: the following arguments are required: --order\n"),
+    (["gf", "--family", "path:3", "--order", "3"], 2,
+     "\nlapcomp: error: unrecognized arguments: --order 3\n"),
+)
+
+
+def corpus_line(argv):
+    (line,) = [line for line in regen.corpus() if line["argv"] == argv and not line["env"]]
+    return line
+
+
+def digests(code, out, err):
+    return (code, hashlib.sha256(out.encode()).hexdigest(),
+            hashlib.sha256(err.encode()).hexdigest())
+
+
+class TestEntryPoint:
+    """`main()` reads `sys.argv[1:]`, and `python -m lapcomp.cli` runs the
+    same program in a process of its own."""
+
+    @pytest.mark.parametrize("argv,exit_code,err_tail", ENTRY_CALLS)
+    def test_main_reads_sys_argv(self, argv, exit_code, err_tail, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["lapcomp", *argv])
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv("LAPCOMP_BUDGET", raising=False)
+        monkeypatch.chdir(regen.HERE)
+        try:
+            code = main()
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        line = corpus_line(argv)
+        assert digests(code, out, err) == (
+            line["exit"], line["stdout_sha256"], line["stderr_sha256"])
+        assert code == exit_code and err.endswith(err_tail)
+
+    def test_module_run_matches_main(self):
+        env = {k: v for k, v in os.environ.items() if k != "LAPCOMP_BUDGET"}
+        env["COLUMNS"] = "80"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        for argv, _, _ in ENTRY_CALLS:
+            done = subprocess.run([sys.executable, "-m", "lapcomp.cli", *argv],
+                                  cwd=regen.HERE, env=env, capture_output=True,
+                                  text=True, timeout=60)
+            assert (done.returncode, done.stdout, done.stderr) == regen.run(argv, {})

@@ -9,6 +9,7 @@ import time
 from collections import Counter
 from operator import mul
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -820,6 +821,74 @@ class TestSpecializedGf:
         A = IntegerMatrix(rows)
         assume(determinant(A) != 0)
         assert_routes_agree(cone_from_constraints(A), data.draw(MODES))
+
+
+@st.composite
+def weight_pass_matrix(draw):
+    """An invertible n x n matrix, n <= 7: a permutation matrix with its
+    rows scaled by nonzero integers, or a matrix, often sparse and often
+    with a zero diagonal, of entries up to 4 or 2**70 in size, either sign,
+    not symmetric in general."""
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        scales = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=n, max_size=n))
+        return [[scales[i] * int(perm[i] == j) for j in range(n)] for i in range(n)]
+    bound = draw(st.sampled_from([4, 2**70]))
+    cells = draw(st.sets(st.integers(0, n * n - 1), min_size=n))
+    rows = [[draw(st.integers(-bound, bound)) if i * n + j in cells else 0
+             for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            rows[i][i] = 0
+    assume(determinant(IntegerMatrix(rows)) != 0)
+    return rows
+
+
+class TestRayExponents:
+    """The scalar solve of the kept pass's two weight columns."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(weight_pass_matrix())
+    def test_both_columns_of_the_kept_pass(self, rows):
+        # The columns `_back_substitute` gives on the same pass, and
+        # s = w^T R of each mode from the adjugate's own elimination.
+        cone = cone_from_constraints(IntegerMatrix(rows))
+        X = exact_linalg._back_substitute(cone._upper, cone.d, cone.dimension)
+        total, first = cone_engine._ray_exponents(cone)
+        assert (total, first) == ([x[0] for x in X], [x[1] for x in X])
+        assert total == [sum(ray) for ray in cone.rays()]
+        assert first == [ray[0] for ray in cone.rays()]
+
+    @settings(max_examples=150, deadline=None)
+    @given(weight_pass_matrix(), st.data())
+    def test_every_division_is_checked(self, rows, data):
+        # One divmod per column for each kept row whose pivot is not 1,
+        # the total column first; a remainder reported by any one of them,
+        # in either column, is refused.
+        cone = cone_from_constraints(IntegerMatrix(rows))
+        calls = []
+
+        def counted(a, b):
+            calls.append(b)
+            return divmod(a, b)
+
+        with mock.patch.object(cone_engine, "divmod", counted, create=True):
+            expected = cone_engine._ray_exponents(cone)
+        pivots = [pivot for _, pivot, _, _ in reversed(cone._upper) if pivot != 1]
+        assert calls == [p for p in pivots for _ in range(2)]
+        assume(calls)
+        k = data.draw(st.integers(0, len(calls) - 1))
+
+        def remainder_at_k(a, b):
+            calls.append(b)
+            return (a // b, 1) if len(calls) == k + 1 else divmod(a, b)
+
+        calls.clear()
+        with mock.patch.object(cone_engine, "divmod", remainder_at_k, create=True):
+            with pytest.raises(ArithmeticError, match="^Bareiss division left a remainder$"):
+                cone_engine._ray_exponents(cone)
+        assert cone_engine._ray_exponents(cone) == expected
 
 
 def flat_numerator(R, d, s):
