@@ -46,6 +46,7 @@ from .cone_engine import (
     _charge,
     _json_form,
     _lex_walk,
+    _series_updates,
     _sorted_points,
     cone_from_constraints,
     series_expand,
@@ -323,9 +324,7 @@ def _cmd_series(args) -> int:
     else:
         gf = specialized_gf(_minor_cone(args, family_from_string(args.family)),
                             _SPEC_MODES[args.spec], budget=_effective_budget(args))
-    # The coefficient list, and one update per coefficient per pass.
-    passes = sum(min(m, args.order // e) for e, m in gf.denominator)
-    _charge((args.order + 1) * (1 + passes), _effective_budget(args),
+    _charge(_series_updates(gf, args.order), _effective_budget(args),
             "series needs {} coefficient updates; budget is {}")
     coeffs = series_expand(gf, args.order)
     _emit(args, lambda: "[" + ", ".join(map(str, coeffs)) + "]",

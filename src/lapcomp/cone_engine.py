@@ -860,6 +860,13 @@ def series_expand(gf: UnivariateRationalGF, order: int) -> list[int]:
     return coeffs
 
 
+def _series_updates(gf: UnivariateRationalGF, order: int) -> int:
+    """Coefficient updates of `series_expand(gf, order)`: the coefficient
+    list, then one update per coefficient in each of its passes."""
+    passes = sum(min(m, order // e) for e, m in gf.denominator)
+    return (order + 1) * (1 + passes)
+
+
 def _first_coordinate_bounds(R: IntegerMatrix, value: int) -> list[int]:
     """Upper bounds on each coordinate over the slice first-coordinate = value."""
     n = R.rows

@@ -35,7 +35,7 @@ from .cone_engine import (
     _one_minus_q_power, _poly_mul,
 )
 from .cycle_families import _leafed_minor_pair
-from .exact_linalg import IntegerMatrix, adjugate_pair, determinant
+from .exact_linalg import IntegerMatrix, _is_int, adjugate_pair, determinant
 
 __all__ = [
     "LatticeSimplex",
@@ -78,7 +78,7 @@ class LatticeSimplex:
         for v in vertices:
             if len(v) != dimension:
                 raise ValueError("vertex length does not match the dimension")
-            if not all(isinstance(e, int) and not isinstance(e, bool) for e in v):
+            if not all(map(_is_int, v)):
                 raise ValueError("vertices must have integer entries")
         self._dimension = dimension
         self._vertices = vertices

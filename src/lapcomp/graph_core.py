@@ -7,6 +7,8 @@ signed incidence matrix does.
 
 `laplacian_minor` fills its matrix straight from the edges.  `parse_graph`
 splits each line once; only labels not in ASCII digits reach `_is_decimal`.
+`_breadth_first` is the one walk of a graph's edges: a graph is connected
+when the search from 0 reaches every vertex, and trees are rooted by it.
 """
 
 from __future__ import annotations
@@ -103,18 +105,7 @@ class Graph:
         return degs
 
     def is_connected(self) -> bool:
-        if self.vertex_count == 1:
-            return True
-        adj = self.adjacency()
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.vertex_count
+        return len(_breadth_first(self, 0)[0]) == self.vertex_count
 
     def is_tree(self) -> bool:
         return self.edge_count == self.vertex_count - 1 and self.is_connected()
@@ -138,6 +129,24 @@ class Graph:
 
     def __repr__(self):
         return f"Graph({self.vertex_count}, {list(self.edges)})"
+
+
+def _breadth_first(g: Graph, root: int) -> tuple[list[int], list[int], list[int]]:
+    """The package's one graph search, from `root`: the vertices in the
+    order reached, then each vertex's parent and depth (-1 for the root's
+    parent and for every vertex not reached)."""
+    adj = g.adjacency()
+    parent = [-1] * g.vertex_count
+    depth = [-1] * g.vertex_count
+    depth[root] = 0
+    order = [root]
+    for u in order:
+        for w in adj[u]:
+            if depth[w] < 0:
+                parent[w] = u
+                depth[w] = depth[u] + 1
+                order.append(w)
+    return order, parent, depth
 
 
 class LaplacianMinor:
@@ -190,22 +199,12 @@ def kary_tree(k: int, levels: int) -> Graph:
     leaf (vertex 0) attached to the root (vertex 1).
 
     Level j (1-based, the root is level 1) holds k**(j-1) vertices, labeled
-    breadth-first.
+    breadth-first, so the parent of each vertex c >= 1 is 1 + (c - 2) // k.
     """
     if k < 1 or levels < 1:
         raise GraphError("k-ary tree needs k >= 1 and levels >= 1")
-    edges = [(0, 1)]
-    next_label = 2
-    frontier = [1]
-    for _ in range(levels - 1):
-        new_frontier = []
-        for parent in frontier:
-            for _ in range(k):
-                edges.append((parent, next_label))
-                new_frontier.append(next_label)
-                next_label += 1
-        frontier = new_frontier
-    return Graph(next_label, edges)
+    count = 1 + sum(k**j for j in range(levels))
+    return Graph(count, ((1 + (c - 2) // k, c) for c in range(1, count)))
 
 
 def complete_graph(n: int) -> Graph:

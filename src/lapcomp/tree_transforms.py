@@ -6,17 +6,23 @@ from the chosen leaf to the path connecting i and j, i.e. the depth of their
 meet when the tree is rooted at that leaf.  Column sums of this inverse give
 the exponents of the product-of-geometric-series generating function, and
 for complete k-ary trees those exponents have a closed form.
+
+Each function searches its tree once, from the leaf or from the vertex it
+splits at: that search checks the tree and the vertex, and its parents and
+depths give the inverses and the branches of a block split.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter, deque
+from collections import Counter
 from typing import NamedTuple, Sequence
 
 from .cone_engine import UnivariateRationalGF
 from .exact_linalg import IntegerMatrix, adjugate_pair
-from .graph_core import Graph, GraphError, incidence_subminor, laplacian_minor
+from .graph_core import (
+    Graph, GraphError, _breadth_first, incidence_subminor, laplacian_minor,
+)
 
 __all__ = [
     "TreeInverse",
@@ -65,31 +71,24 @@ class BlockProblem(NamedTuple):
     vertex_map: tuple[int, ...]
 
 
-def _require_tree_and_leaf(t: Graph, leaf: int):
-    if not t.is_tree():
+def _rooted(t: Graph, root: int, internal: bool = False) -> tuple[list, ...]:
+    """One search of the tree `t` from `root`: the order, parents and depths.
+
+    Raises, in this order, unless `t` is a tree (n - 1 edges, every vertex
+    reached from `root`, or from 0 when `root` is out of range), `root` is in
+    range, and `root` has one child (more than one with `internal`)."""
+    n = t.vertex_count
+    order, parent, depth = _breadth_first(t, root if root in range(n) else 0)
+    if t.edge_count != n - 1 or len(order) < n:
         raise GraphError("graph is not a tree")
-    if not 0 <= leaf < t.vertex_count:
-        raise GraphError(f"vertex {leaf} out of range")
-    if t.degree(leaf) != 1:
-        raise GraphError(f"vertex {leaf} is not a leaf")
-
-
-def _root_at(t: Graph, root: int) -> tuple[list[int], list[int]]:
-    """Parent and depth arrays for the tree rooted at `root`."""
-    parent = [-1] * t.vertex_count
-    depth = [0] * t.vertex_count
-    adj = t.adjacency()
-    queue = deque([root])
-    seen = {root}
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                parent[w] = u
-                depth[w] = depth[u] + 1
-                queue.append(w)
-    return parent, depth
+    if not 0 <= root < n:
+        raise GraphError(f"vertex {root} out of range")
+    children = parent.count(root)
+    if internal and children <= 1:
+        raise GraphError(f"vertex {root} is a leaf; nothing to reduce")
+    if not internal and children != 1:
+        raise GraphError(f"vertex {root} is not a leaf")
+    return order, parent, depth
 
 
 def _meet_depth(i: int, j: int, parent: list[int], depth: list[int]) -> int:
@@ -109,8 +108,7 @@ def tree_inverse_combinatorial(t: Graph, leaf: int) -> TreeInverse:
     in particular the diagonal entry (i, i) is the distance from the leaf
     to i.
     """
-    _require_tree_and_leaf(t, leaf)
-    parent, depth = _root_at(t, leaf)
+    _, parent, depth = _rooted(t, leaf)
     vertices = tuple(v for v in range(t.vertex_count) if v != leaf)
     m = [
         [_meet_depth(i, j, parent, depth) for j in vertices]
@@ -127,8 +125,7 @@ def incidence_inverse(t: Graph, leaf: int) -> IntegerMatrix:
     traversed tail-to-head on the way, -1 if traversed head-to-tail, and 0
     if the path avoids e.  Satisfies G @ incidence_subminor(t, leaf) = I.
     """
-    _require_tree_and_leaf(t, leaf)
-    parent, _ = _root_at(t, leaf)
+    _, parent, _ = _rooted(t, leaf)
     edge_index = {frozenset(e): k for k, e in enumerate(t.edges)}
     vertices = [v for v in range(t.vertex_count) if v != leaf]
     m = [[0] * len(vertices) for _ in range(t.edge_count)]
@@ -149,45 +146,32 @@ def block_reduction(t: Graph, v: int) -> list[BlockProblem]:
     each component makes it a leaf there, and the minor's inverse is the
     block-diagonal assembly of the subproblem inverses.
     """
-    if not t.is_tree():
-        raise GraphError("graph is not a tree")
-    if not 0 <= v < t.vertex_count:
-        raise GraphError(f"vertex {v} out of range")
-    if t.degree(v) <= 1:
-        raise GraphError(f"vertex {v} is a leaf; nothing to reduce")
-    adj = t.adjacency()
+    n = t.vertex_count
+    order, parent, depth = _rooted(t, v, internal=True)
+    # A vertex's branch is its ancestor at depth 1; parents are reached first.
+    branch = [v] * n
+    for u in order[1:]:
+        branch[u] = u if depth[u] == 1 else branch[parent[u]]
     problems = []
-    for start in sorted(adj[v]):
-        component = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w != v and w not in component:
-                    component.add(w)
-                    queue.append(w)
-        ordered = sorted(component)
+    for start in (u for u in range(n) if depth[u] == 1):
+        ordered = [u for u in range(n) if branch[u] == start] + [v]
         local = {orig: k for k, orig in enumerate(ordered)}
-        local[v] = len(ordered)
         edges = [
             (min(local[a], local[b]), max(local[a], local[b]))
             for a, b in t.edges
             if a in local and b in local
         ]
-        subtree = Graph(len(ordered) + 1, edges)
-        problems.append(
-            BlockProblem(subtree, len(ordered), tuple(ordered) + (v,))
-        )
+        subtree = Graph(len(ordered), edges)
+        problems.append(BlockProblem(subtree, local[v], tuple(ordered)))
     return problems
 
 
 def block_reduction_inverse(t: Graph, v: int) -> IntegerMatrix:
     """Assemble the minor inverse at v from its block subproblems."""
-    problems = block_reduction(t, v)
     kept = [u for u in range(t.vertex_count) if u != v]
     pos = {u: k for k, u in enumerate(kept)}
     m = [[0] * len(kept) for _ in kept]
-    for subtree, leaf, vertex_map in problems:
+    for subtree, leaf, vertex_map in block_reduction(t, v):
         inv = tree_inverse_combinatorial(subtree, leaf)
         for a, orig_a in enumerate(vertex_map[:-1]):
             row = inv.matrix.row(a)
@@ -266,8 +250,6 @@ def random_tree(vertex_count: int, rng) -> Graph:
     """
     if vertex_count < 2:
         raise ValueError("a tree needs at least 2 vertices")
-    if vertex_count == 2:
-        return Graph(2, [(0, 1)])
     return tree_from_pruefer(
         [rng.randrange(vertex_count) for _ in range(vertex_count - 2)]
     )

@@ -1,19 +1,22 @@
 """Closed forms for the cycle and leafed-cycle families, a set-based
 normality probe, a tuple-sorted transform, a simplex's normalized volume,
-a rational Gauss-Jordan solver, and the line-by-line graph reader and
-row-by-row matrix check that the library once had, kept as oracles.
+a rational Gauss-Jordan solver, and the line-by-line graph reader,
+row-by-row matrix check and per-neighbour block split that the library
+once had, kept as oracles.
 
 Nothing in `lapcomp` computes these: each one reaches a result by a route
 the library does not take, so the tests can hold the general engine, the
-digit-sum DP, the packed normality probe and the packed point sort
-against them.
+digit-sum DP, the packed normality probe, the packed point sort and the
+block split read off one rooting against them.
 """
 
 import math
+from collections import deque
 from fractions import Fraction
 from itertools import chain
 
 from lapcomp import (
+    BlockProblem,
     Graph,
     GraphError,
     IntegerMatrix,
@@ -282,3 +285,33 @@ def matrix_fault(rows):
     except (TypeError, ValueError) as exc:
         return type(exc), str(exc)
     return None
+
+
+def block_reduction_by_search(t, v):
+    """The tree split at its internal vertex v as it once was: one search of
+    the tree minus v from each neighbour of v, in label order, each branch
+    re-attached to v as its last local label."""
+    adj = t.adjacency()
+    problems = []
+    for start in sorted(adj[v]):
+        component = {start}
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if w != v and w not in component:
+                    component.add(w)
+                    queue.append(w)
+        ordered = sorted(component)
+        local = {orig: k for k, orig in enumerate(ordered)}
+        local[v] = len(ordered)
+        edges = [
+            (min(local[a], local[b]), max(local[a], local[b]))
+            for a, b in t.edges
+            if a in local and b in local
+        ]
+        subtree = Graph(len(ordered) + 1, edges)
+        problems.append(
+            BlockProblem(subtree, len(ordered), tuple(ordered) + (v,))
+        )
+    return problems

@@ -40,7 +40,8 @@ from lapcomp import (
 )
 from lapcomp import cli, cone_engine, exact_linalg, graph_core, parse_graph
 from lapcomp.cone_engine import (
-    _field_shifts, _json_form, _times_binomial_series, _times_geometric, polynomial_string,
+    _field_shifts, _json_form, _series_updates, _times_binomial_series, _times_geometric,
+    polynomial_string,
 )
 from oracles import transform_by_tuples
 
@@ -1109,6 +1110,14 @@ class TestSeriesExpand:
         assert time.perf_counter() - start < 0.5
         assert single == [math.comb(m - 1 + k, k) for k in range(5)]
         assert double == [1, 0, m, 0, math.comb(m + 1, 2)]
+
+    def test_charge_counts_the_list_and_each_pass(self):
+        # (1 - q)^2 takes 2 passes and (1 - q^3)^50 takes 10 // 3 = 3, so
+        # 11 coefficients are made once and updated 5 times.
+        gf = UnivariateRationalGF([1], [(1, 2), (3, 50)])
+        assert _series_updates(gf, 10) == 11 * 6
+        assert _series_updates(gf, 0) == 1
+        assert _series_updates(UnivariateRationalGF([1, 1], []), 4) == 5
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(-5, 5), min_size=1, max_size=12),

@@ -77,6 +77,11 @@ class TestLatticeSimplex:
         with pytest.raises(ValueError):
             LatticeSimplex(2, [(0, 0), (1, 1), (2, 2)])
 
+    @pytest.mark.parametrize("entry", [True, 1.0, "1", None])
+    def test_entries_must_be_ints(self, entry):
+        with pytest.raises(ValueError, match="^vertices must have integer entries$"):
+            LatticeSimplex(2, [(0, 0), (1, 0), (0, entry)])
+
     def test_edge_matrix_and_volume(self):
         assert REFLEXIVE_TRIANGLE.edge_matrix().to_lists() == [
             [2, 1],

@@ -1,6 +1,7 @@
 """Tests for tree minor inverses and their generating functions."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from lapcomp import (
     adjugate_pair,
     block_reduction,
     block_reduction_inverse,
+    cycle_graph,
     incidence_inverse,
     incidence_subminor,
     kary_exponent,
@@ -31,10 +33,47 @@ from lapcomp import (
     verify_tree_identities,
 )
 from lapcomp import tree_transforms
+from oracles import block_reduction_by_search
 
 pruefer_sequences = st.integers(2, 12).flatmap(
     lambda n: st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2)
 )
+
+
+LEAF_FUNCTIONS = (tree_inverse_combinatorial, incidence_inverse, tree_gf_exponents)
+BLOCK_FUNCTIONS = (block_reduction, block_reduction_inverse)
+
+# (graph, vertex, message of the leaf functions, message of the block
+# functions); None means the call returns.
+REFUSALS = {
+    "cycle": (cycle_graph(4), 0, "graph is not a tree", "graph is not a tree"),
+    "triangle_and_isolated_at_9": (
+        Graph(4, [(0, 1), (1, 2), (0, 2)]), 9,
+        "graph is not a tree", "graph is not a tree",
+    ),
+    "path_at_9": (path_graph(4), 9, "vertex 9 out of range", "vertex 9 out of range"),
+    "path_internal": (path_graph(4), 1, "vertex 1 is not a leaf", None),
+    "path_leaf": (path_graph(4), 0, None, "vertex 0 is a leaf; nothing to reduce"),
+    "single_vertex": (
+        Graph(1, []), 0,
+        "vertex 0 is not a leaf", "vertex 0 is a leaf; nothing to reduce",
+    ),
+}
+
+
+@pytest.mark.parametrize("function", LEAF_FUNCTIONS + BLOCK_FUNCTIONS,
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusal_messages_in_order(function, case):
+    # The tree check comes first (even for an out-of-range vertex), then
+    # the range, then the vertex's degree.
+    graph, vertex, leaf_message, block_message = REFUSALS[case]
+    message = block_message if function in BLOCK_FUNCTIONS else leaf_message
+    if message is None:
+        function(graph, vertex)
+    else:
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            function(graph, vertex)
 
 
 class TestCombinatorialInverse:
@@ -55,8 +94,6 @@ class TestCombinatorialInverse:
         )
 
     def test_rejects_non_tree(self):
-        from lapcomp import cycle_graph
-
         with pytest.raises(GraphError):
             tree_inverse_combinatorial(cycle_graph(3), 0)
 
@@ -98,6 +135,19 @@ class TestBlockReduction:
     def test_leaf_rejected(self):
         with pytest.raises(GraphError):
             block_reduction(path_graph(3), 0)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_per_neighbour_search(self, seed):
+        rng = random.Random(seed)
+        for n in range(2, 13):
+            t = random_tree(n, rng)
+            for v, degree in enumerate(t.degrees()):
+                if degree > 1:
+                    got, want = block_reduction(t, v), block_reduction_by_search(t, v)
+                    assert got == want
+                    assert [p.subtree.edges for p in got] == [
+                        p.subtree.edges for p in want
+                    ]
 
     def test_assembled_inverse_matches_algebra(self):
         t = kary_tree(2, 3)
@@ -191,6 +241,20 @@ class TestIdentitySuite:
         t = tree_from_pruefer(seq)
         leaf = rng.choice(t.leaves())
         assert verify_tree_identities(t, leaf) == []
+
+    def test_one_adjacency_per_rooting(self, monkeypatch):
+        calls = []
+        adjacency = Graph.adjacency
+
+        def counted(g):
+            calls.append(g)
+            return adjacency(g)
+
+        monkeypatch.setattr(Graph, "adjacency", counted)
+        assert verify_tree_identities(kary_tree(2, 3), 0) == []
+        # Two rootings at leaf 0 (distance inverse, incidence inverse), then
+        # at each internal vertex 1, 2, 3 one split and one per branch.
+        assert len(calls) == 2 + 3 * (1 + 3)
 
     def test_reports_failures_for_corrupted_input(self):
         # An internal vertex is not a valid minor root for the leaf formulas.
