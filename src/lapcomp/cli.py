@@ -42,13 +42,13 @@ from typing import Callable, Iterable, Sequence
 from .cone_engine import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    SimplicialCone,
     UnivariateRationalGF,
     _charge,
     _json_form,
     _lex_walk,
     _series_updates,
     _sorted_points,
-    cone_from_constraints,
     series_expand,
     specialized_gf,
 )
@@ -211,7 +211,7 @@ def _minor_vertex(args, g) -> int:
 
 
 def _minor_cone(args, g):
-    return cone_from_constraints(laplacian_minor(g, _minor_vertex(args, g)).matrix)
+    return SimplicialCone(laplacian_minor(g, _minor_vertex(args, g)))
 
 
 def _emit(args, text: Callable[[], str], payload: Callable[[], dict]) -> None:

@@ -65,7 +65,6 @@ __all__ = [
     "SimplicialCone",
     "IntegerPointTransform",
     "UnivariateRationalGF",
-    "cone_from_constraints",
     "fpp_points",
     "integer_point_transform",
     "specialize",
@@ -349,11 +348,6 @@ def polynomial_string(coeffs: Sequence[int]) -> str:
 # The specialization modes, in the order of their weight columns in a
 # cone's kept forward pass.
 _MODES = ("total", "first_coordinate")
-
-
-def cone_from_constraints(A: IntegerMatrix) -> SimplicialCone:
-    """Cone {x : Ax >= 0} for invertible A: `SimplicialCone(A)`."""
-    return SimplicialCone(A)
 
 
 def _column_hermite(A: IntegerMatrix) -> tuple[list[list[int]], list[list[int]]]:
@@ -715,16 +709,18 @@ def _numerator(R: IntegerMatrix, d: int, s: Sequence[int]) -> list[int]:
     of floor(s.c/d) in its slots, packed into one int with bits enough
     that no slot carries, so slot e of class 0 is exponent e.
 
-    Column j's class has order o_j, so the class of c depends on c_j mod
-    o_j only: digit c_j + o_j reaches the class of c_j again, e =
-    s_j*o_j/d slots on.  The DP runs the digits below o_j, sum_j d*o_j
-    shifted adds in all, and then multiplies class 0 by
-    (1 - Q^(e*m)) / (1 - Q^e), m = d/o_j, for each column: by 1 - Q^(e*m),
-    then `_times_geometric`, in time linear in its length.  The counts
+    Column j's class has order o_j = d / gcd(d, column j of R), known
+    before the closure, so the class of c depends on c_j mod o_j only:
+    digit c_j + o_j reaches the class of c_j again, e = s_j*o_j/d slots
+    on.  The DP runs the digits below o_j, sum_j d*o_j shifted adds in
+    all, and then multiplies class 0 by (1 - Q^(e*m)) / (1 - Q^e),
+    m = d/o_j, for each column: by 1 - Q^(e*m), then `_times_geometric`,
+    in time linear in its length.  The counts
     must sum to d**(n-1), the digit vectors' number, which a weight of 0
     would break.
     """
     n = len(s)
+    orders = [d // math.gcd(d, *R.column(j)) for j in range(n)]
     # A residue vector is one int, coordinate i in field i of b + 1 bits,
     # 2**b > d.  A sum of two has each field below 2*d, and adding 2**b - d
     # to every field sets the top bit of those that d must come off.
@@ -754,12 +750,6 @@ def _numerator(R: IntegerMatrix, d: int, s: Sequence[int]) -> list[int]:
     for weight, nxt in zip(s, step):
         if [r[t] for t in nxt] != [(x + weight) % d for x in r]:
             raise ArithmeticError("parallelepiped point not integral")
-    orders = []
-    for nxt in step:
-        o, t = 1, nxt[0]
-        while t:
-            o, t = o + 1, nxt[t]
-        orders.append(o)
     # Whole bytes per slot, for the read-out; no slot counts past prod(orders).
     width = (math.prod(orders).bit_length() + 7) // 8
     bits = 8 * width

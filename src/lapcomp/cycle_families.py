@@ -19,7 +19,8 @@ __all__ = [
 
 def _leafed_minor_pair(n: int) -> tuple[IntegerMatrix, IntegerMatrix]:
     """The leafed n-cycle's minor at its leaf, L = 2I - P - P^T + E_00 with P
-    the cyclic shift, and R = n * L^-1; a determinant other than n raises.
+    the cyclic shift, and R = n * L^-1; a determinant other than n, or a
+    top row of R other than (n, ..., n), raises.
 
     For n >= 3, L is `laplacian_minor(leafed_cycle_graph(n), n)`; for n = 2
     it is the minor of a doubled edge with a leaf.
@@ -35,6 +36,8 @@ def _leafed_minor_pair(n: int) -> tuple[IntegerMatrix, IntegerMatrix]:
     d, r = adjugate_pair(minor)
     if d != n:
         raise ArithmeticError(f"expected determinant {n}, got {d}")
+    if any(x != n for x in r.row(0)):
+        raise ArithmeticError("top row of the scaled inverse is not constant n")
     return minor, r
 
 

@@ -135,8 +135,6 @@ def _leafed_slice(n: int) -> tuple[LatticeSimplex, IntegerMatrix]:
     if n < 3:
         raise ValueError("leafed cycles need n >= 3")
     l, r = _leafed_minor_pair(n)
-    if any(r[0, j] != n for j in range(n)):
-        raise ArithmeticError("top row of the scaled inverse is not constant n")
     simplex = LatticeSimplex(n - 1, [[r[i, j] for i in range(1, n)] for j in range(n)])
     simplex._minor = l
     return simplex, r

@@ -13,7 +13,7 @@ when the search from 0 reaches every vertex, and trees are rooted by it.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exact_linalg import IntegerMatrix, _is_int
 
@@ -21,7 +21,6 @@ __all__ = [
     "MAX_VERTICES",
     "GraphError",
     "Graph",
-    "LaplacianMinor",
     "build_family",
     "family_from_string",
     "path_graph",
@@ -38,6 +37,10 @@ __all__ = [
 
 # Beyond this size the lattice-point machinery is infeasible anyway.
 MAX_VERTICES = 64
+# A refused vertex count is written out only below 10**4300, so with at most
+# the 4,300 digits that Python's int-to-str conversion writes by default; a
+# larger one is named by this bound, so no refusal formats a huge count.
+_UNWRITTEN = 10**4300
 
 
 def _is_decimal(text) -> bool:
@@ -62,9 +65,8 @@ class Graph:
         if vertex_count < 1:
             raise GraphError("graph needs at least one vertex")
         if vertex_count > MAX_VERTICES:
-            raise GraphError(
-                f"graph has {vertex_count} vertices; limit is {MAX_VERTICES}"
-            )
+            count = vertex_count if vertex_count < _UNWRITTEN else "at least 10**4300"
+            raise GraphError(f"graph has {count} vertices; limit is {MAX_VERTICES}")
         oriented = []
         seen = set()
         for edge in edges:
@@ -93,9 +95,6 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         return adj
-
-    def degree(self, v: int) -> int:
-        return sum(v in e for e in self.edges)
 
     def degrees(self) -> list[int]:
         degs = [0] * self.vertex_count
@@ -149,49 +148,32 @@ def _breadth_first(g: Graph, root: int) -> tuple[list[int], list[int], list[int]
     return order, parent, depth
 
 
-class LaplacianMinor:
-    """Laplacian with one row and column deleted, plus its provenance.
-
-    `vertices` lists the surviving vertex labels in increasing order;
-    row/column k of `matrix` corresponds to vertices[k].
-    """
-
-    __slots__ = ("matrix", "source_graph", "minored_vertex", "vertices")
-
-    def __init__(self, matrix: IntegerMatrix, source_graph: Graph,
-                 minored_vertex: int, vertices: tuple[int, ...]):
-        self.matrix = matrix
-        self.source_graph = source_graph
-        self.minored_vertex = minored_vertex
-        self.vertices = vertices
-
-    def __repr__(self):
-        return (
-            f"LaplacianMinor(vertex={self.minored_vertex}, "
-            f"size={self.matrix.rows})"
-        )
+def _path_edges(n: int, *extra: tuple[int, int]) -> Iterator[tuple[int, int]]:
+    """The path 0 - 1 - ... - (n-1), then `extra`, one edge at a time, so
+    `Graph` refuses a vertex count before any edge is made."""
+    yield from ((i, i + 1) for i in range(n - 1))
+    yield from extra
 
 
 def path_graph(n: int) -> Graph:
     """Path on n vertices, 0 - 1 - ... - (n-1)."""
     if n < 2:
         raise GraphError("path needs n >= 2")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, _path_edges(n))
 
 
 def cycle_graph(n: int) -> Graph:
     """Cycle on n vertices, 0 - 1 - ... - (n-1) - 0."""
     if n < 3:
         raise GraphError("cycle needs n >= 3")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+    return Graph(n, _path_edges(n, (0, n - 1)))
 
 
 def leafed_cycle_graph(n: int) -> Graph:
     """n-cycle on 0..n-1 with a pendant leaf, labeled n, attached at 0."""
     if n < 3:
         raise GraphError("leafed cycle needs n >= 3")
-    edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1), (0, n)]
-    return Graph(n + 1, edges)
+    return Graph(n + 1, _path_edges(n, (0, n - 1), (0, n)))
 
 
 def kary_tree(k: int, levels: int) -> Graph:
@@ -200,10 +182,16 @@ def kary_tree(k: int, levels: int) -> Graph:
 
     Level j (1-based, the root is level 1) holds k**(j-1) vertices, labeled
     breadth-first, so the parent of each vertex c >= 1 is 1 + (c - 2) // k.
+    The vertex count 1 + (k**levels - 1) / (k - 1) exceeds k**(levels-1),
+    so once that power has more bits than `_UNWRITTEN` the count is refused
+    as that bound, without forming k**levels.
     """
     if k < 1 or levels < 1:
         raise GraphError("k-ary tree needs k >= 1 and levels >= 1")
-    count = 1 + sum(k**j for j in range(levels))
+    if (levels - 1) * (k.bit_length() - 1) >= _UNWRITTEN.bit_length():
+        count = _UNWRITTEN
+    else:
+        count = 1 + (levels if k == 1 else (k**levels - 1) // (k - 1))
     return Graph(count, ((1 + (c - 2) // k, c) for c in range(1, count)))
 
 
@@ -211,7 +199,7 @@ def complete_graph(n: int) -> Graph:
     """Complete graph K_n."""
     if n < 2:
         raise GraphError("complete graph needs n >= 2")
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 _FAMILIES = {
@@ -261,15 +249,15 @@ def laplacian(g: Graph) -> IntegerMatrix:
     return IntegerMatrix(m)
 
 
-def laplacian_minor(g: Graph, i: int) -> LaplacianMinor:
-    """Laplacian with row and column i deleted."""
+def laplacian_minor(g: Graph, i: int) -> IntegerMatrix:
+    """Laplacian with row and column i deleted: row and column k are those
+    of vertex k, or k + 1 from i on."""
     if not 0 <= i < g.vertex_count:
         raise GraphError(f"vertex {i} out of range")
     if g.vertex_count < 2:
         raise GraphError("graph too small to take a Laplacian minor")
     n = g.vertex_count
-    keep = (*range(i), *range(i + 1, n))
-    m = [[0] * (n - 1) for _ in keep]
+    m = [[0] * (n - 1) for _ in range(n - 1)]
     for u, v in g.edges:
         a, b = u - (u > i), v - (v > i)
         if u != i:
@@ -278,7 +266,7 @@ def laplacian_minor(g: Graph, i: int) -> LaplacianMinor:
             m[b][b] += 1
             if u != i:
                 m[a][b] = m[b][a] = -1
-    return LaplacianMinor(IntegerMatrix(m), g, i, keep)
+    return IntegerMatrix(m)
 
 
 def incidence_matrix(g: Graph) -> IntegerMatrix:

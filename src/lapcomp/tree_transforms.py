@@ -15,7 +15,6 @@ depths give the inverses and the branches of a block split.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from typing import NamedTuple, Sequence
 
 from .cone_engine import UnivariateRationalGF
@@ -188,8 +187,7 @@ def tree_gf_exponents(t: Graph, leaf: int) -> tuple[int, ...]:
 
 def tree_gf(t: Graph, leaf: int) -> UnivariateRationalGF:
     """1 / prod_i (1 - q^{b_i}) with b_i the exponents above."""
-    exponents = Counter(tree_gf_exponents(t, leaf))
-    return UnivariateRationalGF([1], sorted(exponents.items()))
+    return UnivariateRationalGF([1], ((b, 1) for b in tree_gf_exponents(t, leaf)))
 
 
 def q_integer(n: int, q: int) -> int:
@@ -214,10 +212,8 @@ def kary_exponent(k: int, n: int, j: int) -> int:
 
 def kary_gf(k: int, n: int) -> UnivariateRationalGF:
     """Closed-form generating function of the k-ary tree with n levels."""
-    den: Counter = Counter()
-    for j in range(1, n + 1):
-        den[kary_exponent(k, n, j)] += k ** (j - 1)
-    return UnivariateRationalGF([1], sorted(den.items()))
+    return UnivariateRationalGF(
+        [1], ((kary_exponent(k, n, j), k ** (j - 1)) for j in range(1, n + 1)))
 
 
 def tree_from_pruefer(seq: Sequence[int]) -> Graph:
@@ -265,7 +261,7 @@ def verify_tree_identities(t: Graph, leaf: int) -> list[str]:
     Anything that fails contributes one description.
     """
     failures = []
-    d, inverse = adjugate_pair(laplacian_minor(t, leaf).matrix)
+    d, inverse = adjugate_pair(laplacian_minor(t, leaf))
     if d != 1:
         failures.append(f"minor determinant at leaf {leaf} is not 1")
     comb = tree_inverse_combinatorial(t, leaf).matrix
@@ -278,7 +274,7 @@ def verify_tree_identities(t: Graph, leaf: int) -> list[str]:
         failures.append("incidence Gram matrix is not the minor inverse")
     for v, degree in enumerate(t.degrees()):
         if degree > 1:
-            d, inverse = adjugate_pair(laplacian_minor(t, v).matrix)
+            d, inverse = adjugate_pair(laplacian_minor(t, v))
             if d != 1:
                 failures.append(f"minor determinant at vertex {v} is not 1")
             if (1, block_reduction_inverse(t, v)) != (d, inverse):

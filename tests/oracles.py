@@ -90,7 +90,7 @@ def mod_structure(n, leafed=True):
     if n < 3:
         raise ValueError("mod structure needs n >= 3")
     family = "leafed_cycle" if leafed else "cycle"
-    d, r = adjugate_pair(family_minor(n, leafed).matrix)
+    d, r = adjugate_pair(family_minor(n, leafed))
     if d != n:
         raise ArithmeticError(f"expected determinant {n}, got {d}")
     reduced = tuple(

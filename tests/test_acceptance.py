@@ -15,12 +15,12 @@ import pytest
 
 from lapcomp import (
     BudgetExceededError,
+    SimplicialCone,
     brute_force_count,
     build_family,
     build_slice_simplex,
     check_conjecture_cyclic,
     check_near_symmetry,
-    cone_from_constraints,
     h_star,
     integer_point_transform,
     integral_shift_profile,
@@ -54,7 +54,7 @@ def minor_cone(family, *params, vertex=None):
     g = build_family(family, *params)
     if vertex is None:
         vertex = g.vertex_count - 1
-    return cone_from_constraints(laplacian_minor(g, vertex).matrix)
+    return SimplicialCone(laplacian_minor(g, vertex))
 
 
 def test_criterion_01_shift_profile_example():

@@ -4,6 +4,8 @@
 its `checks.verify` judges each query's output by routes of its own.
 """
 
+import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,17 @@ def perfbench(monkeypatch):
     import workloads
 
     return workloads, checks
+
+
+def test_traced_modules_exist(monkeypatch):
+    # The traced run imports `lapcomp.cli`, as this file does, and then looks
+    # up each of the tracer's modules in `sys.modules`, so a module deleted
+    # or renamed in `lapcomp` must fail here, not only in that run.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import MODULES
+
+    for name in MODULES:
+        assert sys.modules[f"lapcomp.{name}"] is importlib.import_module(f"lapcomp.{name}")
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -15,9 +15,9 @@ from pathlib import Path
 import pytest
 
 from lapcomp import (
+    SimplicialCone,
     UnivariateRationalGF,
     cone_engine,
-    cone_from_constraints,
     exact_linalg,
     fpp_points,
     integer_point_transform,
@@ -411,6 +411,12 @@ class TestTreeInverse:
         code, _, err = run(capsys, "tree-inverse", "--family", "cycle:4")
         assert code == 2 and "not a tree" in err
 
+    @pytest.mark.parametrize("levels", ["20000", "200000"])
+    def test_huge_family_refused_unwritten(self, capsys, levels):
+        # A vertex count too long for int-to-str is refused by its bound.
+        assert run(capsys, "tree-inverse", "--family", f"kary:2,{levels}") == (
+            2, "", "error: graph has at least 10**4300 vertices; limit is 64\n")
+
     def test_internal_vertex_rejected(self, capsys):
         code, _, err = run(
             capsys, "tree-inverse", "--family", "path:4", "--minor", "1"
@@ -419,7 +425,7 @@ class TestTreeInverse:
 
 
 def materialized_gf(g, mode):
-    cone = cone_from_constraints(laplacian_minor(g, g.vertex_count - 1).matrix)
+    cone = SimplicialCone(laplacian_minor(g, g.vertex_count - 1))
     return specialize(integer_point_transform(cone), mode)
 
 
@@ -615,7 +621,7 @@ class TestListingOutput:
         f.write_text(text)
         g = parse_graph(text)
         for v in range(g.vertex_count):
-            cone = cone_from_constraints(laplacian_minor(g, v).matrix)
+            cone = SimplicialCone(laplacian_minor(g, v))
             required = cone.d ** (cone.dimension - 1)
             if required <= 20000:
                 points, ipt = fpp_points(cone), transform_by_tuples(cone)

@@ -28,7 +28,6 @@ from lapcomp import (
     brute_force_count,
     build_family,
     build_slice_simplex,
-    cone_from_constraints,
     determinant,
     fpp_points,
     integer_point_transform,
@@ -50,14 +49,14 @@ def minor_cone(family, *params, vertex=None):
     g = build_family(family, *params)
     if vertex is None:
         vertex = g.vertex_count - 1
-    return cone_from_constraints(laplacian_minor(g, vertex).matrix)
+    return SimplicialCone(laplacian_minor(g, vertex))
 
 
 LEAFED3 = minor_cone("leafed_cycle", 3)  # minored at the pendant leaf
 CYCLE3 = minor_cone("cycle", 3, vertex=0)
 
 
-class TestConeFromConstraints:
+class TestSimplicialCone:
     def test_leafed_cycle_three(self):
         assert LEAFED3.d == 3
         assert LEAFED3.R == IntegerMatrix([[3, 3, 3], [3, 5, 4], [3, 4, 5]])
@@ -71,15 +70,15 @@ class TestConeFromConstraints:
 
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrixError):
-            cone_from_constraints(IntegerMatrix([[1, 1], [1, 1]]))
+            SimplicialCone(IntegerMatrix([[1, 1], [1, 1]]))
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_rays_built_on_demand(self, data):
         # The cone holds d alone until R is read; R is then d * A^-1.
         g = random_connected_graph(data)
-        A = laplacian_minor(g, data.draw(st.integers(0, g.vertex_count - 1))).matrix
-        cone = cone_from_constraints(A)
+        A = laplacian_minor(g, data.draw(st.integers(0, g.vertex_count - 1)))
+        cone = SimplicialCone(A)
         assert cone._R is None
         d, R = adjugate_pair(A)
         assert (cone.d, cone.R) == (d, R)
@@ -89,14 +88,14 @@ class TestConeFromConstraints:
     def test_rays_checked_against_d(self):
         # R comes from a second, independent elimination, which must give
         # the d of the cone's own pass.
-        cone = cone_from_constraints(CYCLE3.A)
+        cone = SimplicialCone(CYCLE3.A)
         cone.d = 2
         with pytest.raises(ArithmeticError, match="^ray matrix has d = 3, the cone d = 2$"):
             cone.R
 
     def test_one_constructor(self):
-        # `SimplicialCone(A)` is the cone `cone_from_constraints` returns,
-        # and it refuses what that refuses, with the same messages.
+        # `SimplicialCone(A)` is the one way to build a cone: the same A
+        # gives the same cone, and its refusals keep their messages.
         for cone in (LEAFED3, CYCLE3, minor_cone("complete", 4)):
             built = SimplicialCone(cone.A)
             assert (built.A, built.d, built._upper, built.R) == (
@@ -118,7 +117,7 @@ class TestConeFromConstraints:
         ))
         A = IntegerMatrix(rows)
         assume(determinant(A) != 0)
-        cone = cone_from_constraints(A)
+        cone = SimplicialCone(A)
         weights = IntegerMatrix([[1, int(i == 0)] for i in range(n)])
         d, X = exact_linalg.scaled_solve(A.transpose(), weights)
         assert d == cone.d
@@ -222,7 +221,7 @@ class TestFppRandomGraphs:
     def test_digit_vectors(self, data):
         g = random_connected_graph(data)
         vertex = data.draw(st.integers(0, g.vertex_count - 1))
-        cone = cone_from_constraints(laplacian_minor(g, vertex).matrix)
+        cone = SimplicialCone(laplacian_minor(g, vertex))
         d, n = cone.d, cone.dimension
         assert d == spanning_tree_count_by_subsets(g)
         if d ** (n - 1) > 20000:
@@ -252,7 +251,7 @@ def flat_fpp(cone):
 
 
 def graph_cone(n, edges, vertex):
-    return cone_from_constraints(laplacian_minor(Graph(n, edges), vertex).matrix)
+    return SimplicialCone(laplacian_minor(Graph(n, edges), vertex))
 
 
 class TestLexWalk:
@@ -270,10 +269,10 @@ class TestLexWalk:
         # The 4-cycle: every level steps.
         (graph_cone(4, [(0, 1), (0, 3), (1, 2), (2, 3)], 1), [1, 2, 2]),
         # The first level takes a single digit.
-        (cone_from_constraints(IntegerMatrix([[3, 0, 0], [1, 1, 0], [2, 0, 1]])),
+        (SimplicialCone(IntegerMatrix([[3, 0, 0], [1, 1, 0], [2, 0, 1]])),
          [3, 1, 1]),
         # One dimension, d > 1.
-        (cone_from_constraints(IntegerMatrix([[-4]])), [4]),
+        (SimplicialCone(IntegerMatrix([[-4]])), [4]),
     ])
     def test_single_digit_levels(self, cone, diagonal):
         if diagonal is None:
@@ -288,7 +287,7 @@ class TestLexWalk:
     def test_random_graphs(self, data):
         g = random_connected_graph(data, max_vertices=6, min_extra=2)
         vertex = data.draw(st.integers(0, g.vertex_count - 1))
-        cone = cone_from_constraints(laplacian_minor(g, vertex).matrix)
+        cone = SimplicialCone(laplacian_minor(g, vertex))
         d, n = cone.d, cone.dimension
         if d ** (n - 1) > 20000:
             return
@@ -330,9 +329,9 @@ class TestLexWalk:
 
     @pytest.mark.parametrize("cone", [
         # d = 9, critical group (Z/3)^2: two levels of 3 digits in 9.
-        cone_from_constraints(laplacian_minor(parse_graph(
+        SimplicialCone(laplacian_minor(parse_graph(
             (Path(__file__).parent / "golden/graphs/bowtie_pendant.txt").read_text()),
-            5).matrix),
+            5)),
         # d = 7: the single-digit level is last.
         minor_cone("cycle", 7),
     ], ids=["bowtie_pendant", "cycle:7"])
@@ -361,7 +360,7 @@ class TestLexWalk:
                   for j in range(n)] for i in range(n)]
         upper = [[diag[i] if i == j else data.draw(entries) if j > i else 0
                   for j in range(n)] for i in range(n)]
-        cone = cone_from_constraints(IntegerMatrix(lower) @ IntegerMatrix(upper))
+        cone = SimplicialCone(IntegerMatrix(lower) @ IntegerMatrix(upper))
         assume(any(x < 0 for row in cone.R for x in row))
         h, u = cone_engine._column_hermite(cone.A)
         assert all(0 <= h[r][j] < h[r][r] for r in range(n) for j in range(r))
@@ -408,7 +407,7 @@ class TestSortedPoints:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cone_engine, "_BLOCK", block)
             for vertex in range(g.vertex_count):
-                cone = cone_from_constraints(laplacian_minor(g, vertex).matrix)
+                cone = SimplicialCone(laplacian_minor(g, vertex))
                 if cone.d ** (cone.dimension - 1) > 3000:
                     with pytest.raises(BudgetExceededError):
                         cone_engine._sorted_points(cone, 3000)
@@ -417,9 +416,9 @@ class TestSortedPoints:
 
     @pytest.mark.parametrize("cone,block", [
         # d = 9, critical group (Z/3)^2; 6,561 points.
-        *((cone_from_constraints(laplacian_minor(parse_graph(
+        *((SimplicialCone(laplacian_minor(parse_graph(
             (Path(__file__).parent / "golden/graphs/bowtie_pendant.txt").read_text()),
-            5).matrix), block) for block in (7, 64, 1024)),
+            5)), block) for block in (7, 64, 1024)),
         # d = 16, critical group (Z/4)^2; 256 points.
         *((minor_cone("complete", 4, vertex=1), block) for block in (1, 7, 64, 1024)),
     ])
@@ -432,7 +431,7 @@ class TestSortedPoints:
         # d = 2 and R = [[1, -(2**70 + 1)], [0, 2]]: the points are the
         # origin and (-2**69, 1), which sorts first, and coordinate 0 spans
         # 71 bits, so every field takes 9 bytes.
-        cone = cone_from_constraints(IntegerMatrix([[2, 2**70 + 1], [0, 1]]))
+        cone = SimplicialCone(IntegerMatrix([[2, 2**70 + 1], [0, 1]]))
         assert cone.R == IntegerMatrix([[1, -(2**70 + 1)], [0, 2]])
         assert assert_sorted_route(cone) == [[[-2**69, 0], [1, 0]]]
 
@@ -478,7 +477,7 @@ class TestByteFields:
     @pytest.mark.parametrize("k", [*BYTE_BOUNDARIES, *(-k for k in BYTE_BOUNDARIES)])
     def test_listings_across_byte_boundaries(self, k, block, monkeypatch):
         monkeypatch.setattr(cone_engine, "_BLOCK", block)
-        cone = cone_from_constraints(IntegerMatrix([[2, k], [0, 1]]))
+        cone = SimplicialCone(IntegerMatrix([[2, k], [0, 1]]))
         assert cone.R == IntegerMatrix([[1, -k], [0, 2]])
         points = fpp_points(cone)
         assert list(points) == flat_fpp(cone)
@@ -664,7 +663,7 @@ class TestSpecializedGf:
     def test_non_symmetric_cones(self, rows, d):
         # Every Laplacian minor is symmetric, so only a cone like these
         # tells the kept pass over A^T from one over A.
-        cone = cone_from_constraints(IntegerMatrix(rows))
+        cone = SimplicialCone(IntegerMatrix(rows))
         assert cone.d == d
         for mode in ("total", "first_coordinate"):
             assert isinstance(assert_routes_agree(cone, mode), UnivariateRationalGF)
@@ -677,7 +676,7 @@ class TestSpecializedGf:
         # gives (d / |det A|) * R^T * W, whose remainders these cones show
         # unless |det A| divides d; then the DP reads R, whose own
         # elimination disagrees on d.
-        cone = cone_from_constraints(A)
+        cone = SimplicialCone(A)
         cone.d = d
         det = abs(determinant(A))
         message = (f"^ray matrix has d = {det}, the cone d = {d}$" if d % det == 0
@@ -692,7 +691,7 @@ class TestSpecializedGf:
         ([[1, 0], [1, 2]], "first_coordinate", "non-positive exponent"),
     ])
     def test_same_value_errors(self, rows, mode, message):
-        cone = cone_from_constraints(IntegerMatrix(rows))
+        cone = SimplicialCone(IntegerMatrix(rows))
         name, text, _ = assert_routes_agree(cone, mode)
         assert name == "ValueError" and message in text
 
@@ -711,7 +710,7 @@ class TestSpecializedGf:
         w = cone_engine._mode_weights(mode, 2)
         s = [sum(map(mul, w, col)) for col in adjugate_pair(A)[1].transpose()]
         assert min(s) <= 0 and (min(s) < 0) == negative
-        cone = cone_from_constraints(A)
+        cone = SimplicialCone(A)
 
         def no_dp(R, d, s):
             raise AssertionError("the DP ran")
@@ -738,14 +737,14 @@ class TestSpecializedGf:
         mode = data.draw(MODES)
         w = cone_engine._mode_weights(mode, n)
         s = [sum(map(mul, w, col)) for col in adjugate_pair(A)[1].transpose()]
-        result = assert_routes_agree(cone_from_constraints(A), mode)
+        result = assert_routes_agree(SimplicialCone(A), mode)
         if min(s) > 0:
             assert isinstance(result, UnivariateRationalGF)
         else:
             assert result == ("ValueError", RAY_REFUSAL, None)
 
     def test_budget_refusal_comes_before_ray_check(self):
-        cone = cone_from_constraints(IntegerMatrix([[2, 1], [1, -1]]))
+        cone = SimplicialCone(IntegerMatrix([[2, 1], [1, -1]]))
         refusal = assert_routes_agree(cone, "total", budget=2)
         assert refusal[0] == "BudgetExceededError" and refusal[2] == 3
 
@@ -767,7 +766,7 @@ class TestSpecializedGf:
         # digit vectors into more (9) or fewer (1) classes than d = 3.  The
         # ray exponents come from the kept pass, so the DP runs on it.
         for rays in (IntegerMatrix.identity(2), IntegerMatrix([[3, 0], [0, 3]])):
-            cone = cone_from_constraints(CYCLE3.A)
+            cone = SimplicialCone(CYCLE3.A)
             cone._R = rays
             with pytest.raises(ArithmeticError, match="d = 3 classes"):
                 specialized_gf(cone, "total")
@@ -786,7 +785,7 @@ class TestSpecializedGf:
             g = parse_graph((Path(__file__).parent / f"golden/graphs/{source}.txt").read_text())
         walked = {}
         for v in range(g.vertex_count):
-            cone = cone_from_constraints(laplacian_minor(g, v).matrix)
+            cone = SimplicialCone(laplacian_minor(g, v))
             key = tuple(map(tuple, cone.A))
             if key not in walked:
                 walked[key] = walk_gfs(cone)
@@ -796,7 +795,7 @@ class TestSpecializedGf:
     def test_diagonal_cone_against_the_walk(self):
         # diag(400, 1): one column of order d and one of order 1, whose
         # first-coordinate weight is 0.
-        cone = cone_from_constraints(IntegerMatrix([[400, 0], [0, 1]]))
+        cone = SimplicialCone(IntegerMatrix([[400, 0], [0, 1]]))
         for mode, expected in walk_gfs(cone).items():
             assert outcome(lambda: specialized_gf(cone, mode)) == expected
         assert specialized_gf(cone, "total").numerator == (1,) * 400
@@ -806,7 +805,7 @@ class TestSpecializedGf:
     def test_random_graphs(self, data):
         g = random_connected_graph(data)
         vertex = data.draw(st.integers(0, g.vertex_count - 1))
-        cone = cone_from_constraints(laplacian_minor(g, vertex).matrix)
+        cone = SimplicialCone(laplacian_minor(g, vertex))
         # Cones with more than 20000 parallelepiped points are refused by
         # both routes alike, before any walking.
         assert_routes_agree(cone, data.draw(MODES), budget=20000)
@@ -821,7 +820,7 @@ class TestSpecializedGf:
         ))
         A = IntegerMatrix(rows)
         assume(determinant(A) != 0)
-        assert_routes_agree(cone_from_constraints(A), data.draw(MODES))
+        assert_routes_agree(SimplicialCone(A), data.draw(MODES))
 
 
 @st.composite
@@ -854,7 +853,7 @@ class TestRayExponents:
     def test_both_columns_of_the_kept_pass(self, rows):
         # The columns `_back_substitute` gives on the same pass, and
         # s = w^T R of each mode from the adjugate's own elimination.
-        cone = cone_from_constraints(IntegerMatrix(rows))
+        cone = SimplicialCone(IntegerMatrix(rows))
         X = exact_linalg._back_substitute(cone._upper, cone.d, cone.dimension)
         total, first = cone_engine._ray_exponents(cone)
         assert (total, first) == ([x[0] for x in X], [x[1] for x in X])
@@ -867,7 +866,7 @@ class TestRayExponents:
         # One divmod per column for each kept row whose pivot is not 1,
         # the total column first; a remainder reported by any one of them,
         # in either column, is refused.
-        cone = cone_from_constraints(IntegerMatrix(rows))
+        cone = SimplicialCone(IntegerMatrix(rows))
         calls = []
 
         def counted(a, b):
@@ -950,7 +949,7 @@ class TestNumerator:
         ))
         A = IntegerMatrix(rows)
         assume(0 < abs(determinant(A)) <= 30)
-        cone = cone_from_constraints(A)
+        cone = SimplicialCone(A)
         d = cone.d
         # Positive weights: any at all, or an integer form u^T R plus
         # multiples of d, which leave every s.c/d integral.  Off the row
@@ -976,8 +975,8 @@ class TestNumerator:
         # The DP's list is the numerator `specialized_gf` stores, d = 1
         # included, whenever the rays admit a gf.
         g = random_connected_graph(data, min_extra=2)
-        cone = cone_from_constraints(
-            laplacian_minor(g, data.draw(st.integers(0, g.vertex_count - 1))).matrix)
+        cone = SimplicialCone(
+            laplacian_minor(g, data.draw(st.integers(0, g.vertex_count - 1))))
         mode = data.draw(MODES)
         w = cone_engine._mode_weights(mode, cone.dimension)
         s = [sum(map(mul, w, col)) for col in cone.rays()]
@@ -993,8 +992,8 @@ class TestNumerator:
         # gcd(s) divides every entry of d*w and so d: no caller's slots
         # could be packed closer by a common factor of s.
         g = random_connected_graph(data)
-        cone = cone_from_constraints(
-            laplacian_minor(g, data.draw(st.integers(0, g.vertex_count - 1))).matrix)
+        cone = SimplicialCone(
+            laplacian_minor(g, data.draw(st.integers(0, g.vertex_count - 1))))
         for mode in ("total", "first_coordinate"):
             w = cone_engine._mode_weights(mode, cone.dimension)
             s = [sum(map(mul, w, col)) for col in cone.rays()]
@@ -1180,8 +1179,8 @@ class TestAgainstTheBoxScan:
         # Two extra edges or more where they fit, so that non-cyclic
         # critical groups, where the DP splits its columns, are drawn too.
         g = random_connected_graph(data, max_vertices=7, min_extra=2)
-        cone = cone_from_constraints(
-            laplacian_minor(g, data.draw(st.integers(0, g.vertex_count - 1))).matrix)
+        cone = SimplicialCone(
+            laplacian_minor(g, data.draw(st.integers(0, g.vertex_count - 1))))
         for mode in ("total", "first_coordinate"):
             try:
                 series = series_expand(specialized_gf(cone, mode, budget=20000), 6)

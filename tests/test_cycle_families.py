@@ -8,9 +8,10 @@ import pytest
 
 from lapcomp import (
     BudgetExceededError,
+    IntegerMatrix,
     IntegerPointTransform,
+    SimplicialCone,
     adjugate_pair,
-    cone_from_constraints,
     cycle_graph,
     fpp_points,
     integer_point_transform,
@@ -34,7 +35,7 @@ from oracles import (
 
 def family_cone(n, leafed):
     """The leafed n-cycle minored at its leaf, or the n-cycle at n-1."""
-    return cone_from_constraints(family_minor(n, leafed).matrix)
+    return SimplicialCone(family_minor(n, leafed))
 
 
 def brute_solutions(n, leafed):
@@ -58,12 +59,12 @@ class TestClosedInverses:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_cycle_matches_algebra(self, n):
         minor = laplacian_minor(cycle_graph(n), n - 1)
-        assert adjugate_pair(minor.matrix) == (n, cycle_inverse_closed(n))
+        assert adjugate_pair(minor) == (n, cycle_inverse_closed(n))
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_leafed_matches_algebra(self, n):
         minor = laplacian_minor(leafed_cycle_graph(n), n)
-        assert adjugate_pair(minor.matrix) == (n, leafed_inverse_closed(n))
+        assert adjugate_pair(minor) == (n, leafed_inverse_closed(n))
 
     def test_leafed_border_is_all_n(self):
         m = leafed_inverse_closed(6)
@@ -162,7 +163,7 @@ class TestPhiHistograms:
     # Every n the CLI's slices reach: they read L from this pair alone.
     @pytest.mark.parametrize("n", range(3, 33))
     def test_minor_pair_is_the_graph_minor(self, n):
-        minor = laplacian_minor(leafed_cycle_graph(n), n).matrix
+        minor = laplacian_minor(leafed_cycle_graph(n), n)
         L, r = cycle_families._leafed_minor_pair(n)
         assert L == minor
         assert adjugate_pair(minor) == (n, r)
@@ -171,12 +172,25 @@ class TestPhiHistograms:
         with pytest.raises(ValueError, match="n >= 2"):
             leafed_gf(1)
 
+    def test_top_row_checked_with_the_pair(self, monkeypatch):
+        # The gf passes the weights (n, ..., n) to the DP on the strength of
+        # R's top row, so the pair itself refuses any other top row.
+        def corrupt(minor):
+            d, r = adjugate_pair(minor)
+            rows = r.to_lists()
+            rows[0][-1] += 1
+            return d, IntegerMatrix(rows)
+
+        monkeypatch.setattr(cycle_families, "adjugate_pair", corrupt)
+        with pytest.raises(ArithmeticError,
+                           match="^top row of the scaled inverse is not constant n$"):
+            leafed_gf(5)
+
 
 class TestGeneratingFunctions:
     @pytest.mark.parametrize("n", range(3, 7))
     def test_leafed_gf_matches_parallelepiped_route(self, n):
-        minor = laplacian_minor(leafed_cycle_graph(n), n)
-        cone = cone_from_constraints(minor.matrix)
+        cone = SimplicialCone(laplacian_minor(leafed_cycle_graph(n), n))
         via_fpp = specialize(integer_point_transform(cone), "first_coordinate")
         assert leafed_gf(n) == via_fpp
 

@@ -183,6 +183,14 @@ class TestInteriorPoint:
         for n in range(3, 9):
             assert interior_point(n)[0] == n
 
+    def test_past_the_graph_limit(self):
+        # The leafed 65-cycle has 66 vertices, more than `Graph` takes; its
+        # slice comes from the leafed minor pair alone, so both answer.
+        with pytest.raises(graph_core.GraphError, match="^graph has 66 vertices"):
+            graph_core.leafed_cycle_graph(65)
+        assert interior_point(65) == (65, *(65 + i * (65 - i) // 2 for i in range(1, 65)))
+        assert reflexivity_by_halfspaces(65).reason == "certified"
+
 
 class TestHalfspaceReflexivity:
     def test_three_certified(self):

@@ -438,7 +438,7 @@ def relabelled_minor(draw):
         edges |= set(draw(st.lists(st.sampled_from(extra), unique=True))) if extra else set()
     label = draw(st.permutations(range(n)))
     g = Graph(n, [(label[u], label[v]) for u, v in sorted(edges)])
-    return laplacian_minor(g, draw(st.integers(0, n - 1))).matrix.to_lists()
+    return laplacian_minor(g, draw(st.integers(0, n - 1))).to_lists()
 
 
 class TestAgainstGaussJordan:
@@ -502,7 +502,7 @@ class TestTreePivots:
         n = data.draw(st.integers(30, 60))
         label = data.draw(st.permutations(range(n)))
         edges = [(label[data.draw(st.integers(0, v - 1))], label[v]) for v in range(1, n)]
-        A = laplacian_minor(Graph(n, edges), data.draw(st.integers(0, n - 1))).matrix
+        A = laplacian_minor(Graph(n, edges), data.draw(st.integers(0, n - 1)))
         At = A.transpose()
         D, upper = exact_linalg._eliminate(
             [list(r) + [1, int(i == 0)] for i, r in enumerate(At)], n - 1)

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -14,10 +15,10 @@ from lapcomp import (
     IntegerMatrix,
     build_family,
     complete_graph,
-    graph_core,
     cycle_graph,
     determinant,
     family_from_string,
+    graph_core,
     incidence_matrix,
     incidence_subminor,
     kary_tree,
@@ -104,16 +105,14 @@ class TestFamilies:
     def test_leafed_cycle(self):
         g = leafed_cycle_graph(4)
         assert g.vertex_count == 5
-        assert sorted(g.degrees()) == [1, 2, 2, 2, 3]
-        assert g.degree(0) == 3
+        assert g.degrees() == [3, 2, 2, 2, 1]
 
     def test_kary_tree_shape(self):
         g = kary_tree(2, 3)
         # pendant leaf + root + 2 + 4 internal levels
         assert g.vertex_count == 1 + 1 + 2 + 4
         assert g.is_tree()
-        assert g.degree(0) == 1
-        assert g.degree(1) == 3
+        assert g.degrees()[:2] == [1, 3]
 
     def test_kary_down_to_a_path(self):
         assert kary_tree(1, 3) == path_graph(4)
@@ -134,6 +133,31 @@ class TestFamilies:
                 build(bad)
         with pytest.raises(GraphError):
             kary_tree(0, 2)
+
+    # A refusal takes bounded time whatever the parameters: no builder makes
+    # an edge, and `kary_tree` no level count, before `Graph` refuses; a
+    # count of more than 4,300 digits is named by its bound, not written.
+    @pytest.mark.parametrize("build, params, count", [
+        (path_graph, (10**6,), "1000000"),
+        (cycle_graph, (10**6,), "1000000"),
+        (leafed_cycle_graph, (64,), "65"),
+        (leafed_cycle_graph, (10**6,), "1000001"),
+        (complete_graph, (10**5,), "100000"),
+        (kary_tree, (2, 7), "128"),
+        (kary_tree, (2, 14284), str(2**14284)),
+        (kary_tree, (2, 14285), "at least 10**4300"),
+        (kary_tree, (2, 20000), "at least 10**4300"),
+        (kary_tree, (2, 200000), "at least 10**4300"),
+        (kary_tree, (3, 10**18), "at least 10**4300"),
+        (kary_tree, (1, 10**5000), "at least 10**4300"),
+        (Graph, (10**5000, ()), "at least 10**4300"),
+    ])
+    def test_oversized_refused_in_bounded_time(self, build, params, count):
+        start = time.perf_counter()
+        with pytest.raises(GraphError) as refusal:
+            build(*params)
+        assert time.perf_counter() - start < 0.1
+        assert str(refusal.value) == f"graph has {count} vertices; limit is 64"
 
     def test_build_family(self):
         assert build_family("cycle", 5) == cycle_graph(5)
@@ -174,8 +198,8 @@ class TestLaplacian:
         assert lap == lap.transpose()
         for row in lap:
             assert sum(row) == 0
-        for v in range(g.vertex_count):
-            assert lap[v, v] == g.degree(v)
+        for v, degree in enumerate(g.degrees()):
+            assert lap[v, v] == degree
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -194,13 +218,9 @@ class TestLaplacian:
 class TestMinors:
     def test_minor_drops_row_and_column(self):
         g = leafed_cycle_graph(3)
-        m = laplacian_minor(g, 3)
-        assert m.matrix == IntegerMatrix(
+        assert laplacian_minor(g, 3) == IntegerMatrix(
             [[3, -1, -1], [-1, 2, -1], [-1, -1, 2]]
         )
-        assert m.minored_vertex == 3
-        assert m.vertices == (0, 1, 2)
-        assert m.source_graph is g
 
     def test_out_of_range_vertex(self):
         with pytest.raises(GraphError):
@@ -217,13 +237,10 @@ class TestMinors:
     def test_minor_is_the_laplacian_without_row_and_column(self, data):
         g = random_connected_graph(data, max_vertices=8)
         lap = laplacian(g).to_lists()
-        n = g.vertex_count
         # Every vertex, the first and the last included.
-        for i in range(n):
-            minor = laplacian_minor(g, i)
-            assert minor.matrix.to_lists() == [
+        for i in range(g.vertex_count):
+            assert laplacian_minor(g, i).to_lists() == [
                 row[:i] + row[i + 1:] for r, row in enumerate(lap) if r != i]
-            assert minor.vertices == tuple(v for v in range(n) if v != i)
 
     def test_minor_builds_one_matrix(self, monkeypatch):
         built = []
@@ -241,14 +258,14 @@ class TestMinors:
         monkeypatch.setattr(graph_core, "IntegerMatrix", Counted)
         monkeypatch.setattr(graph_core, "laplacian", refuse)
         minor = laplacian_minor(kary_tree(2, 3), 4)
-        assert built == [minor.matrix]
+        assert built == [minor]
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_minor_determinant_independent_of_vertex(self, data):
         g = random_connected_graph(data)
         dets = {
-            determinant(laplacian_minor(g, i).matrix)
+            determinant(laplacian_minor(g, i))
             for i in range(g.vertex_count)
         }
         assert len(dets) == 1
@@ -259,12 +276,12 @@ class TestMinors:
         g = random_connected_graph(data)
         for i in range(g.vertex_count):
             sub = incidence_subminor(g, i)
-            assert sub @ sub.transpose() == laplacian_minor(g, i).matrix
+            assert sub @ sub.transpose() == laplacian_minor(g, i)
 
 
 def matrix_tree(g):
     """Kirchhoff's spanning-tree count: the determinant of a Laplacian minor."""
-    return determinant(laplacian_minor(g, 0).matrix)
+    return determinant(laplacian_minor(g, 0))
 
 
 class TestSpanningTreeCount:

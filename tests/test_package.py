@@ -14,8 +14,11 @@ ORACLE_NAMES = (
 # Names and parameters that no module, command or acceptance test used,
 # deleted from the library.  The spanning-tree count is the determinant of
 # any Laplacian minor, and tests/oracles.py keeps `normalized_volume`.
-REMOVED_NAMES = ("spanning_tree_count",)
+# A Laplacian minor is its `IntegerMatrix`, a cone is `SimplicialCone(A)`,
+# and `Graph.degrees()` gives every degree at once.
+REMOVED_NAMES = ("spanning_tree_count", "LaplacianMinor", "cone_from_constraints")
 REMOVED_ATTRIBUTES = (
+    ("Graph", "degree"),
     ("IntegerPointTransform", "from_json_dict"),
     ("LatticeSimplex", "normalized_volume"),
     ("IntegerMatrix", "zeros"),
