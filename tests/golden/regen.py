@@ -234,6 +234,13 @@ def calls():
         yield ["fpp", "--family", "cycle:5"], {"LAPCOMP_BUDGET": budget}
         yield ["gf", "--family", "cycle:5", "--spec", "total"], {"LAPCOMP_BUDGET": budget}
     yield ["fpp", "--family", "cycle:5", "--budget", "625"], {"LAPCOMP_BUDGET": "5"}
+    # Integers of more than the 4,300 digits that int() reads from a str by
+    # default, and a budget of exactly 4,300.
+    for nines in ("9" * 4300, "9" * 5000):
+        yield ["fpp", "--family", "cycle:5", "--budget", nines], {}
+        yield ["fpp", "--family", "cycle:5"], {"LAPCOMP_BUDGET": nines}
+    yield ["tree-inverse", "--family", "path:" + "9" * 5000], {}
+    yield ["ehrhart", "9" * 5000], {}
     for argv, required in boundary_calls():
         for budget in (required, required - 1):
             for fmt in formats:
