@@ -40,8 +40,13 @@ minored anywhere) then has num = 1 and needs no second elimination.  For
 d > 1, a point's exponent is linear in its digits, so a DP over the d
 classes of the critical group Z^n / A*Z^n counts them instead of walking
 them.  Its slots are exponents, and it runs each column's digits only up
-to that column's order in the group, then multiplies the rest in as a
-geometric factor.  Prefer it to `specialize(integer_point_transform(...))`
+to that column's order o_j in the group, then multiplies the rest in as a
+geometric factor.  A column costs o_j shifted adds per class when o_j is
+at most 8 and about five big-int operations per class, by prefix sums
+over the cycles of the class permutation, when it is longer; a geometric
+factor of m terms costs O(log m) shifted adds inside the packed int.  Its
+counts are certified by their mass and their first moment, which A alone
+gives.  Prefer it to `specialize(integer_point_transform(...))`
 unless the points or the multivariate transform are needed too.  The one
 box scan, independent of both, backs `brute_force_count` and slice
 dilates.
@@ -491,6 +496,10 @@ def _byte_width(span: int) -> int:
     return next((w for w in (1, 2, 4, 8) if bits <= 8 * w), -(-bits // 8))
 
 
+# The memoryview format of a native unsigned field of each `_byte_width` up to 8.
+_CASTS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
 def _unpack(keys: list[int], w: int, lo: Sequence[int], offset: int) -> list[list[int]]:
     """The columns of a block of keys with len(lo) fields of w bytes each,
     field 0 highest: key + offset holds value - lo[i] in field i.
@@ -510,7 +519,7 @@ def _unpack(keys: list[int], w: int, lo: Sequence[int], offset: int) -> list[lis
         cols = [[int.from_bytes(raw[p:p + w], order) for p in range(i * w, len(raw), w * m)]
                 for i in index]
     else:
-        view = memoryview(raw).cast({1: "B", 2: "H", 4: "I", 8: "Q"}[w])
+        view = memoryview(raw).cast(_CASTS[w])
         cols = [view[i::m].tolist() for i in index]
     return [list(map(low.__add__, col)) if low else col for col, low in zip(cols, lo)]
 
@@ -693,12 +702,12 @@ def specialize(ipt: IntegerPointTransform,
     return UnivariateRationalGF(coeffs, factors)
 
 
-def _numerator(R: IntegerMatrix, d: int, s: Sequence[int]) -> list[int]:
+def _numerator(A: IntegerMatrix, R: IntegerMatrix, d: int, s: Sequence[int]) -> list[int]:
     """The numerator of the specialized gf whose ray exponents s are all
     positive: coefficient e counts the parallelepiped's digit vectors c,
     the c in {0..d-1}^n with R*c = 0 (mod d), of exponent s.c/d = e.  It
     is the dense list that `UnivariateRationalGF` stores, found by a DP
-    over the coordinates.
+    over the coordinates; R = d*A^-1.
 
     The residues R*c mod d form a group of order d (Z^n / A*Z^n, the
     critical group of a Laplacian minor), numbered by closure from 0 under
@@ -706,27 +715,41 @@ def _numerator(R: IntegerMatrix, d: int, s: Sequence[int]) -> list[int]:
     (mod d).  So r = s.c mod d must be a function of the class: r_0 = 0,
     and r_t = r_k + s_j (mod d) on every closure edge k -> t of column j,
     or some point is not integral.  Per class the DP keeps the histogram
-    of floor(s.c/d) in its slots, packed into one int with bits enough
-    that no slot carries, so slot e of class 0 is exponent e.
+    of floor(s.c/d) in its slots, packed into one int with slots of
+    `_byte_width(d**(n-1))` bytes, so slot e of class 0 is exponent e.  No
+    slot carries: the prefixes c_0..c_j with c_i < o_i that reach one
+    class number at most d**(n-1) (at j = n-1 the classes split
+    prod(o_i) <= d**n evenly), and each partial product below counts no
+    more than the final coefficient, at most the mass d**(n-1).
 
     Column j's class has order o_j = d / gcd(d, column j of R), known
     before the closure, so the class of c depends on c_j mod o_j only:
     digit c_j + o_j reaches the class of c_j again, e = s_j*o_j/d slots
-    on.  The DP runs the digits below o_j, sum_j d*o_j shifted adds in
-    all, and then multiplies class 0 by (1 - Q^(e*m)) / (1 - Q^e),
-    m = d/o_j, for each column: by 1 - Q^(e*m), then `_times_geometric`,
-    in time linear in its length.  The counts
-    must sum to d**(n-1), the digit vectors' number, which a weight of 0
-    would break.
+    on.  The DP runs the digits below o_j.  Adding column j permutes the
+    classes in d/o_j cycles of length o_j; a column of order at most
+    `_LOOP_ORDER` takes o_j shifted adds per class, a longer one about
+    five big-int operations per class by `_cycle_step`.  Then class 0 is
+    multiplied by 1 + Q^e + ... + Q^(e*(m-1)), m = d/o_j, for each column,
+    inside the packed int by `_times_packed_geometric` in O(log m)
+    shifted adds, and its slots are read by one memoryview cast.
+
+    Two certificates check the counts.  They sum to d**(n-1), the digit
+    vectors' number.  And c_j is uniform on the multiples of
+    g_j = gcd(d, row j of A) below d, since the valid c are a subgroup of
+    (Z/d)^n (the column lattice of A mod d), so the first moment
+    sum_e e*N_e is d**(n-2) * sum_j s_j*(d - g_j) / 2, computed from A and
+    s alone.  A weight s_j <= 0 is refused before the DP: its geometric
+    factor would pile the whole mass on q^0 and pass the mass certificate.
     """
     n = len(s)
-    orders = [d // math.gcd(d, *R.column(j)) for j in range(n)]
+    columns = list(zip(*R))
+    orders = [d // math.gcd(d, *col) for col in columns]
     # A residue vector is one int, coordinate i in field i of b + 1 bits,
     # 2**b > d.  A sum of two has each field below 2*d, and adding 2**b - d
     # to every field sets the top bit of those that d must come off.
     b = d.bit_length()
     fields = range(0, n * (b + 1), b + 1)
-    cols = [sum(x % d << f for x, f in zip(R.column(j), fields)) for j in range(n)]
+    cols = [sum(x % d << f for x, f in zip(col, fields)) for col in columns]
     top = sum(1 << b << f for f in fields)
     lift = sum((1 << b) - d << f for f in fields)
     classes, index, via = [0], {0: 0}, [None]
@@ -750,8 +773,10 @@ def _numerator(R: IntegerMatrix, d: int, s: Sequence[int]) -> list[int]:
     for weight, nxt in zip(s, step):
         if [r[t] for t in nxt] != [(x + weight) % d for x in r]:
             raise ArithmeticError("parallelepiped point not integral")
-    # Whole bytes per slot, for the read-out; no slot counts past prod(orders).
-    width = (math.prod(orders).bit_length() + 7) // 8
+    if min(s) <= 0:
+        raise ArithmeticError("digit DP needs positive ray exponents")
+    mass = d ** (n - 1)
+    width = _byte_width(mass)
     bits = 8 * width
     hist = [1] + [0] * (d - 1)
     for weight, nxt, o in zip(s, step, orders):
@@ -759,26 +784,98 @@ def _numerator(R: IntegerMatrix, d: int, s: Sequence[int]) -> list[int]:
         # grows by moves[t] >= 0 from class t to nxt[t].
         moves = [(r[t] + weight - r[nxt[t]]) // d * bits for t in range(d)]
         new = [0] * d
-        for k, packed in enumerate(hist):
-            if packed:
-                t, shift = k, 0
-                for _ in range(o):
-                    new[t] += packed << shift
-                    shift += moves[t]
-                    t = nxt[t]
+        if o > _LOOP_ORDER:
+            _cycle_step(hist, new, nxt, moves)
+        else:
+            for k, packed in enumerate(hist):
+                if packed:
+                    t, shift = k, 0
+                    for _ in range(o):
+                        new[t] += packed << shift
+                        shift += moves[t]
+                        t = nxt[t]
         hist = new
-    raw = hist[0].to_bytes((hist[0].bit_length() + 7) // 8, "little")
-    coeffs = [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+    packed = hist[0]
     for weight, o in zip(s, orders):
-        e, m = weight * o // d, d // o
-        if m > 1:
-            coeffs += [0] * (e * (m - 1))
-            coeffs[e * m:] = [a - c for a, c in zip(coeffs[e * m:], coeffs)]
-            _times_geometric(coeffs, e)
-    if sum(coeffs) != d ** (n - 1):
+        if o < d:
+            packed = _times_packed_geometric(packed, weight * o // d * bits, d // o)
+    order = sys.byteorder
+    raw = packed.to_bytes(-(-packed.bit_length() // bits) * width, order)
+    if width > 8:
+        coeffs = [int.from_bytes(raw[i:i + width], order) for i in range(0, len(raw), width)]
+    else:
+        coeffs = memoryview(raw).cast(_CASTS[width]).tolist()
+    if order == "big":
+        coeffs.reverse()
+    if sum(coeffs) != mass:
         raise ArithmeticError(
-            f"numerator counts {sum(coeffs)} digit vectors, not d**(n-1) = {d ** (n - 1)}")
+            f"numerator counts {sum(coeffs)} digit vectors, not d**(n-1) = {mass}")
+    # sum_e e*N_e: each of the len(coeffs) prefix sums misses the N_e above it.
+    moment = len(coeffs) * mass - sum(accumulate(coeffs))
+    # g_j = gcd(d, row j of A); a row with an entry -1, as in a Laplacian
+    # minor at any vertex with another neighbor, has g_j = 1.
+    gcds = [1 if -1 in row else math.gcd(d, *row) for row in A]
+    spread = mass * (d * sum(s) - sum(map(mul, s, gcds)))
+    if 2 * d * moment != spread:
+        raise ArithmeticError(f"numerator has first moment {moment}, not the "
+                              f"{spread}/{2 * d} that the digit gcds of A give")
     return coeffs
+
+
+# Columns whose order in the critical group is at most this take the DP's
+# per-class loop of o_j shifted adds; longer ones the prefix sums of
+# `_cycle_step`, whose five or so big-int operations per class cost more
+# than a short loop.
+_LOOP_ORDER = 8
+
+
+def _cycle_step(hist: list[int], new: list[int], nxt: list[int], moves: list[int]) -> None:
+    """One column of `_numerator`'s DP by prefix sums over each cycle of
+    the class permutation `nxt`, whose cycles have the column's order o:
+    new[t] sums hist[k] shifted by the moves along the c steps from k to
+    t = nxt^c(k), over the classes k and digits c < o that reach t.
+
+    On a cycle t_0..t_{o-1}, P_i sums the moves from t_0 to t_i, and P_o,
+    the whole cycle's, is e slots.  With H_i = hist[t_i] << (P_o - P_i) and
+    A_m = H_0 + ... + H_m, class t_m gains (A_m << P_m) >> P_o from the
+    classes up to it, a right shift that is exact since P_m >= P_i for
+    i <= m, and (A_{o-1} - A_m) << P_m from the classes past it, which
+    wrap around the cycle.
+
+    A cycle is started at a class with a count, and its classes in hist
+    are emptied once read: so each cycle runs once, a cycle of empty
+    classes never, and no class holds its old and new histograms at once.
+    """
+    for k in range(len(hist)):
+        if not hist[k]:
+            continue
+        cycle, t = [k], nxt[k]
+        while t != k:
+            cycle.append(t)
+            t = nxt[t]
+        counts = [hist[t] for t in cycle]
+        for t in cycle:
+            hist[t] = 0
+        P = list(accumulate([moves[t] for t in cycle], initial=0))
+        total = P.pop()
+        sums = list(accumulate(map(lshift, counts, map(total.__sub__, P))))
+        del counts
+        last = sums[-1]
+        for t, a, p in zip(cycle, sums, P):
+            new[t] = ((a << p) >> total) + ((last - a) << p)
+
+
+def _times_packed_geometric(x: int, shift: int, m: int) -> int:
+    """x * (1 + Q + ... + Q^(m-1)) for Q = 2**shift, by binary doubling over
+    the bits of m: G_2k = G_k * (1 + Q^k) and G_(2k+1) = 1 + Q * G_2k."""
+    y, k = x, 1
+    for bit in bin(m)[3:]:
+        y += y << (k * shift)
+        k *= 2
+        if bit == "1":
+            y = x + (y << shift)
+            k += 1
+    return y
 
 
 def _ray_exponents(cone: SimplicialCone) -> tuple[list[int], list[int]]:
@@ -826,7 +923,7 @@ def specialized_gf(cone: SimplicialCone, mode: Literal["total", "first_coordinat
         _charge_points(cone, budget)
     s = _ray_exponents(cone)[_MODES.index(mode)]
     factors = _ray_factors(s)
-    return UnivariateRationalGF(_numerator(cone.R, d, s) if d > 1 else [1], factors)
+    return UnivariateRationalGF(_numerator(cone.A, cone.R, d, s) if d > 1 else [1], factors)
 
 
 def series_expand(gf: UnivariateRationalGF, order: int) -> list[int]:

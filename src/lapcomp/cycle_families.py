@@ -46,5 +46,5 @@ def leafed_gf(n: int) -> UnivariateRationalGF:
     (sum_{c in S_n} q^{digit sum of c}) / (1 - q^n)^n."""
     if n < 2:
         raise ValueError("leafed gf needs n >= 2")
-    _, r = _leafed_minor_pair(n)
-    return UnivariateRationalGF(_numerator(r, n, [n] * n), [(n, n)])
+    minor, r = _leafed_minor_pair(n)
+    return UnivariateRationalGF(_numerator(minor, r, n, [n] * n), [(n, n)])

@@ -124,7 +124,7 @@ def build_slice_simplex(n: int) -> LatticeSimplex:
     points with n | phi, which lie on slice dilates at height phi/n.
     """
     simplex, r = _leafed_slice(n)
-    simplex._strata = list(enumerate(_numerator(r, n, [n] * n)[::n]))
+    simplex._strata = list(enumerate(_numerator(simplex._minor, r, n, [n] * n)[::n]))
     return simplex
 
 

@@ -37,17 +37,22 @@ __all__ = [
 
 # Beyond this size the lattice-point machinery is infeasible anyway.
 MAX_VERTICES = 64
-# A refused vertex count is written out only below 10**4300, so with at most
-# the 4,300 digits that Python's int-to-str conversion writes by default; a
-# larger one is named by this bound, so no refusal formats a huge count.
-_UNWRITTEN = 10**4300
+# Python's int and str convert at most this many digits by default.  A
+# refused vertex count is written out only below 10**4300, so with at most
+# that many digits; a larger one is named by this bound, so no refusal
+# formats a huge count.  No text of more digits is read as an integer.
+_MAX_DIGITS = 4300
+_UNWRITTEN = 10**_MAX_DIGITS
 
 
 def _is_decimal(text) -> bool:
     """Whether `text` is the package's one spelling of an integer: a str
-    matching -?[0-9]+, so "1_0", " 3", "+5" and non-ASCII digits are not."""
-    return (isinstance(text, str) and text.isascii()
-            and text.removeprefix("-").isdigit())
+    matching -?[0-9]{1,4300}, so "1_0", " 3", "+5", non-ASCII digits and
+    more digits than int() reads by default are not."""
+    if not isinstance(text, str):
+        return False
+    digits = text.removeprefix("-")
+    return digits.isascii() and digits.isdigit() and len(digits) <= _MAX_DIGITS
 
 
 class GraphError(ValueError):
@@ -316,9 +321,11 @@ def parse_graph(text: str) -> Graph:
         if len(tokens) != 2:
             raise GraphError(f"line {lineno}: expected 'u v', got {line.strip()!r}")
         u, v = tokens
-        # A sign or any character but an ASCII digit needs `_is_decimal`.
+        # A sign, any character but an ASCII digit, or a long label needs
+        # `_is_decimal`.
         uv = u + v
-        if not (uv.isdigit() and uv.isascii() or _is_decimal(u) and _is_decimal(v)):
+        if not (uv.isdigit() and uv.isascii() and len(uv) <= _MAX_DIGITS
+                or _is_decimal(u) and _is_decimal(v)):
             raise GraphError(f"line {lineno}: non-integer vertex label in {line.strip()!r}")
         edges.append((int(u), int(v)))
     if count is None:

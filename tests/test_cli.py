@@ -437,6 +437,9 @@ def expected_stdout(text, payload, as_json):
 CHORDED_CYCLE = "5\n0 1\n1 2\n2 3\n3 4\n4 0\n1 3\n"
 STREAMED_FAMILIES = ["cycle:5", "leafed_cycle:4", "complete:4", "kary:2,2"]
 SPECS = [("total", "total"), ("first", "first_coordinate")]
+# An integer of more digits than int() reads from a str by default: the
+# package refuses it as it refuses any other misspelled integer.
+HUGE = pytest.param("9" * 5000, id="5000_nines")
 BUDGET_ERROR = (
     "error: budget exhausted: parallelepiped has 2821109907456 lattice "
     "points; budget is 100000000\n"
@@ -803,7 +806,7 @@ class TestBudgetsAndThreads:
         code, _, err = run(capsys, "fpp", "--family", "cycle:3", "--minor", "0")
         assert code == 2 and "positive" in err
 
-    @pytest.mark.parametrize("value", ["1_0", " 1_0", "+5", "5 ", "\u0661\u0660"])
+    @pytest.mark.parametrize("value", ["1_0", " 1_0", "+5", "5 ", "\u0661\u0660", HUGE])
     def test_budget_is_decimal_digits_only(self, capsys, monkeypatch, value):
         argv = ["fpp", "--family", "cycle:4", "--minor", "0"]
         with pytest.raises(SystemExit) as exc:
@@ -828,7 +831,7 @@ class TestBudgetsAndThreads:
         (["check", "near_symmetry", "{}"], "params"),
     ]
 
-    @pytest.mark.parametrize("value", ["1_0", " 3", "+4", "\u0663", "3 ", "abc"])
+    @pytest.mark.parametrize("value", ["1_0", " 3", "+4", "\u0663", "3 ", "abc", HUGE])
     @pytest.mark.parametrize("argv,name", INTEGER_OPTIONS)
     def test_integers_are_decimal_digits_only(self, capsys, argv, name, value):
         with pytest.raises(SystemExit) as exc:
@@ -837,7 +840,7 @@ class TestBudgetsAndThreads:
         assert capsys.readouterr().err.endswith(
             f": error: argument {name}: invalid int value: {value!r}\n")
 
-    @pytest.mark.parametrize("value", ["1_0", " 3", "+2", "٢"])
+    @pytest.mark.parametrize("value", ["1_0", " 3", "+2", "٢", HUGE])
     @pytest.mark.parametrize("argv", [
         ["series", "--family", "path:{}", "--order", "2"],
         ["gf", "--family", "kary:{},2", "--spec", "total"],
@@ -848,7 +851,7 @@ class TestBudgetsAndThreads:
         assert run(capsys, *argv) == (
             2, "", f"error: non-integer parameter in family spec {argv[2]!r}\n")
 
-    @pytest.mark.parametrize("value", ["1_0", "+2", "٢"])
+    @pytest.mark.parametrize("value", ["1_0", "+2", "٢", HUGE])
     def test_edge_file_integers_are_decimal_digits_only(self, capsys, tmp_path, value):
         f = tmp_path / "g.txt"
         f.write_text(f"3\n0 1\n1 {value}\n")

@@ -712,7 +712,7 @@ class TestSpecializedGf:
         assert min(s) <= 0 and (min(s) < 0) == negative
         cone = SimplicialCone(A)
 
-        def no_dp(R, d, s):
+        def no_dp(A, R, d, s):
             raise AssertionError("the DP ran")
 
         monkeypatch.setattr(cone_engine, "_numerator", no_dp)
@@ -942,13 +942,21 @@ class TestNumerator:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_flat_filter(self, data):
-        n = data.draw(st.integers(1, 3))
+        wide = data.draw(st.booleans())
+        n = data.draw(st.integers(1, 2 if wide else 3))
         rows = data.draw(st.lists(
             st.lists(st.integers(-4, 4), min_size=n, max_size=n),
             min_size=n, max_size=n,
         ))
+        if wide:
+            # Row 0 times m multiplies d by m and the columns j > 0 of R
+            # by m, which keeps their order: each gains a geometric factor
+            # of m times as many terms.  With n <= 2 and d up to 150, the
+            # columns fall on both sides of `_LOOP_ORDER`.
+            m = data.draw(st.integers(1, 40))
+            rows[0] = [m * x for x in rows[0]]
         A = IntegerMatrix(rows)
-        assume(0 < abs(determinant(A)) <= 30)
+        assume(0 < abs(determinant(A)) <= (150 if wide else 30))
         cone = SimplicialCone(A)
         d = cone.d
         # Positive weights: any at all, or an integer form u^T R plus
@@ -965,9 +973,9 @@ class TestNumerator:
             expected = flat_numerator(cone.R, cone.d, s)
         except AssertionError:
             with pytest.raises(ArithmeticError, match="not integral"):
-                cone_engine._numerator(cone.R, cone.d, s)
+                cone_engine._numerator(cone.A, cone.R, cone.d, s)
         else:
-            assert cone_engine._numerator(cone.R, cone.d, s) == expected
+            assert cone_engine._numerator(cone.A, cone.R, cone.d, s) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -982,7 +990,7 @@ class TestNumerator:
         s = [sum(map(mul, w, col)) for col in cone.rays()]
         assume(min(s) > 0)
         gf = specialized_gf(cone, mode, budget=cone.d ** cone.dimension)
-        assert cone_engine._numerator(cone.R, cone.d, s) == list(gf.numerator)
+        assert cone_engine._numerator(cone.A, cone.R, cone.d, s) == list(gf.numerator)
         assert gf.denominator == tuple(sorted(Counter(s).items()))
 
     @settings(max_examples=100, deadline=None)
@@ -1004,21 +1012,22 @@ class TestNumerator:
         # stays exact on them.  The 3-cycle minor's digit vectors are
         # (c, c), c < 3; weights (6, 6), gcd 6 and d = 3, give them
         # exponents 0, 4 and 8, each in its own slot.
-        assert cone_engine._numerator(CYCLE3.R, 3, [6, 6]) == [1, 0, 0, 0, 1, 0, 0, 0, 1]
+        assert cone_engine._numerator(CYCLE3.A, CYCLE3.R, 3, [6, 6]) == [1, 0, 0, 0, 1, 0, 0, 0, 1]
 
     def test_zero_weight_breaks_the_mass_certificate(self):
         # Every caller passes positive weights.  A weight of 0 on a column
         # of order 4 < d = 16 (s = (0, 8, 8), whose exponents are integral)
-        # leaves no mass, and the certificate says so.
+        # has the geometric factor 1 + 1 + 1 + 1, which would pile the
+        # column's mass on q^0 and pass the mass certificate, so the DP
+        # refuses it first.
         cone = minor_cone("complete", 4)
-        with pytest.raises(ArithmeticError,
-                           match=r"^numerator counts 0 digit vectors, not d\*\*\(n-1\) = 256$"):
-            cone_engine._numerator(cone.R, cone.d, [0, 8, 8])
+        with pytest.raises(ArithmeticError, match="^digit DP needs positive ray exponents$"):
+            cone_engine._numerator(cone.A, cone.R, cone.d, [0, 8, 8])
 
     def test_non_integral_weight_raises(self):
         # (1, 0) is not in the row lattice of R, so 1*c_0/3 is fractional.
         with pytest.raises(ArithmeticError, match="^parallelepiped point not integral$"):
-            cone_engine._numerator(CYCLE3.R, 3, [1, 0])
+            cone_engine._numerator(CYCLE3.A, CYCLE3.R, 3, [1, 0])
 
     @pytest.mark.parametrize("family,params", [
         ("cycle", (7,)), ("leafed_cycle", (7,)),
@@ -1067,15 +1076,15 @@ class TestNumerator:
         assert first.denominator == ((216, 4), (432, 1))
 
     def test_mass_certificate(self, monkeypatch):
-        # complete:4's columns have order 4 < d = 16.  A DP that multiplies
-        # their factors in without the geometric part is left with 1 of
-        # the 16**3 digit vectors.
+        # complete:4's columns have order 4 < d = 16.  A DP that drops
+        # their geometric factors is left with the 4**3 / 16 digit vectors
+        # of class 0 whose digits are all below 4, of the 16**3.
         cone = minor_cone("complete", 4)
         s = [sum(col) for col in cone.rays()]
-        monkeypatch.setattr(cone_engine, "_times_geometric", lambda coeffs, e: None)
+        monkeypatch.setattr(cone_engine, "_times_packed_geometric", lambda x, shift, m: x)
         with pytest.raises(ArithmeticError,
-                           match=r"^numerator counts 1 digit vectors, not d\*\*\(n-1\) = 256$"):
-            cone_engine._numerator(cone.R, cone.d, s)
+                           match=r"^numerator counts 4 digit vectors, not d\*\*\(n-1\) = 256$"):
+            cone_engine._numerator(cone.A, cone.R, cone.d, s)
 
 
 class TestSeriesExpand:

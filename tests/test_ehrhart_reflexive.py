@@ -128,9 +128,9 @@ class TestSliceSimplex:
         dps = []
         real = ehrhart_reflexive._numerator
 
-        def counted(R, d, s):
+        def counted(A, R, d, s):
             dps.append(d)
-            return real(R, d, s)
+            return real(A, R, d, s)
 
         monkeypatch.setattr(ehrhart_reflexive, "_numerator", counted)
         s = build_slice_simplex(n)
@@ -269,9 +269,9 @@ class TestDilateCounting:
         calls = []
         real = cone_engine._numerator
 
-        def counted(R, d, s):
+        def counted(A, R, d, s):
             calls.append(d)
-            return real(R, d, s)
+            return real(A, R, d, s)
 
         # Bound under its name in every module that imports it.
         for module in (cone_engine, cycle_families, ehrhart_reflexive):
