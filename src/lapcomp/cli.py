@@ -35,7 +35,6 @@ import os
 import random
 import sys
 from collections import Counter
-from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -60,7 +59,7 @@ from .ehrhart_reflexive import (
     normality_probe,
     reflexivity_by_interior_counts,
 )
-from .graph_core import _is_decimal, family_from_string, laplacian_minor, parse_graph
+from .graph_core import _MAX_DIGITS, _is_decimal, family_from_string, laplacian_minor, parse_graph
 from .tree_transforms import (
     random_tree,
     tree_inverse_combinatorial,
@@ -232,39 +231,46 @@ def _json_strings(n: int, indent: int) -> str:
             + "\n" + " " * indent + "]")
 
 
-class _Decimals(dict):
-    """The decimal string of each int looked up, then `suffix`, made on
-    first use; a table that holds `_DECIMALS_MAX` strings is emptied
-    before it makes another, so a listing's tables stay small."""
+class _FieldText(dict):
+    """`lead`, the decimal string of value + `lo`, then `sep`, for each
+    value looked up, made on first use; a table that holds `_DECIMALS_MAX`
+    strings is emptied before it makes another, so tables stay small."""
 
-    __slots__ = ("suffix",)
+    __slots__ = ("lead", "lo", "sep")
 
-    def __init__(self, suffix: str):
+    def __init__(self, lead: str, lo: int, sep: str):
         super().__init__()
-        self.suffix = suffix
+        self.lead, self.lo, self.sep = lead, lo, sep
 
     def __missing__(self, value: int) -> str:
         if len(self) >= _DECIMALS_MAX:
             self.clear()
-        self[value] = text = str(value) + self.suffix
+        self[value] = text = f"{self.lead}{value + self.lo}{self.sep}"
         return text
 
 
 _DECIMALS_MAX = 1 << 16
 
 
-def _rows_text(template: str) -> Callable[[Sequence[Sequence[int]]], str]:
-    """The function that gives a listing's block as text: row j of the
-    block is `template` with its "{}" slots filled, in order, by
-    columns[0][j], columns[1][j], ..., all joined at once.  One table for
-    each separator of the template, made once per listing and shared by
-    its blocks, holds each value's decimal string with that separator
-    after it."""
+def _block_text(template: str, lo: Sequence[int]) -> Callable[[Sequence[Sequence[int]]], str]:
+    """The function that gives a listing's block of fields as text: row j
+    is `template` with its "{}" slots filled by fields[0][j] + lo[0],
+    fields[1][j] + lo[1], ...  Field i maps through the table of (lead,
+    lo[i], the separator after its slot), where only field 0 takes the
+    template's lead; one table per distinct triple, made once per listing.
+    A block's strings are interleaved by slice assignment, joined once."""
     lead, *seps = template.split("{}")
-    tables = {sep: _Decimals(sep).__getitem__ for sep in seps}
-    slots = [tables[sep] for sep in seps]
-    return lambda columns: "".join(chain.from_iterable(zip(
-        repeat(lead), *map(map, slots, columns))))
+    keys = [(lead if i == 0 else "", low, sep) for i, (low, sep) in enumerate(zip(lo, seps))]
+    tables = {key: _FieldText(*key) for key in dict.fromkeys(keys)}
+    slots, m = [tables[key].__getitem__ for key in keys], len(keys)
+
+    def text(fields: Sequence[Sequence[int]]) -> str:
+        strings = [""] * (m * len(fields[0]))
+        for i, slot, field in zip(range(m), slots, fields):
+            strings[i::m] = map(slot, field)
+        return "".join(strings)
+
+    return text
 
 
 def _write_blocks(texts: Iterable[str], lead: str) -> None:
@@ -291,26 +297,33 @@ def _cmd_gf(args) -> int:
 def _write_transform(cone, budget: int, as_json: bool) -> None:
     """Print the cone's transform as `str` or `to_json_dict` of
     `integer_point_transform` gives it, its numerator written block by
-    block as `_sorted_points` unpacks it."""
-    blocks = _sorted_points(cone, budget)
+    block from the fields `_sorted_points` reads."""
+    blocks, lo = _sorted_points(cone, budget)
     n, rays = cone.dimension, sorted(cone.rays())
     if as_json:
         rays = [ray + (mult,) for ray, mult in sorted(Counter(rays).items())]
         sys.stdout.write('{\n  "numerator": [\n')
-        _write_blocks(map(_rows_text(",\n    " + _json_strings(n, 4)), blocks), ",\n")
+        _write_blocks(map(_block_text(",\n    " + _json_strings(n, 4), lo), blocks), ",\n")
         sys.stdout.write('\n  ],\n  "denominator": [\n')
         ray = ',\n    {\n      "ray": ' + _json_strings(n, 6) + ',\n      "mult": "{}"\n    }'
-        _write_blocks([_rows_text(ray)(list(zip(*rays)))], ",\n")
+        _write_blocks([_block_text(ray, [0] * (n + 1))(list(zip(*rays)))], ",\n")
         sys.stdout.write("\n  ]\n}\n")
     else:
         # The origin is the one all-zero point, and its monomial is "1".
         monomial = "z^(" + ",".join(["{}"] * n) + ")"
         origin = monomial.format(*[0] * n)
         sys.stdout.write("(")
-        terms = _rows_text(" + " + monomial)
+        terms = _block_text(" + " + monomial, lo)
         _write_blocks((terms(b).replace(origin, "1") for b in blocks), " + ")
-        sys.stdout.write(")/(" + _rows_text("(1 - " + monomial + ")")(list(zip(*rays)))
+        sys.stdout.write(")/(" + _block_text("(1 - " + monomial + ")", [0] * n)(list(zip(*rays)))
                          + ")\n")
+
+
+def _json_integer(text: str) -> int:
+    """A JSON integer, refused by `_is_decimal`'s rule before int() would."""
+    if not _is_decimal(text):
+        raise ValueError(f"JSON integer of more than {_MAX_DIGITS} digits")
+    return int(text)
 
 
 def _cmd_series(args) -> int:
@@ -319,7 +332,7 @@ def _cmd_series(args) -> int:
     _check_one_source(args)
     if args.file is not None:
         gf = UnivariateRationalGF.from_json_dict(
-            json.loads(Path(args.file).read_text())
+            json.loads(Path(args.file).read_text(), parse_int=_json_integer)
         )
     else:
         gf = specialized_gf(_minor_cone(args, family_from_string(args.family)),
@@ -487,21 +500,19 @@ def _cmd_fpp(args) -> int:
 
 def _write_fpp(cone, budget: int, as_json: bool) -> None:
     """Print the cone's parallelepiped points, block by block as walked."""
-    blocks = _lex_walk(cone, budget)
+    blocks, lo = _lex_walk(cone, budget)
     n, d = cone.dimension, cone.d
     if as_json:
         digits = _json_strings(n, 6)
         entry = ',\n    {\n      "digits": ' + digits + ',\n      "point": ' + digits + "\n    }"
         sys.stdout.write(f'{{\n  "determinant": "{d}",\n  "points": [\n')
-        rows = _rows_text(entry)
-        _write_blocks((rows(c + lam) for c, lam in blocks), ",\n")
+        _write_blocks(map(_block_text(entry, lo), blocks), ",\n")
         sys.stdout.write("\n  ]\n}\n")
     else:
         digits = "[" + ", ".join(["{}"] * n) + "]"
         line = "digits " + digits + " -> point " + digits + "\n"
         sys.stdout.write(f"determinant {d}, {d ** (n - 1)} lattice points\n")
-        rows = _rows_text(line)
-        _write_blocks((rows(c + lam) for c, lam in blocks), "")
+        _write_blocks(map(_block_text(line, lo), blocks), "")
 
 
 def _cmd_tree_inverse(args) -> int:

@@ -18,19 +18,19 @@ coordinate").  `fpp_points` lists the points of a walk along the reduced
 triangular (Hermite) basis h of the valid digit vectors, in lexicographic
 order with no sort; the column operations that give h also give each
 step's point A^-1*h_j.  The walk carries one packed int per point, and
-both listings unpack it a block of at most `_BLOCK` points at a time
-into coordinate columns, so `lapcomp fpp` and `lapcomp gf` print a block
-at a time.  Every point lies in the box lo <= lam <= hi, where lo_i and
-hi_i sum the negative and the positive entries of row i of R, since
-lam = R*c/d with each c_j < d; so a listing of a cone with d > 1 builds
-R.  A field holds lam_i - lo_i, or a digit c_i, and every field of a key
-takes the same whole number of bytes, field 0 highest, so no field
-carries or borrows into the next, int order is lexicographic, and a
-block unpacks by one `bytes.join` and a memoryview cast.  `fpp`'s keys
-hold the digits, then the point; the transform's numerator is ordered by
-the point instead, so `gf`'s keys hold the point alone and one int sort
-orders them; `integer_point_transform` makes its tuples from the same
-blocks.
+both listings read it a block of at most `_BLOCK` points at a time, so
+`lapcomp fpp` and `lapcomp gf` print a block at a time.  Every point lies
+in the box lo <= lam <= hi, where lo_i and hi_i sum the negative and the
+positive entries of row i of R, since lam = R*c/d with each c_j < d; so a
+listing of a cone with d > 1 builds R.  A field holds lam_i - lo_i, or a
+digit c_i, and every field of a key takes the same whole number of bytes,
+field 0 highest, so no field carries or borrows into the next and int
+order is lexicographic.  A block's keys become one buffer of records, by
+one array conversion or one `bytes.join`, whose strided memoryview
+slices are the fields: the CLI prints them through its tables, and
+`_unpack` adds lo for the tuples.  `fpp`'s keys hold the digits, then the
+point; `gf`'s hold the point alone, the transform's order, and one int
+sort orders them, so `integer_point_transform` sorts no tuple.
 `specialized_gf` takes one route for every cone.  Back substitution on
 the kept pass, two scalar columns at once, gives the ray exponents
 s = w^T R of both weight forms w, and a specialized gf
@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from collections import Counter
 from itertools import accumulate, chain, compress, repeat
 from operator import add, lshift, mul, sub
@@ -424,8 +425,8 @@ def _field_shifts(spans: Sequence[int]) -> list[int]:
 # Points in one block of the walk, and so in one write of a listing.
 _BLOCK = 1024
 
-# A block: the digit columns c_0..c_{n-1}, then the point columns lam_0..lam_{n-1}.
-_Block = tuple[list[list[int]], list[list[int]]]
+# A block's fields, field 0 first: strided views, or int lists past 8 bytes.
+_Fields = list[Sequence[int]]
 
 
 def _checked_basis(cone: SimplicialCone, budget: Optional[int]
@@ -463,16 +464,18 @@ def _checked_basis(cone: SimplicialCone, budget: Optional[int]
 
 
 def _packed_walk(cone: SimplicialCone, budget: Optional[int], digits: bool
-                 ) -> tuple[Iterator[list[int]], Callable[[list[int]], list[list[int]]]]:
+                 ) -> tuple[Iterator[list[int]], Callable[[list[int]], _Fields], list[int]]:
     """The walk's points packed one int each, in blocks in lexicographic
-    order of their digits, and the unpacker of a block into columns: the
-    digits c_0..c_{n-1} if `digits`, then the point lam_0..lam_{n-1}.
+    order of their digits; the reader of a block into its fields, the
+    digits c_0..c_{n-1} if `digits`, then the point lam_0..lam_{n-1}; and
+    the lower bound lo_i of each field.
 
-    Field i lies in [lo_i, lo_i + spans[i]]: a digit in [0, d - 1], and lam_i
-    in the box of the module docstring, which reads R.  With d = 1 every
-    span is 0 and R is not built.  Every field is w bytes, as `_byte_width`
-    gives it, field 0 highest, so each basis step becomes one int and the
-    walk is linear in them.  The charge and the basis checks run first.
+    Field i of a key holds value - lo_i in [0, spans[i]]: a digit in
+    [0, d - 1], and lam_i in the box of the module docstring, which reads
+    R.  With d = 1 every span is 0 and R is not built.  Every field is w
+    bytes, as `_byte_width` gives it, field 0 highest, so each basis step
+    becomes one int and the walk, from the origin's key, is linear in
+    them.  The charge and the basis checks run first.
     """
     h, u = _checked_basis(cone, budget)
     n, d = cone.dimension, cone.d
@@ -484,9 +487,9 @@ def _packed_walk(cone: SimplicialCone, budget: Optional[int], digits: bool
         u = [[*col, *step] for col, step in zip(zip(*h), u)]
     w = _byte_width(max(spans))
     shifts = _field_shifts([(1 << 8 * w) - 1] * len(spans))
-    offset = -sum(map(lshift, lo, shifts))
     packed = [sum(map(lshift, step, shifts)) for step in u]
-    return _lex_points(h, packed, d), lambda keys: _unpack(keys, w, lo, offset)
+    origin = -sum(map(lshift, lo, shifts))
+    return _lex_points(h, packed, d, origin), _record_reader(w, len(lo)), lo
 
 
 def _byte_width(span: int) -> int:
@@ -496,60 +499,66 @@ def _byte_width(span: int) -> int:
     return next((w for w in (1, 2, 4, 8) if bits <= 8 * w), -(-bits // 8))
 
 
-# The memoryview format of a native unsigned field of each `_byte_width` up to 8.
-_CASTS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# The native unsigned array typecode, also a memoryview format, of each size in bytes.
+_CASTS = {array(code).itemsize: code for code in "BHILQ"}
 
 
-def _unpack(keys: list[int], w: int, lo: Sequence[int], offset: int) -> list[list[int]]:
-    """The columns of a block of keys with len(lo) fields of w bytes each,
-    field 0 highest: key + offset holds value - lo[i] in field i.
+def _record_reader(w: int, m: int) -> Callable[[list[int]], _Fields]:
+    """The reader of a block of keys of m fields of w bytes, field 0
+    highest, into its fields.  One array conversion lays the keys out as
+    records in native byte order when a record fits in 1, 2, 4 or 8 bytes,
+    its unused top fields zero, else one `bytes.join`; a field of at most
+    8 bytes is a strided slice of a cast of that buffer, and a wider one is
+    read by `int.from_bytes`."""
+    size = next((size for size in sorted(_CASTS) if size >= w * m), 0)
+    k, order = size // w or m, sys.byteorder
+    # Field i is element k - m + i of a big-endian record of k fields.
+    index = range(k - m, k) if order == "big" else range(m - 1, -1, -1)
 
-    One `bytes.join` lays the keys out as records of native byte order;
-    a cast of fields of 1, 2, 4 or 8 bytes then reads field i as one
-    strided slice, and a wider field is read by `int.from_bytes`.
-    """
-    m, order = len(lo), sys.byteorder
-    if offset:
-        keys = map(offset.__add__, keys)
-    raw = b"".join(map(int.to_bytes, keys, repeat(w * m), repeat(order)))
-    # Field i is element i of a big-endian record, counted from the end of a
-    # little-endian one.
-    index = range(m) if order == "big" else range(m - 1, -1, -1)
-    if w > 8:
-        cols = [[int.from_bytes(raw[p:p + w], order) for p in range(i * w, len(raw), w * m)]
-                for i in index]
-    else:
+    def read(keys: list[int]) -> _Fields:
+        raw = (memoryview(array(_CASTS[size], keys)).cast("B") if size
+               else b"".join(map(int.to_bytes, keys, repeat(w * m), repeat(order))))
+        if w > 8:
+            return [[int.from_bytes(raw[p:p + w], order) for p in range(i * w, len(raw), w * m)]
+                    for i in index]
         view = memoryview(raw).cast(_CASTS[w])
-        cols = [view[i::m].tolist() for i in index]
-    return [list(map(low.__add__, col)) if low else col for col, low in zip(cols, lo)]
+        return [view[i::k] for i in index]
+
+    return read
 
 
-def _lex_walk(cone: SimplicialCone, budget: Optional[int]) -> Iterator[_Block]:
+def _unpack(fields: _Fields, lo: Sequence[int]) -> list[list[int]]:
+    """The coordinate columns of a block's fields: field i plus lo_i."""
+    return [list(map(low.__add__, field)) if low else list(field)
+            for field, low in zip(fields, lo)]
+
+
+def _lex_walk(cone: SimplicialCone, budget: Optional[int]
+              ) -> tuple[Iterator[_Fields], list[int]]:
     """The parallelepiped's (c, lam) pairs, c in lexicographic order, in
-    blocks of at most `_BLOCK` points held as coordinate columns.
+    blocks of at most `_BLOCK` points held as fields, and the fields' lo.
 
     The budget charge and the checks of `_checked_basis` run here, before
     the iterator is returned, so a refused or broken walk yields nothing.
     """
-    n = cone.dimension
-    blocks, unpack = _packed_walk(cone, budget, digits=True)
-    return ((cols[:n], cols[n:]) for cols in map(unpack, blocks))
+    blocks, read, lo = _packed_walk(cone, budget, digits=True)
+    return map(read, blocks), lo
 
 
 def _sorted_points(cone: SimplicialCone, budget: Optional[int]
-                   ) -> Iterator[list[list[int]]]:
+                   ) -> tuple[Iterator[_Fields], list[int]]:
     """The parallelepiped points in lexicographic order, in blocks of at
-    most `_BLOCK` points held as coordinate columns.
+    most `_BLOCK` points held as fields, and the fields' lo.
 
     The walk packs each point into one int, coordinate 0 highest, with no
     digits; no field carries or borrows into the next, so one int sort
-    orders them, and each block is then unpacked.  The charge, the basis
+    orders them, and each block is then read.  The charge, the basis
     checks and the sort run before the iterator is returned.
     """
-    blocks, unpack = _packed_walk(cone, budget, digits=False)
+    blocks, read, lo = _packed_walk(cone, budget, digits=False)
     keys = list(chain.from_iterable(blocks))
     keys.sort()
-    return (unpack(keys[j:j + _BLOCK]) for j in range(0, len(keys), _BLOCK))
+    return (read(keys[j:j + _BLOCK]) for j in range(0, len(keys), _BLOCK)), lo
 
 
 def _kron(incs: Iterable[Sequence[int]]) -> list[int]:
@@ -560,14 +569,14 @@ def _kron(incs: Iterable[Sequence[int]]) -> list[int]:
     return out
 
 
-def _lex_points(h: list[list[int]], g: list[int], d: int) -> Iterator[list[int]]:
-    """Walk of `_packed_walk` along a checked reduced lower-triangular basis
-    h, whose step j adds the packed int g[j] to the point's key.
+def _lex_points(h: list[list[int]], g: list[int], d: int, origin: int) -> Iterator[list[int]]:
+    """Walk of `_packed_walk` from the key `origin` along a checked reduced
+    lower-triangular basis h, whose step j adds the packed int g[j].
 
     Once c_0..c_{i-1} are fixed, the valid c_i are the values = off_i
     (mod h_ii) in {0..d-1}, where off_i is row i of the basis steps so far;
     digit c_i is basis step x_i = (c_i - off_i) / h_ii, exactly, so the
-    key is the sum of x_j * g[j] and needs no division.  Only a level with
+    key is origin + sum x_j * g[j], with no division.  Only a level with
     h_ii > 1 has an offset, and every level has the fixed fan-out d / h_ii.
     Running every level up from its smallest value emits the c in
     lexicographic order, with no sort.
@@ -636,7 +645,7 @@ def _lex_points(h: list[list[int]], g: list[int], d: int) -> Iterator[list[int]]
                 nxt[r] += x * v
             yield from walk(i + 1, nxt, acc + g[i] * x)
 
-    return walk(0, [0] * n, 0)
+    return walk(0, [0] * n, origin)
 
 
 def fpp_points(cone: SimplicialCone, budget: Optional[int] = None
@@ -648,8 +657,9 @@ def fpp_points(cone: SimplicialCone, budget: Optional[int] = None
     from the walk, with no sort: a triangular lattice basis lets it take
     d**(n-1) steps instead of scanning d**n candidates.
     """
-    return tuple(chain.from_iterable(zip(zip(*c), zip(*lam))
-                                     for c, lam in _lex_walk(cone, budget)))
+    blocks, lo = _lex_walk(cone, budget)
+    n, columns = cone.dimension, (_unpack(fields, lo) for fields in blocks)
+    return tuple(chain.from_iterable(zip(zip(*c[:n]), zip(*c[n:])) for c in columns))
 
 
 def integer_point_transform(cone: SimplicialCone,
@@ -658,10 +668,13 @@ def integer_point_transform(cone: SimplicialCone,
 
     The numerator comes from `_sorted_points` already in the lexicographic
     order the transform keeps it in, by one int sort of packed points (see
-    the module docstring); only the sorted points become tuples.
+    the module docstring), and its tuples are not sorted again.
     """
-    points = chain.from_iterable(zip(*cols) for cols in _sorted_points(cone, budget))
-    return IntegerPointTransform(points, cone.rays())
+    blocks, lo = _sorted_points(cone, budget)
+    ipt = IntegerPointTransform.__new__(IntegerPointTransform)
+    ipt.numerator = tuple(chain.from_iterable(zip(*_unpack(fields, lo)) for fields in blocks))
+    ipt.denominator = tuple(sorted(cone.rays()))
+    return ipt
 
 
 def _mode_weights(mode: str, n: int) -> tuple[int, ...]:

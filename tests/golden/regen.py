@@ -58,7 +58,8 @@ SEPARATOR_GRAPHS = ("separators",)
 SAVED_GFS = {f"{family.replace(':', '')}_{mode}": (family, mode)
              for family in ("cycle:5", "leafed_cycle:4") for mode in ("total", "first")}
 BAD_GFS = ("bad_float", "bad_bool", "bad_bare_string", "bad_underscore",
-           "bad_top_level_list", "bad_missing_den", "bad_den_triple", "missing")
+           "bad_top_level_list", "bad_missing_den", "bad_den_triple", "bad_long_number",
+           "missing")
 # Cones whose listings span several blocks of the walk: the single-digit
 # level last (cycle:7, 16,807 points), in the middle (leafed_cycle:6 minored
 # at 0, 7,776 points), and two levels of 3 digits in 9 (bowtie_pendant,

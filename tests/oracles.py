@@ -29,7 +29,7 @@ from lapcomp import (
     laplacian_minor,
     leafed_cycle_graph,
 )
-from lapcomp.cone_engine import _charge_box, _lex_walk
+from lapcomp.cone_engine import _charge_box, _lex_walk, _sorted_points, _unpack
 from lapcomp.ehrhart_reflexive import _dilate_box
 
 
@@ -188,8 +188,22 @@ def transform_by_tuples(cone, budget=None):
     """The cone's transform with the numerator sorted as tuples: the walk
     lists the points in digit order, one tuple each, and the transform's
     constructor sorts them."""
-    points = chain.from_iterable(zip(*lam) for _, lam in _lex_walk(cone, budget))
+    points = chain.from_iterable(zip(*lam) for _, lam in walk_columns(cone, budget))
     return IntegerPointTransform(points, cone.rays())
+
+
+def walk_columns(cone, budget=None):
+    """The blocks of `_lex_walk` as (digit columns, point columns), read
+    by `_unpack`; the walk's checks run before this returns."""
+    blocks, lo = _lex_walk(cone, budget)
+    n = cone.dimension
+    return ((cols[:n], cols[n:]) for cols in (_unpack(fields, lo) for fields in blocks))
+
+
+def sorted_columns(cone, budget=None):
+    """The blocks of `_sorted_points` as point columns, read by `_unpack`."""
+    blocks, lo = _sorted_points(cone, budget)
+    return (_unpack(fields, lo) for fields in blocks)
 
 
 def normalized_volume(s):

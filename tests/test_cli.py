@@ -162,8 +162,15 @@ class TestSeries:
          "the top level must be a JSON object with a list 'den'"),
         ('{"num": ["1"], "den": [["2", "1", "1"]]}',
          "den[0] must be a list of 2, got ['2', '1', '1']"),
+        # JSON integers past int()'s default limit are refused as json reads
+        # them, before Python's own conversion error.
+        ('{"num": [' + "9" * 5000 + '], "den": [["1", "1"]]}',
+         "JSON integer of more than 4300 digits"),
+        ('{"num": ["1"], "den": [[-' + "1" * 4301 + ', 1]]}',
+         "JSON integer of more than 4300 digits"),
     ], ids=["float", "bare_string", "bool", "underscore", "space", "top_level_list",
-            "missing_den", "den_not_a_list", "den_entry_not_a_pair"])
+            "missing_den", "den_not_a_list", "den_entry_not_a_pair", "long_number",
+            "long_negative_number"])
     def test_malformed_gf_file(self, capsys, tmp_path, text, message):
         f = tmp_path / "gf.json"
         f.write_text(text)
@@ -175,6 +182,12 @@ class TestSeries:
         f.write_text('{"num": [1, "-1", "0", 0], "den": [[1, "1"]]}')
         assert run(capsys, "series", "--file", str(f), "--order", "3") == (
             0, "[1, 0, 0, 0]\n", "")
+
+    def test_gf_file_takes_json_integers_of_4300_digits(self, capsys, tmp_path):
+        f = tmp_path / "gf.json"
+        f.write_text('{"num": [' + "9" * 4300 + '], "den": [["1", "1"]]}')
+        assert run(capsys, "series", "--file", str(f), "--order", "1") == (
+            0, "[" + ", ".join(["9" * 4300] * 2) + "]\n", "")
 
     def test_negative_order(self, capsys):
         code, _, err = run(
@@ -601,9 +614,10 @@ def fpp_payload(points, d):
     }
 
 
-def random_graph_text(rng):
-    """A random 4-7-vertex connected graph in the `--file` format."""
-    n = rng.randint(4, 7)
+def random_graph_text(rng, n=None):
+    """A random connected graph in the `--file` format, on n vertices or
+    on 4-7."""
+    n = rng.randint(4, 7) if n is None else n
     edges = {(rng.randrange(v), v) for v in range(1, n)}
     free = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
     edges |= set(rng.sample(free, rng.randint(0, min(3, len(free)))))
@@ -641,6 +655,26 @@ class TestListingOutput:
                     else:
                         expected = (0, expected_stdout(*renders[command], as_json), "")
                     assert run(capsys, *argv) == expected, argv
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_public_renderings(self, capsys, tmp_path, n, seed):
+        # On 4 vertices an fpp record holds 6 one-byte fields, padded to 8
+        # bytes; on 5 it holds 8, exactly 8 bytes; a gf record holds half.
+        rng = random.Random(f"{n}:{seed}")
+        text = random_graph_text(rng, n)
+        f = tmp_path / "g.txt"
+        f.write_text(text)
+        v = rng.randrange(n)
+        cone = SimplicialCone(laplacian_minor(parse_graph(text), v))
+        points, ipt = fpp_points(cone), integer_point_transform(cone)
+        renders = {"fpp": (fpp_text(points, cone.d), fpp_payload(points, cone.d)),
+                   "gf": (str(ipt), ipt.to_json_dict())}
+        for command, (as_text, payload) in renders.items():
+            for as_json in (False, True):
+                argv = [command, "--file", str(f), "--minor", str(v)] + ["--json"] * as_json
+                assert run(capsys, *argv) == (
+                    0, expected_stdout(as_text, payload, as_json), ""), argv
 
 
 class _Recorder:
@@ -684,26 +718,30 @@ class TestListingStreams:
     @pytest.mark.parametrize("argv", [["fpp"], ["fpp", "--json"], ["gf"], ["gf", "--json"]])
     def test_decimal_tables_made_once_per_listing(self, argv, capsys, monkeypatch):
         # A listing of several blocks makes as many tables as the one
-        # point of a tree's listing in the same dimension, and the same
-        # bytes when every table is emptied as soon as it holds two strings.
+        # point of a tree's listing in the same dimension, one for each
+        # distinct (lead, lo, separator), and the same bytes when every
+        # table is emptied as soon as it holds two strings.
         made = []
 
-        class Counted(cli._Decimals):
-            def __init__(self, suffix):
-                super().__init__(suffix)
+        class Counted(cli._FieldText):
+            def __init__(self, *key):
+                super().__init__(*key)
                 made.append(self)
 
-        monkeypatch.setattr(cli, "_Decimals", Counted)
+        monkeypatch.setattr(cli, "_FieldText", Counted)
         expected = run(capsys, *argv, "--file", BOWTIE, "--minor", "5")
         several = len(made)
         assert max(map(len, made)) > 2
+        keys = [(t.lead, t.lo, t.sep) for t in made]
         made.clear()
         run(capsys, *argv, "--family", "path:6")
         assert several == len(made) > 0
+        assert [(t.lead, t.lo, t.sep) for t in made] == keys
         made.clear()
         monkeypatch.setattr(cli, "_DECIMALS_MAX", 2)
         assert run(capsys, *argv, "--file", BOWTIE, "--minor", "5") == expected
         assert max(map(len, made)) <= 2
+
 
 class TestNoTransformObject:
     """`gf` without `--spec` writes the numerator block by block from the

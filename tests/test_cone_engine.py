@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import random
 import time
 from collections import Counter
 from operator import mul
@@ -42,7 +43,7 @@ from lapcomp.cone_engine import (
     _field_shifts, _json_form, _series_updates, _times_binomial_series, _times_geometric,
     polynomial_string,
 )
-from oracles import transform_by_tuples
+from oracles import sorted_columns, transform_by_tuples, walk_columns
 
 
 def minor_cone(family, *params, vertex=None):
@@ -166,7 +167,7 @@ class TestFppPoints:
         assert calls == [cone.A] and cone._R is not None
         tree = minor_cone("path", 5)
         assert fpp_points(tree) == (((0,) * 4, (0,) * 4),)
-        assert list(cone_engine._sorted_points(tree, None)) == [[[0]] * 4]
+        assert list(sorted_columns(tree)) == [[[0]] * 4]
         assert len(calls) == 1 and tree._R is None
 
     def test_unimodular_cone_has_only_the_origin(self):
@@ -336,7 +337,7 @@ class TestLexWalk:
         minor_cone("cycle", 7),
     ], ids=["bowtie_pendant", "cycle:7"])
     def test_several_blocks(self, cone):
-        blocks = list(cone_engine._lex_walk(cone, None))
+        blocks = list(walk_columns(cone))
         assert len(blocks) > 1
         for digits, points in blocks:
             assert len(digits) == len(points) == cone.dimension
@@ -382,7 +383,7 @@ def assert_sorted_route(cone, budget=None):
     its order, in blocks of at most `_BLOCK` coordinate columns, and
     `integer_point_transform` and both `gf` listings are that transform."""
     ipt = transform_by_tuples(cone, budget)
-    blocks = list(cone_engine._sorted_points(cone, budget))
+    blocks = list(sorted_columns(cone, budget))
     assert all(len(b) == cone.dimension for b in blocks)
     assert all(0 < len(col) <= cone_engine._BLOCK for b in blocks for col in b)
     assert [p for b in blocks for p in zip(*b)] == list(ipt.numerator)
@@ -439,7 +440,7 @@ class TestSortedPoints:
         # d = 1: the apex is the one point, with no basis and no sort.
         cone = minor_cone("path", 4)
         assert cone.d == 1
-        assert list(cone_engine._sorted_points(cone, 1)) == [[[0], [0], [0]]]
+        assert list(sorted_columns(cone, 1)) == [[[0], [0], [0]]]
         assert_sorted_route(cone)
 
     def test_checks_run_before_the_first_point(self, monkeypatch):
@@ -482,7 +483,7 @@ class TestByteFields:
         points = fpp_points(cone)
         assert list(points) == flat_fpp(cone)
         sizes = [1, 1] if block == 1 else [2]
-        assert [len(c[0]) for c, _ in cone_engine._lex_walk(cone, None)] == sizes
+        assert [len(c[0]) for c, _ in walk_columns(cone)] == sizes
         assert printed(cli._write_fpp, cone, None, False) == "".join(
             ["determinant 2, 2 lattice points\n"]
             + [f"digits {list(c)} -> point {list(lam)}\n" for c, lam in points])
@@ -491,6 +492,106 @@ class TestByteFields:
             "points": [{"digits": c, "point": lam} for c, lam in points],
         }), indent=2) + "\n"
         assert [len(b[0]) for b in assert_sorted_route(cone)] == sizes
+
+
+# (w, m): fields of 1, 2, 4, 8 and more bytes, in records of at most and
+# of more than 8 bytes, some padded up to the next array itemsize.
+RECORD_SHAPES = [(1, 1), (1, 3), (1, 7), (1, 8), (1, 9), (1, 16), (2, 1), (2, 3),
+                 (2, 4), (2, 5), (4, 1), (4, 2), (4, 3), (8, 1), (8, 2), (9, 1),
+                 (9, 3), (10, 2), (17, 2)]
+
+
+class TestRecordReader:
+    """`_record_reader(w, m)` reads a block of keys of m fields of w bytes,
+    field 0 highest, into one view or list per field; `_unpack` adds lo;
+    `cli._block_text` formats the fields with lo added.  Each must agree
+    with plain shift-and-mask unpacking of the keys."""
+
+    @staticmethod
+    def shift_fields(keys, w, m):
+        mask = (1 << 8 * w) - 1
+        return [[key >> 8 * w * (m - 1 - i) & mask for key in keys] for i in range(m)]
+
+    @pytest.mark.parametrize("w,m", RECORD_SHAPES)
+    def test_reader_against_shifts(self, w, m):
+        rng = random.Random(f"{w}:{m}")
+        top = 1 << 8 * w * m
+        keys = [0, top - 1, *(rng.randrange(top) for _ in range(50))]
+        fields = cone_engine._record_reader(w, m)(keys)
+        assert [list(f) for f in fields] == self.shift_fields(keys, w, m)
+        # The same through int.to_bytes, big-endian, field by field.
+        records = [key.to_bytes(w * m, "big") for key in keys]
+        assert [list(f) for f in fields] == [
+            [int.from_bytes(r[i * w:(i + 1) * w], "big") for r in records] for i in range(m)]
+
+    @pytest.mark.parametrize("w,m", RECORD_SHAPES)
+    def test_unpack_and_block_text_add_lo(self, w, m):
+        rng = random.Random(f"lo:{w}:{m}")
+        span = 1 << 8 * w
+        lo = [rng.randrange(-span, 1) if i % 2 else 0 for i in range(m)]
+        keys = [rng.randrange(1 << 8 * w * m) for _ in range(40)]
+        fields = cone_engine._record_reader(w, m)(keys)
+        expected = [[v + low for v in col]
+                    for col, low in zip(self.shift_fields(keys, w, m), lo)]
+        assert cone_engine._unpack(fields, lo) == expected
+        template = "<" + ";".join(["{}"] * m) + ">\n"
+        assert cli._block_text(template, lo)(fields) == "".join(
+            template.format(*row) for row in zip(*expected))
+
+    def test_tables_shared_by_lead_lo_and_separator(self, monkeypatch):
+        made = []
+
+        class Counted(cli._FieldText):
+            def __init__(self, *key):
+                super().__init__(*key)
+                made.append(key)
+
+        monkeypatch.setattr(cli, "_FieldText", Counted)
+        text = cli._block_text("[{},{},{},{}]", [0, 0, 0, -5])
+        assert text([[1, 2], [3, 4], [5, 6], [7, 8]]) == "[1,3,5,2][2,4,6,3]"
+        # Fields 1 and 2 share one table; field 0 takes the lead, so it has
+        # its own although its lo and separator are theirs.
+        assert made == [("[", 0, ","), ("", 0, ","), ("", -5, "]")]
+
+    def test_negative_lo_through_fpp_points(self):
+        # R = [[1, -3], [0, 2]]: lam_0 runs down to -3, so its field is read
+        # with lo_0 = -3, both in walk order and sorted.
+        cone = SimplicialCone(IntegerMatrix([[2, 3], [0, 1]]))
+        blocks, lo = cone_engine._lex_walk(cone, None)
+        assert lo == [0, 0, -3, 0]
+        assert list(fpp_points(cone)) == flat_fpp(cone) == [
+            ((0, 0), (0, 0)), ((1, 1), (-1, 1))]
+        _, lo = cone_engine._sorted_points(cone, None)
+        assert lo == [-3, 0]
+        assert integer_point_transform(cone).numerator == ((-1, 1), (0, 0))
+
+
+class TestPresortedTransform:
+    """`integer_point_transform` hands its numerator over already sorted,
+    not through the constructor; it must equal the transform that the
+    public constructor builds, and sorts, from the same points."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_equals_the_public_constructor(self, data):
+        g = random_connected_graph(data, max_vertices=6)
+        cone = SimplicialCone(laplacian_minor(g, data.draw(st.integers(0, g.vertex_count - 1))))
+        assume(cone.d ** (cone.dimension - 1) <= 5000)
+        points = [lam for _, lam in fpp_points(cone)]
+        data.draw(st.randoms()).shuffle(points)
+        rays = cone.rays()[::-1]
+        with mock.patch.object(IntegerPointTransform, "__init__",
+                               side_effect=AssertionError("constructor called")):
+            ipt = integer_point_transform(cone)
+        public = IntegerPointTransform(points, rays)
+        assert ipt == public and hash(ipt) == hash(public)
+        assert ipt.numerator == public.numerator and ipt.denominator == public.denominator
+        assert str(ipt) == str(public) and ipt.to_json_dict() == public.to_json_dict()
+
+    def test_public_constructor_still_sorts(self):
+        ipt = IntegerPointTransform([[1, 0], (0, 1), [0, 0]], [(2, 0), [0, 2]])
+        assert ipt.numerator == ((0, 0), (0, 1), (1, 0))
+        assert ipt.denominator == ((0, 2), (2, 0))
 
 
 def printed(write, *args):
@@ -632,7 +733,7 @@ def walk_gfs(cone):
     coordinate sums and the first coordinates of the points of
     `_lex_walk`, a block at a time, so no transform is built."""
     totals, firsts = Counter(), Counter()
-    for _, lam in cone_engine._lex_walk(cone, None):
+    for _, lam in walk_columns(cone):
         totals.update(map(sum, zip(*lam)))
         firsts.update(lam[0])
     rays = cone.rays()
