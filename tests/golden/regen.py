@@ -198,6 +198,9 @@ def calls():
     for params in checks:
         for fmt in formats:
             yield ["check"] + params + fmt, {}
+    # `check cyclic 3 5` expands its series with 12 coefficient updates.
+    for budget in ("11", "12"):
+        yield ["check", "cyclic", "3", "5", "--budget", budget], {}
     for name in BAD_GRAPHS:
         yield ["fpp", "--file", f"graphs/{name}.txt"], {}
     for name in SEPARATOR_GRAPHS:
