@@ -43,10 +43,8 @@ from .cone_engine import (
     BudgetExceededError,
     SimplicialCone,
     UnivariateRationalGF,
-    _charge,
     _json_form,
     _lex_walk,
-    _series_updates,
     _sorted_points,
     series_expand,
     specialized_gf,
@@ -337,9 +335,7 @@ def _cmd_series(args) -> int:
     else:
         gf = specialized_gf(_minor_cone(args, family_from_string(args.family)),
                             _SPEC_MODES[args.spec], budget=_effective_budget(args))
-    _charge(_series_updates(gf, args.order), _effective_budget(args),
-            "series needs {} coefficient updates; budget is {}")
-    coeffs = series_expand(gf, args.order)
+    coeffs = series_expand(gf, args.order, _effective_budget(args))
     _emit(args, lambda: "[" + ", ".join(map(str, coeffs)) + "]",
           lambda: {"order": args.order, "coefficients": coeffs})
     return 0
@@ -355,7 +351,7 @@ def _params(args, count: int, names: str) -> list[int]:
 
 def _check_cyclic(args) -> int:
     n, m_max = _params(args, 2, "N M_MAX")
-    report = check_conjecture_cyclic(n, m_max)
+    report = check_conjecture_cyclic(n, m_max, _effective_budget(args))
 
     def text():
         matches = sum(row["match"] for row in report.rows)

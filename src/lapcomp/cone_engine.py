@@ -939,16 +939,19 @@ def specialized_gf(cone: SimplicialCone, mode: Literal["total", "first_coordinat
     return UnivariateRationalGF(_numerator(cone.A, cone.R, d, s) if d > 1 else [1], factors)
 
 
-def series_expand(gf: UnivariateRationalGF, order: int) -> list[int]:
+def series_expand(gf: UnivariateRationalGF, order: int,
+                  budget: Optional[int] = None) -> list[int]:
     """Exact coefficients of q^0..q^order of the rational function.
 
     A denominator factor (1 - q^e)^m takes min(m, order // e) passes over
     the coefficients: m geometric passes, or the order // e of its
     binomial series when m is larger, so a huge multiplicity costs no more
-    than the order allows.
+    than the order allows.  Its `_series_updates` are charged first.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
+    _charge(_series_updates(gf, order), budget,
+            "series needs {} coefficient updates; budget is {}")
     coeffs = list(gf.numerator[: order + 1])
     coeffs += [0] * (order + 1 - len(coeffs))
     for e, mult in gf.denominator:
@@ -1003,7 +1006,9 @@ def _box_points(rows: Sequence[Sequence[int]], rhs: Sequence[int],
     `_charge_box`.  Each row keeps the most that coordinates t+1.. can add
     to it over the box, so once coordinates 0..t-1 are fixed every row
     bounds x_t to an interval; an empty interval prunes the prefix, and the
-    last level emits its interval without scanning it.
+    last level emits its interval without scanning it.  Only the rows
+    nonzero at t bound x_t and update their needs; the others keep only
+    their prune test.
     """
     _charge_box(lows, highs, budget)
     n = len(lows)
@@ -1013,30 +1018,38 @@ def _box_points(rows: Sequence[Sequence[int]], rhs: Sequence[int],
     for t in range(n - 1, 0, -1):
         tails.insert(0, [tail + max(a * lows[t], a * highs[t])
                          for tail, a in zip(tails[0], columns[t])])
+    # Per level: (r, a, tail) of each row r with a != 0 there, (r, tail) of the rest.
+    nonzero, zero = [], []
+    for column, tail in zip(columns, tails):
+        nonzero.append([(r, a, tail[r]) for r, a in enumerate(column) if a])
+        zero.append([(r, tail[r]) for r, a in enumerate(column) if not a])
     points = []
 
-    def scan(t: int, prefix: tuple[int, ...], needs: Sequence[int]):
+    def scan(t: int, prefix: tuple[int, ...], needs: list[int]):
+        for r, tail in zero[t]:
+            if needs[r] > tail:
+                return
         lo, hi = lows[t], highs[t]
-        for a, need, tail in zip(columns[t], needs, tails[t]):
-            slack = need - tail
+        for r, a, tail in nonzero[t]:
+            slack = needs[r] - tail
             if a > 0:
                 bound = -(-slack // a)
                 if bound > lo:
                     lo = bound
-            elif a < 0:
+            else:
                 bound = slack // a
                 if bound < hi:
                     hi = bound
-            elif slack > 0:
-                return
         if t == n - 1:
             points.extend(prefix + (x,) for x in range(lo, hi + 1))
             return
         for x in range(lo, hi + 1):
-            scan(t + 1, prefix + (x,),
-                 [need - a * x for need, a in zip(needs, columns[t])])
+            child = needs.copy()
+            for r, a, _ in nonzero[t]:
+                child[r] -= a * x
+            scan(t + 1, prefix + (x,), child)
 
-    scan(0, (), rhs)
+    scan(0, (), list(rhs))
     return points
 
 

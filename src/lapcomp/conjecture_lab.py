@@ -153,14 +153,15 @@ class CyclicCheckReport(NamedTuple):
         })
 
 
-def check_conjecture_cyclic(n: int, m_max: int) -> CyclicCheckReport:
+def check_conjecture_cyclic(n: int, m_max: int,
+                            budget: Optional[int] = None) -> CyclicCheckReport:
     """Compare generating-function coefficients with Burnside class counts
-    for every m <= m_max."""
+    for every m <= m_max; the series expansion is charged to the budget."""
     if n < 2:
         raise ValueError("cyclic check needs n >= 2")
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
-    series = series_expand(leafed_gf(n), m_max)
+    series = series_expand(leafed_gf(n), m_max, budget)
     rows = []
     first_mismatch = None
     for m in range(m_max + 1):

@@ -12,21 +12,21 @@ against the count of m*s.
 
 The slice is built once from the leafed minor pair (L, R = n * L^-1) and
 keeps what it computed: its vertices are the columns of R below a top row
-of n's, so the canonical interior point is read back from them; the
-halfspace certificate reads L itself; and one digit-class DP on R, run
-when the slice is built, gives the digit strata behind every dilate count.
+of n's, so the canonical interior point is read back from their integer
+sums; the facets of every dilate and the halfspace certificate read L
+itself; and one digit-class DP on R, run when the slice is built, gives
+the digit strata behind every dilate count.
 
 Counting goes through those strata whenever the simplex is a slice,
 interior points included, by Ehrhart-Macdonald reciprocity.  The box-scan
 oracle of `cone_engine`, fed the simplex's facet inequalities in
-integers, covers arbitrary simplices and doubles as an independent
-cross-check.
+integers, covers arbitrary simplices, whose facets come from the adjugate
+of the edge matrix, and doubles as an independent cross-check.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import lshift, mul
 from typing import NamedTuple, Optional, Sequence
 
@@ -143,18 +143,15 @@ def _leafed_slice(n: int) -> tuple[LatticeSimplex, IntegerMatrix]:
 def interior_point(n: int):
     """Row sums of L^-1: the canonical interior point of the slice.
 
-    The first coordinate is always n.  The point is integral exactly when
-    n is odd; for even n the fractional entries are returned as-is, and
-    the halfspace reflexivity test reports a refutation.
+    The first coordinate is always n, the others the vertex sums over n.
+    The point is integral exactly when n is odd; for even n every entry
+    is a `Fraction`, and the halfspace reflexivity test reports a
+    refutation.
     """
-    return _interior_point(_leafed_slice(n)[0])
+    from fractions import Fraction  # the one rational result, kept off import
 
-
-def _interior_point(s: LatticeSimplex):
-    """Row sums of L^-1 for a leafed slice: n, then the vertex sums over n,
-    since row i + 1 of n * L^-1 lists coordinate i of the vertices."""
-    n = s.source_n
-    sums = [Fraction(n)] + [Fraction(sum(c), n) for c in zip(*s.vertices)]
+    vertices = _leafed_slice(n)[0].vertices
+    sums = [Fraction(n)] + [Fraction(sum(c), n) for c in zip(*vertices)]
     if all(f.denominator == 1 for f in sums):
         return tuple(int(f) for f in sums)
     return tuple(sums)
@@ -185,29 +182,28 @@ def reflexivity_by_halfspaces(n: int) -> HalfspaceReport:
 def _halfspaces(s: LatticeSimplex) -> HalfspaceReport:
     """The halfspace test on a leafed slice.
 
-    B is the minor matrix with its first column dropped: for x in the
-    slice, Lx >= 0 rewrites to L(x - u) >= -Lu = -1, and x - u has first
-    coordinate 0.  A non-integral translation point is a refutation, as is
-    any facet row not supported at exactly -1.
+    u is `interior_point(n)`, from the integer vertex sums; a sum that n
+    does not divide makes it non-integral, a refutation.  B is the minor
+    matrix with its first column dropped: for x in the slice, Lx >= 0
+    rewrites to L(x - u) >= -Lu = -1, and x - u has first coordinate 0.
+    Any facet row not supported at exactly -1 is a refutation too.
     """
     n = s.source_n
-    u = _interior_point(s)
-    if any(not isinstance(e, int) for e in u):
+    sums = [sum(c) for c in zip(*s.vertices)]
+    if any(c % n for c in sums):
         return HalfspaceReport(
             n, False, "canonical interior point is not integral",
             None, None, None, None,
         )
     l = s._minor
-    ones = l.apply(u)
-    if any(e != 1 for e in ones):
+    drop = tuple(c // n for c in sums)
+    if any(e != 1 for e in l.apply((n,) + drop)):
         raise ArithmeticError("minor times its inverse row sums is not all-ones")
-    drop = u[1:]
     translated = tuple(tuple(a - b for a, b in zip(v, drop)) for v in s.vertices)
-    reduced = IntegerMatrix([[l[i, j] for j in range(1, n)] for i in range(n)])
-    values = [reduced.apply(z) for z in translated]
-    for i in range(n):
-        row_vals = [values[j][i] for j in range(n)]
-        if any(e < -1 for e in row_vals) or row_vals.count(-1) != n - 1:
+    reduced = IntegerMatrix([row[1:] for row in l])
+    for i, row in enumerate(reduced):
+        row_vals = [sum(map(mul, row, z)) for z in translated]
+        if min(row_vals) < -1 or row_vals.count(-1) != n - 1:
             return HalfspaceReport(
                 n, False, f"facet row {i} is not supported at -1",
                 drop, reduced, None, translated,
@@ -222,11 +218,16 @@ def _facets(s: LatticeSimplex, t: int, strict: int
     """(rows, rhs): t*s is {x : row.x >= rhs for every row}, and its
     interior the same with strict 1.
 
-    With M = d * E^-1 for the edge matrix E, the barycentric coordinates of
-    x are M(x - t*v0)/d together with t - (1^T M)(x - t*v0)/d, so x lies in
-    t*s iff M x >= t M v0 and -(1^T M) x >= -t d - t (1^T M) v0; the
-    interior adds 1 to every right-hand side.
+    A leafed slice is {y : Ly >= 0} cut at y_0 = n, so its rows are L's
+    without column 0, with right-hand sides -t*n*L[i][0].  Any other
+    simplex has M = d * E^-1 for its edge matrix E: the barycentric
+    coordinates of x are M(x - t*v0)/d and t - (1^T M)(x - t*v0)/d, so x
+    lies in t*s iff M x >= t M v0 and -(1^T M) x >= -t d - t (1^T M) v0.
+    Either way the interior adds 1 to every right-hand side.
     """
+    l = s._minor
+    if l is not None:
+        return [row[1:] for row in l], [strict - t * l.rows * row[0] for row in l]
     d, m = adjugate_pair(s.edge_matrix())
     rows = [m.row(i) for i in range(m.rows)]
     rows.append([-sum(col) for col in zip(*rows)])
@@ -380,9 +381,10 @@ def normality_probe(s: LatticeSimplex, m_max: int = 2,
     sum of m lattice points of s.  Evidence only — stops at the first
     failing m and records its least uncovered point.
 
-    Every dilate's box is charged before any scan, so a probe over the
-    budget at some m refuses at once, even where an earlier m would have
-    failed.  Only L(1) is listed, by the box scan, and its size must equal
+    Every dilate's box, m times the box of s, is charged before any scan,
+    so a probe over the budget at some m refuses at once, even where an
+    earlier m would have failed.  Only L(1) is listed, by the box scan
+    with the facets of `_facets`, and its size must equal
     `dilate_count(s, 1)`.  Each point is packed into one int by
     `_field_shifts` over spans of m_max times the box's extent, field i
     holding x_i - m * low_i: a sum of m packed points is then one int add
@@ -398,10 +400,10 @@ def normality_probe(s: LatticeSimplex, m_max: int = 2,
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    for m in range(1, m_max + 1):
-        _charge_box(*_dilate_box(s, m), budget)
-    rows, rhs = _facets(s, 1, 0)
     lows, highs = _dilate_box(s, 1)
+    for m in range(1, m_max + 1):
+        _charge_box([m * l for l in lows], [m * h for h in highs], budget)
+    rows, rhs = _facets(s, 1, 0)
     strata = s.source_n is not None
     base = _box_points(rows, rhs, lows, highs, budget)
     if strata and len(base) != dilate_count(s, 1, budget=budget):

@@ -75,7 +75,10 @@ class IntegerMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = 1
+        return cls(rows)
 
     @property
     def rows(self) -> int:

@@ -1,13 +1,16 @@
 """Closed forms for the cycle and leafed-cycle families, a set-based
 normality probe, a tuple-sorted transform, a simplex's normalized volume,
-a rational Gauss-Jordan solver, and the line-by-line graph reader,
+a simplex's facets from the adjugate of its edge matrix, a rational
+Gauss-Jordan solver, and the line-by-line graph reader,
 row-by-row matrix check and per-neighbour block split that the library
 once had, kept as oracles.
 
 Nothing in `lapcomp` computes these: each one reaches a result by a route
-the library does not take, so the tests can hold the general engine, the
-digit-sum DP, the packed normality probe, the packed point sort and the
-block split read off one rooting against them.
+the library does not take (the adjugate facets only for simplices that
+are not leafed slices), so the tests can hold the general engine, the
+digit-sum DP, the packed normality probe, the packed point sort, a
+slice's facets read off its minor and the block split read off one
+rooting against them.
 """
 
 import math
@@ -209,6 +212,20 @@ def sorted_columns(cone, budget=None):
 def normalized_volume(s):
     """dimension! times the euclidean volume of the simplex s."""
     return abs(determinant(s.edge_matrix()))
+
+
+def facets_by_adjugate(s, t, strict):
+    """(rows, rhs) with t*s = {x : row.x >= rhs} (its interior with strict
+    1), from the adjugate of the edge matrix E, whatever s is: with
+    M = d * E^-1, x lies in t*s iff M(x - t*v0) >= 0 and
+    (1^T M)(x - t*v0) <= t*d."""
+    d, m = adjugate_pair(s.edge_matrix())
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    rows.append([-sum(col) for col in zip(*rows)])
+    v0 = s.vertices[0]
+    rhs = [t * sum(a * b for a, b in zip(row, v0)) + strict for row in rows]
+    rhs[-1] -= t * d
+    return rows, rhs
 
 
 def gauss_jordan(rows, rhs):

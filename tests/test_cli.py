@@ -233,6 +233,19 @@ class TestCheck:
         assert "13/13 match" in out
         assert "MISMATCH" not in out
 
+    def test_cyclic_series_is_budgeted(self, capsys, monkeypatch):
+        monkeypatch.delenv("LAPCOMP_BUDGET", raising=False)
+        # 1/(1 - q^3)^3 to order 5: 6 coefficients, one pass, 12 updates.
+        assert run(capsys, "check", "cyclic", "3", "5", "--budget", "12")[0] == 0
+        assert run(capsys, "check", "cyclic", "3", "5", "--budget", "11") == (
+            2, "", "error: budget exhausted: series needs 12 coefficient "
+                   "updates; budget is 11\n")
+        monkeypatch.setenv("LAPCOMP_BUDGET", "1000")
+        # Three passes over 400,001 coefficients, refused before the list.
+        assert run(capsys, "check", "cyclic", "3", "400000") == (
+            2, "", "error: budget exhausted: series needs 1600004 coefficient "
+                   "updates; budget is 1000\n")
+
     def test_cyclic_json(self, capsys):
         code, out, _ = run(capsys, "check", "cyclic", "4", "6", "--json")
         assert code == 0

@@ -1352,6 +1352,17 @@ class TestBoxPoints:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_flat_filter(self, data):
+        self.check_flat_filter(data, st.integers(-3, 3))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_sparse_rows_match_flat_filter(self, data):
+        # Two entries in three are 0, as in a leafed minor's rows, so a
+        # row is often zero at a level, or everywhere.
+        self.check_flat_filter(data, st.sampled_from((0,) * 12 + (-3, -2, -1, 1, 2, 3)))
+
+    @staticmethod
+    def check_flat_filter(data, entries):
         n = data.draw(st.integers(1, 4))
         ends = [sorted(data.draw(st.lists(st.integers(-4, 4), min_size=2,
                                           max_size=2))) for _ in range(n)]
@@ -1359,7 +1370,7 @@ class TestBoxPoints:
         highs = [hi for _, hi in ends]
         k = data.draw(st.integers(1, 4))
         rows = data.draw(st.lists(
-            st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+            st.lists(entries, min_size=n, max_size=n),
             min_size=k, max_size=k,
         ))
         rhs = data.draw(st.lists(st.integers(-10, 10), min_size=k, max_size=k))

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from lapcomp import (
+    BudgetExceededError,
     check_conjecture_cyclic,
     check_near_symmetry,
     compositions,
@@ -13,6 +14,7 @@ from lapcomp import (
     integral_shift_profile,
     profile_entry_for,
 )
+from lapcomp import cone_engine
 from lapcomp.cone_engine import _divide_exact, _one_minus_q_power, _poly_mul
 
 
@@ -157,6 +159,19 @@ class TestCyclicCheck:
             check_conjecture_cyclic(1, 5)
         with pytest.raises(ValueError):
             check_conjecture_cyclic(3, -1)
+
+    def test_series_is_charged_before_it_expands(self, monkeypatch):
+        def no_expansion(*args):
+            raise AssertionError("the series was expanded")
+
+        with pytest.raises(BudgetExceededError) as err:
+            check_conjecture_cyclic(4, 10**8)
+        assert err.value.required == (10**8 + 1) * (1 + 4)
+        monkeypatch.setattr(cone_engine, "_times_geometric", no_expansion)
+        with pytest.raises(BudgetExceededError) as err:
+            check_conjecture_cyclic(3, 5, budget=11)
+        assert err.value.required == 12
+        assert str(err.value) == "series needs 12 coefficient updates; budget is 11"
 
 
 class TestExactDivision:

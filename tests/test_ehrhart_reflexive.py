@@ -22,7 +22,7 @@ from lapcomp import (
 from lapcomp import cli, cone_engine, cycle_families, ehrhart_reflexive, graph_core
 from lapcomp.cli import main
 from lapcomp.ehrhart_reflexive import _halfspaces, _is_unimodal
-from oracles import normality_by_sets, normalized_volume
+from oracles import facets_by_adjugate, normality_by_sets, normalized_volume
 
 
 def count_minor_pairs(monkeypatch):
@@ -183,6 +183,14 @@ class TestInteriorPoint:
         for n in range(3, 9):
             assert interior_point(n)[0] == n
 
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_values_and_types(self, n):
+        # n + i(n - i)/2: integral for odd n; for even n every entry is a
+        # Fraction, the integral first one included.
+        u = interior_point(n)
+        assert u == (n, *(n + Fraction(i * (n - i), 2) for i in range(1, n)))
+        assert {type(e) for e in u} == {int if n % 2 else Fraction}
+
     def test_past_the_graph_limit(self):
         # The leafed 65-cycle has 66 vertices, more than `Graph` takes; its
         # slice comes from the leafed minor pair alone, so both answer.
@@ -261,6 +269,30 @@ class TestDilateCounting:
         for t in range(4):
             assert dilate_count(s, t) == dilate_count(generic, t)
             assert interior_count(s, t) == interior_count(generic, t)
+
+    @pytest.mark.parametrize("n,t_max", [(3, 3), (4, 3), (5, 3), (6, 2), (7, 2), (8, 2)])
+    def test_minor_facets_scan_like_the_adjugate_facets(self, n, t_max):
+        # A slice's facets are its minor's rows; the adjugate of its edge
+        # matrix gives positive multiples of them, so the box scan lists
+        # the same points of each dilate and its interior, in one order.
+        s = build_slice_simplex(n)
+        for t in range(1, t_max + 1):
+            box = ehrhart_reflexive._dilate_box(s, t)
+            for strict in (0, 1):
+                expected = cone_engine._box_points(*facets_by_adjugate(s, t, strict), *box,
+                                                   10**12)
+                assert ehrhart_reflexive._scan_dilate(s, t, 10**12, strict) == expected
+                assert len(expected) == (interior_count if strict else dilate_count)(s, t)
+
+    def test_slice_facets_need_no_elimination(self, monkeypatch):
+        s = build_slice_simplex(5)
+        expected = dilate_points(s, 2), interior_count(s, 2), normality_probe(s)
+
+        def refuse(m):
+            raise AssertionError("a slice's facets ran an elimination")
+
+        monkeypatch.setattr(ehrhart_reflexive, "adjugate_pair", refuse)
+        assert (dilate_points(s, 2), interior_count(s, 2), normality_probe(s)) == expected
 
     @pytest.mark.parametrize("argv", [
         ["ehrhart", "9", "--normal-m", "0"], ["check", "reflexive", "9"],
