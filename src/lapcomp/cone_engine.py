@@ -1007,8 +1007,13 @@ def _box_points(rows: Sequence[Sequence[int]], rhs: Sequence[int],
     to it over the box, so once coordinates 0..t-1 are fixed every row
     bounds x_t to an interval; an empty interval prunes the prefix, and the
     last level emits its interval without scanning it.  Only the rows
-    nonzero at t bound x_t and update their needs; the others keep only
-    their prune test.
+    nonzero at t bound x_t and update their needs.
+
+    The rows zero at level 0 are tested once, there, and prune the whole
+    box when a need exceeds its tail; no later level could fire that
+    test.  After level t every row's need is at most its tail at t: a row
+    nonzero at t bounds x_t so, and a row zero at t keeps the need it had
+    and the tail it had one level up.
     """
     _charge_box(lows, highs, budget)
     n = len(lows)
@@ -1018,17 +1023,14 @@ def _box_points(rows: Sequence[Sequence[int]], rhs: Sequence[int],
     for t in range(n - 1, 0, -1):
         tails.insert(0, [tail + max(a * lows[t], a * highs[t])
                          for tail, a in zip(tails[0], columns[t])])
-    # Per level: (r, a, tail) of each row r with a != 0 there, (r, tail) of the rest.
-    nonzero, zero = [], []
-    for column, tail in zip(columns, tails):
-        nonzero.append([(r, a, tail[r]) for r, a in enumerate(column) if a])
-        zero.append([(r, tail[r]) for r, a in enumerate(column) if not a])
+    if any(b > tail for a, b, tail in zip(columns[0], rhs, tails[0]) if not a):
+        return []
+    # Per level: (r, a, tail) of each row r with a != 0 there.
+    nonzero = [[(r, a, tail[r]) for r, a in enumerate(column) if a]
+               for column, tail in zip(columns, tails)]
     points = []
 
     def scan(t: int, prefix: tuple[int, ...], needs: list[int]):
-        for r, tail in zero[t]:
-            if needs[r] > tail:
-                return
         lo, hi = lows[t], highs[t]
         for r, a, tail in nonzero[t]:
             slack = needs[r] - tail

@@ -78,19 +78,40 @@ def count_cyclic_classes(m: int, n: int) -> int:
     """Number of rotation orbits, by Burnside's lemma.
 
     A shift g fixes a composition iff the composition has period
-    d = gcd(g, n), which requires (n/d) | m and then leaves C(m*d/n + d - 1,
-    d - 1) choices.
+    d = gcd(g, n), which requires k = n/d to divide m and then leaves
+    C(m/k + d - 1, d - 1) choices.  phi(k) of the n shifts have that
+    period, so the sum runs over the divisors k of gcd(m, n), one term
+    each.
     """
     if m < 0 or n < 1:
         raise ValueError("need m >= 0 and n >= 1")
     total = 0
-    for g in range(n):
-        d = math.gcd(g, n)
-        if m % (n // d) == 0:
-            total += math.comb(m * d // n + d - 1, d - 1)
+    for k, phi in _divisor_totients(math.gcd(m, n)):
+        d = n // k
+        total += phi * math.comb(m // k + d - 1, d - 1)
     if total % n:
         raise ArithmeticError("Burnside sum not divisible by n")
     return total // n
+
+
+def _divisor_totients(g: int) -> list[tuple[int, int]]:
+    """(k, phi(k)) for every divisor k of g >= 1, built prime by prime from
+    g's factorization by trial division."""
+    pairs = [(1, 1)]
+    p = 2
+    while p * p <= g:
+        if g % p == 0:
+            powers = [(1, 1)]  # (p^i, phi(p^i))
+            q = p
+            while g % p == 0:
+                g //= p
+                powers.append((q, q - q // p))
+                q *= p
+            pairs = [(k * a, phi * b) for k, phi in pairs for a, b in powers]
+        p += 1
+    if g > 1:
+        pairs += [(k * g, phi * (g - 1)) for k, phi in pairs]
+    return pairs
 
 
 class ShiftProfileEntry(NamedTuple):

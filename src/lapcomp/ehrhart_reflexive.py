@@ -10,24 +10,28 @@ L(t).  A sumset probe for normality rounds it out: it lists only the
 simplex's own lattice points and holds the size of each m-fold sumset
 against the count of m*s.
 
-The slice is built once from the leafed minor pair (L, R = n * L^-1) and
-keeps what it computed: its vertices are the columns of R below a top row
-of n's, so the canonical interior point is read back from their integer
-sums; the facets of every dilate and the halfspace certificate read L
-itself; and one digit-class DP on R, run when the slice is built, gives
-the digit strata behind every dilate count.
+The slice is built once from the leafed minor pair (L, R = n * L^-1),
+whose adjugate is its one elimination, and keeps what it computed: its
+vertices are the columns of R below a top row of n's, certified affinely
+independent by L*R = n*I rather than by a determinant, so the canonical
+interior point is read back from their integer sums; the facets of every
+dilate and the halfspace certificate read L itself, one coordinate column
+at a time over each row's nonzeros; and one digit-class DP on R, run when
+the slice is built, gives the digit strata behind every dilate count.
 
 Counting goes through those strata whenever the simplex is a slice,
-interior points included, by Ehrhart-Macdonald reciprocity.  The box-scan
-oracle of `cone_engine`, fed the simplex's facet inequalities in
-integers, covers arbitrary simplices, whose facets come from the adjugate
-of the edge matrix, and doubles as an independent cross-check.
+interior points included, by Ehrhart-Macdonald reciprocity, and the slice
+keeps each count it sums.  The box-scan oracle of `cone_engine`, fed the
+simplex's facet inequalities in integers, covers arbitrary simplices,
+whose facets come from the adjugate of the edge matrix, and doubles as an
+independent cross-check.
 """
 
 from __future__ import annotations
 
 import math
-from operator import lshift, mul
+from itertools import repeat
+from operator import add, lshift, mul
 from typing import NamedTuple, Optional, Sequence
 
 from .cone_engine import (
@@ -57,14 +61,18 @@ __all__ = [
 class LatticeSimplex:
     """A full-dimensional lattice simplex, given by its vertices.
 
-    The height-n slice of a leafed n-cycle cone also carries the leafed
-    minor L and the cone's digit strata, and `source_n` is then n, the
-    size of L; counting routines use the strata instead of the box scan.
-    Only `build_slice_simplex` and its helper `_leafed_slice` set them, so
-    a simplex built from bare vertices is always counted by the box scan.
+    The constructor checks the vertices and refuses affinely dependent
+    ones by the determinant of the edge matrix.  The height-n slice of a
+    leafed n-cycle cone also carries the leafed minor L and the cone's
+    digit strata, and `source_n` is then n, the size of L; counting
+    routines use the strata instead of the box scan, and remember each
+    count they make.  Only `_leafed_slice` sets L, with every slot and no
+    determinant: it certifies its vertices by L*R = n*I, and
+    `build_slice_simplex` then sets the strata.  A simplex built from bare
+    vertices is always counted by the box scan.
     """
 
-    __slots__ = ("_dimension", "_vertices", "_minor", "_strata")
+    __slots__ = ("_dimension", "_vertices", "_minor", "_strata", "_counts")
 
     def __init__(self, dimension, vertices):
         vertices = tuple(tuple(v) for v in vertices)
@@ -84,6 +92,7 @@ class LatticeSimplex:
         self._vertices = vertices
         self._minor = None
         self._strata = None
+        self._counts = {}
         if determinant(self.edge_matrix()) == 0:
             raise ValueError("vertices are affinely dependent")
 
@@ -131,13 +140,39 @@ def build_slice_simplex(n: int) -> LatticeSimplex:
 def _leafed_slice(n: int) -> tuple[LatticeSimplex, IntegerMatrix]:
     """The slice of `build_slice_simplex` with L but not yet its strata,
     and R.  Only the halfspace test and the interior point, which never
-    count, use a slice without its strata."""
+    count, use a slice without its strata.
+
+    The vertices are R's columns below its top row, and no determinant is
+    taken: L*R = n*I, checked exactly over L's nonzero entries, makes R
+    invertible, and R's columns, each (n, v_j), are then independent
+    exactly when the v_j are affinely independent.
+    """
     if n < 3:
         raise ValueError("leafed cycles need n >= 3")
     l, r = _leafed_minor_pair(n)
-    simplex = LatticeSimplex(n - 1, [[r[i, j] for i in range(1, n)] for j in range(n)])
+    for i, row in enumerate(l):
+        product = _row_values(row, r)
+        if product[i] != n or product.count(0) != n - 1:
+            raise ArithmeticError("minor times its scaled inverse is not n*I")
+    simplex = LatticeSimplex.__new__(LatticeSimplex)
+    simplex._dimension = n - 1
+    simplex._vertices = tuple(column[1:] for column in zip(*r))
     simplex._minor = l
+    simplex._strata = None
+    simplex._counts = {}
     return simplex, r
+
+
+def _row_values(row: Sequence[int], columns: Sequence[Sequence[int]]) -> list[int]:
+    """row.x for every point x, given by its coordinate columns (columns[k]
+    holds coordinate k of each point): one pass down each column where
+    row is nonzero, so a sparse row reads few of them."""
+    values = None
+    for a, column in zip(row, columns):
+        if a:
+            term = map(mul, column, repeat(a))
+            values = term if values is None else map(add, values, term)
+    return [0] * len(columns[0]) if values is None else list(values)
 
 
 def interior_point(n: int):
@@ -189,7 +224,8 @@ def _halfspaces(s: LatticeSimplex) -> HalfspaceReport:
     Any facet row not supported at exactly -1 is a refutation too.
     """
     n = s.source_n
-    sums = [sum(c) for c in zip(*s.vertices)]
+    columns = list(zip(*s.vertices))
+    sums = list(map(sum, columns))
     if any(c % n for c in sums):
         return HalfspaceReport(
             n, False, "canonical interior point is not integral",
@@ -199,10 +235,11 @@ def _halfspaces(s: LatticeSimplex) -> HalfspaceReport:
     drop = tuple(c // n for c in sums)
     if any(e != 1 for e in l.apply((n,) + drop)):
         raise ArithmeticError("minor times its inverse row sums is not all-ones")
-    translated = tuple(tuple(a - b for a, b in zip(v, drop)) for v in s.vertices)
+    moved = [tuple(map((-c).__add__, column)) for column, c in zip(columns, drop)]
+    translated = tuple(zip(*moved))
     reduced = IntegerMatrix([row[1:] for row in l])
     for i, row in enumerate(reduced):
-        row_vals = [sum(map(mul, row, z)) for z in translated]
+        row_vals = _row_values(row, moved)
         if min(row_vals) < -1 or row_vals.count(-1) != n - 1:
             return HalfspaceReport(
                 n, False, f"facet row {i} is not supported at -1",
@@ -245,9 +282,9 @@ def _scan_dilate(s: LatticeSimplex, t: int, budget: Optional[int],
 
 
 def _dilate_box(s: LatticeSimplex, t: int) -> tuple[list[int], list[int]]:
-    """(lows, highs): the bounding box of t*s."""
-    return ([min(t * v[i] for v in s.vertices) for i in range(s.dimension)],
-            [max(t * v[i] for v in s.vertices) for i in range(s.dimension)])
+    """(lows, highs): the bounding box of t*s, for t >= 0."""
+    columns = list(zip(*s.vertices))
+    return [t * min(c) for c in columns], [t * max(c) for c in columns]
 
 
 def dilate_points(s: LatticeSimplex, t: int, budget: Optional[int] = None
@@ -262,7 +299,9 @@ def dilate_points(s: LatticeSimplex, t: int, budget: Optional[int] = None
 
 
 def _count(s: LatticeSimplex, t: int, budget: Optional[int], strict: int) -> int:
-    """`dilate_count` (strict 0) or `interior_count` (strict 1)."""
+    """`dilate_count` (strict 0) or `interior_count` (strict 1).  A slice
+    sums its strata once for each (t, strict) and keeps the count; the box
+    scan is charged and run on every call."""
     if t < 0:
         raise ValueError("dilation factor must be nonnegative")
     if t == 0:
@@ -270,8 +309,12 @@ def _count(s: LatticeSimplex, t: int, budget: Optional[int], strict: int) -> int
     n = s.source_n
     if n is None:
         return len(_scan_dilate(s, t, budget, strict))
-    return sum(count * math.comb(t - 1 + (k if strict else n - k), n - 1)
-               for k, count in s._strata)
+    key = (t, strict)
+    count = s._counts.get(key)
+    if count is None:
+        count = s._counts[key] = sum(
+            c * math.comb(t - 1 + (k if strict else n - k), n - 1) for k, c in s._strata)
+    return count
 
 
 def dilate_count(s: LatticeSimplex, t: int, budget: Optional[int] = None) -> int:
@@ -389,14 +432,16 @@ def normality_probe(s: LatticeSimplex, m_max: int = 2,
     `_field_shifts` over spans of m_max times the box's extent, field i
     holding x_i - m * low_i: a sum of m packed points is then one int add
     without carries, and int order is lexicographic.
-    The m-fold sumset is the set of packed sums, its pairs charged against
-    the budget before any is formed.  Every L(1) point satisfies the facet
-    rows of s, and those rows are linear in m, so the m-fold sums lie in
-    m*s; m is normal iff their number is `dilate_count(s, m)`, which a
-    slice reads from its strata.  Only a dilate that fails is listed, by
-    the box scan, to name its least uncovered point.  A simplex without
-    strata is counted by the box scan itself, so each of its dilates is
-    scanned once and counted by its listing, L(1) included.
+    The m-fold sumset is the set of packed sums, its |(m-1)-fold sumset|
+    * |L(1)| pairs charged against the budget before any is formed; the
+    2-fold sumset adds each unordered pair once.  Every L(1) point is
+    checked against the facet rows of s, one coordinate column at a time,
+    and those rows are linear in m, so the m-fold sums lie in m*s; m is
+    normal iff their number is `dilate_count(s, m)`, which a slice reads
+    from its strata.  Only a dilate that fails is listed, by the box scan,
+    to name its least uncovered point.  A simplex without strata is
+    counted by the box scan itself, so each of its dilates is scanned once
+    and counted by its listing, L(1) included.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
@@ -408,7 +453,8 @@ def normality_probe(s: LatticeSimplex, m_max: int = 2,
     base = _box_points(rows, rhs, lows, highs, budget)
     if strata and len(base) != dilate_count(s, 1, budget=budget):
         raise ArithmeticError("box scan of the simplex disagrees with its count")
-    if any(sum(map(mul, row, p)) < b for p in base for row, b in zip(rows, rhs)):
+    columns = list(zip(*base))
+    if any(min(_row_values(row, columns)) < b for row, b in zip(rows, rhs)):
         raise ArithmeticError("box scan of the simplex left its facets")
     shifts = _field_shifts([m_max * (h - l) for l, h in zip(lows, highs)])
     offset = sum(map(lshift, lows, shifts))
@@ -419,7 +465,10 @@ def normality_probe(s: LatticeSimplex, m_max: int = 2,
     for m in range(2, m_max + 1):
         pairs += len(reach) * len(packed)
         _charge(pairs, budget, "normality sumset needs {} pairs, budget is {}")
-        reach = set().union(*(map(a.__add__, packed) for a in reach))
+        if m == 2:  # L(1) + L(1): each unordered pair once
+            reach = {a + b for i, a in enumerate(packed) for b in packed[i:]}
+        else:
+            reach = {a + b for a in reach for b in packed}
         listing = None if strata else dilate_points(s, m, budget=budget)
         count = dilate_count(s, m, budget=budget) if strata else len(listing)
         if len(reach) == count:

@@ -2,15 +2,15 @@
 normality probe, a tuple-sorted transform, a simplex's normalized volume,
 a simplex's facets from the adjugate of its edge matrix, a rational
 Gauss-Jordan solver, and the line-by-line graph reader,
-row-by-row matrix check and per-neighbour block split that the library
-once had, kept as oracles.
+row-by-row matrix check, per-neighbour block split, per-shift Burnside
+sum and every-level box scan that the library once had, kept as oracles.
 
 Nothing in `lapcomp` computes these: each one reaches a result by a route
 the library does not take (the adjugate facets only for simplices that
 are not leafed slices), so the tests can hold the general engine, the
 digit-sum DP, the packed normality probe, the packed point sort, a
-slice's facets read off its minor and the block split read off one
-rooting against them.
+slice's facets read off its minor, the block split read off one rooting,
+the divisor Burnside sum and the box scan's level-0 prune against them.
 """
 
 import math
@@ -153,6 +153,72 @@ def necklace_histogram(n):
     if any(c % n for c in total):
         raise ArithmeticError("Burnside sum not divisible by n")
     return [c // n for c in total]
+
+
+def count_cyclic_classes_by_shifts(m, n):
+    """Rotation classes of weak compositions of m into n parts, by
+    Burnside's lemma with one term per shift g: g fixes a composition iff
+    it has period d = gcd(g, n), which needs (n/d) | m and then leaves
+    C(m*d/n + d - 1, d - 1) choices."""
+    total = 0
+    for g in range(n):
+        d = math.gcd(g, n)
+        if m % (n // d) == 0:
+            total += math.comb(m * d // n + d - 1, d - 1)
+    assert total % n == 0
+    return total // n
+
+
+def box_points_every_level(rows, rhs, lows, highs):
+    """The integer points x of lows <= x <= highs with row.x >= rhs for
+    every row, in lexicographic order, by the pruned scan that tests the
+    rows zero at a coordinate at every level: once x_0..x_{t-1} are fixed,
+    a row zero at t prunes the prefix when its need exceeds the most that
+    coordinates t+1.. can add, and every other row bounds x_t."""
+    n = len(lows)
+    tails = [[0] * len(rows)]
+    for t in range(n - 1, 0, -1):
+        tails.insert(0, [tail + max(row[t] * lows[t], row[t] * highs[t])
+                         for tail, row in zip(tails[0], rows)])
+    points = []
+
+    def scan(t, prefix, needs):
+        lo, hi = lows[t], highs[t]
+        for row, need, tail in zip(rows, needs, tails[t]):
+            a = row[t]
+            if not a:
+                if need > tail:
+                    return
+            elif a > 0:
+                lo = max(lo, -(-(need - tail) // a))
+            else:
+                hi = min(hi, (need - tail) // a)
+        for x in range(lo, hi + 1):
+            if t == n - 1:
+                points.append(prefix + (x,))
+            else:
+                scan(t + 1, prefix + (x,), [need - row[t] * x for row, need in zip(rows, needs)])
+
+    scan(0, (), list(rhs))
+    return points
+
+
+def sumset_charges(s, m_max):
+    """The pair count that the normality probe charges before forming each
+    m-fold sumset, m = 2.. up to m_max or the first m whose sumset misses
+    a point of m*s: the running sum of |(m-1)-fold sumset| * |L(1)|, the
+    sumsets formed pair by ordered pair."""
+    base = dilate_points(s, 1)
+    reachable = set(base)
+    charges = []
+    pairs = 0
+    for m in range(2, m_max + 1):
+        pairs += len(reachable) * len(base)
+        charges.append((m, pairs))
+        reachable = {tuple(a + b for a, b in zip(p, q)) for p in reachable for q in base}
+        if len(reachable) != len(dilate_points(s, m)):
+            break
+    return charges
 
 
 def normality_by_sets(s, m_max=2, budget=None):

@@ -13,7 +13,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import random_connected_graph, scaled
@@ -43,7 +43,7 @@ from lapcomp.cone_engine import (
     _field_shifts, _json_form, _series_updates, _times_binomial_series, _times_geometric,
     polynomial_string,
 )
-from oracles import sorted_columns, transform_by_tuples, walk_columns
+from oracles import box_points_every_level, sorted_columns, transform_by_tuples, walk_columns
 
 
 def minor_cone(family, *params, vertex=None):
@@ -1360,6 +1360,45 @@ class TestBoxPoints:
         # Two entries in three are 0, as in a leafed minor's rows, so a
         # row is often zero at a level, or everywhere.
         self.check_flat_filter(data, st.sampled_from((0,) * 12 + (-3, -2, -1, 1, 2, 3)))
+
+    @seed(20261020)
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_level_zero_prune_matches_every_level_scan(self, data):
+        # Sparse systems, most with a row that is zero everywhere: with a
+        # positive right-hand side it empties the box, with 0 it cuts
+        # nothing.  Testing the zero rows at level 0 alone must list the
+        # same points, in the same order, as testing them at every level.
+        entries = st.sampled_from((0,) * 12 + (-3, -2, -1, 1, 2, 3))
+        n = data.draw(st.integers(1, 5))
+        ends = [sorted(data.draw(st.lists(st.integers(-4, 4), min_size=2,
+                                          max_size=2))) for _ in range(n)]
+        lows = [lo for lo, _ in ends]
+        highs = [hi for _, hi in ends]
+        k = data.draw(st.integers(0, 4))
+        rows = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                  min_size=k, max_size=k))
+        rhs = data.draw(st.lists(st.integers(-10, 10), min_size=k, max_size=k))
+        zero_rhs = data.draw(st.sampled_from((None, 0, 1, 5)))
+        if zero_rhs is not None:
+            at = data.draw(st.integers(0, k))
+            rows.insert(at, [0] * n)
+            rhs.insert(at, zero_rhs)
+        assume(rows)
+        got = cone_engine._box_points(rows, rhs, lows, highs, 10**6)
+        assert got == box_points_every_level(rows, rhs, lows, highs)
+        if zero_rhs:
+            assert got == []
+
+    def test_all_zero_rows(self):
+        box = [-1, 0], [1, 2]
+        every = [(x, y) for x in range(-1, 2) for y in range(0, 3)]
+        assert cone_engine._box_points([[0, 0]], [1], *box) == []
+        assert cone_engine._box_points([[0, 0]], [0], *box) == every
+        assert cone_engine._box_points([[1, 0], [0, 0]], [0, 0], *box) == every[3:]
+        assert cone_engine._box_points([[1, 0], [0, 0]], [0, 1], *box) == []
+        assert box_points_every_level([[0, 0]], [1], *box) == []
+        assert box_points_every_level([[0, 0]], [0], *box) == every
 
     @staticmethod
     def check_flat_filter(data, entries):

@@ -14,8 +14,9 @@ from lapcomp import (
     integral_shift_profile,
     profile_entry_for,
 )
-from lapcomp import cone_engine
+from lapcomp import cone_engine, conjecture_lab
 from lapcomp.cone_engine import _divide_exact, _one_minus_q_power, _poly_mul
+from oracles import count_cyclic_classes_by_shifts
 
 
 class TestCompositions:
@@ -76,6 +77,37 @@ class TestBurnsideCount:
     def test_matches_explicit_orbits(self, n):
         for m in range(9):
             assert count_cyclic_classes(m, n) == len(cyclic_classes(m, n))
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_matches_the_per_shift_sum(self, n):
+        for m in range(3 * n + 1):
+            assert count_cyclic_classes(m, n) == count_cyclic_classes_by_shifts(m, n)
+
+    def test_large_n(self):
+        # One term per divisor of gcd(m, n), where the per-shift sum would
+        # take n = 10**12 terms.  Two into n parts: a 2 somewhere, or two 1s
+        # at cyclic distance 1..n/2.  Three into 3 | n parts: Burnside's
+        # (C(n + 2, 3) + 2 * n/3) / n.
+        n = 10**12
+        assert count_cyclic_classes(0, n) == 1
+        assert count_cyclic_classes(1, n) == 1
+        assert count_cyclic_classes(2, n) == 1 + n // 2
+        n = 3 * 10**11
+        assert count_cyclic_classes(3, n) == ((n + 2) * (n + 1) + 4) // 6
+
+    def test_divisor_totients(self):
+        for g in range(1, 400):
+            assert sorted(conjecture_lab._divisor_totients(g)) == [
+                (k, sum(math.gcd(j, k) == 1 for j in range(k)))
+                for k in range(1, g + 1) if g % k == 0
+            ]
+
+    def test_burnside_sum_must_divide(self, monkeypatch):
+        # Keeping only the identity's term, 2 into 2 parts sums to the
+        # C(3, 1) = 3 compositions, which 2 does not divide.
+        monkeypatch.setattr(conjecture_lab, "_divisor_totients", lambda g: [(1, 1)])
+        with pytest.raises(ArithmeticError, match="^Burnside sum not divisible by n$"):
+            count_cyclic_classes(2, 2)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,13 +1,17 @@
 """Tests for slice simplices, Ehrhart counts, and reflexivity checks."""
 
+import math
 import random
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 from lapcomp import (
     BudgetExceededError,
+    IntegerMatrix,
     LatticeSimplex,
     build_slice_simplex,
     dilate_count,
@@ -19,10 +23,15 @@ from lapcomp import (
     reflexivity_by_halfspaces,
     reflexivity_by_interior_counts,
 )
-from lapcomp import cli, cone_engine, cycle_families, ehrhart_reflexive, graph_core
+from lapcomp import (
+    cli, cone_engine, cycle_families, ehrhart_reflexive, exact_linalg, graph_core,
+)
 from lapcomp.cli import main
 from lapcomp.ehrhart_reflexive import _halfspaces, _is_unimodal
-from oracles import facets_by_adjugate, normality_by_sets, normalized_volume
+from oracles import (
+    facets_by_adjugate, necklace_histogram, normality_by_sets, normalized_volume,
+    sumset_charges,
+)
 
 
 def count_minor_pairs(monkeypatch):
@@ -166,6 +175,99 @@ class TestSliceSimplex:
                     if value is real:
                         monkeypatch.setattr(module, attr, refuse)
         assert outputs() == expected
+
+
+class TestSliceCertificate:
+    """A leafed slice sets its own slots, certified by L*R = n*I instead of
+    the public constructor's determinant."""
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_matches_the_public_constructor(self, n):
+        l, r = cycle_families._leafed_minor_pair(n)
+        public = LatticeSimplex(n - 1, [[r[i, j] for i in range(1, n)] for j in range(n)])
+        public._minor = l
+        public._strata = [(k, c) for k, c in enumerate(necklace_histogram(n)[::n]) if c]
+        s = build_slice_simplex(n)
+        assert s.vertices == public.vertices
+        assert {type(x) for v in s.vertices for x in v} == {int}
+        assert [(k, c) for k, c in s._strata if c] == public._strata
+        assert repr(s) == repr(public)
+        assert _halfspaces(s) == _halfspaces(public)
+        assert h_star(s) == h_star(public)
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_one_elimination(self, n, monkeypatch):
+        # The adjugate of L is the slice's only elimination.
+        calls = []
+        real = exact_linalg._eliminate
+
+        def counted(rows, size):
+            calls.append(size)
+            return real(rows, size)
+
+        monkeypatch.setattr(exact_linalg, "_eliminate", counted)
+        build_slice_simplex(n)
+        assert calls == [n]
+
+    @pytest.mark.parametrize("i,j", [(i, j) for i in range(1, 5) for j in range(5)])
+    def test_corrupt_inverse_is_refused(self, i, j, monkeypatch, capsys):
+        # Any entry of R below its top row off by one breaks L*R = n*I; the
+        # top row is checked by the pair itself.
+        real = cycle_families.adjugate_pair
+
+        def off_by_one(m):
+            d, r = real(m)
+            rows = r.to_lists()
+            rows[i][j] += 1
+            return d, IntegerMatrix(rows)
+
+        monkeypatch.setattr(cycle_families, "adjugate_pair", off_by_one)
+        message = "minor times its scaled inverse is not n*I"
+        for build in (build_slice_simplex, interior_point, reflexivity_by_halfspaces):
+            with pytest.raises(ArithmeticError) as failed:
+                build(5)
+            assert str(failed.value) == message
+        assert main(["ehrhart", "5"]) == 1
+        assert capsys.readouterr() == ("", f"error: internal identity failed: {message}\n")
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_ehrhart_counts_each_value_once(self, n, monkeypatch, capsys):
+        # `ehrhart N --normal-m 2` asks for L(1) and L(2) in the probe,
+        # L(0..n-1) in h*, and L(0..n-1) and L_interior(1..n) in the
+        # interior-count test, which stops at its first failure; the strata
+        # are summed once for each distinct value asked for.
+        expected = main(["ehrhart", str(n), "--normal-m", "2"]), capsys.readouterr()
+        asked, sums = [], []
+
+        class Strata(list):
+            def __iter__(self):
+                sums.append(1)
+                return super().__iter__()
+
+        real_build, real_count = cli.build_slice_simplex, ehrhart_reflexive._count
+
+        def build(n):
+            s = real_build(n)
+            s._strata = Strata(s._strata)
+            return s
+
+        def count(s, t, budget, strict):
+            if t:
+                asked.append((t, strict))
+            return real_count(s, t, budget, strict)
+
+        monkeypatch.setattr(cli, "build_slice_simplex", build)
+        monkeypatch.setattr(ehrhart_reflexive, "_count", count)
+        assert (main(["ehrhart", str(n), "--normal-m", "2"]), capsys.readouterr()) == expected
+        assert len(sums) == len(set(asked)) < len(asked)
+        if n % 2:  # reflexive: every interior count is asked for
+            assert set(asked) == {(t, 0) for t in range(1, n)} | {(t, 1) for t in range(1, n + 1)}
+
+    def test_box_counts_are_charged_every_call(self):
+        for _ in range(2):
+            with pytest.raises(BudgetExceededError) as refused:
+                interior_count(REFLEXIVE_TRIANGLE, 10, budget=3)
+            assert refused.value.required == 21 * 21
 
 
 class TestInteriorPoint:
@@ -520,15 +622,55 @@ class TestNormalityProbe:
         assert data["counterexample"] is None
 
 
+def check_against_sets(s, m_max):
+    """The probe's report equals the ordered-pair oracle's, and each sumset
+    charge that no box charge hides refuses a budget one below it with its
+    exact `.required`; the probe completes at the largest charge."""
+    report = normality_probe(s, m_max)
+    assert report == normality_by_sets(s, m_max), s
+    box = math.prod(h - l + 1 for l, h in zip(*ehrhart_reflexive._dilate_box(s, m_max)))
+    charges = sumset_charges(s, m_max)
+    for m, pairs in charges:
+        if pairs <= box:
+            continue  # the boxes, charged first, refuse this budget
+        with pytest.raises(BudgetExceededError) as refused:
+            normality_probe(s, m_max, budget=pairs - 1)
+        assert str(refused.value) == f"normality sumset needs {pairs} pairs, budget is {pairs - 1}"
+        assert refused.value.required == pairs
+    assert normality_probe(s, m_max, budget=max([box] + [p for _, p in charges])) == report
+    return report
+
+
 class TestNormalityAgainstSets:
     """The packed probe against the set-comparison oracle: equal reports,
-    counterexample included."""
+    counterexample included, and equal sumset charges."""
 
     @pytest.mark.parametrize("n,m_max", [(3, 3), (4, 3), (5, 3), (6, 3), (7, 2)])
     def test_leafed_slices(self, n, m_max):
         s = build_slice_simplex(n)
         for m in range(1, m_max + 1):
-            assert normality_probe(s, m) == normality_by_sets(s, m)
+            check_against_sets(s, m)
+
+    @seed(20261020)
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_generic_simplices(self, data):
+        dim = data.draw(st.integers(1, 3))
+        coordinate = st.integers(-3, 3)
+        vertices = data.draw(st.lists(st.lists(coordinate, min_size=dim, max_size=dim),
+                                      min_size=dim + 1, max_size=dim + 1))
+        try:
+            s = LatticeSimplex(dim, vertices)
+        except ValueError:  # affinely dependent
+            assume(False)
+        check_against_sets(s, data.draw(st.integers(1, 3)))
+
+    def test_sumset_refusal_of_slice_three(self):
+        # The n = 3 slice's boxes reach 49 cells at m = 3; its sumsets
+        # charge 4 * 4 and then 10 * 4 more pairs.
+        assert sumset_charges(build_slice_simplex(3), 3) == [(2, 16), (3, 56)]
+        with pytest.raises(BudgetExceededError, match="^normality sumset needs 56 pairs"):
+            normality_probe(build_slice_simplex(3), 3, budget=55)
 
     def test_unit_triangle(self):
         for m in range(1, 5):
