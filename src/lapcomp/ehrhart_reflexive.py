@@ -11,13 +11,14 @@ simplex's own lattice points and holds the size of each m-fold sumset
 against the count of m*s.
 
 The slice is built once from the leafed minor pair (L, R = n * L^-1),
-whose adjugate is its one elimination, and keeps what it computed: its
-vertices are the columns of R below a top row of n's, certified affinely
-independent by L*R = n*I rather than by a determinant, so the canonical
-interior point is read back from their integer sums; the facets of every
-dilate and the halfspace certificate read L itself, one coordinate column
-at a time over each row's nonzeros; and one digit-class DP on R, run when
-the slice is built, gives the digit strata behind every dilate count.
+whose R comes from its closed form with no elimination, and keeps what it
+computed: its vertices are the columns of R below a top row of n's,
+certified affinely independent by the pair's check L*R = n*I rather than
+by a determinant, so the canonical interior point is read back from their
+integer sums; the facets of every dilate and the halfspace certificate
+read L itself, one coordinate column at a time over each row's nonzeros;
+and one digit-class DP on R, run when the slice is built, gives the digit
+strata behind every dilate count.
 
 Counting goes through those strata whenever the simplex is a slice,
 interior points included, by Ehrhart-Macdonald reciprocity, and the slice
@@ -30,8 +31,7 @@ independent cross-check.
 from __future__ import annotations
 
 import math
-from itertools import repeat
-from operator import add, lshift, mul
+from operator import lshift, mul
 from typing import NamedTuple, Optional, Sequence
 
 from .cone_engine import (
@@ -39,7 +39,9 @@ from .cone_engine import (
     _one_minus_q_power, _poly_mul,
 )
 from .cycle_families import _leafed_minor_pair
-from .exact_linalg import IntegerMatrix, _is_int, adjugate_pair, determinant
+from .exact_linalg import (
+    IntegerMatrix, _IntRows, _is_int, _row_values, adjugate_pair, determinant,
+)
 
 __all__ = [
     "LatticeSimplex",
@@ -67,7 +69,7 @@ class LatticeSimplex:
     digit strata, and `source_n` is then n, the size of L; counting
     routines use the strata instead of the box scan, and remember each
     count they make.  Only `_leafed_slice` sets L, with every slot and no
-    determinant: it certifies its vertices by L*R = n*I, and
+    determinant: its vertices are certified by the pair's L*R = n*I, and
     `build_slice_simplex` then sets the strata.  A simplex built from bare
     vertices is always counted by the box scan.
     """
@@ -143,17 +145,13 @@ def _leafed_slice(n: int) -> tuple[LatticeSimplex, IntegerMatrix]:
     count, use a slice without its strata.
 
     The vertices are R's columns below its top row, and no determinant is
-    taken: L*R = n*I, checked exactly over L's nonzero entries, makes R
-    invertible, and R's columns, each (n, v_j), are then independent
-    exactly when the v_j are affinely independent.
+    taken: L*R = n*I, which `_leafed_minor_pair` checks exactly over L's
+    nonzero entries, makes R invertible, and R's columns, each (n, v_j),
+    are then independent exactly when the v_j are affinely independent.
     """
     if n < 3:
         raise ValueError("leafed cycles need n >= 3")
     l, r = _leafed_minor_pair(n)
-    for i, row in enumerate(l):
-        product = _row_values(row, r)
-        if product[i] != n or product.count(0) != n - 1:
-            raise ArithmeticError("minor times its scaled inverse is not n*I")
     simplex = LatticeSimplex.__new__(LatticeSimplex)
     simplex._dimension = n - 1
     simplex._vertices = tuple(column[1:] for column in zip(*r))
@@ -161,18 +159,6 @@ def _leafed_slice(n: int) -> tuple[LatticeSimplex, IntegerMatrix]:
     simplex._strata = None
     simplex._counts = {}
     return simplex, r
-
-
-def _row_values(row: Sequence[int], columns: Sequence[Sequence[int]]) -> list[int]:
-    """row.x for every point x, given by its coordinate columns (columns[k]
-    holds coordinate k of each point): one pass down each column where
-    row is nonzero, so a sparse row reads few of them."""
-    values = None
-    for a, column in zip(row, columns):
-        if a:
-            term = map(mul, column, repeat(a))
-            values = term if values is None else map(add, values, term)
-    return [0] * len(columns[0]) if values is None else list(values)
 
 
 def interior_point(n: int):
@@ -237,7 +223,7 @@ def _halfspaces(s: LatticeSimplex) -> HalfspaceReport:
         raise ArithmeticError("minor times its inverse row sums is not all-ones")
     moved = [tuple(map((-c).__add__, column)) for column, c in zip(columns, drop)]
     translated = tuple(zip(*moved))
-    reduced = IntegerMatrix([row[1:] for row in l])
+    reduced = IntegerMatrix(_IntRows(row[1:] for row in l))
     for i, row in enumerate(reduced):
         row_vals = _row_values(row, moved)
         if min(row_vals) < -1 or row_vals.count(-1) != n - 1:

@@ -3,6 +3,9 @@
 An `IntegerMatrix` checks its rows in one C-level pass over their lengths
 and entry types (every entry an int, none a bool), and walks them in
 order only when that fails, so the first faulty row decides the error.
+Rows that the package computed from ints itself (its minors, inverses,
+identities, transposes and products) come wrapped as `_IntRows` and skip
+that pass; the constructor checks any other rows in full.
 
 One elimination kernel serves every routine: a fraction-free (Bareiss)
 forward pass over `[m | B]`, in which each division is exact and still
@@ -22,8 +25,8 @@ touches floating point.
 
 from __future__ import annotations
 
-from itertools import chain, compress, filterfalse
-from operator import mul
+from itertools import chain, compress, filterfalse, repeat
+from operator import add, mul
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -54,21 +57,34 @@ def _check_rows(data: list[tuple]) -> None:
             raise ValueError("matrix rows have unequal lengths")
 
 
+class _IntRows(tuple):
+    """The rows, as tuples of equal length, of a matrix whose entries the
+    package computed from ints; `IntegerMatrix` takes them as they are."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: Iterable[Sequence[int]]):
+        return super().__new__(cls, map(tuple, rows))
+
+
 class IntegerMatrix:
     """Immutable dense matrix with arbitrary-precision integer entries."""
 
     __slots__ = ("_data",)
 
     def __init__(self, rows: Iterable[Sequence[int]]):
-        data = []
-        try:
-            data.extend(map(tuple, rows))
-        except Exception:
-            # A faulty row read before the failing one is reported first.
-            _check_rows(data)
-            raise
-        if len(set(map(len, data))) > 1 or set(map(type, chain.from_iterable(data))) - {int}:
-            _check_rows(data)
+        if type(rows) is _IntRows:
+            data = rows
+        else:
+            data = []
+            try:
+                data.extend(map(tuple, rows))
+            except Exception:
+                # A faulty row read before the failing one is reported first.
+                _check_rows(data)
+                raise
+            if len(set(map(len, data))) > 1 or set(map(type, chain.from_iterable(data))) - {int}:
+                _check_rows(data)
         if not data or not data[0]:
             raise ValueError("matrix must have at least one row and one column")
         self._data = tuple(data)
@@ -78,7 +94,7 @@ class IntegerMatrix:
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
             rows[i][i] = 1
-        return cls(rows)
+        return cls(_IntRows(rows))
 
     @property
     def rows(self) -> int:
@@ -123,7 +139,7 @@ class IntegerMatrix:
         return f"{type(self).__name__}([{body}])"
 
     def transpose(self):
-        return type(self)(zip(*self._data))
+        return type(self)(_IntRows(zip(*self._data)))
 
     def apply(self, vector: Sequence) -> tuple:
         """Matrix-vector product as a tuple."""
@@ -137,9 +153,21 @@ class IntegerMatrix:
         if self.cols != other.rows:
             raise ValueError("matrix dimensions do not match for product")
         cols = list(zip(*other._data))
-        return IntegerMatrix(
+        return IntegerMatrix(_IntRows(
             [sum(map(mul, row, col)) for col in cols] for row in self._data
-        )
+        ))
+
+
+def _row_values(row: Sequence[int], columns: Sequence[Sequence[int]]) -> list[int]:
+    """row.x for every point x, given by its coordinate columns (columns[k]
+    holds coordinate k of each point): one pass down each column where
+    row is nonzero, so a sparse row reads few of them."""
+    values = None
+    for a, column in zip(row, columns):
+        if a:
+            term = map(mul, column, repeat(a))
+            values = term if values is None else map(add, values, term)
+    return [0] * len(columns[0]) if values is None else list(values)
 
 
 def _exact_quotients(values: list[int], divisor: int) -> list[int]:
@@ -248,7 +276,7 @@ def scaled_solve(m: IntegerMatrix, B: IntegerMatrix) -> tuple[int, IntegerMatrix
     if D == 0:
         raise SingularMatrixError("matrix is singular")
     d = abs(D)
-    return d, IntegerMatrix(_back_substitute(upper, d, n))
+    return d, IntegerMatrix(_IntRows(_back_substitute(upper, d, n)))
 
 
 def _back_substitute(upper: list[tuple], d: int, n: int) -> list[list[int]]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .exact_linalg import IntegerMatrix, _is_int
+from .exact_linalg import IntegerMatrix, _IntRows, _is_int
 
 __all__ = [
     "MAX_VERTICES",
@@ -251,7 +251,7 @@ def laplacian(g: Graph) -> IntegerMatrix:
         m[v][v] += 1
         m[u][v] -= 1
         m[v][u] -= 1
-    return IntegerMatrix(m)
+    return IntegerMatrix(_IntRows(m))
 
 
 def laplacian_minor(g: Graph, i: int) -> IntegerMatrix:
@@ -271,7 +271,7 @@ def laplacian_minor(g: Graph, i: int) -> IntegerMatrix:
             m[b][b] += 1
             if u != i:
                 m[a][b] = m[b][a] = -1
-    return IntegerMatrix(m)
+    return IntegerMatrix(_IntRows(m))
 
 
 def incidence_matrix(g: Graph) -> IntegerMatrix:
@@ -281,7 +281,7 @@ def incidence_matrix(g: Graph) -> IntegerMatrix:
     for e, (u, v) in enumerate(g.edges):
         m[u][e] = 1
         m[v][e] = -1
-    return IntegerMatrix(m)
+    return IntegerMatrix(_IntRows(m))
 
 
 def incidence_subminor(g: Graph, i: int) -> IntegerMatrix:
@@ -289,9 +289,9 @@ def incidence_subminor(g: Graph, i: int) -> IntegerMatrix:
     if not 0 <= i < g.vertex_count:
         raise GraphError(f"vertex {i} out of range")
     full = incidence_matrix(g)
-    return IntegerMatrix(
+    return IntegerMatrix(_IntRows(
         [full.row(r) for r in range(g.vertex_count) if r != i]
-    )
+    ))
 
 
 def parse_graph(text: str) -> Graph:

@@ -18,7 +18,7 @@ import heapq
 from typing import NamedTuple, Sequence
 
 from .cone_engine import UnivariateRationalGF
-from .exact_linalg import IntegerMatrix, adjugate_pair
+from .exact_linalg import IntegerMatrix, _IntRows, adjugate_pair
 from .graph_core import (
     Graph, GraphError, _breadth_first, incidence_subminor, laplacian_minor,
 )
@@ -113,7 +113,7 @@ def tree_inverse_combinatorial(t: Graph, leaf: int) -> TreeInverse:
         [_meet_depth(i, j, parent, depth) for j in vertices]
         for i in vertices
     ]
-    return TreeInverse(IntegerMatrix(m), t, leaf, vertices)
+    return TreeInverse(IntegerMatrix(_IntRows(m)), t, leaf, vertices)
 
 
 def incidence_inverse(t: Graph, leaf: int) -> IntegerMatrix:
@@ -135,7 +135,7 @@ def incidence_inverse(t: Graph, leaf: int) -> IntegerMatrix:
             e = edge_index[frozenset((u, p))]
             m[e][col] = 1 if t.edges[e] == (u, p) else -1
             u = p
-    return IntegerMatrix(m)
+    return IntegerMatrix(_IntRows(m))
 
 
 def block_reduction(t: Graph, v: int) -> list[BlockProblem]:
@@ -176,7 +176,7 @@ def block_reduction_inverse(t: Graph, v: int) -> IntegerMatrix:
             row = inv.matrix.row(a)
             for b, orig_b in enumerate(vertex_map[:-1]):
                 m[pos[orig_a]][pos[orig_b]] = row[b]
-    return IntegerMatrix(m)
+    return IntegerMatrix(_IntRows(m))
 
 
 def tree_gf_exponents(t: Graph, leaf: int) -> tuple[int, ...]:

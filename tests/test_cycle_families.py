@@ -23,6 +23,8 @@ from lapcomp import (
 )
 
 from lapcomp import cycle_families
+from lapcomp.cli import main
+from lapcomp.conjecture_lab import integral_shift_profile
 
 from oracles import (
     cycle_inverse_closed,
@@ -65,6 +67,19 @@ class TestClosedInverses:
     def test_leafed_matches_algebra(self, n):
         minor = laplacian_minor(leafed_cycle_graph(n), n)
         assert adjugate_pair(minor) == (n, leafed_inverse_closed(n))
+
+    # 64 and 65 are past `Graph`'s cap, so L is built here from its
+    # definition and the adjugate stays the independent route to R.
+    @pytest.mark.parametrize("n", range(2, 71))
+    def test_minor_pair_is_the_adjugate_pair(self, n):
+        L = IntegerMatrix(
+            [2 * (a == b) - ((b - a) % n == 1) - ((a - b) % n == 1) + (a == b == 0)
+             for b in range(n)]
+            for a in range(n)
+        )
+        d, r = adjugate_pair(L)
+        assert d == n
+        assert cycle_families._leafed_minor_pair(n) == (L, r)
 
     def test_leafed_border_is_all_n(self):
         m = leafed_inverse_closed(6)
@@ -172,19 +187,24 @@ class TestPhiHistograms:
         with pytest.raises(ValueError, match="n >= 2"):
             leafed_gf(1)
 
-    def test_top_row_checked_with_the_pair(self, monkeypatch):
+    def test_top_row_checked_with_the_pair(self, monkeypatch, capsys):
         # The gf passes the weights (n, ..., n) to the DP on the strength of
-        # R's top row, so the pair itself refuses any other top row.
-        def corrupt(minor):
-            d, r = adjugate_pair(minor)
-            rows = r.to_lists()
-            rows[0][-1] += 1
-            return d, IntegerMatrix(rows)
+        # R's top row, so the pair itself refuses any other top row, before
+        # its L*R check.
+        real = cycle_families._leafed_inverse_rows
 
-        monkeypatch.setattr(cycle_families, "adjugate_pair", corrupt)
-        with pytest.raises(ArithmeticError,
-                           match="^top row of the scaled inverse is not constant n$"):
-            leafed_gf(5)
+        def corrupt(n):
+            rows = real(n)
+            rows[0][-1] += 1
+            return rows
+
+        monkeypatch.setattr(cycle_families, "_leafed_inverse_rows", corrupt)
+        message = "top row of the scaled inverse is not constant n"
+        for build in (leafed_gf, lambda n: integral_shift_profile(n, 3)):
+            with pytest.raises(ArithmeticError, match=f"^{message}$"):
+                build(5)
+        assert main(["check", "cyclic", "5", "15"]) == 1
+        assert capsys.readouterr() == ("", f"error: internal identity failed: {message}\n")
 
 
 class TestGeneratingFunctions:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from lapcomp import (
     BudgetExceededError,
-    IntegerMatrix,
     LatticeSimplex,
     build_slice_simplex,
     dilate_count,
@@ -27,6 +26,7 @@ from lapcomp import (
     cli, cone_engine, cycle_families, ehrhart_reflexive, exact_linalg, graph_core,
 )
 from lapcomp.cli import main
+from lapcomp.conjecture_lab import integral_shift_profile
 from lapcomp.ehrhart_reflexive import _halfspaces, _is_unimodal
 from oracles import (
     facets_by_adjugate, necklace_histogram, normality_by_sets, normalized_volume,
@@ -44,6 +44,29 @@ def count_minor_pairs(monkeypatch):
         return real(n)
 
     monkeypatch.setattr(ehrhart_reflexive, "_leafed_minor_pair", counted)
+    return calls
+
+
+def patch_every_binding(monkeypatch, real, fake):
+    """Replace `real` by `fake` in every lapcomp module that binds it."""
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "lapcomp":
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, fake)
+
+
+def count_eliminations(monkeypatch):
+    """Record the size of every `exact_linalg._eliminate` pass, through
+    whichever module imported it."""
+    calls = []
+    real = exact_linalg._eliminate
+
+    def counted(rows, size):
+        calls.append(size)
+        return real(rows, size)
+
+    patch_every_binding(monkeypatch, real, counted)
     return calls
 
 
@@ -168,12 +191,7 @@ class TestSliceSimplex:
         def refuse(n):
             raise AssertionError("the slice code built the leafed cycle graph")
 
-        real = graph_core.leafed_cycle_graph
-        for name, module in list(sys.modules.items()):
-            if name.partition(".")[0] == "lapcomp":
-                for attr, value in list(vars(module).items()):
-                    if value is real:
-                        monkeypatch.setattr(module, attr, refuse)
+        patch_every_binding(monkeypatch, graph_core.leafed_cycle_graph, refuse)
         assert outputs() == expected
 
 
@@ -196,39 +214,48 @@ class TestSliceCertificate:
         assert h_star(s) == h_star(public)
 
     @pytest.mark.parametrize("n", range(3, 13))
-    def test_one_elimination(self, n, monkeypatch):
-        # The adjugate of L is the slice's only elimination.
-        calls = []
-        real = exact_linalg._eliminate
-
-        def counted(rows, size):
-            calls.append(size)
-            return real(rows, size)
-
-        monkeypatch.setattr(exact_linalg, "_eliminate", counted)
+    def test_no_elimination(self, n, monkeypatch, capsys):
+        # R comes from its closed form and L*R = n*I certifies it, so no
+        # leafed command eliminates: not the slice, not the gf.
+        calls = count_eliminations(monkeypatch)
         build_slice_simplex(n)
-        assert calls == [n]
+        codes = [main(argv) for argv in (["ehrhart", str(n), "--normal-m", "0"],
+                                         ["ehrhart", str(n), "--normal-m", "2"],
+                                         ["check", "reflexive", str(n)],
+                                         ["check", "cyclic", str(n), str(3 * n)])]
+        capsys.readouterr()
+        # From n = 8 the probe's box is over the default budget: exit 2.
+        assert codes == [0, 2 if n >= 8 else 0, 0, 0]
+        assert calls == []
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_near_symmetry_runs_no_elimination(self, k, monkeypatch, capsys):
+        calls = count_eliminations(monkeypatch)
+        assert main(["check", "near_symmetry", str(k)]) == 0
+        capsys.readouterr()
+        assert calls == []
 
     @pytest.mark.parametrize("i,j", [(i, j) for i in range(1, 5) for j in range(5)])
     def test_corrupt_inverse_is_refused(self, i, j, monkeypatch, capsys):
         # Any entry of R below its top row off by one breaks L*R = n*I; the
-        # top row is checked by the pair itself.
-        real = cycle_families.adjugate_pair
+        # top row is checked first, by the pair too.
+        real = cycle_families._leafed_inverse_rows
 
-        def off_by_one(m):
-            d, r = real(m)
-            rows = r.to_lists()
+        def off_by_one(n):
+            rows = real(n)
             rows[i][j] += 1
-            return d, IntegerMatrix(rows)
+            return rows
 
-        monkeypatch.setattr(cycle_families, "adjugate_pair", off_by_one)
+        monkeypatch.setattr(cycle_families, "_leafed_inverse_rows", off_by_one)
         message = "minor times its scaled inverse is not n*I"
-        for build in (build_slice_simplex, interior_point, reflexivity_by_halfspaces):
+        for build in (build_slice_simplex, interior_point, reflexivity_by_halfspaces,
+                      cycle_families.leafed_gf, lambda n: integral_shift_profile(n, 3)):
             with pytest.raises(ArithmeticError) as failed:
                 build(5)
             assert str(failed.value) == message
-        assert main(["ehrhart", "5"]) == 1
-        assert capsys.readouterr() == ("", f"error: internal identity failed: {message}\n")
+        for argv in (["ehrhart", "5"], ["check", "cyclic", "5", "15"]):
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", f"error: internal identity failed: {message}\n")
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_ehrhart_counts_each_value_once(self, n, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Tests for the exact integer matrix layer."""
 
 import re
+from itertools import chain
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,6 +13,7 @@ from lapcomp import (
     IntegerMatrix,
     SingularMatrixError,
     adjugate_pair,
+    cycle_families,
     determinant,
     exact_linalg,
     laplacian_minor,
@@ -120,6 +122,31 @@ class TestConstruction:
         else:
             assert expected is None
             assert list(m) == [tuple(r) for r in rows]
+
+
+    def test_package_rows_skip_the_entry_pass(self, monkeypatch):
+        # Rows the package computed from ints come as `_IntRows`; only
+        # rows from outside get the C-level type pass.
+        scanned = []
+
+        class Chain:
+            @staticmethod
+            def from_iterable(data):
+                scanned.append(len(data))
+                return chain.from_iterable(data)
+
+        monkeypatch.setattr(exact_linalg, "chain", Chain)
+        m = IntegerMatrix([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+        assert scanned == [3]
+        built = [m @ m, m.transpose(), IntegerMatrix.identity(3), adjugate_pair(m)[1],
+                 scaled_solve(m, m)[1], *cycle_families._leafed_minor_pair(5),
+                 laplacian_minor(Graph(4, [(0, 1), (1, 2), (2, 3)]), 0)]
+        assert scanned == [3]
+        for b in built:
+            assert type(b._data) is tuple
+            assert IntegerMatrix(b.to_lists()) == b
+        with pytest.raises(ValueError, match="^matrix must have at least one row and one column$"):
+            IntegerMatrix.identity(0)
 
 
 class TestAccessors:
