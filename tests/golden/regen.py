@@ -169,6 +169,10 @@ def calls():
                     yield ["gf", "--spec", spec] + source + ["--minor", str(minor)] + fmt, {}
     for spec in ("total", "first"):
         yield ["series", "--family", "complete:5", "--spec", spec, "--order", "12"], {}
+    # A cyclic critical group, Z/11, whose total ray exponents at minor 1
+    # are coprime to d and give (d - 1) * sum(s) + 1 = 7,361 slots.
+    for fmt in formats:
+        yield ["gf", "--spec", "total", "--file", "graphs/coprime11.txt", "--minor", "1"] + fmt, {}
     for family, size in EVERY_MINOR_SERIES:
         for minor in range(size):
             for spec in ("total", "first"):
