@@ -31,23 +31,30 @@ slices are the fields: the CLI prints them through its tables, and
 `_unpack` adds lo for the tuples.  `fpp`'s keys hold the digits, then the
 point; `gf`'s hold the point alone, the transform's order, and one int
 sort orders them, so `integer_point_transform` sorts no tuple.
-`specialized_gf` takes one route for every cone.  Back substitution on
-the kept pass, two scalar columns at once, gives the ray exponents
-s = w^T R of both weight forms w, and a specialized gf
+`specialized_gf` takes one of two routes for a cone with d > 1.  Back
+substitution on the kept pass, two scalar columns at once, gives the ray
+exponents s = w^T R of both weight forms w, and a specialized gf
 num(q) / prod_j (1 - q^(s_j)) exists only if every s_j is positive,
-which is checked first; a unimodular cone (d = 1, as for a tree
-minored anywhere) then has num = 1 and needs no second elimination.  For
-d > 1, a point's exponent is linear in its digits, so a DP over the d
-classes of the critical group Z^n / A*Z^n counts them instead of walking
-them.  Its slots are exponents, and it runs each column's digits only up
-to that column's order o_j in the group, then multiplies the rest in as a
-geometric factor.  A column costs o_j shifted adds per class when o_j is
-at most 8 and about five big-int operations per class, by prefix sums
-over the cycles of the class permutation, when it is longer; a geometric
-factor of m terms costs O(log m) shifted adds inside the packed int.  Its
-counts are certified by their mass and their first moment, which A alone
-gives.  Prefer it to `specialize(integer_point_transform(...))`
-unless the points or the multivariate transform are needed too.  The one
+which is checked first; a unimodular cone (d = 1, as for a tree minored
+anywhere) then has num = 1 and needs no second elimination.  For d > 1,
+s is certified by s*A = d*w, and a point's exponent s.c/d is linear in
+its digits c.  When d and the s_j are coprime, the digit vectors are
+exactly the c with s.c = 0 (mod d), and the numerator is every d-th
+coefficient of prod_j (1 + x^(s_j) + ... + x^((d-1)*s_j)), one packed
+int with no R; this product route is taken up to `_PRODUCT_SLOTS`
+slots, where it stops beating the DP.  Every other cone takes a DP over
+the d classes of the critical group Z^n / A*Z^n, which counts them
+instead of walking them.  Its slots are exponents, and it runs each
+column's digits only up to that column's order o_j in the group, then
+multiplies the rest in as a geometric factor.  A column costs o_j
+shifted adds per class when o_j is at most 8 and about five big-int
+operations per class, by prefix sums over the cycles of the class
+permutation, when it is longer; a geometric factor of m terms costs
+O(log m) shifted adds inside the packed int.  Both routes read their
+slots the same way, and their counts are certified by their mass and
+their first moment, which A alone gives.  Prefer `specialized_gf` to
+`specialize(integer_point_transform(...))` unless the points or the
+multivariate transform are needed too.  The one
 box scan, independent of both, backs `brute_force_count` and slice
 dilates.
 """
@@ -788,8 +795,7 @@ def _numerator(A: IntegerMatrix, R: IntegerMatrix, d: int, s: Sequence[int]) -> 
             raise ArithmeticError("parallelepiped point not integral")
     if min(s) <= 0:
         raise ArithmeticError("digit DP needs positive ray exponents")
-    mass = d ** (n - 1)
-    width = _byte_width(mass)
+    width = _byte_width(d ** (n - 1))
     bits = 8 * width
     hist = [1] + [0] * (d - 1)
     for weight, nxt, o in zip(s, step, orders):
@@ -812,14 +818,61 @@ def _numerator(A: IntegerMatrix, R: IntegerMatrix, d: int, s: Sequence[int]) -> 
     for weight, o in zip(s, orders):
         if o < d:
             packed = _times_packed_geometric(packed, weight * o // d * bits, d // o)
+    return _certified(A, d, s, _slots(packed, width, 1))
+
+
+# The most slots, (d-1)*sum(s) + 1, for which `specialized_gf` takes
+# `_product_numerator`; past it the product's shifted adds on ever longer
+# ints cost more than R and the DP (see CHANGES.md for the sweep).
+_PRODUCT_SLOTS = 6_000
+
+
+def _product_numerator(A: IntegerMatrix, d: int, s: Sequence[int]) -> list[int]:
+    """`_numerator`'s list for positive ray exponents s with
+    gcd(d, s_1, ..., s_n) = 1, with no R and no classes: every d-th
+    coefficient of prod_j (1 + x^(s_j) + ... + x^((d-1)*s_j)).
+
+    The digit vectors c in {0..d-1}^n of the parallelepiped, the column
+    lattice of A mod d, have s.c = 0 (mod d) when s*A = d*w, which
+    `specialized_gf` checks first.  They form a subgroup of index d in
+    (Z/d)^n, as |det A| = d, and so does the kernel of c -> s.c mod d when
+    the s_j and d are coprime; so the two are equal, and the digit vectors
+    of exponent s.c/d = e are the terms x^(d*e) of the product (Beck &
+    Robins, *Computing the Continuous Discretely*, ch. 3).  The product is
+    one packed int in `_numerator`'s slots: coefficient k counts the c
+    with s.c = k, at most one per choice of c_1..c_(n-1), so no slot
+    carries.  Its n factors take O(log d) shifted adds each, by
+    `_times_packed_geometric`, on up to (d-1)*sum(s) + 1 slots.  The
+    counts are certified as the DP's are; a common factor g of d and s
+    would count g*d**(n-1) vectors and fail the mass.
+    """
+    width = _byte_width(d ** (len(s) - 1))
+    packed = 1
+    for weight in s:
+        packed = _times_packed_geometric(packed, weight * 8 * width, d)
+    return _certified(A, d, s, _slots(packed, width, d))
+
+
+def _slots(packed: int, width: int, step: int) -> list[int]:
+    """Slots 0, step, 2*step, ... of a packed int of slots `width` bytes
+    wide, slot 0 lowest, up to the last nonzero one, read by one
+    memoryview cast, or by `int.from_bytes` past 8 bytes."""
     order = sys.byteorder
-    raw = packed.to_bytes(-(-packed.bit_length() // bits) * width, order)
+    raw = packed.to_bytes(-(-packed.bit_length() // (8 * width)) * width, order)
     if width > 8:
-        coeffs = [int.from_bytes(raw[i:i + width], order) for i in range(0, len(raw), width)]
+        slots = [int.from_bytes(raw[i:i + width], order) for i in range(0, len(raw), width)]
     else:
-        coeffs = memoryview(raw).cast(_CASTS[width]).tolist()
+        slots = memoryview(raw).cast(_CASTS[width])
     if order == "big":
-        coeffs.reverse()
+        slots = slots[::-1]
+    return _poly_trim(slots[::step])
+
+
+def _certified(A: IntegerMatrix, d: int, s: Sequence[int], coeffs: list[int]) -> list[int]:
+    """`coeffs`, a numerator of ray exponents s, once its two certificates
+    hold: the counts sum to the d**(n-1) digit vectors, and their first
+    moment is the one that the digit gcds of A give (see `_numerator`)."""
+    mass = d ** (len(s) - 1)
     if sum(coeffs) != mass:
         raise ArithmeticError(
             f"numerator counts {sum(coeffs)} digit vectors, not d**(n-1) = {mass}")
@@ -918,7 +971,7 @@ def _ray_exponents(cone: SimplicialCone) -> tuple[list[int], list[int]]:
 
 def specialized_gf(cone: SimplicialCone, mode: Literal["total", "first_coordinate"],
                    budget: Optional[int] = None) -> UnivariateRationalGF:
-    """`specialize(integer_point_transform(cone, budget), mode)`, by the DP.
+    """`specialize(integer_point_transform(cone, budget), mode)`, with no walk.
 
     Back substitution on the cone's kept forward pass gives X = d*A^-T*W =
     R^T*W for the weight forms W of both modes, so the mode's column of X
@@ -926,17 +979,29 @@ def specialized_gf(cone: SimplicialCone, mode: Literal["total", "first_coordinat
     s.c/d.  `_ray_exponents` solves both columns by scalars, each division
     checked, so a wrong d is refused whichever mode is asked for.  With
     d > 1 the budget is charged d**(n-1) points first.  Then every s_j
-    must be positive, so no point's exponent is negative, before
-    `_numerator` runs on R.  With d = 1 the apex is the one point, and
-    neither R nor a second elimination is needed.
+    must be positive, so no point's exponent is negative.  With d = 1 the
+    apex is the one point, and neither R nor a second elimination is
+    needed.  With d > 1, s*A = d*w^T is checked, in O(n^2) and with no R:
+    it ties s to A, which the product route reads nowhere else.  Then
+    there are two routes, chosen from d and s:
+
+    - gcd(d, s_1, ..., s_n) = 1 and (d-1)*sum(s) + 1 <= `_PRODUCT_SLOTS`:
+      `_product_numerator`, one packed product, with no R;
+    - every other cone: the digit-class DP `_numerator` on R.
     """
     n, d = cone.dimension, cone.d
-    _mode_weights(mode, n)  # an unknown mode is refused first
+    w = _mode_weights(mode, n)  # an unknown mode is refused first
     if d > 1:
         _charge_points(cone, budget)
     s = _ray_exponents(cone)[_MODES.index(mode)]
     factors = _ray_factors(s)
-    return UnivariateRationalGF(_numerator(cone.A, cone.R, d, s) if d > 1 else [1], factors)
+    if d == 1:
+        return UnivariateRationalGF([1], factors)
+    if [sum(map(mul, s, col)) for col in zip(*cone.A)] != [d * x for x in w]:
+        raise ArithmeticError("ray exponents s do not satisfy s*A = d*w")
+    if math.gcd(d, *s) == 1 and (d - 1) * sum(s) + 1 <= _PRODUCT_SLOTS:
+        return UnivariateRationalGF(_product_numerator(cone.A, d, s), factors)
+    return UnivariateRationalGF(_numerator(cone.A, cone.R, d, s), factors)
 
 
 def series_expand(gf: UnivariateRationalGF, order: int,

@@ -2,7 +2,7 @@ import sys
 
 from hypothesis import strategies as st
 
-from lapcomp import Graph, IntegerMatrix
+from lapcomp import Graph, IntegerMatrix, cone_engine
 
 
 def scaled(m, k):
@@ -10,11 +10,11 @@ def scaled(m, k):
     return IntegerMatrix([[k * x for x in row] for row in m])
 
 
-def random_connected_graph(data, max_vertices=6, min_extra=0):
+def random_connected_graph(data, max_vertices=6, min_extra=0, min_vertices=2):
     """Draw a connected graph: a random spanning tree plus extra edges, at
     least `min_extra` of them where the graph has room (each closes a
     cycle, so a positive `min_extra` biases the draw toward many cycles)."""
-    n = data.draw(st.integers(2, max_vertices))
+    n = data.draw(st.integers(min_vertices, max_vertices))
     edges = set()
     for v in range(1, n):
         u = data.draw(st.integers(0, v - 1))
@@ -28,6 +28,19 @@ def random_connected_graph(data, max_vertices=6, min_extra=0):
     extra = data.draw(st.lists(st.sampled_from(non_tree), unique=True,
                                min_size=min(min_extra, len(non_tree)))) if non_tree else []
     return Graph(n, sorted(edges | set(extra)))
+
+
+def record_routes(patch):
+    """The names of the numerator routes of `specialized_gf` that run from
+    now on, in order, each wrapped by `patch.setattr` (a monkeypatch or
+    its context)."""
+    taken = []
+    for name in ("_product_numerator", "_numerator"):
+        def route(*args, real=getattr(cone_engine, name), name=name):
+            taken.append(name)
+            return real(*args)
+        patch.setattr(cone_engine, name, route)
+    return taken
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -170,7 +170,10 @@ def calls():
     for spec in ("total", "first"):
         yield ["series", "--family", "complete:5", "--spec", spec, "--order", "12"], {}
     # A cyclic critical group, Z/11, whose total ray exponents at minor 1
-    # are coprime to d and give (d - 1) * sum(s) + 1 = 7,361 slots.
+    # are coprime to d and give (d - 1) * sum(s) + 1 = 7,361 slots: past
+    # `cone_engine._PRODUCT_SLOTS`, so the DP counts it.  The `--spec
+    # first` lines of the cycles above take the product route, and the
+    # `--spec total` ones, with gcd(d, s) > 1, the DP.
     for fmt in formats:
         yield ["gf", "--spec", "total", "--file", "graphs/coprime11.txt", "--minor", "1"] + fmt, {}
     for family, size in EVERY_MINOR_SERIES:

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import re
 import time
 from collections import Counter
 from operator import mul
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import random_connected_graph, scaled
+from conftest import random_connected_graph, record_routes, scaled
 from lapcomp import (
     BudgetExceededError,
     Graph,
@@ -1186,6 +1187,161 @@ class TestNumerator:
         with pytest.raises(ArithmeticError,
                            match=r"^numerator counts 4 digit vectors, not d\*\*\(n-1\) = 256$"):
             cone_engine._numerator(cone.A, cone.R, cone.d, s)
+
+
+COPRIME11 = Path(__file__).parent / "golden/graphs/coprime11.txt"
+
+
+def source_graph(source):
+    """The graph of a family spec, or of the golden file coprime11.txt,
+    and the CLI options that name it."""
+    if source == "coprime11":
+        return parse_graph(COPRIME11.read_text()), ["--file", str(COPRIME11)]
+    return graph_core.family_from_string(source), ["--family", source]
+
+
+def mode_exponents(cone, mode):
+    """The mode's ray exponents s = w^T R, read from R."""
+    w = cone_engine._mode_weights(mode, cone.dimension)
+    return [sum(map(mul, w, col)) for col in cone.rays()]
+
+
+def product_slots(d, s):
+    """The slots of the packed product of `_product_numerator`."""
+    return (d - 1) * sum(s) + 1
+
+
+class TestProductNumerator:
+    """`_product_numerator`, the route for ray exponents coprime to d, and
+    the rule by which `specialized_gf` chooses it."""
+
+    @staticmethod
+    def assert_every_coprime_mode_agrees(cone):
+        d = cone.d
+        for mode in ("total", "first_coordinate"):
+            s = mode_exponents(cone, mode)
+            if min(s) > 0 and math.gcd(d, *s) == 1:
+                expected = flat_numerator(cone.R, d, s)
+                assert cone_engine._product_numerator(cone.A, d, s) == expected
+                assert cone_engine._numerator(cone.A, cone.R, d, s) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_graphs(self, data):
+        g = random_connected_graph(data, min_extra=1)
+        cone = SimplicialCone(
+            laplacian_minor(g, data.draw(st.integers(0, g.vertex_count - 1))))
+        assume(1 < cone.d and cone.d ** cone.dimension <= 10000)
+        self.assert_every_coprime_mode_agrees(cone)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_non_symmetric_cones(self, data):
+        # The cones of `TestSpecializedGf.test_rays_decide_on_both_routes`.
+        n = data.draw(st.integers(1, 4))
+        A = IntegerMatrix(data.draw(st.lists(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+            min_size=n, max_size=n,
+        )))
+        d = abs(determinant(A))
+        assume(1 < d and d ** n <= 10000)
+        self.assert_every_coprime_mode_agrees(SimplicialCone(A))
+
+    @pytest.mark.parametrize("source,vertex,mode,route", [
+        ("cycle:7", 0, "first_coordinate", "_product_numerator"),  # gcd 1, 127 slots
+        ("cycle:5", 0, "total", "_numerator"),  # gcd(d, s) = 5
+        ("coprime11", 1, "total", "_numerator"),  # gcd 1, 7,361 slots
+    ])
+    def test_route_and_eliminations(self, source, vertex, mode, route, monkeypatch):
+        # The product reads no R, so it runs the kept pass alone; the DP
+        # builds R by a second elimination.
+        g, _ = source_graph(source)
+        eliminations, real = [], exact_linalg._eliminate
+
+        def counted(rows, n):
+            eliminations.append(n)
+            return real(rows, n)
+
+        monkeypatch.setattr(cone_engine, "_eliminate", counted)
+        taken = record_routes(monkeypatch)
+        cone = SimplicialCone(laplacian_minor(g, vertex))
+        with monkeypatch.context() as patch:
+            patch.setattr(exact_linalg, "_eliminate", counted)
+            gf = specialized_gf(cone, mode)
+        assert taken == [route]
+        product = route == "_product_numerator"
+        assert len(eliminations) == (1 if product else 2)
+        assert (cone._R is None) == product
+        assert list(gf.numerator) == cone_engine._numerator(
+            cone.A, cone.R, cone.d, mode_exponents(cone, mode))
+
+    def test_the_cap_is_inclusive(self, monkeypatch):
+        # cycle:7's first-coordinate exponents are coprime to d = 7 and
+        # span 127 slots: a cap of 127 takes the product, 126 the DP.
+        cone = minor_cone("cycle", 7, vertex=0)
+        slots = product_slots(7, mode_exponents(cone, "first_coordinate"))
+        assert slots == 127
+        taken = record_routes(monkeypatch)
+        for cap in (slots, slots - 1):
+            monkeypatch.setattr(cone_engine, "_PRODUCT_SLOTS", cap)
+            specialized_gf(cone, "first_coordinate")
+        assert taken == ["_product_numerator", "_numerator"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_no_cone_over_the_cap_takes_the_product(self, data):
+        # Up to 7 vertices, so that cones like coprime11's fall on both
+        # sides of the cap.
+        g = random_connected_graph(data, max_vertices=7, min_extra=1)
+        cone = SimplicialCone(
+            laplacian_minor(g, data.draw(st.integers(0, g.vertex_count - 1))))
+        assume(1 < cone.d <= 200)
+        mode = data.draw(MODES)
+        s = mode_exponents(cone, mode)
+        assume(min(s) > 0)
+        with pytest.MonkeyPatch.context() as patch:
+            taken = record_routes(patch)
+            specialized_gf(cone, mode, budget=cone.d ** cone.dimension)
+        product = (math.gcd(cone.d, *s) == 1
+                   and product_slots(cone.d, s) <= cone_engine._PRODUCT_SLOTS)
+        assert taken == ["_product_numerator" if product else "_numerator"]
+
+    @pytest.mark.parametrize("source,vertex,mode,spec", [
+        ("cycle:7", 0, "first_coordinate", "first"),  # the product's cone
+        ("cycle:5", 0, "total", "total"),  # the DP's, gcd(d, s) = 5
+        ("coprime11", 1, "total", "total"),  # the DP's, over the cap
+    ])
+    def test_ray_exponents_are_certified_against_A(self, source, vertex, mode, spec,
+                                                   monkeypatch, capsys):
+        # One exponent off by one is refused before either route runs.
+        real = cone_engine._ray_exponents
+
+        def off_by_one(cone):
+            columns = real(cone)
+            columns[cone_engine._MODES.index(mode)][1] += 1
+            return columns
+
+        monkeypatch.setattr(cone_engine, "_ray_exponents", off_by_one)
+        taken = record_routes(monkeypatch)
+        g, argv = source_graph(source)
+        message = "ray exponents s do not satisfy s*A = d*w"
+        with pytest.raises(ArithmeticError, match=rf"^{re.escape(message)}$"):
+            specialized_gf(SimplicialCone(laplacian_minor(g, vertex)), mode)
+        assert cli.main(["gf", "--spec", spec, *argv, "--minor", str(vertex)]) == 1
+        assert capsys.readouterr().err == f"error: internal identity failed: {message}\n"
+        assert taken == []
+
+    def test_the_moment_does_not_see_a_coprime_wrong_s(self):
+        # Why s*A = d*w is checked: every row of a Laplacian minor has a -1,
+        # so every g_j = 1, and the product over a wrong s coprime to d
+        # counts the kernel of that s, whose mass and first moment are what
+        # the same wrong s predicts.
+        cone = minor_cone("cycle", 7, vertex=0)
+        s = mode_exponents(cone, "first_coordinate")
+        wrong = [s[0], s[1] + 1, *s[2:]]
+        assert math.gcd(7, *wrong) == 1
+        assert (cone_engine._product_numerator(cone.A, 7, wrong)
+                != cone_engine._product_numerator(cone.A, 7, s))
 
 
 class TestSeriesExpand:
