@@ -41,8 +41,10 @@ s is certified by s*A = d*w, and a point's exponent s.c/d is linear in
 its digits c.  When d and the s_j are coprime, the digit vectors are
 exactly the c with s.c = 0 (mod d), and the numerator is every d-th
 coefficient of prod_j (1 + x^(s_j) + ... + x^((d-1)*s_j)), one packed
-int with no R; this product route is taken up to `_PRODUCT_SLOTS`
-slots, where it stops beating the DP.  Every other cone takes a DP over
+int with no R, once an elimination over A alone has checked d.  This
+product route is taken up to `_PRODUCT_SLOTS` slots, a size guard: the
+largest size at which it beat R and the DP on every sampled cone, though
+some larger cones are still faster by it.  Every other cone takes a DP over
 the d classes of the critical group Z^n / A*Z^n, which counts them
 instead of walking them.  Its slots are exponents, and it runs each
 column's digits only up to that column's order o_j in the group, then
@@ -69,7 +71,8 @@ from itertools import accumulate, chain, compress, repeat
 from operator import add, lshift, mul, sub
 from typing import Callable, Iterable, Iterator, Literal, Optional, Sequence
 
-from .exact_linalg import IntegerMatrix, SingularMatrixError, _eliminate, adjugate_pair
+from .exact_linalg import (IntegerMatrix, SingularMatrixError, _eliminate, adjugate_pair,
+                           determinant)
 from .graph_core import _is_decimal, _is_int
 
 __all__ = [
@@ -822,9 +825,12 @@ def _numerator(A: IntegerMatrix, R: IntegerMatrix, d: int, s: Sequence[int]) -> 
 
 
 # The most slots, (d-1)*sum(s) + 1, for which `specialized_gf` takes
-# `_product_numerator`; past it the product's shifted adds on ever longer
-# ints cost more than R and the DP (see CHANGES.md for the sweep).
-_PRODUCT_SLOTS = 6_000
+# `_product_numerator`.  It is a size guard, since the slots grow without
+# bound in d, measured in process by tools/product_sweep.py: the largest
+# size at which the product beat R and the DP on every sampled cone.  Some
+# cones over it are still faster by the product, and no benchmark workload
+# has a coprime cone over it, so it is not a tuned crossover.
+_PRODUCT_SLOTS = 4_000
 
 
 def _product_numerator(A: IntegerMatrix, d: int, s: Sequence[int]) -> list[int]:
@@ -838,14 +844,24 @@ def _product_numerator(A: IntegerMatrix, d: int, s: Sequence[int]) -> list[int]:
     (Z/d)^n, as |det A| = d, and so does the kernel of c -> s.c mod d when
     the s_j and d are coprime; so the two are equal, and the digit vectors
     of exponent s.c/d = e are the terms x^(d*e) of the product (Beck &
-    Robins, *Computing the Continuous Discretely*, ch. 3).  The product is
-    one packed int in `_numerator`'s slots: coefficient k counts the c
-    with s.c = k, at most one per choice of c_1..c_(n-1), so no slot
-    carries.  Its n factors take O(log d) shifted adds each, by
+    Robins, *Computing the Continuous Discretely*, ch. 3).
+
+    s*A = d*w shows only that the denominator of w*A^-1 divides d, and
+    with gcd(d, s) = 1 that d is that denominator, a divisor of |det A|;
+    the mass and the first moment hold for such a d too.  So d = |det A|
+    is checked first, by `determinant`, one elimination over A alone and
+    cheaper than R, whose own elimination checks d on the DP's route.
+
+    The product is one packed int in `_numerator`'s slots: coefficient k
+    counts the c with s.c = k, at most one per choice of c_1..c_(n-1), so
+    no slot carries.  Its n factors take O(log d) shifted adds each, by
     `_times_packed_geometric`, on up to (d-1)*sum(s) + 1 slots.  The
     counts are certified as the DP's are; a common factor g of d and s
     would count g*d**(n-1) vectors and fail the mass.
     """
+    det = abs(determinant(A))
+    if det != d:
+        raise ArithmeticError(f"|det A| = {det}, the cone d = {d}")
     width = _byte_width(d ** (len(s) - 1))
     packed = 1
     for weight in s:
@@ -986,7 +1002,8 @@ def specialized_gf(cone: SimplicialCone, mode: Literal["total", "first_coordinat
     there are two routes, chosen from d and s:
 
     - gcd(d, s_1, ..., s_n) = 1 and (d-1)*sum(s) + 1 <= `_PRODUCT_SLOTS`:
-      `_product_numerator`, one packed product, with no R;
+      `_product_numerator`, one packed product, with no R; d is checked
+      there by `determinant`, as R checks it on the DP's route;
     - every other cone: the digit-class DP `_numerator` on R.
     """
     n, d = cone.dimension, cone.d

@@ -770,22 +770,36 @@ class TestSpecializedGf:
         for mode in ("total", "first_coordinate"):
             assert isinstance(assert_routes_agree(cone, mode), UnivariateRationalGF)
 
-    @pytest.mark.parametrize("A,d", [
-        (CYCLE3.A, 2), (CYCLE3.A, 1), (minor_cone("path", 4).A, 2), (CYCLE3.A, 6),
+    @pytest.mark.parametrize("A,d,total,first", [
+        pytest.param(CYCLE3.A, 2, "remainder", "remainder", id="A0-2"),
+        pytest.param(CYCLE3.A, 1, "remainder", "remainder", id="A1-1"),
+        pytest.param(minor_cone("path", 4).A, 2, "R", "R", id="A2-2"),
+        pytest.param(CYCLE3.A, 6, "R", "R", id="A3-6"),
+        # K4's minor 4I - J, |det| = 16, critical group (Z/4)^2: with d = 4
+        # no column leaves a remainder; total's s = (4, 4, 4) takes the DP,
+        # first's s = (2, 1, 1), coprime to 4, the product, whose mass and
+        # first moment hold for d = 4 too.
+        pytest.param(minor_cone("complete", 4, vertex=3).A, 4, "R", "det", id="A4-4"),
     ])
-    def test_wrong_d_raises(self, A, d):
+    def test_wrong_d_raises(self, A, d, total, first):
         # A cone whose d is set wrong.  Back substitution on its kept pass
-        # gives (d / |det A|) * R^T * W, whose remainders these cones show
-        # unless |det A| divides d; then the DP reads R, whose own
-        # elimination disagrees on d.
+        # gives (d / |det A|) * R^T * W, whose remainders refuse d unless
+        # the denominator of w*A^-1 divides it; then the DP reads R, whose
+        # own elimination disagrees on d, and the product checks d against
+        # `determinant(A)`.
         cone = SimplicialCone(A)
         cone.d = d
         det = abs(determinant(A))
-        message = (f"^ray matrix has d = {det}, the cone d = {d}$" if d % det == 0
-                   else "^Bareiss division left a remainder$")
-        for mode in ("total", "first_coordinate"):
-            with pytest.raises(ArithmeticError, match=message):
-                specialized_gf(cone, mode)
+        messages = {"remainder": "^Bareiss division left a remainder$",
+                    "R": f"^ray matrix has d = {det}, the cone d = {d}$",
+                    "det": rf"^\|det A\| = {det}, the cone d = {d}$"}
+        for mode, check in (("total", total), ("first_coordinate", first)):
+            with pytest.MonkeyPatch.context() as patch:
+                taken = record_routes(patch)
+                with pytest.raises(ArithmeticError, match=messages[check]):
+                    specialized_gf(cone, mode)
+            # R is read, and refuses d, before the DP is entered.
+            assert taken == (["_product_numerator"] if check == "det" else [])
 
     @pytest.mark.parametrize("rows,mode,message", [
         ([[3, 1], [1, -2]], "total", "non-positive exponent"),
@@ -1253,13 +1267,14 @@ class TestProductNumerator:
         ("coprime11", 1, "total", "_numerator"),  # gcd 1, 7,361 slots
     ])
     def test_route_and_eliminations(self, source, vertex, mode, route, monkeypatch):
-        # The product reads no R, so it runs the kept pass alone; the DP
-        # builds R by a second elimination.
+        # Both routes run the kept pass over [A^T | W], n + 2 columns, and
+        # one more elimination that checks d: the product's `determinant`
+        # over A alone, n columns, and the DP's R over [A | I], 2n.
         g, _ = source_graph(source)
         eliminations, real = [], exact_linalg._eliminate
 
         def counted(rows, n):
-            eliminations.append(n)
+            eliminations.append(len(rows[0]))
             return real(rows, n)
 
         monkeypatch.setattr(cone_engine, "_eliminate", counted)
@@ -1270,7 +1285,8 @@ class TestProductNumerator:
             gf = specialized_gf(cone, mode)
         assert taken == [route]
         product = route == "_product_numerator"
-        assert len(eliminations) == (1 if product else 2)
+        n = cone.dimension
+        assert eliminations == [n + 2, n if product else 2 * n]
         assert (cone._R is None) == product
         assert list(gf.numerator) == cone_engine._numerator(
             cone.A, cone.R, cone.d, mode_exponents(cone, mode))
