@@ -235,6 +235,11 @@ def calls():
                  ["gf", "--family", "path:3", "--minor", "7"],
                  ["series", "--family", "path:3", "--order", "-1"]):
         yield argv, {}
+    # A negative `--normal-m`, on a slice and where no slice can be built.
+    for argv in (["ehrhart", "4", "--normal-m", "-3"],
+                 ["ehrhart", "4", "--normal-m", "-3", "--json"],
+                 ["ehrhart", "2", "--normal-m", "-1"]):
+        yield argv, {}
     for argv in (["fpp", "--family", "complete:6"],
                  ["gf", "--family", "complete:6"],
                  ["fpp", "--family", "cycle:5", "--budget", "5"],
