@@ -391,11 +391,10 @@ def _check_near_symmetry(args) -> int:
 def _interior_counts_agree(simplex, reflexive: bool, budget: int) -> bool:
     """The interior-count reflexivity test on a slice, which must agree
     with the halfspace certificate `reflexive`: the two are one theorem."""
-    n = simplex.source_n
-    by_counts = reflexivity_by_interior_counts(simplex, max(1, n - 1), budget=budget)
+    by_counts = reflexivity_by_interior_counts(simplex, simplex.dimension, budget=budget)
     if reflexive != by_counts:
         raise ArithmeticError(
-            f"reflexivity tests disagree for n={n}: halfspaces say "
+            f"reflexivity tests disagree for n={simplex.source_n}: halfspaces say "
             f"{reflexive}, interior counts say {by_counts}"
         )
     return by_counts
@@ -452,6 +451,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_ehrhart(args) -> int:
+    if args.normal_m < 0:
+        raise ValueError("--normal-m must be nonnegative")
     budget = _effective_budget(args)
     simplex = build_slice_simplex(args.n)
     # The probe is the only step that can be refused, so it runs first.

@@ -230,8 +230,7 @@ def check_near_symmetry(k: int) -> NearSymmetryReport:
         raise ValueError("near-symmetry check needs k >= 2")
     n = 2**k
     numerator = leafed_gf(n).numerator
-    target_den = [1]
-    target_den = _poly_mul(target_den, _one_minus_q_power(n, 1))
+    target_den = _one_minus_q_power(n, 1)
     for i in range(k):
         target_den = _poly_mul(target_den, _one_minus_q_power(2 ** (k - i - 1), 2**i))
     expected = _one_minus_q_power(n, n - 2)

@@ -10,28 +10,30 @@ L(t).  A sumset probe for normality rounds it out: it lists only the
 simplex's own lattice points and holds the size of each m-fold sumset
 against the count of m*s.
 
-The slice is built once from the leafed minor pair (L, R = n * L^-1),
-whose R comes from its closed form with no elimination, and keeps what it
-computed: its vertices are the columns of R below a top row of n's,
-certified affinely independent by the pair's check L*R = n*I rather than
-by a determinant, so the canonical interior point is read back from their
-integer sums; the facets of every dilate and the halfspace certificate
-read L itself, one coordinate column at a time over each row's nonzeros;
-and one digit-class DP on R, run when the slice is built, gives the digit
-strata behind every dilate count.
+Every simplex keeps a facet matrix F and a height h, with
+t*s = {x : F (h*t, x) >= 0}, so the facets of every dilate come from F
+alone.  A simplex given by its vertices takes F from the adjugate of its
+homogenized vertex matrix, once, with h = 1.  A slice is built once from
+the leafed minor pair (L, R = n * L^-1), whose R comes from its closed
+form with no elimination: its vertices are the columns of R below a top
+row of n's, certified affinely independent by the pair's check
+L*R = n*I, F is L and h is n.  The canonical interior point is read back
+from the integer vertex sums, the halfspace certificate reads L one
+coordinate column at a time over each row's nonzeros, and one digit-class
+DP on R, run when the slice is built, gives the digit strata behind every
+dilate count.
 
 Counting goes through those strata whenever the simplex is a slice,
 interior points included, by Ehrhart-Macdonald reciprocity, and the slice
 keeps each count it sums.  The box-scan oracle of `cone_engine`, fed the
-simplex's facet inequalities in integers, covers arbitrary simplices,
-whose facets come from the adjugate of the edge matrix, and doubles as an
-independent cross-check.
+simplex's facet inequalities in integers, covers arbitrary simplices and
+doubles as an independent cross-check.
 """
 
 from __future__ import annotations
 
 import math
-from operator import lshift, mul
+from operator import lshift
 from typing import NamedTuple, Optional, Sequence
 
 from .cone_engine import (
@@ -40,7 +42,7 @@ from .cone_engine import (
 )
 from .cycle_families import _leafed_minor_pair
 from .exact_linalg import (
-    IntegerMatrix, _IntRows, _is_int, _row_values, adjugate_pair, determinant,
+    IntegerMatrix, SingularMatrixError, _IntRows, _is_int, _row_values, adjugate_pair,
 )
 
 __all__ = [
@@ -61,22 +63,24 @@ __all__ = [
 
 
 class LatticeSimplex:
-    """A full-dimensional lattice simplex, given by its vertices.
+    """A full-dimensional lattice simplex: its vertices, and a facet
+    matrix F and height h with t*s = {x : F (h*t, x) >= 0} for t >= 0.
 
-    The constructor checks the vertices and refuses affinely dependent
-    ones by the determinant of the edge matrix.  The height-n slice of a
-    leafed n-cycle cone also carries the leafed minor L and the cone's
-    digit strata, and `source_n` is then n, the size of L; counting
-    routines use the strata instead of the box scan, and remember each
-    count they make.  Only `_leafed_slice` sets L, with every slot and no
-    determinant: its vertices are certified by the pair's L*R = n*I, and
-    `build_slice_simplex` then sets the strata.  A simplex built from bare
-    vertices is always counted by the box scan.
+    The public constructor checks the vertices, then takes (|det V|, F) =
+    `adjugate_pair(V)` of the homogenized vertex matrix V, with columns
+    (1, v_j), and h = 1: F (1, x) is |det V| times the barycentric
+    coordinates of x, and a singular V means affinely dependent vertices.
+    `_leafed_slice` fills the same slots through `_init`, with F = L and
+    h = n and no elimination; `build_slice_simplex` then sets the digit
+    strata, which the counting routines read instead of the box scan,
+    keeping each count.  `source_n` is h, or None when h = 1.
     """
 
-    __slots__ = ("_dimension", "_vertices", "_minor", "_strata", "_counts")
+    __slots__ = ("_vertices", "_facet_matrix", "_height", "_strata", "_counts")
 
     def __init__(self, dimension, vertices):
+        if not _is_int(dimension):
+            raise ValueError("dimension must be an int")
         vertices = tuple(tuple(v) for v in vertices)
         if dimension < 1:
             raise ValueError("dimension must be at least 1")
@@ -90,17 +94,25 @@ class LatticeSimplex:
                 raise ValueError("vertex length does not match the dimension")
             if not all(map(_is_int, v)):
                 raise ValueError("vertices must have integer entries")
-        self._dimension = dimension
+        homogenized = IntegerMatrix(_IntRows([(1,) * len(vertices), *zip(*vertices)]))
+        try:
+            facets = adjugate_pair(homogenized)[1]
+        except SingularMatrixError:
+            raise ValueError("vertices are affinely dependent") from None
+        self._init(vertices, facets, 1)
+
+    def _init(self, vertices, facets: IntegerMatrix, height: int) -> LatticeSimplex:
+        """Fill every slot, with no strata and no counts yet; returns self."""
         self._vertices = vertices
-        self._minor = None
+        self._facet_matrix = facets
+        self._height = height
         self._strata = None
         self._counts = {}
-        if determinant(self.edge_matrix()) == 0:
-            raise ValueError("vertices are affinely dependent")
+        return self
 
     @property
     def dimension(self) -> int:
-        return self._dimension
+        return len(self._vertices) - 1
 
     @property
     def vertices(self) -> tuple[tuple[int, ...], ...]:
@@ -108,7 +120,7 @@ class LatticeSimplex:
 
     @property
     def source_n(self) -> Optional[int]:
-        return None if self._minor is None else self._minor.rows
+        return None if self._height == 1 else self._height
 
     def edge_matrix(self) -> IntegerMatrix:
         """Columns are the edge vectors from vertex 0 to the others."""
@@ -116,13 +128,13 @@ class LatticeSimplex:
         return IntegerMatrix(
             [
                 [self._vertices[j][i] - v0[i] for j in range(1, len(self._vertices))]
-                for i in range(self._dimension)
+                for i in range(self.dimension)
             ]
         )
 
     def __repr__(self) -> str:
-        tag = "" if self._minor is None else f", source_n={self._minor.rows}"
-        return f"LatticeSimplex(dim={self._dimension}, vertices={self._vertices}{tag})"
+        tag = "" if self._height == 1 else f", source_n={self._height}"
+        return f"LatticeSimplex(dim={self.dimension}, vertices={self._vertices}{tag})"
 
 
 def build_slice_simplex(n: int) -> LatticeSimplex:
@@ -135,7 +147,8 @@ def build_slice_simplex(n: int) -> LatticeSimplex:
     points with n | phi, which lie on slice dilates at height phi/n.
     """
     simplex, r = _leafed_slice(n)
-    simplex._strata = list(enumerate(_numerator(simplex._minor, r, n, [n] * n)[::n]))
+    h = simplex._height  # R's top row, the DP's weights, is (h, ..., h)
+    simplex._strata = list(enumerate(_numerator(simplex._facet_matrix, r, h, r.row(0))[::h]))
     return simplex
 
 
@@ -152,27 +165,22 @@ def _leafed_slice(n: int) -> tuple[LatticeSimplex, IntegerMatrix]:
     if n < 3:
         raise ValueError("leafed cycles need n >= 3")
     l, r = _leafed_minor_pair(n)
-    simplex = LatticeSimplex.__new__(LatticeSimplex)
-    simplex._dimension = n - 1
-    simplex._vertices = tuple(column[1:] for column in zip(*r))
-    simplex._minor = l
-    simplex._strata = None
-    simplex._counts = {}
-    return simplex, r
+    vertices = tuple(column[1:] for column in zip(*r))
+    return LatticeSimplex.__new__(LatticeSimplex)._init(vertices, l, n), r
 
 
 def interior_point(n: int):
     """Row sums of L^-1: the canonical interior point of the slice.
 
-    The first coordinate is always n, the others the vertex sums over n.
-    The point is integral exactly when n is odd; for even n every entry
-    is a `Fraction`, and the halfspace reflexivity test reports a
-    refutation.
+    The first coordinate is the vertex count, the others the vertex sums
+    over the height; both are n.  The point is integral exactly when n is
+    odd; for even n every entry is a `Fraction`, and the halfspace
+    reflexivity test reports a refutation.
     """
     from fractions import Fraction  # the one rational result, kept off import
 
-    vertices = _leafed_slice(n)[0].vertices
-    sums = [Fraction(n)] + [Fraction(sum(c), n) for c in zip(*vertices)]
+    s = _leafed_slice(n)[0]
+    sums = [Fraction(len(s.vertices))] + [Fraction(sum(c), s._height) for c in zip(*s.vertices)]
     if all(f.denominator == 1 for f in sums):
         return tuple(int(f) for f in sums)
     return tuple(sums)
@@ -201,38 +209,39 @@ def reflexivity_by_halfspaces(n: int) -> HalfspaceReport:
 
 
 def _halfspaces(s: LatticeSimplex) -> HalfspaceReport:
-    """The halfspace test on a leafed slice.
+    """The halfspace test on a leafed slice, with facet matrix L and
+    height h.
 
-    u is `interior_point(n)`, from the integer vertex sums; a sum that n
-    does not divide makes it non-integral, a refutation.  B is the minor
-    matrix with its first column dropped: for x in the slice, Lx >= 0
-    rewrites to L(x - u) >= -Lu = -1, and x - u has first coordinate 0.
-    Any facet row not supported at exactly -1 is a refutation too.
+    u is `interior_point(n)`, from the integer vertex sums; a sum that h
+    does not divide makes it non-integral, a refutation.  B is L with its
+    first column dropped: for x in the slice, L(h, x) >= 0 rewrites to
+    B(x - u) >= -L(h, u) = -1.  Any facet row not supported at exactly -1,
+    on all vertices but one, is a refutation too.
     """
-    n = s.source_n
+    h = s._height
     columns = list(zip(*s.vertices))
     sums = list(map(sum, columns))
-    if any(c % n for c in sums):
+    if any(c % h for c in sums):
         return HalfspaceReport(
-            n, False, "canonical interior point is not integral",
+            h, False, "canonical interior point is not integral",
             None, None, None, None,
         )
-    l = s._minor
-    drop = tuple(c // n for c in sums)
-    if any(e != 1 for e in l.apply((n,) + drop)):
+    l = s._facet_matrix
+    drop = tuple(c // h for c in sums)
+    if any(e != 1 for e in l.apply((h,) + drop)):
         raise ArithmeticError("minor times its inverse row sums is not all-ones")
     moved = [tuple(map((-c).__add__, column)) for column, c in zip(columns, drop)]
     translated = tuple(zip(*moved))
     reduced = IntegerMatrix(_IntRows(row[1:] for row in l))
     for i, row in enumerate(reduced):
         row_vals = _row_values(row, moved)
-        if min(row_vals) < -1 or row_vals.count(-1) != n - 1:
+        if min(row_vals) < -1 or row_vals.count(-1) != s.dimension:
             return HalfspaceReport(
-                n, False, f"facet row {i} is not supported at -1",
+                h, False, f"facet row {i} is not supported at -1",
                 drop, reduced, None, translated,
             )
     return HalfspaceReport(
-        n, True, "certified", drop, reduced, (-1,) * n, translated,
+        h, True, "certified", drop, reduced, (-1,) * len(s.vertices), translated,
     )
 
 
@@ -241,23 +250,12 @@ def _facets(s: LatticeSimplex, t: int, strict: int
     """(rows, rhs): t*s is {x : row.x >= rhs for every row}, and its
     interior the same with strict 1.
 
-    A leafed slice is {y : Ly >= 0} cut at y_0 = n, so its rows are L's
-    without column 0, with right-hand sides -t*n*L[i][0].  Any other
-    simplex has M = d * E^-1 for its edge matrix E: the barycentric
-    coordinates of x are M(x - t*v0)/d and t - (1^T M)(x - t*v0)/d, so x
-    lies in t*s iff M x >= t M v0 and -(1^T M) x >= -t d - t (1^T M) v0.
-    Either way the interior adds 1 to every right-hand side.
+    t*s is {x : F (h*t, x) >= 0} for the facet matrix F and height h of s,
+    so the rows are F's without column 0, with right-hand sides
+    -t*h*F[i][0]; F is integral, so the interior adds 1 to each.
     """
-    l = s._minor
-    if l is not None:
-        return [row[1:] for row in l], [strict - t * l.rows * row[0] for row in l]
-    d, m = adjugate_pair(s.edge_matrix())
-    rows = [m.row(i) for i in range(m.rows)]
-    rows.append([-sum(col) for col in zip(*rows)])
-    v0 = s.vertices[0]
-    rhs = [t * sum(map(mul, row, v0)) + strict for row in rows]
-    rhs[-1] -= t * d
-    return rows, rhs
+    f, h = s._facet_matrix, s._height
+    return [row[1:] for row in f], [strict - t * h * row[0] for row in f]
 
 
 def _scan_dilate(s: LatticeSimplex, t: int, budget: Optional[int],
@@ -292,14 +290,14 @@ def _count(s: LatticeSimplex, t: int, budget: Optional[int], strict: int) -> int
         raise ValueError("dilation factor must be nonnegative")
     if t == 0:
         return 1 - strict
-    n = s.source_n
-    if n is None:
+    if s._strata is None:
         return len(_scan_dilate(s, t, budget, strict))
     key = (t, strict)
     count = s._counts.get(key)
     if count is None:
+        dim = s.dimension
         count = s._counts[key] = sum(
-            c * math.comb(t - 1 + (k if strict else n - k), n - 1) for k, c in s._strata)
+            c * math.comb(t + (k - 1 if strict else dim - k), dim) for k, c in s._strata)
     return count
 
 
@@ -435,7 +433,7 @@ def normality_probe(s: LatticeSimplex, m_max: int = 2,
     for m in range(1, m_max + 1):
         _charge_box([m * l for l in lows], [m * h for h in highs], budget)
     rows, rhs = _facets(s, 1, 0)
-    strata = s.source_n is not None
+    strata = s._strata is not None
     base = _box_points(rows, rhs, lows, highs, budget)
     if strata and len(base) != dilate_count(s, 1, budget=budget):
         raise ArithmeticError("box scan of the simplex disagrees with its count")

@@ -284,7 +284,9 @@ def facets_by_adjugate(s, t, strict):
     """(rows, rhs) with t*s = {x : row.x >= rhs} (its interior with strict
     1), from the adjugate of the edge matrix E, whatever s is: with
     M = d * E^-1, x lies in t*s iff M(x - t*v0) >= 0 and
-    (1^T M)(x - t*v0) <= t*d."""
+    (1^T M)(x - t*v0) <= t*d.  No library route reads E's adjugate: a
+    simplex keeps the facet matrix of its homogenized vertex matrix, or a
+    slice its leafed minor, so this oracle is independent of both."""
     d, m = adjugate_pair(s.edge_matrix())
     rows = [list(m.row(i)) for i in range(m.rows)]
     rows.append([-sum(col) for col in zip(*rows)])

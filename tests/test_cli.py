@@ -364,6 +364,15 @@ class TestEhrhart:
         code, _, err = run(capsys, "ehrhart", "2")
         assert code == 2 and err.startswith("error:")
 
+    def test_negative_normal_m_refused_before_the_slice(self, capsys, monkeypatch):
+        def no_slice(n):
+            raise AssertionError("the slice was built for a refused --normal-m")
+
+        monkeypatch.setattr(cli, "build_slice_simplex", no_slice)
+        for n in ("4", "2"):
+            code, out, err = run(capsys, "ehrhart", n, "--normal-m", "-1")
+            assert (code, out, err) == (2, "", "error: --normal-m must be nonnegative\n")
+
     def test_normality_six(self, capsys):
         code, out, _ = run(capsys, "ehrhart", "6", "--normal-m", "2")
         assert code == 0

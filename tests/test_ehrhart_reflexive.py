@@ -106,8 +106,15 @@ class TestLatticeSimplex:
             LatticeSimplex(2, [(0, 0), (1, 0), (0, 1, 1)])
         with pytest.raises(ValueError):
             LatticeSimplex(2, [(0, 0), (1, 0), (0, True)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^vertices are affinely dependent$"):
             LatticeSimplex(2, [(0, 0), (1, 1), (2, 2)])
+
+    @pytest.mark.parametrize("dimension,vertices", [
+        (True, [(0,), (1,)]), (2.0, [(0, 0), (1, 0), (0, 1)]),
+    ])
+    def test_dimension_must_be_an_int(self, dimension, vertices):
+        with pytest.raises(ValueError, match="^dimension must be an int$"):
+            LatticeSimplex(dimension, vertices)
 
     @pytest.mark.parametrize("entry", [True, 1.0, "1", None])
     def test_entries_must_be_ints(self, entry):
@@ -196,22 +203,30 @@ class TestSliceSimplex:
 
 
 class TestSliceCertificate:
-    """A leafed slice sets its own slots, certified by L*R = n*I instead of
-    the public constructor's determinant."""
+    """A leafed slice fills its slots with F = L and h = n, certified by
+    L*R = n*I instead of the public constructor's adjugate."""
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_matches_the_public_constructor(self, n):
+        # From the same vertices the public constructor's facet matrix is
+        # n^(n-3) * L * diag(n, 1, ..., 1), so at height 1 its facets are
+        # the slice's times n^(n-3), row for row.
         l, r = cycle_families._leafed_minor_pair(n)
         public = LatticeSimplex(n - 1, [[r[i, j] for i in range(1, n)] for j in range(n)])
-        public._minor = l
-        public._strata = [(k, c) for k, c in enumerate(necklace_histogram(n)[::n]) if c]
         s = build_slice_simplex(n)
         assert s.vertices == public.vertices
         assert {type(x) for v in s.vertices for x in v} == {int}
-        assert [(k, c) for k, c in s._strata if c] == public._strata
-        assert repr(s) == repr(public)
-        assert _halfspaces(s) == _halfspaces(public)
-        assert h_star(s) == h_star(public)
+        assert ([(k, c) for k, c in s._strata if c]
+                == [(k, c) for k, c in enumerate(necklace_histogram(n)[::n]) if c])
+        assert (s.source_n, public.source_n) == (n, None)
+        assert repr(s) == f"{repr(public)[:-1]}, source_n={n})"
+        scale = n ** (n - 3)
+        for t in (1, 2):
+            rows, rhs = ehrhart_reflexive._facets(s, t, 0)
+            assert ehrhart_reflexive._facets(public, t, 0) == (
+                [tuple(scale * a for a in row) for row in rows], [scale * b for b in rhs])
+        if n <= 4:  # the box scan counts the public simplex
+            assert h_star(public) == h_star(s)._replace(reflexive_certificate=None)
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_no_elimination(self, n, monkeypatch, capsys):
@@ -412,6 +427,29 @@ class TestDilateCounting:
                                                    10**12)
                 assert ehrhart_reflexive._scan_dilate(s, t, 10**12, strict) == expected
                 assert len(expected) == (interior_count if strict else dilate_count)(s, t)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stored_facets_scan_like_the_adjugate_facets(self, seed):
+        # The facets of a bare simplex come from the adjugate of its
+        # homogenized vertex matrix, kept when it is built; the oracle's
+        # d * E^-1 rows list the same points of each dilate, in one order.
+        for s, _ in random_simplices(seed, 40):
+            for t in (1, 2, 3):
+                box = ehrhart_reflexive._dilate_box(s, t)
+                for strict in (0, 1):
+                    expected = cone_engine._box_points(*facets_by_adjugate(s, t, strict), *box)
+                    assert ehrhart_reflexive._scan_dilate(s, t, None, strict) == expected, s
+
+    def test_bare_simplex_eliminates_once(self, monkeypatch):
+        # One elimination, of the homogenized vertex matrix, when it is
+        # built; every later scan reads the facet matrix it kept.
+        calls = count_eliminations(monkeypatch)
+        s = reeve(3)
+        assert calls == [4]
+        dilate_points(s, 2)
+        interior_count(s, 2)
+        normality_probe(s, 3)
+        assert calls == [4]
 
     def test_slice_facets_need_no_elimination(self, monkeypatch):
         s = build_slice_simplex(5)
