@@ -44,8 +44,7 @@ from .cone_engine import (
     SimplicialCone,
     UnivariateRationalGF,
     _json_form,
-    _lex_walk,
-    _sorted_points,
+    _listing,
     series_expand,
     specialized_gf,
 )
@@ -295,8 +294,8 @@ def _cmd_gf(args) -> int:
 def _write_transform(cone, budget: int, as_json: bool) -> None:
     """Print the cone's transform as `str` or `to_json_dict` of
     `integer_point_transform` gives it, its numerator written block by
-    block from the fields `_sorted_points` reads."""
-    blocks, lo = _sorted_points(cone, budget)
+    block from the fields `_listing` reads without digits."""
+    blocks, lo = _listing(cone, budget, digits=False)
     n, rays = cone.dimension, sorted(cone.rays())
     if as_json:
         rays = [ray + (mult,) for ray, mult in sorted(Counter(rays).items())]
@@ -497,7 +496,7 @@ def _cmd_fpp(args) -> int:
 
 def _write_fpp(cone, budget: int, as_json: bool) -> None:
     """Print the cone's parallelepiped points, block by block as walked."""
-    blocks, lo = _lex_walk(cone, budget)
+    blocks, lo = _listing(cone, budget, digits=True)
     n, d = cone.dimension, cone.d
     if as_json:
         digits = _json_strings(n, 6)

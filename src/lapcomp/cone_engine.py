@@ -473,19 +473,22 @@ def _checked_basis(cone: SimplicialCone, budget: Optional[int]
     return h, u
 
 
-def _packed_walk(cone: SimplicialCone, budget: Optional[int], digits: bool
-                 ) -> tuple[Iterator[list[int]], Callable[[list[int]], _Fields], list[int]]:
-    """The walk's points packed one int each, in blocks in lexicographic
-    order of their digits; the reader of a block into its fields, the
-    digits c_0..c_{n-1} if `digits`, then the point lam_0..lam_{n-1}; and
-    the lower bound lo_i of each field.
+def _listing(cone: SimplicialCone, budget: Optional[int], digits: bool
+             ) -> tuple[Iterator[_Fields], list[int]]:
+    """The parallelepiped's points in blocks of at most `_BLOCK` points held
+    as fields, and the fields' lo: with `digits`, the pairs (c, lam) in walk
+    order, the digits c_0..c_{n-1} then the point lam_0..lam_{n-1};
+    without, the points alone in lexicographic order.
 
-    Field i of a key holds value - lo_i in [0, spans[i]]: a digit in
-    [0, d - 1], and lam_i in the box of the module docstring, which reads
-    R.  With d = 1 every span is 0 and R is not built.  Every field is w
-    bytes, as `_byte_width` gives it, field 0 highest, so each basis step
-    becomes one int and the walk, from the origin's key, is linear in
-    them.  The charge and the basis checks run first.
+    The walk packs each point into one int.  Field i of a key holds
+    value - lo_i in [0, spans[i]]: a digit in [0, d - 1], and lam_i in the
+    box of the module docstring, which reads R.  With d = 1 every span is
+    0 and R is not built.  Every field is w bytes, as `_byte_width` gives
+    it, field 0 highest, so each basis step becomes one int and the walk,
+    from the origin's key, is linear in them; without digits no field
+    carries or borrows into the next, so one int sort orders the points.
+    The charge, the basis checks and the sort run before the iterator is
+    returned, so a refused or broken listing yields nothing.
     """
     h, u = _checked_basis(cone, budget)
     n, d = cone.dimension, cone.d
@@ -499,7 +502,12 @@ def _packed_walk(cone: SimplicialCone, budget: Optional[int], digits: bool
     shifts = _field_shifts([(1 << 8 * w) - 1] * len(spans))
     packed = [sum(map(lshift, step, shifts)) for step in u]
     origin = -sum(map(lshift, lo, shifts))
-    return _lex_points(h, packed, d, origin), _record_reader(w, len(lo)), lo
+    blocks = _lex_points(h, packed, d, origin)
+    read = _record_reader(w, len(lo))
+    if digits:
+        return map(read, blocks), lo
+    keys = sorted(chain.from_iterable(blocks))
+    return (read(keys[j:j + _BLOCK]) for j in range(0, len(keys), _BLOCK)), lo
 
 
 def _byte_width(span: int) -> int:
@@ -543,34 +551,6 @@ def _unpack(fields: _Fields, lo: Sequence[int]) -> list[list[int]]:
             for field, low in zip(fields, lo)]
 
 
-def _lex_walk(cone: SimplicialCone, budget: Optional[int]
-              ) -> tuple[Iterator[_Fields], list[int]]:
-    """The parallelepiped's (c, lam) pairs, c in lexicographic order, in
-    blocks of at most `_BLOCK` points held as fields, and the fields' lo.
-
-    The budget charge and the checks of `_checked_basis` run here, before
-    the iterator is returned, so a refused or broken walk yields nothing.
-    """
-    blocks, read, lo = _packed_walk(cone, budget, digits=True)
-    return map(read, blocks), lo
-
-
-def _sorted_points(cone: SimplicialCone, budget: Optional[int]
-                   ) -> tuple[Iterator[_Fields], list[int]]:
-    """The parallelepiped points in lexicographic order, in blocks of at
-    most `_BLOCK` points held as fields, and the fields' lo.
-
-    The walk packs each point into one int, coordinate 0 highest, with no
-    digits; no field carries or borrows into the next, so one int sort
-    orders them, and each block is then read.  The charge, the basis
-    checks and the sort run before the iterator is returned.
-    """
-    blocks, read, lo = _packed_walk(cone, budget, digits=False)
-    keys = list(chain.from_iterable(blocks))
-    keys.sort()
-    return (read(keys[j:j + _BLOCK]) for j in range(0, len(keys), _BLOCK)), lo
-
-
 def _kron(incs: Iterable[Sequence[int]]) -> list[int]:
     """Every sum of one entry of each list, the last list varying fastest."""
     out = [0]
@@ -580,7 +560,7 @@ def _kron(incs: Iterable[Sequence[int]]) -> list[int]:
 
 
 def _lex_points(h: list[list[int]], g: list[int], d: int, origin: int) -> Iterator[list[int]]:
-    """Walk of `_packed_walk` from the key `origin` along a checked reduced
+    """Walk of `_listing` from the key `origin` along a checked reduced
     lower-triangular basis h, whose step j adds the packed int g[j].
 
     Once c_0..c_{i-1} are fixed, the valid c_i are the values = off_i
@@ -664,10 +644,10 @@ def fpp_points(cone: SimplicialCone, budget: Optional[int] = None
     pairs (c, lam): lam is the point and c = A*lam lies in {0..d-1}^n.
 
     The pairs come in lexicographic order of the digit vector c straight
-    from the walk, with no sort: a triangular lattice basis lets it take
-    d**(n-1) steps instead of scanning d**n candidates.
+    from the walk of `_listing`, with no sort: a triangular lattice basis
+    lets it take d**(n-1) steps instead of scanning d**n candidates.
     """
-    blocks, lo = _lex_walk(cone, budget)
+    blocks, lo = _listing(cone, budget, digits=True)
     n, columns = cone.dimension, (_unpack(fields, lo) for fields in blocks)
     return tuple(chain.from_iterable(zip(zip(*c[:n]), zip(*c[n:])) for c in columns))
 
@@ -676,11 +656,12 @@ def integer_point_transform(cone: SimplicialCone,
                             budget: Optional[int] = None) -> IntegerPointTransform:
     """The transform of the cone: parallelepiped points over the rays.
 
-    The numerator comes from `_sorted_points` already in the lexicographic
-    order the transform keeps it in, by one int sort of packed points (see
-    the module docstring), and its tuples are not sorted again.
+    The numerator comes from `_listing` without digits, already in the
+    lexicographic order the transform keeps it in, by one int sort of
+    packed points (see the module docstring), and its tuples are not
+    sorted again.
     """
-    blocks, lo = _sorted_points(cone, budget)
+    blocks, lo = _listing(cone, budget, digits=False)
     ipt = IntegerPointTransform.__new__(IntegerPointTransform)
     ipt.numerator = tuple(chain.from_iterable(zip(*_unpack(fields, lo)) for fields in blocks))
     ipt.denominator = tuple(sorted(cone.rays()))

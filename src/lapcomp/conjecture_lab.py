@@ -56,8 +56,12 @@ class CyclicClass(NamedTuple):
 
     def rotations(self) -> list[tuple[int, ...]]:
         """All n rotations of the representative (with repeats if periodic)."""
-        c = self.representative
-        return [c[t:] + c[:t] for t in range(self.parts)]
+        return _rotations(self.representative)
+
+
+def _rotations(c: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The len(c) rotations of c, shift 0 first (with repeats if periodic)."""
+    return [c[t:] + c[:t] for t in range(len(c))]
 
 
 def cyclic_classes(m: int, n: int) -> list[CyclicClass]:
@@ -65,7 +69,7 @@ def cyclic_classes(m: int, n: int) -> list[CyclicClass]:
     seen = set()
     classes = []
     for c in compositions(m, n):
-        rots = [c[t:] + c[:t] for t in range(n)]
+        rots = _rotations(c)
         rep = min(rots)
         if rep not in seen:
             seen.add(rep)
@@ -150,8 +154,7 @@ def integral_shift_profile(n: int, m: int) -> list[ShiftProfileEntry]:
 def profile_entry_for(profile: Sequence[ShiftProfileEntry],
                       composition: tuple[int, ...]) -> ShiftProfileEntry:
     """The profile entry whose orbit contains the given composition."""
-    n = len(composition)
-    rep = min(composition[t:] + composition[:t] for t in range(n))
+    rep = min(_rotations(composition))
     for entry in profile:
         if entry.cyclic_class.representative == rep:
             return entry
@@ -219,7 +222,8 @@ def check_near_symmetry(k: int) -> NearSymmetryReport:
     the digit-sum numerator and D = (1 - q^n) * prod_i (1 -
     q^(2^(k-i-1)))^(2^i); appends a zero to f's coefficients, subtracts the
     reversed list, and compares against (1 - q^n)^(n-2).  An inexact
-    division or a mismatch is reported as a negative verdict, not an error.
+    division or a mismatch is reported as a negative verdict, not an error;
+    after an inexact one, f and the difference are None.
 
     The report also carries a numerator-level diagnostic: the same
     append-and-reverse difference applied to N itself, compared against
@@ -249,15 +253,11 @@ def check_near_symmetry(k: int) -> NearSymmetryReport:
         f = _divide_exact(f, n)
         if f is None:
             break
-    if f is None:
-        return NearSymmetryReport(
-            k, n, False, None, None, expected, False,
-            numerator_difference, numerator_expected, numerator_match,
-        )
-    appended = list(f) + [0]
-    difference = [a - b for a, b in zip(appended, reversed(appended))]
-    verdict = difference == expected
+    difference = None
+    if f is not None:
+        appended = list(f) + [0]
+        difference = [a - b for a, b in zip(appended, reversed(appended))]
     return NearSymmetryReport(
-        k, n, True, f, difference, expected, verdict,
+        k, n, f is not None, f, difference, expected, difference == expected,
         numerator_difference, numerator_expected, numerator_match,
     )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from .cone_engine import UnivariateRationalGF, _numerator
 from .exact_linalg import IntegerMatrix, _IntRows, _row_values
+from .graph_core import _minor, _path_edges
 
 __all__ = [
     "leafed_gf",
@@ -39,24 +40,19 @@ def _leafed_minor_pair(n: int) -> tuple[IntegerMatrix, IntegerMatrix]:
 
     L*R = n*I, over L's nonzero entries, is the certificate: it makes L
     invertible and R exactly n * L^-1, with no elimination and no
-    determinant.  For n >= 3, L is `laplacian_minor(leafed_cycle_graph(n),
-    n)`; for n = 2 it is the minor of a doubled edge with a leaf.
+    determinant.  L is `graph_core._minor` of the leafed cycle's edges, so
+    no `Graph` caps n: it is `laplacian_minor(leafed_cycle_graph(n), n)`
+    for n >= 3, and for n = 2 the minor of a doubled edge with a leaf.
     """
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        j = (i + 1) % n
-        rows[i][i] += 2
-        rows[i][j] -= 1
-        rows[j][i] -= 1
-    rows[0][0] += 1
+    minor = _minor(n + 1, _path_edges(n, (0, n - 1), (0, n)), n)
     r = _leafed_inverse_rows(n)
     if any(x != n for x in r[0]):
         raise ArithmeticError("top row of the scaled inverse is not constant n")
-    for i, row in enumerate(rows):
+    for i, row in enumerate(minor):
         product = _row_values(row, r)
         if product[i] != n or product.count(0) != n - 1:
             raise ArithmeticError("minor times its scaled inverse is not n*I")
-    return IntegerMatrix(_IntRows(rows)), IntegerMatrix(_IntRows(r))
+    return minor, IntegerMatrix(_IntRows(r))
 
 
 def leafed_gf(n: int) -> UnivariateRationalGF:

@@ -5,7 +5,8 @@ orientation (tail, head); builders orient edges from the smaller label to the
 larger one.  The Laplacian and its minors do not depend on orientation, the
 signed incidence matrix does.
 
-`laplacian_minor` fills its matrix straight from the edges.  `parse_graph`
+`_minor` fills a Laplacian minor straight from the edges, for
+`laplacian_minor` and for the leafed n-cycle at any n.  `parse_graph`
 splits each line once; only labels not in ASCII digits reach `_is_decimal`.
 `_breadth_first` is the one walk of a graph's edges: a graph is connected
 when the search from 0 reaches every vertex, and trees are rooted by it.
@@ -261,16 +262,22 @@ def laplacian_minor(g: Graph, i: int) -> IntegerMatrix:
         raise GraphError(f"vertex {i} out of range")
     if g.vertex_count < 2:
         raise GraphError("graph too small to take a Laplacian minor")
-    n = g.vertex_count
-    m = [[0] * (n - 1) for _ in range(n - 1)]
-    for u, v in g.edges:
+    return _minor(g.vertex_count, g.edges, i)
+
+
+def _minor(count: int, edges: Iterable[tuple[int, int]], i: int) -> IntegerMatrix:
+    """The Laplacian minor at vertex i of `count` vertices and `edges`,
+    with no `Graph`: each edge counts once, so one listed twice gives -2."""
+    m = [[0] * (count - 1) for _ in range(count - 1)]
+    for u, v in edges:
         a, b = u - (u > i), v - (v > i)
         if u != i:
             m[a][a] += 1
         if v != i:
             m[b][b] += 1
             if u != i:
-                m[a][b] = m[b][a] = -1
+                m[a][b] -= 1
+                m[b][a] -= 1
     return IntegerMatrix(_IntRows(m))
 
 

@@ -32,7 +32,7 @@ from lapcomp import (
     laplacian_minor,
     leafed_cycle_graph,
 )
-from lapcomp.cone_engine import _charge_box, _lex_walk, _sorted_points, _unpack
+from lapcomp.cone_engine import _charge_box, _listing, _unpack
 from lapcomp.ehrhart_reflexive import _dilate_box
 
 
@@ -262,16 +262,17 @@ def transform_by_tuples(cone, budget=None):
 
 
 def walk_columns(cone, budget=None):
-    """The blocks of `_lex_walk` as (digit columns, point columns), read
-    by `_unpack`; the walk's checks run before this returns."""
-    blocks, lo = _lex_walk(cone, budget)
+    """The blocks of `_listing` with digits as (digit columns, point
+    columns), read by `_unpack`; the walk's checks run before this returns."""
+    blocks, lo = _listing(cone, budget, digits=True)
     n = cone.dimension
     return ((cols[:n], cols[n:]) for cols in (_unpack(fields, lo) for fields in blocks))
 
 
 def sorted_columns(cone, budget=None):
-    """The blocks of `_sorted_points` as point columns, read by `_unpack`."""
-    blocks, lo = _sorted_points(cone, budget)
+    """The blocks of `_listing` without digits as point columns, read by
+    `_unpack`."""
+    blocks, lo = _listing(cone, budget, digits=False)
     return (_unpack(fields, lo) for fields in blocks)
 
 

@@ -299,20 +299,20 @@ class TestLexWalk:
             assert pts == flat_fpp(cone)
 
     def test_checks_run_before_the_first_point(self, monkeypatch):
-        # `_lex_walk` refuses when called, not when first iterated.  Each
+        # `_listing` refuses when called, not when first iterated.  Each
         # broken basis below comes with the true steps u, A*u_j = h_j.
         cone = minor_cone("cycle", 4, vertex=0)
         h, u = cone_engine._column_hermite(cone.A)
         assert h == [[1, 0, 0], [0, 1, 0], [1, 2, 4]]
         with pytest.raises(BudgetExceededError):
-            cone_engine._lex_walk(cone, 5)
+            cone_engine._listing(cone, 5, digits=True)
         # (0, 2, 0) is not a valid digit vector, so no integral step
         # reaches it; nor does the true basis with one step off by one.
         for basis, steps in (([[1, 0, 0], [0, 2, 0], [0, 0, 2]], u),
                              (h, [u[0], u[1], [x + 1 for x in u[2]]])):
             monkeypatch.setattr(cone_engine, "_column_hermite", lambda A: (basis, steps))
             with pytest.raises(ArithmeticError, match="not a valid digit vector"):
-                cone_engine._lex_walk(cone, None)
+                cone_engine._listing(cone, None, digits=True)
         # A basis inside the lattice but of index 4 in it (every column is a
         # valid digit vector; the walk would list d**(n-1) / 4 points), and
         # the true basis with two columns negated (the diagonal multiplies
@@ -321,13 +321,13 @@ class TestLexWalk:
                       [[-1, 0, 0], [2, -1, 0], [-1, 2, 4]]):
             monkeypatch.setattr(cone_engine, "_column_hermite", lambda A: (basis, u))
             with pytest.raises(ArithmeticError, match="determinant"):
-                cone_engine._lex_walk(cone, None)
+                cone_engine._listing(cone, None, digits=True)
         # The reduced basis with its last column added to its first: the
         # same lattice, but h[2][0] = 5 is not below h[2][2] = 4.
         monkeypatch.setattr(cone_engine, "_column_hermite",
                             lambda A: ([[1, 0, 0], [0, 1, 0], [5, 2, 4]], u))
         with pytest.raises(ArithmeticError, match="not reduced"):
-            cone_engine._lex_walk(cone, None)
+            cone_engine._listing(cone, None, digits=True)
 
     @pytest.mark.parametrize("cone", [
         # d = 9, critical group (Z/3)^2: two levels of 3 digits in 9.
@@ -380,9 +380,10 @@ class TestLexWalk:
 
 
 def assert_sorted_route(cone, budget=None):
-    """`_sorted_points` lists the points of the tuple-sorted transform in
-    its order, in blocks of at most `_BLOCK` coordinate columns, and
-    `integer_point_transform` and both `gf` listings are that transform."""
+    """`_listing` without digits lists the points of the tuple-sorted
+    transform in its order, in blocks of at most `_BLOCK` coordinate
+    columns, and `integer_point_transform` and both `gf` listings are that
+    transform."""
     ipt = transform_by_tuples(cone, budget)
     blocks = list(sorted_columns(cone, budget))
     assert all(len(b) == cone.dimension for b in blocks)
@@ -412,7 +413,7 @@ class TestSortedPoints:
                 cone = SimplicialCone(laplacian_minor(g, vertex))
                 if cone.d ** (cone.dimension - 1) > 3000:
                     with pytest.raises(BudgetExceededError):
-                        cone_engine._sorted_points(cone, 3000)
+                        cone_engine._listing(cone, 3000, digits=False)
                 else:
                     assert_sorted_route(cone, 3000)
 
@@ -445,15 +446,15 @@ class TestSortedPoints:
         assert_sorted_route(cone)
 
     def test_checks_run_before_the_first_point(self, monkeypatch):
-        # Like `_lex_walk`, it refuses when called, not when first iterated.
+        # Without digits too, `_listing` refuses when called, not when first iterated.
         cone = minor_cone("cycle", 4, vertex=0)
         with pytest.raises(BudgetExceededError):
-            cone_engine._sorted_points(cone, 5)
+            cone_engine._listing(cone, 5, digits=False)
         _, u = cone_engine._column_hermite(cone.A)
         monkeypatch.setattr(cone_engine, "_column_hermite",
                             lambda A: ([[1, 0, 0], [0, 2, 0], [0, 0, 2]], u))
         with pytest.raises(ArithmeticError, match="not a valid digit vector"):
-            cone_engine._sorted_points(cone, None)
+            cone_engine._listing(cone, None, digits=False)
 
 
 # A = [[2, k], [0, 1]] has d = 2 and R = [[1, -k], [0, 2]], so lam_0 spans
@@ -558,11 +559,11 @@ class TestRecordReader:
         # R = [[1, -3], [0, 2]]: lam_0 runs down to -3, so its field is read
         # with lo_0 = -3, both in walk order and sorted.
         cone = SimplicialCone(IntegerMatrix([[2, 3], [0, 1]]))
-        blocks, lo = cone_engine._lex_walk(cone, None)
+        blocks, lo = cone_engine._listing(cone, None, digits=True)
         assert lo == [0, 0, -3, 0]
         assert list(fpp_points(cone)) == flat_fpp(cone) == [
             ((0, 0), (0, 0)), ((1, 1), (-1, 1))]
-        _, lo = cone_engine._sorted_points(cone, None)
+        _, lo = cone_engine._listing(cone, None, digits=False)
         assert lo == [-3, 0]
         assert integer_point_transform(cone).numerator == ((-1, 1), (0, 0))
 
@@ -732,7 +733,7 @@ def counted_gf(exponents, s):
 def walk_gfs(cone):
     """The outcome of `specialized_gf` in each mode, by the walk: the
     coordinate sums and the first coordinates of the points of
-    `_lex_walk`, a block at a time, so no transform is built."""
+    `_listing`, a block at a time, so no transform is built."""
     totals, firsts = Counter(), Counter()
     for _, lam in walk_columns(cone):
         totals.update(map(sum, zip(*lam)))
